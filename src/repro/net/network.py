@@ -239,9 +239,7 @@ class Network:
         """Apply ``plan``'s events from the event loop at their times."""
         self._churn_active = True
         for event in plan.events:
-            self.simulator.schedule_at(
-                event.time, lambda event=event: self._apply_churn(event)
-            )
+            self.simulator.schedule_at(event.time, self._apply_churn, event)
 
     def _apply_churn(self, event) -> None:
         if event.kind == "leave":
@@ -325,7 +323,9 @@ class Network:
             # The laggard may have seen (and orphaned) this head already with
             # its one allowed sync request spent on a stale provider; clear
             # both so the re-offer reaches import and resyncs from ``best``.
-            self._seen_blocks.get(peer.peer_id, set()).discard(head.hash)
+            seen = self._seen_blocks.get(peer.peer_id)
+            if seen is not None:
+                seen.discard(head.hash)
             self._sync_inflight.pop(peer.peer_id, None)
             self.stats.block_bytes += wire_size
             self._schedule_block_delivery(
@@ -356,19 +356,26 @@ class Network:
         destination_id: str,
         wire_size: int,
         latency_model: LatencyModel,
+        now: float,
     ) -> float:
-        """Sampled latency, scaled per edge, plus FIFO serialisation delay."""
+        """Sampled latency, scaled per edge, plus FIFO serialisation delay
+        for a message entering the link at ``now``."""
         delay = latency_model.sample(source_id, destination_id)
-        if self._latency_scale:
-            scale = self._latency_scale.get(edge_key(source_id, destination_id))
+        latency_scale = self._latency_scale
+        if latency_scale:
+            scale = latency_scale.get(edge_key(source_id, destination_id))
             if scale is not None:
                 delay *= scale
-        if self.bandwidth is not None:
-            now = self.simulator.now
+        bandwidth = self.bandwidth
+        if bandwidth is not None:
             link = (source_id, destination_id)
-            serialisation = self.bandwidth.serialisation_delay(
-                source_id, destination_id, wire_size
+            # One global rate unless the model overrides specific links.
+            rate = (
+                bandwidth.rate(source_id, destination_id)
+                if bandwidth.per_link
+                else bandwidth.bytes_per_second
             )
+            serialisation = wire_size / rate
             departure = max(now, self._link_free_at.get(link, now))
             self._link_free_at[link] = departure + serialisation
             delay = (departure - now) + serialisation + delay
@@ -427,71 +434,62 @@ class Network:
         latency draw order is identical with faults on or off."""
         effect = None
         faults = self._faults
-        if faults is not None:
-            now = self.simulator.now
-            # Inline window gate: outside every fault window the seam call is
-            # provably a no-op (inactive faults never draw), so skip it.
-            if faults.window_start <= now < faults.window_until:
-                effect = faults.on_message("tx", sender_id, peer.peer_id, now)
+        now = self.simulator.now
+        # Inline window gate: outside every fault window the seam call is
+        # provably a no-op (inactive faults never draw), so skip it.
+        if faults is not None and faults.window_start <= now < faults.window_until:
+            effect = faults.on_message("tx", sender_id, peer.peer_id, now)
         if effect is not None and effect.drop:
             self.stats.transactions_dropped += 1
             return
-        delay = self._link_delay(sender_id, peer.peer_id, wire_size, self.latency)
+        delay = self._link_delay(sender_id, peer.peer_id, wire_size, self.latency, now)
         corrupt = False
         if effect is not None:
             delay += effect.extra_delay
             corrupt = effect.corrupt
         self.stats.transaction_bytes += wire_size
-        self._schedule_transaction_delivery(
-            sender_id, peer, transaction, wire_size, delay, corrupt=corrupt
-        )
+        schedule_at = self.simulator.schedule_at
+        deliver = self._deliver_transaction
+        schedule_at(now + delay, deliver, sender_id, peer, transaction, wire_size, corrupt)
         if effect is not None and effect.duplicate_gap is not None:
             # The duplicated copy ships real bytes too, trailing the first.
             self.stats.transaction_bytes += wire_size
-            self._schedule_transaction_delivery(
-                sender_id,
-                peer,
-                transaction,
-                wire_size,
-                delay + effect.duplicate_gap,
-                corrupt=corrupt,
+            schedule_at(
+                now + (delay + effect.duplicate_gap),
+                deliver, sender_id, peer, transaction, wire_size, corrupt,
             )
 
-    def _schedule_transaction_delivery(
+    def _deliver_transaction(
         self,
         sender_id: str,
         peer: Peer,
         transaction: Transaction,
         wire_size: int,
-        delay: float,
-        corrupt: bool = False,
+        corrupt: bool,
     ) -> None:
-        def deliver() -> None:
-            if self._churn_active and peer.peer_id in self._offline:
-                self.stats.transactions_dropped_link += 1
-                return
-            if corrupt:
-                # Truncated in flight: the frame crossed the wire (bytes were
-                # accounted at send) but fails to decode, so the receiver
-                # discards it before pool admission — and never relays it.
-                return
-            self.stats.transaction_deliveries += 1
-            accepted = peer.receive_transaction(transaction, self.simulator.now)
-            tracer = _obs.TRACER
-            if tracer is not None:
-                tracer.event(
-                    "gossip.tx",
-                    peer=peer.peer_id,
-                    sender=sender_id,
-                    tx=transaction.hash,
-                    accepted=accepted,
-                )
-            # Store-and-forward: relay on first admission only, never back
-            # along the edge the transaction arrived on.
-            if accepted and self._adjacency is not None:
-                self._flood_transaction(peer.peer_id, sender_id, transaction, wire_size)
-
-        self.simulator.schedule_in(delay, deliver)
+        if self._churn_active and peer.peer_id in self._offline:
+            self.stats.transactions_dropped_link += 1
+            return
+        if corrupt:
+            # Truncated in flight: the frame crossed the wire (bytes were
+            # accounted at send) but fails to decode, so the receiver
+            # discards it before pool admission — and never relays it.
+            return
+        self.stats.transaction_deliveries += 1
+        accepted = peer.receive_transaction(transaction, self.simulator.now)
+        tracer = _obs.TRACER
+        if tracer is not None:
+            tracer.event(
+                "gossip.tx",
+                peer=peer.peer_id,
+                sender=sender_id,
+                tx=transaction.hash,
+                accepted=accepted,
+            )
+        # Store-and-forward: relay on first admission only, never back
+        # along the edge the transaction arrived on.
+        if accepted and self._adjacency is not None:
+            self._flood_transaction(peer.peer_id, sender_id, transaction, wire_size)
 
     # -- block gossip -----------------------------------------------------------------
 
@@ -515,8 +513,10 @@ class Network:
         re-imported (and deduplicated by the chain itself) instead of pinning
         every hash for the whole run.
         """
-        seen = self._seen_blocks.setdefault(peer_id, set())
-        if block_hash in seen:
+        seen = self._seen_blocks.get(peer_id)
+        if seen is None:
+            seen = self._seen_blocks[peer_id] = set()
+        elif block_hash in seen:
             return
         seen.add(block_hash)
         if self.history_limit is None:
@@ -593,32 +593,24 @@ class Network:
         touch ``self._rng`` (see :meth:`_send_transaction`)."""
         effect = None
         faults = self._faults
-        if faults is not None:
-            now = self.simulator.now
-            # Same inline window gate as the transaction seam.
-            if faults.window_start <= now < faults.window_until:
-                effect = faults.on_message("block", delay_source, peer.peer_id, now)
+        now = self.simulator.now
+        # Same inline window gate as the transaction seam.
+        if faults is not None and faults.window_start <= now < faults.window_until:
+            effect = faults.on_message("block", delay_source, peer.peer_id, now)
         if effect is not None and effect.drop:
             self.stats.blocks_dropped += 1
             return
-        delay = self._link_delay(delay_source, peer.peer_id, wire_size, self.block_latency)
+        delay = self._link_delay(delay_source, peer.peer_id, wire_size, self.block_latency, now)
         corrupt = False
         if effect is not None:
             delay += effect.extra_delay
             corrupt = effect.corrupt
         self.stats.block_bytes += wire_size
-        self._schedule_block_delivery(
-            sender_id, peer, block, wire_size, delay, corrupt=corrupt
-        )
+        self._schedule_block_delivery(sender_id, peer, block, wire_size, delay, corrupt=corrupt)
         if effect is not None and effect.duplicate_gap is not None:
             self.stats.block_bytes += wire_size
             self._schedule_block_delivery(
-                sender_id,
-                peer,
-                block,
-                wire_size,
-                delay + effect.duplicate_gap,
-                corrupt=corrupt,
+                sender_id, peer, block, wire_size, delay + effect.duplicate_gap, corrupt=corrupt
             )
 
     def _schedule_block_delivery(
@@ -631,10 +623,11 @@ class Network:
         sync: bool = False,
         corrupt: bool = False,
     ) -> None:
-        def deliver() -> None:
-            self._deliver_block(sender_id, peer, block, wire_size, sync=sync, corrupt=corrupt)
-
-        self.simulator.schedule_in(delay, deliver)
+        """The one seam every block hop (flood, range sync, heal) goes through."""
+        simulator = self.simulator
+        simulator.schedule_at(
+            simulator.now + delay, self._deliver_block, sender_id, peer, block, wire_size, sync, corrupt
+        )
 
     def _deliver_block(
         self,
@@ -665,8 +658,8 @@ class Network:
                 number=block.number,
                 sync=sync,
             )
-        seen = self._seen_blocks.setdefault(peer.peer_id, set())
-        if block.hash in seen:
+        seen = self._seen_blocks.get(peer.peer_id)
+        if seen is not None and block.hash in seen:
             # Dedup by object hash: a block the peer already has is dropped
             # here, before any validation replay.
             self.stats.block_duplicates += 1
@@ -737,13 +730,13 @@ class Network:
             )
         # The request itself crosses the link once; responses stream back
         # through the same FIFO pipe as any other block.
-        request_delay = self._link_delay(requester.peer_id, provider_id, 64, self.latency)
+        request_delay = self._link_delay(requester.peer_id, provider_id, 64, self.latency, now)
         latest = now
         for number in range(start, end + 1):
             ancestor = provider.chain.block_by_number(number)
             ancestor_size = len(wire_encoding(ancestor))
             delay = request_delay + self._link_delay(
-                provider_id, requester.peer_id, ancestor_size, self.block_latency
+                provider_id, requester.peer_id, ancestor_size, self.block_latency, now
             )
             self.stats.block_bytes += ancestor_size
             self.stats.sync_blocks += 1

@@ -227,11 +227,12 @@ class Peer:
         return accepted
 
     def _admit(self, transaction: Transaction, now: float) -> bool:
-        if transaction.hash in self._seen_transactions:
+        transaction_hash = transaction.hash
+        if transaction_hash in self._seen_transactions:
             return False
-        if self.chain.transaction_is_committed(transaction.hash):
+        if self.chain.transaction_is_committed(transaction_hash):
             return False
-        self._seen_transactions.add(transaction.hash)
+        self._seen_transactions.add(transaction_hash)
         return self.pool.add(transaction, arrival_time=now)
 
     # -- block handling --------------------------------------------------------------------

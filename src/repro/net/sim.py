@@ -8,28 +8,40 @@ single-threaded event loop reproduces them faithfully and deterministically
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 __all__ = ["Simulator", "ScheduledEvent"]
 
-Callback = Callable[[], None]
+Callback = Callable[..., None]
 
 
-@dataclass(order=True)
-class ScheduledEvent:
-    """An event in the queue; ordering is (time, sequence number)."""
+class ScheduledEvent(list):
+    """A heap entry ``[time, sequence, callback, args]``.
 
-    time: float
-    sequence: int
-    callback: Callback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    A ``list`` so ``heapq`` orders entries in C; sequence numbers are unique,
+    so a comparison stops at ``sequence`` and never reaches the callback.
+    Cancelling clears the callback slot.
+    """
+
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def sequence(self) -> int:
+        return self[1]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from firing when the event is popped."""
-        self.cancelled = True
+        self[2] = None
 
 
 class Simulator:
@@ -61,30 +73,31 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule_at(self, time: float, callback: Callback) -> ScheduledEvent:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
+    def schedule_at(self, time: float, callback: Callback, *args: Any) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule an event in the past ({time} < {self._now})")
-        event = ScheduledEvent(time=time, sequence=next(self._sequence), callback=callback)
-        heapq.heappush(self._queue, event)
+        event = ScheduledEvent((time, next(self._sequence), callback, args))
+        heappush(self._queue, event)
         return event
 
-    def schedule_in(self, delay: float, callback: Callback) -> ScheduledEvent:
-        """Schedule ``callback`` ``delay`` seconds from now."""
+    def schedule_in(self, delay: float, callback: Callback, *args: Any) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self._now + delay, callback, *args)
 
     # -- running ---------------------------------------------------------------
 
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time, _sequence, callback, args = heappop(queue)
+            if callback is None:  # cancelled
                 continue
-            self._now = event.time
-            event.callback()
+            self._now = time
+            callback(*args)
             self.events_processed += 1
             return True
         return False
@@ -92,16 +105,18 @@ class Simulator:
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events with time <= ``end_time``; returns how many were processed."""
         processed = 0
-        while True:
-            if max_events is not None and processed >= max_events:
-                return processed
-            next_event = self._peek()
-            if next_event is None or next_event.time > end_time:
+        queue = self._queue
+        while max_events is None or processed < max_events:
+            # Drop cancelled heads first: step() would skip past them to an
+            # event that may lie beyond end_time.
+            while queue and queue[0][2] is None:
+                heappop(queue)
+            if not queue or queue[0][0] > end_time:
+                # No more events at or before end_time: advance the clock to it.
+                self._now = max(self._now, end_time)
                 break
             self.step()
             processed += 1
-        # No more events at or before end_time: advance the clock to it.
-        self._now = max(self._now, end_time)
         return processed
 
     def run(self, max_events: int = 10_000_000) -> int:
@@ -124,8 +139,3 @@ class Simulator:
 
     def pending_events(self) -> int:
         return sum(1 for event in self._queue if not event.cancelled)
-
-    def _peek(self) -> Optional[ScheduledEvent]:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None

@@ -89,6 +89,96 @@ class TestRunModes:
         assert Simulator().step() is False
 
 
+class TestEntryShape:
+    """Heap entries are ``[time, sequence, callback, args]`` lists compared
+    in C; these pin the semantics that shape must keep."""
+
+    def test_schedule_passes_positional_args(self):
+        simulator = Simulator()
+        calls = []
+        simulator.schedule_at(1.0, lambda *args: calls.append(args), "a", 2)
+        simulator.schedule_in(2.0, lambda *args: calls.append(args), "b")
+        simulator.schedule_at(3.0, lambda *args: calls.append(args))
+        simulator.run()
+        assert calls == [("a", 2), ("b",), ()]
+
+    def test_event_exposes_time_sequence_and_cancelled(self):
+        simulator = Simulator()
+        first = simulator.schedule_at(2.0, lambda: None)
+        second = simulator.schedule_at(1.0, lambda: None)
+        assert (first.time, first.sequence, first.cancelled) == (2.0, 0, False)
+        assert (second.time, second.sequence) == (1.0, 1)
+        first.cancel()
+        assert first.cancelled
+
+    def test_same_time_events_never_compare_callbacks(self):
+        """Ordering stops at the unique sequence number, so callbacks and
+        args that define no ordering (or raise on comparison) are safe."""
+
+        class Unorderable:
+            def __init__(self, fired, label):
+                self.fired, self.label = fired, label
+
+            def __call__(self, *_args):
+                self.fired.append(self.label)
+
+            def __lt__(self, other):
+                raise AssertionError("callbacks must never be compared")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        simulator = Simulator()
+        fired = []
+        for label in range(50):
+            simulator.schedule_at(1.0, Unorderable(fired, label), object())
+        simulator.run()
+        assert fired == list(range(50))
+
+    def test_run_until_does_not_run_past_a_cancelled_head(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule_at(1.0, lambda: fired.append("cancelled")).cancel()
+        simulator.schedule_at(10.0, lambda: fired.append("late"))
+        assert simulator.run_until(5.0) == 0
+        assert fired == []
+        assert simulator.now == 5.0
+        assert simulator.run_until(10.0) == 1
+        assert fired == ["late"]
+
+    def test_run_until_honours_max_events_without_advancing_the_clock(self):
+        simulator = Simulator()
+        for index in range(5):
+            simulator.schedule_at(float(index + 1), lambda: None)
+        assert simulator.run_until(10.0, max_events=2) == 2
+        assert simulator.now == 2.0
+        assert simulator.pending_events() == 3
+
+    def test_cancelled_events_are_not_counted(self):
+        simulator = Simulator()
+        simulator.schedule_at(1.0, lambda: None)
+        simulator.schedule_at(2.0, lambda: None).cancel()
+        simulator.schedule_at(3.0, lambda: None)
+        assert simulator.pending_events() == 2
+        assert simulator.run() == 2
+        assert simulator.events_processed == 2
+        assert simulator.pending_events() == 0
+
+    def test_reset_restarts_sequence_numbers(self):
+        simulator = Simulator()
+        for _ in range(3):
+            simulator.schedule_at(1.0, lambda: None)
+        simulator.run()
+        simulator.reset()
+
+        def drive(instance):
+            fired = []
+            events = [instance.schedule_at(1.0, fired.append, label) for label in "xyz"]
+            instance.run()
+            return [event.sequence for event in events], fired
+
+        assert drive(simulator) == drive(Simulator()) == ([0, 1, 2], ["x", "y", "z"])
+
+
 class TestLatencyModels:
     def test_constant(self):
         assert ConstantLatency(0.25).sample("a", "b") == 0.25

@@ -1,6 +1,8 @@
 """The topology subsystem: builders, registry, bandwidth FIFO, churn, and
 flood-gossip mechanics on hand-wired networks."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -40,6 +42,76 @@ def fresh_wire_cache():
     clear_wire_cache()
     yield
     clear_wire_cache()
+
+
+RANDOM_K_SEED = 20260807
+# clients -> (sha256 of the sorted adjacency, edge count) over the bench roster
+# (2 miners + N clients, default k), recorded on the commit *before* the fill
+# loop's draws were inlined.
+RANDOM_K_ADJACENCY_SHA256 = {
+    10: ("06d721f1a83fbab1b533c7d0808a91345fa79e9066a2092b04b3bfbc30eef59e", 47),
+    100: ("058a77de562fbc12001166dedca1633bf0220f8ac445c2669c91ecaf278507a1", 407),
+    1000: ("d8a149790a124c3c3fae1aa53645d411229acca158438d12f1b3df2aeef71795", 4006),
+}
+
+
+def bench_roster(clients: int):
+    return [f"miner-{index}" for index in range(2)] + [
+        f"client-{index}" for index in range(clients)
+    ]
+
+
+def adjacency_sha256(topology: Topology) -> str:
+    payload = sorted((peer, list(neighbors)) for peer, neighbors in topology.adjacency.items())
+    return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
+
+
+def reference_random_k(peer_ids, rng: random.Random, k: int = 8) -> Topology:
+    """The fill loop as it was written before the draws were inlined: two
+    ``rng.randrange(n)`` calls per attempt.  Kept as the reference."""
+    n = len(peer_ids)
+    k = min(k, max(n - 1, 0))
+    edges = {edge_key(peer_ids[i], peer_ids[(i + 1) % n]) for i in range(n)} if n > 1 else set()
+    degree = {peer_id: 0 for peer_id in peer_ids}
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    target_edges = (n * k) // 2
+    attempts = 0
+    while len(edges) < target_edges and attempts < 50 * max(target_edges, 1):
+        attempts += 1
+        a = peer_ids[rng.randrange(n)]
+        b = peer_ids[rng.randrange(n)]
+        if a == b or degree[a] >= k or degree[b] >= k or edge_key(a, b) in edges:
+            continue
+        edges.add(edge_key(a, b))
+        degree[a] += 1
+        degree[b] += 1
+    adjacency = {peer_id: set() for peer_id in peer_ids}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return Topology(
+        name="random_k",
+        adjacency={peer_id: tuple(sorted(adjacency[peer_id])) for peer_id in sorted(peer_ids)},
+    )
+
+
+class CountingRandom(random.Random):
+    """Records every ``getrandbits`` result so a test can count index draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def getrandbits(self, bits):
+        value = super().getrandbits(bits)
+        self.drawn.append(value)
+        return value
+
+    def accepted_draws(self, n: int) -> int:
+        """Draws that survived rejection sampling below ``n``."""
+        return sum(1 for value in self.drawn if value < n)
 
 
 def build(name: str, peer_ids, seed: int = 42, **params) -> Topology:
@@ -115,6 +187,33 @@ class TestBuilders:
         topology = build("random_k", ["a", "b", "c"], k=8)
         assert topology.is_connected()
         assert all(len(neighbors) <= 2 for neighbors in topology.adjacency.values())
+
+    @pytest.mark.parametrize("clients", sorted(RANDOM_K_ADJACENCY_SHA256))
+    def test_random_k_adjacency_is_pinned(self, clients):
+        """The inlined ``getrandbits`` fill is proven, not assumed, identical
+        to the ``rng.randrange`` loop it replaced: same graph as recorded at
+        the commit before the change, same graph as the reference loop, and
+        the same number of draws taken from the stream."""
+        roster = bench_roster(clients)
+        rng = random.Random(RANDOM_K_SEED)
+        topology = RandomKTopology().build(roster, rng)
+        expected_sha, expected_edges = RANDOM_K_ADJACENCY_SHA256[clients]
+        assert adjacency_sha256(topology) == expected_sha
+        assert topology.edge_count == expected_edges
+        reference_rng = random.Random(RANDOM_K_SEED)
+        assert topology.adjacency == reference_random_k(roster, reference_rng).adjacency
+        assert rng.getstate() == reference_rng.getstate()
+
+    def test_random_k_fill_saturates_at_the_attempt_cap(self):
+        """Degree-capped graph: the last edges almost never land, so the fill
+        stops at the 50x attempt cap, not the edge target.  4,006 of 4,008
+        edges on the bench roster — and exactly ``2 * cap`` index draws."""
+        roster = bench_roster(1000)
+        target_edges = len(roster) * 8 // 2
+        counting = CountingRandom(RANDOM_K_SEED)
+        topology = RandomKTopology().build(roster, counting)
+        assert topology.edge_count == 4006 < target_edges == 4008
+        assert counting.accepted_draws(len(roster)) == 2 * 50 * target_edges
 
     def test_region_hub_scales_latency_on_hub_links_only(self):
         builder = RegionHubTopology(regions=4, slow_factor=3.0)
