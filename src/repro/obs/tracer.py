@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -102,14 +103,22 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         max_events: int = 1_000_000,
+        keep_latest: bool = False,
     ) -> None:
+        """At ``max_events`` a trial tracer stops recording (the kept prefix
+        stays a pure function of the spec); ``keep_latest`` makes it a ring
+        that drops the *oldest* event instead, for a long-lived recorder.
+        Either way every event not kept is counted in ``dropped_events``."""
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._wall_origin = time.perf_counter()
         self._seq = 0
         self.max_events = max_events
         self.dropped_events = 0
         # Events: (seq, kind, sim_time, wall_time, args)
-        self._events: List[Tuple[int, str, float, float, Dict[str, Any]]] = []
+        self._keep_latest = keep_latest
+        self._events: Union[List[Tuple[int, str, float, float, Dict[str, Any]]], deque] = (
+            deque(maxlen=max_events) if keep_latest else []
+        )
         # Spans:  (seq, phase, sim_time, wall_start, wall_duration)
         self._spans: List[Tuple[int, str, float, float, float]] = []
         self._phase_totals: Dict[str, List[float]] = {}  # phase -> [calls, seconds]
@@ -131,7 +140,9 @@ class Tracer:
             )
         if len(self._events) >= self.max_events:
             self.dropped_events += 1
-            return
+            if not self._keep_latest:
+                return
+            # a full deque(maxlen) evicts its oldest entry on append
         self._seq += 1
         self._events.append(
             (self._seq, kind, self._clock(), time.perf_counter() - self._wall_origin, fields)

@@ -5,11 +5,20 @@ harnesses — build a ``payload``, ``post_request`` it, check
 ``has_success_status`` — so a test reads like a transcript of what a real
 client does.  :class:`ServiceClient` wraps them with one method per RPC.
 
+Transport: every exchange goes through :func:`_roundtrip` on an
+``http.client`` connection.  :class:`ServiceClient` keeps one persistent
+connection per calling thread and reuses it for every verb; before sending on
+a reused socket it probes for readability with a zero timeout — readable
+before anything was sent means the peer closed (or restarted) — and
+reconnects.  That reconnect consumes no retry and is safe for every verb,
+``tx.submit`` included, because no byte of the request has left yet.
+
 Transport failures (refused, reset, timeout, a connection dropped mid-body)
-raise :class:`~repro.service.errors.ServiceConnectionError`; JSON-RPC error
-envelopes raise :class:`~repro.service.errors.ServiceRPCError` carrying the
-server's typed ``kind`` — a killed server is always a typed exception here,
-never a hang (every request carries a timeout).
+raise :class:`~repro.service.errors.ServiceConnectionError` and close the
+connection they poisoned; JSON-RPC error envelopes raise
+:class:`~repro.service.errors.ServiceRPCError` carrying the server's typed
+``kind`` — a killed server is always a typed exception here, never a hang
+(every request carries a timeout).
 
 Resilience: :class:`ServiceClient` retries *idempotent* methods (reads,
 ``healthz``, the summary-cached ``session.run``) on transport errors and on
@@ -26,12 +35,12 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import socket
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from itertools import count
 from typing import Any, Callable, Dict, List, Optional
+from urllib.parse import urlsplit
 
 from .errors import ServiceConnectionError, ServiceRPCError
 
@@ -45,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_PORT = 8547
+_JSON_HEADERS = {"Content-Type": "application/json"}
 _request_ids = count(1)
 
 IDEMPOTENT_METHODS = frozenset(
@@ -82,27 +92,56 @@ def payload(method: str, params: Optional[Dict[str, Any]] = None, request_id: Op
     }
 
 
-def post_request(url: str, body: Dict[str, Any], timeout: float = 60.0) -> Dict[str, Any]:
-    """POST one JSON-RPC envelope and return the parsed response envelope."""
-    data = json.dumps(body).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}, method="POST"
-    )
+def _connect(url: str, timeout: float) -> http.client.HTTPConnection:
+    """An unopened connection to ``url``'s host (opens on first request)."""
+    parts = urlsplit(url)
+    factory = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    return factory(parts.netloc, timeout=timeout)
+
+
+def _roundtrip(
+    connection: http.client.HTTPConnection, verb: str, path: str, body: Optional[Dict[str, Any]] = None
+) -> Any:
+    """One HTTP exchange on ``connection``; returns the parsed JSON answer.
+
+    The one place transport failures become typed: refused / reset / timed
+    out (``OSError``), dropped mid-response (``HTTPException`` — e.g.
+    ``IncompleteRead`` from a server killed mid-body, which is *not* an
+    ``OSError``), a non-200 status, or a non-JSON body.  Every failure closes
+    the connection, whose stream position is no longer known.
+    """
+    data = None if body is None else json.dumps(body).encode("utf-8")
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        raise ServiceConnectionError(f"HTTP {error.code} from {url}: {error.reason}") from error
-    except (urllib.error.URLError, ConnectionError, socket.timeout, OSError) as error:
-        raise ServiceConnectionError(f"cannot reach {url}: {error}") from error
-    # IncompleteRead (a server killed mid-body) subclasses HTTPException, not
-    # OSError — without this clause it would escape as a raw http.client error.
-    except http.client.HTTPException as error:
+        connection.request(verb, path, data, _JSON_HEADERS if data else {})
+        response = connection.getresponse()
+        raw = response.read()
+        if response.status != 200:
+            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+        return json.loads(raw)
+    except (OSError, http.client.HTTPException, ValueError) as error:
+        connection.close()
         raise ServiceConnectionError(
-            f"connection to {url} lost mid-response: {error!r}"
+            f"{verb} http://{connection.host}:{connection.port}{path} failed: {error!r}"
         ) from error
-    except json.JSONDecodeError as error:
-        raise ServiceConnectionError(f"non-JSON response from {url}: {error}") from error
+
+
+def _peer_closed(sock: Any) -> bool:
+    """Readable before we sent anything: the peer closed this socket."""
+    if hasattr(select, "poll"):  # no fd-number ceiling, unlike select() (fds >= 1024)
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])  # Windows: no poll, no such ceiling
+
+
+def post_request(url: str, body: Dict[str, Any], timeout: float = 60.0) -> Dict[str, Any]:
+    """POST one JSON-RPC envelope on a one-shot connection and return the
+    parsed response envelope."""
+    connection = _connect(url, timeout)
+    try:
+        return _roundtrip(connection, "POST", urlsplit(url).path, body)
+    finally:
+        connection.close()
 
 
 def post_request_localhost(
@@ -125,6 +164,10 @@ class ServiceClient:
     up to ``backoff_cap`` with deterministic jitter drawn from
     ``random.Random(retry_seed)``.  Non-idempotent verbs always get exactly
     one attempt regardless.
+
+    One client may be shared across threads: each calling thread gets its
+    own persistent connection.  The client owns all of them — :meth:`close`
+    (or leaving the ``with`` block) closes every thread's socket.
     """
 
     def __init__(
@@ -144,6 +187,7 @@ class ServiceClient:
                 f"need 0 < backoff <= backoff_cap, got {backoff} / {backoff_cap}"
             )
         self.url = url.rstrip("/")
+        self._prefix = urlsplit(self.url).path
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -151,6 +195,34 @@ class ServiceClient:
         self._jitter = random.Random(retry_seed)
         self._sleep = sleep
         self.retries_performed = 0
+        self._connections: Dict[int, http.client.HTTPConnection] = {}  # by thread ident
+
+    # -- transport -----------------------------------------------------------------
+
+    def _roundtrip(self, verb: str, path: str, body: Optional[Dict[str, Any]] = None) -> Any:
+        """One exchange on the calling thread's persistent connection."""
+        ident = threading.get_ident()
+        connection = self._connections.get(ident)
+        if connection is None:
+            connection = self._connections[ident] = _connect(self.url, self.timeout)
+        elif connection.sock is not None and _peer_closed(connection.sock):
+            # The server ended this keep-alive socket (idle timeout, restart).
+            # Nothing has left yet, so reconnecting is safe for every verb
+            # and costs no retry.
+            connection.close()
+        return _roundtrip(connection, verb, self._prefix + path, body)
+
+    def close(self) -> None:
+        """Close every thread's connection.  The client stays usable: the
+        next request reconnects."""
+        for connection in list(self._connections.values()):
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- retry plumbing ------------------------------------------------------------
 
@@ -191,7 +263,7 @@ class ServiceClient:
         )
 
     def _request_once(self, method: str, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        envelope = post_request(f"{self.url}/rpc", payload(method, params), timeout=self.timeout)
+        envelope = self._roundtrip("POST", "/rpc", payload(method, params))
         error = envelope.get("error")
         if error is not None:
             raise ServiceRPCError(
@@ -206,27 +278,7 @@ class ServiceClient:
     def healthz(self) -> Dict[str, Any]:
         """The liveness endpoint (``GET /healthz``); retried like any read."""
 
-        def send() -> Dict[str, Any]:
-            request = urllib.request.Request(f"{self.url}/healthz", method="GET")
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return dict(json.loads(response.read().decode("utf-8")))
-            except urllib.error.HTTPError as error:
-                raise ServiceConnectionError(
-                    f"HTTP {error.code} from {self.url}/healthz: {error.reason}"
-                ) from error
-            except (urllib.error.URLError, ConnectionError, socket.timeout, OSError) as error:
-                raise ServiceConnectionError(f"cannot reach {self.url}: {error}") from error
-            except http.client.HTTPException as error:
-                raise ServiceConnectionError(
-                    f"connection to {self.url} lost mid-response: {error!r}"
-                ) from error
-            except json.JSONDecodeError as error:
-                raise ServiceConnectionError(
-                    f"non-JSON response from {self.url}: {error}"
-                ) from error
-
-        return self._with_retries(send, idempotent=True)
+        return self._with_retries(lambda: dict(self._roundtrip("GET", "/healthz")), idempotent=True)
 
     def ping(self) -> Dict[str, Any]:
         return self.request("service.ping")

@@ -31,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..contracts.sereth import SerethContract
 from ..core.hms.fpv import BUY_FLAG
@@ -262,14 +262,8 @@ def _latency_summary(samples: Sequence[float]) -> Dict[str, Any]:
     }
 
 
-def _run_mode(
-    mode: str,
-    config: LoadgenConfig,
-    make_client: Callable[[], ServiceClient],
-) -> Dict[str, Any]:
-    drivers = [
-        _SessionDriver(make_client(), config, index) for index in range(config.clients)
-    ]
+def _run_mode(mode: str, config: LoadgenConfig, client: ServiceClient) -> Dict[str, Any]:
+    drivers = [_SessionDriver(client, config, index) for index in range(config.clients)]
     per_client: List[List[_Sample]] = [[] for _ in drivers]
     threads: List[threading.Thread] = []
     started = time.perf_counter()
@@ -327,11 +321,10 @@ def _run_mode(
     }
 
 
-def _determinism_check(config: LoadgenConfig, make_client: Callable[[], ServiceClient]) -> Dict[str, Any]:
+def _determinism_check(config: LoadgenConfig, client: ServiceClient) -> Dict[str, Any]:
     """Two sessions from the same spec must derive the same seed and run to
     byte-identical summaries — the served engine is as reproducible as a
     direct ``run_simulation``."""
-    client = make_client()
     spec = dict(_MIXES[config.mix])
     first = client.create_session_info(**spec)
     second = client.create_session_info(**spec)
@@ -353,16 +346,16 @@ def _determinism_check(config: LoadgenConfig, make_client: Callable[[], ServiceC
     }
 
 
-def run_loadgen(
-    config: LoadgenConfig,
-    client_factory: Optional[Callable[[], ServiceClient]] = None,
-) -> Dict[str, Any]:
-    """Drive the configured load against the server and return the report."""
-    make_client = client_factory or (lambda: ServiceClient(config.url, timeout=config.timeout))
-    make_client().ping()
+def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
+    """Drive the configured load against the server and return the report.
 
-    modes = {mode: _run_mode(mode, config, make_client) for mode in config.modes}
-    determinism = _determinism_check(config, make_client)
+    One :class:`ServiceClient` serves the whole run: set-up and the
+    determinism check on the calling thread's connection, each load thread
+    on its own."""
+    with ServiceClient(config.url, timeout=config.timeout) as client:
+        client.ping()
+        modes = {mode: _run_mode(mode, config, client) for mode in config.modes}
+        determinism = _determinism_check(config, client)
 
     worst_p95 = max(
         (result["latency_ms"].get("p95_ms", 0.0) or 0.0 for result in modes.values()),

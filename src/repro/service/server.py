@@ -7,25 +7,27 @@ Two layers, deliberately separable:
   ``service`` probe, and a wall-clock :class:`~repro.obs.tracer.Tracer` of
   request-lifecycle events (``rpc.request``/``rpc.error``/``session.*``).
   Unit tests drive :meth:`SimulatorService.dispatch` directly.
-* :class:`ServiceServer` — ``ThreadingHTTPServer`` + a bounded
-  ``ThreadPoolExecutor``.  HTTP handler threads parse the envelope and hand
-  *session* methods to the pool (so at most ``workers`` engines run at
-  once); control-plane methods (``service.*``, ``registry.list``,
-  ``obs.probes``) run inline so a saturated pool can still answer pings and
-  an operator can always shut the server down.
+* :class:`ServiceServer` — ``ThreadingHTTPServer`` with keep-alive
+  connections, one thread per *connection*.  The connection's thread parses
+  each envelope and runs it inline; *session* methods first take one of
+  ``workers`` engine slots (a semaphore, so at most ``workers`` engines run
+  at once); control-plane methods (``service.*``, ``registry.list``,
+  ``obs.probes``) skip the slots so a saturated server can still answer
+  pings and an operator can always shut it down.
 
 The fail-closed contract on shutdown: new requests are refused with
-``server_shutdown``, queued pool work is cancelled (same typed error), and
-in-flight ``session.advance`` loops abort at the next block-interval step —
-a killed server answers with a typed error envelope, never a hang.
+``server_shutdown``, requests waiting for an engine slot fail with the same
+typed error, in-flight ``session.advance`` loops abort at the next
+block-interval step, and idle keep-alive connections are closed — a killed
+server answers with a typed error envelope or EOF, never a hang.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -52,9 +54,15 @@ from .session import ServiceSession, build_session_spec, session_id_for
 __all__ = ["ServiceConfig", "ServiceStats", "SimulatorService", "ServiceServer"]
 
 CONTROL_METHODS = frozenset({"service.ping", "service.status", "service.shutdown", "registry.list", "obs.probes"})
-"""Methods dispatched inline on the HTTP thread, bypassing the worker pool:
-they never enter a session's engine, and they must stay answerable while
-every pool worker is busy (shutdown in particular)."""
+"""Methods that bypass the engine slots and admission: they never enter a
+session's engine, and they must stay answerable while every slot is taken
+(shutdown in particular)."""
+
+TRACE_RING = 4096
+"""The request-lifecycle trace keeps this many most-recent events; older
+ones are dropped (and counted in ``dropped_events``), so a long-lived
+server's memory does not grow per request.  Aggregates survive in the
+per-method counters of ``service.status``."""
 
 
 @dataclass
@@ -98,14 +106,24 @@ class ServiceStats:
     sessions_created: int = 0
     sessions_closed: int = 0
     sessions_evicted: int = 0
+    connections_accepted: int = 0
+    methods: Dict[str, List[float]] = field(default_factory=dict)
+    """Cumulative ``[count, errors, total_ms]`` per method — what the ring-
+    buffered trace can no longer be summed for."""
     started_at: float = field(default_factory=time.monotonic)
 
-    def as_dict(self, open_sessions: int) -> Dict[str, Any]:
+    def as_dict(self, open_sessions: int, dropped_events: int) -> Dict[str, Any]:
         return {
             "requests": self.requests,
             "errors": self.errors,
             "in_flight": self.in_flight,
             "rejected_overload": self.rejected_overload,
+            "connections_accepted": self.connections_accepted,
+            "dropped_events": dropped_events,
+            "methods": {
+                method: {"count": int(count), "errors": int(errors), "total_ms": total_ms}
+                for method, (count, errors, total_ms) in sorted(self.methods.items())
+            },
             "sessions_open": open_sessions,
             "sessions_created": self.sessions_created,
             "sessions_closed": self.sessions_closed,
@@ -130,7 +148,9 @@ class SimulatorService:
         origin = time.perf_counter()
         # The server has no simulation clock; the tracer's "sim time" axis
         # carries wall seconds since service start instead.
-        self.tracer = Tracer(clock=lambda: time.perf_counter() - origin)
+        self.tracer = Tracer(
+            clock=lambda: time.perf_counter() - origin, max_events=TRACE_RING, keep_latest=True
+        )
         self._stop_eviction = threading.Event()
         self._eviction_thread: Optional[threading.Thread] = None
         register_probe("service", self._probe)
@@ -184,16 +204,41 @@ class SimulatorService:
     # -- observability -------------------------------------------------------------
 
     def _probe(self) -> Dict[str, Any]:
-        """Service request/session counters (requests, errors, open sessions)."""
+        """Service request/session counters (requests, errors, open sessions,
+        per-method totals, trace events dropped by the ring)."""
         with self._sessions_lock:
             open_sessions = len(self._sessions)
-        return self.stats.as_dict(open_sessions)
+        with self._trace_lock:
+            return self.stats.as_dict(open_sessions, self.tracer.dropped_events)
 
     def _trace(self, kind: str, **fields: Any) -> None:
         # Tracer.event is a plain append; the server records from many
         # threads, so serialize (trials never needed this — one thread).
         with self._trace_lock:
             self.tracer.event(kind, **fields)
+
+    def _record_request(self, method: str, started: float, error: Optional[ServiceError] = None) -> None:
+        """Close one request's books: the per-method counters (exact — under
+        the trace lock) and its ``rpc.request`` / ``rpc.error`` event."""
+        duration_ms = (time.perf_counter() - started) * 1000.0
+        with self._trace_lock:
+            # Unknown names share one row: hostile input must not grow the table.
+            totals = self.stats.methods.setdefault(
+                method if method in self._methods else "(unknown)", [0, 0, 0.0]
+            )
+            totals[0] += 1
+            totals[2] += duration_ms
+            if error is None:
+                self.tracer.event("rpc.request", method=method, duration_ms=duration_ms)
+            else:
+                totals[1] += 1
+                self.tracer.event(
+                    "rpc.error",
+                    method=method,
+                    error_kind=error.kind,
+                    message=str(error),
+                    duration_ms=duration_ms,
+                )
 
     # -- method plumbing -----------------------------------------------------------
 
@@ -248,31 +293,16 @@ class SimulatorService:
                 self.journal.record(method, params)
         except ServiceError as error:
             self.stats.errors += 1
-            self._trace(
-                "rpc.error",
-                method=method,
-                error_kind=error.kind,
-                message=str(error),
-                duration_ms=(time.perf_counter() - started) * 1000.0,
-            )
+            self._record_request(method, started, error)
             raise
         except Exception as error:
             self.stats.errors += 1
-            self._trace(
-                "rpc.error",
-                method=method,
-                error_kind="execution_error",
-                message=str(error),
-                duration_ms=(time.perf_counter() - started) * 1000.0,
-            )
-            raise ExecutionError(f"internal error in {method}: {error}") from error
+            wrapped = ExecutionError(f"internal error in {method}: {error}")
+            self._record_request(method, started, wrapped)
+            raise wrapped from error
         finally:
             self.stats.in_flight -= 1
-        self._trace(
-            "rpc.request",
-            method=method,
-            duration_ms=(time.perf_counter() - started) * 1000.0,
-        )
+        self._record_request(method, started)
         return result
 
     # -- control plane -------------------------------------------------------------
@@ -281,10 +311,8 @@ class SimulatorService:
         return {"ok": True, "service": "repro", "sessions": len(self._sessions)}
 
     def _rpc_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
         status: Dict[str, Any] = {
-            "stats": self.stats.as_dict(len(sessions)),
+            "stats": self._probe(),
             "closing": self.closed.is_set(),
             "config": {
                 "workers": self.config.workers,
@@ -292,15 +320,7 @@ class SimulatorService:
                 "retention_default": self.config.retention_default,
                 "max_sessions": self.config.max_sessions,
             },
-            "sessions": [
-                {
-                    "session": session.session_id,
-                    "state": session.state,
-                    "idle_seconds": session.idle_seconds,
-                    "requests_served": session.requests_served,
-                }
-                for session in sessions
-            ],
+            **self._rpc_session_list(params),
         }
         if self.journal is not None:
             status["config"]["persist_dir"] = str(self.config.persist_dir)
@@ -468,20 +488,34 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service"
     protocol_version = "HTTP/1.1"
+    # Connections persist, so small writes must not wait on Nagle's algorithm
+    # for the peer's delayed ACK (a 40 ms stall per response).
+    disable_nagle_algorithm = True
+    timeout = 30.0
+    """Idle-read timeout: a keep-alive connection silent this long is closed,
+    so an abandoned client cannot pin its thread.  (Socket reads and writes
+    only — a long ``session.run`` is not on the socket while it computes.)"""
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # the tracer records request lifecycles; stderr stays quiet
 
     def _respond(self, status: int, body: Dict[str, Any]) -> None:
         payload = json.dumps(body, sort_keys=True).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.server_version}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+        )
+        if self.server.rpc_server.service.closed.is_set():  # type: ignore[attr-defined]
+            self.close_connection = True
+        if self.close_connection:
+            head += "Connection: close\r\n"
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+            # Header and body in ONE write: one segment, one client wake-up.
+            self.wfile.write(head.encode("latin-1") + b"\r\n" + payload)
+        except OSError:  # client went away (reset, broken pipe, timed out)
+            self.close_connection = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/healthz":
@@ -546,21 +580,56 @@ def _error_envelope(request_id: Any, code: int, message: str) -> Dict[str, Any]:
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+    """One daemon thread per accepted connection, each one tracked so
+    shutdown can end the idle ones instead of leaving them parked in a read."""
+
     allow_reuse_address = True
+
+    def __init__(self, address: Any, rpc_server: "ServiceServer") -> None:
+        super().__init__(address, _RequestHandler)
+        self.rpc_server = rpc_server
+        self._open: Dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        # Registered here, on the accept thread, so that once serve_forever
+        # has returned the table holds every connection ever accepted.
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        self.rpc_server.service.stats.connections_accepted += 1
+        thread.start()
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        super().shutdown_request(request)
+        with self._open_lock:
+            self._open.pop(request, None)
+
+    def close_connections(self, timeout: float) -> None:
+        """End every open connection's read side and wait for its thread.  A
+        handler parked between requests sees EOF and exits; one mid-request
+        can still write its (typed-error) answer, then exits the same way."""
+        with self._open_lock:
+            open_now = list(self._open.items())
+        for request, _thread in open_now:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its own handler
+                pass
+        deadline = time.monotonic() + timeout
+        for _request, thread in open_now:
+            thread.join(max(deadline - time.monotonic(), 0.0))
 
 
 class ServiceServer:
-    """The long-running server: HTTP front, worker pool, one SimulatorService."""
+    """The long-running server: HTTP front, engine slots, one SimulatorService."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.service = SimulatorService(self.config)
-        self.executor = ThreadPoolExecutor(
-            max_workers=max(self.config.workers, 1), thread_name_prefix="repro-service"
-        )
-        self.httpd = _HTTPServer((self.config.host, self.config.port), _RequestHandler)
-        self.httpd.rpc_server = self  # type: ignore[attr-defined]
+        self.httpd = _HTTPServer((self.config.host, self.config.port), self)
         self.host, self.port = self.httpd.server_address[:2]
         self._serve_thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
@@ -569,6 +638,7 @@ class ServiceServer:
         queue_slots = (
             2 * workers if self.config.max_queue is None else max(self.config.max_queue, 0)
         )
+        self._engine_slots = threading.BoundedSemaphore(workers)
         self._admission_limit = workers + queue_slots
         self._pending = 0
         self._pending_lock = threading.Lock()
@@ -580,17 +650,21 @@ class ServiceServer:
     # -- request execution ---------------------------------------------------------
 
     def execute(self, method: str, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Run one request: control-plane inline, session methods pooled.
+        """Run one request inline on the calling (connection) thread.
 
-        Session methods pass bounded admission first: once ``workers +
-        max_queue`` are already pending, the request is refused immediately
-        with a typed ``server_overloaded`` (and a ``retry_after`` hint sized
-        to the backlog) instead of parking the HTTP thread behind an
-        unbounded executor queue.
+        Control-plane methods run at once.  Session methods pass bounded
+        admission first: once ``workers + max_queue`` are already pending,
+        the request is refused immediately with a typed ``server_overloaded``
+        (and a ``retry_after`` hint sized to the backlog) instead of parking
+        behind an unbounded queue.  An admitted request then takes one of the
+        ``workers`` engine slots; one still waiting when the server closes
+        fails with the same typed ``server_shutdown`` as a refused one (and
+        one that gets its slot after the close is refused by ``dispatch``).
         """
         if method in CONTROL_METHODS:
             return self.service.dispatch(method, params)
-        if self.service.closed.is_set():
+        closed = self.service.closed
+        if closed.is_set():
             raise ServerShutdownError("service is shutting down")
         with self._pending_lock:
             if self._pending >= self._admission_limit:
@@ -611,22 +685,20 @@ class ServiceServer:
                 )
             self._pending += 1
         try:
-            future: Future = self.executor.submit(self.service.dispatch, method, params)
-        except RuntimeError as error:  # executor already shut down
+            # Timed acquire: a waiter must notice shutdown even when the slot
+            # holder (a long session.run) never lets go.
+            while not self._engine_slots.acquire(timeout=0.05):
+                if closed.is_set():
+                    raise ServerShutdownError(
+                        "request cancelled: the server shut down before it ran"
+                    )
+            try:
+                return self.service.dispatch(method, params)
+            finally:
+                self._engine_slots.release()
+        finally:
             with self._pending_lock:
                 self._pending -= 1
-            raise ServerShutdownError("service is shutting down") from error
-        future.add_done_callback(self._release_pending)
-        try:
-            return future.result()
-        except CancelledError as error:
-            raise ServerShutdownError(
-                "request cancelled: the server shut down before it ran"
-            ) from error
-
-    def _release_pending(self, _future: Future) -> None:
-        with self._pending_lock:
-            self._pending -= 1
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -647,23 +719,28 @@ class ServiceServer:
         return self._stopped.wait(timeout)
 
     def shutdown(self) -> None:
-        """Graceful, idempotent stop: fail queued/in-flight work closed,
-        stop accepting, write artifacts, release the pool."""
+        """Graceful, idempotent stop: fail waiting/in-flight work closed,
+        stop accepting, close the connections, write artifacts.  Not callable
+        from a connection's own thread (it joins them)."""
         with self._shutdown_lock:
             if self._stopped.is_set():
                 return
-            # Order matters: mark closed (new requests refused, in-flight
-            # advance loops abort) BEFORE cancelling queued futures, so
-            # everything fails with the same typed server_shutdown error.
+            # Order matters.  Mark closed first: new requests are refused,
+            # slot waiters and in-flight advance loops abort, and every
+            # answer from here on carries ``Connection: close`` — all with
+            # the same typed server_shutdown error.  Then stop accepting, so
+            # the connection table is complete before it is swept; only then
+            # end the connections' read sides (never their write sides: the
+            # typed answers above must still get out).
             self.service.closed.set()
             with self.service._sessions_lock:
                 for session in self.service._sessions.values():
                     session.closed.set()
-            self.executor.shutdown(wait=False, cancel_futures=True)
             self.httpd.shutdown()
             if self._serve_thread is not None:
                 self._serve_thread.join(timeout=5.0)
             self.httpd.server_close()
+            self.httpd.close_connections(timeout=5.0)
             self.service.close()
             self._stopped.set()
 

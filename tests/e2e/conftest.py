@@ -39,5 +39,6 @@ def service_url():
 
 
 @pytest.fixture
-def client(service_url) -> ServiceClient:
-    return ServiceClient(service_url, timeout=120.0)
+def client(service_url):
+    with ServiceClient(service_url, timeout=120.0) as client:
+        yield client

@@ -106,3 +106,4 @@ def test_sigkilled_server_resumes_byte_identical_sessions(tmp_path):
         assert status["journal"]["replayed"] >= 2  # create + run at minimum
     finally:
         reap(second)
+        client.close()

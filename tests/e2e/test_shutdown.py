@@ -3,11 +3,12 @@
 This suite always spawns its *own* single-worker server (never the shared
 fixture, which CI may point at a long-lived deployment): with ``workers=1``
 one long ``session.advance`` saturates the pool, a second session request
-is provably queued behind it, and ``service.shutdown`` — a control-plane
-method answered inline on the HTTP thread — must then fail both closed:
-the in-flight advance aborts at its next block-interval step and the
-queued request is cancelled, each as a typed ``server_shutdown``-family
-error envelope, all within a bounded wait.
+is provably waiting for the engine slot behind it, and ``service.shutdown``
+— a control-plane method that bypasses the slots — must then fail both
+closed: the in-flight advance aborts at its next block-interval step and
+the waiting request is refused, each as a typed ``server_shutdown``-family
+error envelope, all within a bounded wait.  The scenario is a race between
+``shutdown()`` and three connections, so it also runs ten times over.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ def assert_failed_closed(slot, label):
 
 
 def test_shutdown_mid_request_fails_typed_not_hung():
+    shutdown_mid_request_scenario()
+
+
+@pytest.mark.parametrize("attempt", range(10))
+def test_shutdown_mid_request_repeated(attempt):
+    shutdown_mid_request_scenario()
+
+
+def shutdown_mid_request_scenario():
     server = ServiceServer(
         ServiceConfig(port=0, workers=1, idle_timeout=None, retention_default=None)
     )
@@ -68,19 +78,20 @@ def test_shutdown_mid_request_fails_typed_not_hung():
         # this test would tolerate; it can only end via the shutdown signal.
         long_advance = outcome_of(lambda: client.advance(session, seconds=1_000_000.0))
 
-        # service.status runs inline on the HTTP thread, so it stays
-        # answerable while the pool is pegged — wait until the advance is
-        # genuinely in flight before queueing more work behind it.
+        # service.status bypasses the engine slots, so it stays answerable
+        # while the only slot is taken — wait until the advance is genuinely
+        # in flight before queueing more work behind it.  (The status
+        # request counts itself, so "the advance too" reads 2.)
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            if client.status()["stats"]["in_flight"] >= 1:
+            if client.status()["stats"]["in_flight"] >= 2:
                 break
             time.sleep(0.02)
         else:
             pytest.fail("the long advance never became in-flight")
 
         queued = outcome_of(lambda: client.create_session(params={"num_buys": 4}))
-        time.sleep(0.1)  # let the queued request reach the executor
+        time.sleep(0.1)  # let the queued request reach the slot wait
 
         assert client.shutdown_server() == {"stopping": True}
 
@@ -93,13 +104,14 @@ def test_shutdown_mid_request_fails_typed_not_hung():
             client.ping()
     finally:
         server.shutdown()  # idempotent
+        client.close()
 
 
 def test_shutdown_is_idempotent_and_reports_closed():
     server = ServiceServer(ServiceConfig(port=0, workers=1, idle_timeout=None))
     server.start()
-    client = ServiceClient(server.url, timeout=30.0)
-    client.create_session(params={"num_buys": 4})
+    with ServiceClient(server.url, timeout=30.0) as client:
+        client.create_session(params={"num_buys": 4})
     server.shutdown()
     server.shutdown()
     assert server.service.closed.is_set()

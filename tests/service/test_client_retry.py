@@ -172,8 +172,7 @@ class TestHealthz:
         server = ServiceServer(ServiceConfig(port=0, workers=1, idle_timeout=None))
         server.start()
         try:
-            client = ServiceClient(server.url, timeout=30.0)
-            health = client.healthz()
-            assert health == {"ok": True}
+            with ServiceClient(server.url, timeout=30.0) as client:
+                assert client.healthz() == {"ok": True}
         finally:
             server.shutdown()
