@@ -9,6 +9,7 @@ that validating peers can replay the block and check the roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 from ..crypto.addresses import Address, ZERO_ADDRESS
@@ -45,13 +46,10 @@ class BlockHeader:
     nonce: int = 0
     extra_data: bytes = b""
 
-    @property
+    @cached_property
     def hash(self) -> bytes:
-        """Keccak-256 of the RLP-encoded header fields (cached; headers are immutable)."""
-        cached = self.__dict__.get("_cached_hash")
-        if cached is not None:
-            return cached
-        digest = keccak256(
+        """Keccak-256 of the RLP-encoded header fields (computed once; headers are immutable)."""
+        return keccak256(
             rlp_encode(
                 [
                     self.parent_hash,
@@ -69,8 +67,6 @@ class BlockHeader:
                 ]
             )
         )
-        object.__setattr__(self, "_cached_hash", digest)
-        return digest
 
 
 @dataclass(frozen=True)

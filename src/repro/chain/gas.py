@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["GasSchedule", "GasMeter", "OutOfGas"]
+__all__ = ["GasSchedule", "DEFAULT_GAS_SCHEDULE", "GasMeter", "OutOfGas"]
 
 
 class OutOfGas(Exception):
@@ -39,6 +39,10 @@ class GasSchedule:
     compute_step: int = 3
 
 
+DEFAULT_GAS_SCHEDULE = GasSchedule()
+"""The price list used wherever no schedule is given (frozen, so shared)."""
+
+
 class GasMeter:
     """Tracks gas consumption for one message execution."""
 
@@ -46,7 +50,7 @@ class GasMeter:
         if gas_limit <= 0:
             raise ValueError("gas limit must be positive")
         self.gas_limit = gas_limit
-        self.schedule = schedule or GasSchedule()
+        self.schedule = schedule or DEFAULT_GAS_SCHEDULE
         self._used = 0
         self._refund = 0
 

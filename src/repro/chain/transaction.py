@@ -7,25 +7,38 @@ pseudo-signature over the canonical fields so that tampering with calldata
 after signing is detectable — this is what enforces the paper's RAA
 restriction (RAA cannot modify the arguments of a transaction, only of a
 pure/view call).
+
+A transaction is immutable, so it derives its bytes once: ``__post_init__``
+RLP-encodes the seven canonical fields into one *body*, and the signing
+payload, the hash preimage and the wire form are that body with a suffix
+appended and a list header in front (:func:`repro.encoding.rlp.rlp_list`).
+The byte layouts are exactly ``rlp_encode`` over the written-out field
+lists.  What is cached is bytes, never a verdict: ``signature_is_valid``
+re-hashes the payload and compares on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..crypto.addresses import Address, is_address
 from ..crypto.keccak import keccak256
 from ..encoding.hexutil import to_hex
-from ..encoding.rlp import rlp_encode
+from ..encoding.rlp import rlp_list, rlp_payload
 from .errors import InvalidTransaction
+from .gas import DEFAULT_GAS_SCHEDULE, GasSchedule
 
-__all__ = ["Transaction", "sign_transaction"]
+__all__ = ["Transaction", "sign_transaction", "TIMESTAMP_SCALE"]
 
 _SIGNATURE_DOMAIN = b"repro/tx-signature/"
 
+TIMESTAMP_SCALE = 1_000_000
+"""Timestamps travel as integer microseconds (RLP has no float type)."""
 
-def _canonical_fields(
+
+def _canonical_body(
     sender: Address,
     nonce: int,
     to: Optional[Address],
@@ -33,8 +46,15 @@ def _canonical_fields(
     gas_price: int,
     gas_limit: int,
     data: bytes,
-) -> list:
-    return [sender, nonce, to if to is not None else b"", value, gas_price, gas_limit, data]
+) -> bytes:
+    """RLP list payload (no header) of the seven signed fields."""
+    return rlp_payload(
+        (sender, nonce, to if to is not None else b"", value, gas_price, gas_limit, data)
+    )
+
+
+def _sign_body(sender: Address, body: bytes) -> bytes:
+    return keccak256(_SIGNATURE_DOMAIN, sender, rlp_list(body))
 
 
 def sign_transaction(
@@ -47,8 +67,7 @@ def sign_transaction(
     data: bytes,
 ) -> bytes:
     """Produce the deterministic pseudo-signature over the canonical fields."""
-    payload = rlp_encode(_canonical_fields(sender, nonce, to, value, gas_price, gas_limit, data))
-    return keccak256(_SIGNATURE_DOMAIN, sender, payload)
+    return _sign_body(sender, _canonical_body(sender, nonce, to, value, gas_price, gas_limit, data))
 
 
 @dataclass(frozen=True)
@@ -82,33 +101,30 @@ class Transaction:
             raise InvalidTransaction("transaction value must be non-negative")
         if self.gas_price < 0 or self.gas_limit <= 0:
             raise InvalidTransaction("gas price must be >= 0 and gas limit > 0")
-        if not self.signature:
-            object.__setattr__(
-                self,
-                "signature",
-                sign_transaction(
-                    self.sender, self.nonce, self.to, self.value,
-                    self.gas_price, self.gas_limit, self.data,
-                ),
-            )
-
-    @property
-    def hash(self) -> bytes:
-        """Keccak-256 hash of the RLP-encoded canonical fields + signature.
-
-        Cached after first computation: transactions are immutable and their
-        hashes are looked up constantly (pool membership, receipts, metrics).
-        """
-        cached = self.__dict__.get("_cached_hash")
-        if cached is not None:
-            return cached
-        fields = _canonical_fields(
+        body = _canonical_body(
             self.sender, self.nonce, self.to, self.value,
             self.gas_price, self.gas_limit, self.data,
         )
-        digest = keccak256(rlp_encode(fields + [self.signature]))
-        object.__setattr__(self, "_cached_hash", digest)
-        return digest
+        object.__setattr__(self, "_body", body)
+        if not self.signature:
+            object.__setattr__(self, "signature", _sign_body(self.sender, body))
+
+    @cached_property
+    def hash(self) -> bytes:
+        """Keccak-256 hash of the RLP-encoded canonical fields + signature.
+
+        Computed once: transactions are immutable and their hashes are
+        looked up constantly (pool membership, receipts, metrics).
+        """
+        return keccak256(rlp_list(self._body + rlp_payload((self.signature,))))
+
+    @cached_property
+    def wire(self) -> bytes:
+        """The wire form: canonical fields, signature and submission time
+        (integer microseconds) as one RLP list.  Computed once; gossip
+        accounting and every block that carries the transaction reuse it."""
+        suffix = rlp_payload((self.signature, int(self.submitted_at * TIMESTAMP_SCALE)))
+        return rlp_list(self._body + suffix)
 
     @property
     def is_contract_creation(self) -> bool:
@@ -126,17 +142,13 @@ class Transaction:
         RAA provider overstepping its bounds) fails this check and is
         rejected by validating peers.
         """
-        expected = sign_transaction(
-            self.sender, self.nonce, self.to, self.value,
-            self.gas_price, self.gas_limit, self.data,
-        )
-        return self.signature == expected
+        return self.signature == _sign_body(self.sender, self._body)
 
-    def intrinsic_gas(self) -> int:
-        """Gas charged before execution: base cost plus calldata bytes."""
-        from .gas import GasSchedule
-
-        schedule = GasSchedule()
+    def intrinsic_gas(self, schedule: Optional[GasSchedule] = None) -> int:
+        """Gas charged before execution: base cost plus calldata bytes, priced
+        by ``schedule`` (the executing engine's) or the default schedule."""
+        if schedule is None:
+            schedule = DEFAULT_GAS_SCHEDULE
         zero_bytes = self.data.count(0)
         nonzero_bytes = len(self.data) - zero_bytes
         return (

@@ -17,7 +17,7 @@ from ..encoding.rlp import RLPDecodingError, rlp_decode, rlp_encode
 from ..obs import runtime as _obs
 from .block import Block, BlockHeader
 from .receipt import LogEntry, Receipt
-from .transaction import Transaction
+from .transaction import TIMESTAMP_SCALE, Transaction
 
 __all__ = [
     "WireDecodingError",
@@ -33,9 +33,6 @@ __all__ = [
     "clear_wire_cache",
     "wire_cache_stats",
 ]
-
-_TIMESTAMP_SCALE = 1_000_000
-"""Timestamps travel as integer microseconds (RLP has no float type)."""
 
 
 class WireDecodingError(ValueError):
@@ -58,20 +55,11 @@ def _optional_address(field: bytes) -> Optional[Address]:
 
 
 def encode_transaction(transaction: Transaction) -> bytes:
-    """Serialize a transaction, including its signature and submission time."""
-    return rlp_encode(
-        [
-            transaction.sender,
-            transaction.nonce,
-            transaction.to if transaction.to is not None else b"",
-            transaction.value,
-            transaction.gas_price,
-            transaction.gas_limit,
-            transaction.data,
-            transaction.signature,
-            int(transaction.submitted_at * _TIMESTAMP_SCALE),
-        ]
-    )
+    """Serialize a transaction, including its signature and submission time:
+    the nine-item list ``[sender, nonce, to, value, gas_price, gas_limit,
+    data, signature, submitted_at]``, which the transaction derives once
+    from its canonical body (:attr:`Transaction.wire`)."""
+    return transaction.wire
 
 
 def decode_transaction(payload: bytes) -> Transaction:
@@ -90,7 +78,7 @@ def decode_transaction(payload: bytes) -> Transaction:
         gas_limit=_as_int(fields[5]),
         data=fields[6],
         signature=fields[7],
-        submitted_at=_as_int(fields[8]) / _TIMESTAMP_SCALE,
+        submitted_at=_as_int(fields[8]) / TIMESTAMP_SCALE,
     )
 
 
@@ -102,7 +90,7 @@ def encode_header(header: BlockHeader) -> bytes:
         [
             header.parent_hash,
             header.number,
-            int(header.timestamp * _TIMESTAMP_SCALE),
+            int(header.timestamp * TIMESTAMP_SCALE),
             header.miner,
             header.state_root,
             header.transactions_root,
@@ -126,7 +114,7 @@ def decode_header(payload: bytes) -> BlockHeader:
     return BlockHeader(
         parent_hash=fields[0],
         number=_as_int(fields[1]),
-        timestamp=_as_int(fields[2]) / _TIMESTAMP_SCALE,
+        timestamp=_as_int(fields[2]) / TIMESTAMP_SCALE,
         miner=fields[3],
         state_root=fields[4],
         transactions_root=fields[5],
@@ -190,10 +178,14 @@ def decode_receipt(payload: bytes) -> Receipt:
 
 
 def encode_block(block: Block) -> bytes:
+    """``[header, [transaction wire bytes...], [receipts...]]``.  Each
+    transaction contributes the bytes it already carries — the ones
+    ``broadcast_transaction`` put on the wire — instead of being re-encoded
+    per block."""
     return rlp_encode(
         [
             encode_header(block.header),
-            [encode_transaction(transaction) for transaction in block.transactions],
+            [transaction.wire for transaction in block.transactions],
             [encode_receipt(receipt) for receipt in block.receipts],
         ]
     )
@@ -278,7 +270,16 @@ def clear_wire_cache() -> None:
 
 
 def wire_cache_stats() -> dict:
-    """Hit/miss/size counters of the wire-encoding memo."""
+    """Hit/miss/size counters of the wire-encoding memo.
+
+    A hit is a :func:`wire_encoding` call answered from the id-keyed memo
+    (a block offered to its second neighbour, a transaction re-announced);
+    a miss is one that ran the artefact's encoder.  Bytes an artefact keeps
+    on itself are neither: a transaction's first ``wire_encoding`` is still
+    a miss even though its encoder only reads :attr:`Transaction.wire`, and
+    ``encode_block`` reading those same per-transaction bytes never enters
+    the memo, so it moves no counter.
+    """
     return {
         "hits": _WIRE_CACHE_STATS["hits"],
         "misses": _WIRE_CACHE_STATS["misses"],

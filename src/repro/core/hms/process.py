@@ -17,7 +17,7 @@ from ...crypto.addresses import Address
 from .fpv import FPV, compute_mark, fpv_from_calldata
 from .node import TxNode
 
-__all__ = ["HMSConfig", "process_transactions"]
+__all__ = ["HMSConfig", "classify_transaction", "process_transactions"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,34 @@ class HMSConfig:
         )
 
 
+def classify_transaction(
+    transaction: Transaction, arrival_time: float, config: HMSConfig
+) -> Optional[TxNode]:
+    """One step of Algorithm 2: the HMS node for a pending transaction, or
+    ``None`` when it is not a series member.
+
+    A pure function of its arguments — a transaction is immutable — so a
+    caller that sees the same pool entry again may keep the answer.
+    Transactions whose FPV flag is neither the head flag nor the successor
+    flag are "considered rejected and ... not included in the list of
+    relevant transactions".
+    """
+    if not config.matches(transaction):
+        return None
+    try:
+        fpv = fpv_from_calldata(transaction.data, expected_selector=config.set_selector)
+    except ValueError:
+        return None
+    if not fpv.is_series_member:
+        return None
+    return TxNode(
+        transaction=transaction,
+        fpv=fpv,
+        mark=compute_mark(fpv.previous_mark, fpv.value),
+        arrival_time=arrival_time,
+    )
+
+
 def process_transactions(
     pool_entries: Iterable[Tuple[Transaction, float]],
     config: HMSConfig,
@@ -48,26 +76,10 @@ def process_transactions(
 
     ``pool_entries`` yields ``(transaction, arrival_time)`` pairs — the
     arrival time is simulation metadata used only for tie-breaking and
-    traces, never for correctness.  Transactions whose FPV flag is neither
-    the head flag nor the successor flag are "considered rejected and ...
-    not included in the list of relevant transactions".
+    traces, never for correctness.
     """
-    nodes: List[TxNode] = []
-    for transaction, arrival_time in pool_entries:
-        if not config.matches(transaction):
-            continue
-        try:
-            fpv = fpv_from_calldata(transaction.data, expected_selector=config.set_selector)
-        except ValueError:
-            continue
-        if not fpv.is_series_member:
-            continue
-        nodes.append(
-            TxNode(
-                transaction=transaction,
-                fpv=fpv,
-                mark=compute_mark(fpv.previous_mark, fpv.value),
-                arrival_time=arrival_time,
-            )
-        )
-    return nodes
+    classified = (
+        classify_transaction(transaction, arrival_time, config)
+        for transaction, arrival_time in pool_entries
+    )
+    return [node for node in classified if node is not None]

@@ -17,20 +17,24 @@ paper demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ...chain.state import WorldState
 from ...chain.transaction import Transaction
 from ...crypto.addresses import Address
 from ...encoding.hexutil import bytes32_from_int
 from ...evm.raa_interface import RAARequest
+from ...txpool.pool import TxPool
 from ..hms.fpv import AMV
 from ..hms.hash_mark_set import HashMarkSet, HMSView
 from ..hms.process import HMSConfig
 
 __all__ = ["SerethStorageLayout", "HMSRAAProvider", "StaticRAAProvider", "RAAProviderRegistry"]
 
-PoolSupplier = Callable[[], Iterable[Tuple[Transaction, float]]]
+PoolSupplier = Callable[[], Union[TxPool, Iterable[Tuple[Transaction, float]]]]
+"""Returns the peer's pool itself (so HMS can reuse its view while the pool
+is unchanged) or, for ad-hoc wiring, its ``(transaction, arrival_time)``
+pairs."""
 StateSupplier = Callable[[], WorldState]
 
 

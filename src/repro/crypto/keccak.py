@@ -276,8 +276,13 @@ def keccak256(*chunks: bytes) -> bytes:
     :func:`clear_hash_cache` for the memo's lifecycle.
     """
     for chunk in chunks:
+        if type(chunk) is not bytes:
+            break
+    else:
+        # Every chunk is exactly ``bytes`` (the case on every hot path): the
+        # loop above was the type check, and one chunk needs no join.
+        return _keccak256_cached(chunks[0] if len(chunks) == 1 else b"".join(chunks))
+    for chunk in chunks:
         if not isinstance(chunk, (bytes, bytearray)):
             raise TypeError(f"keccak256 expects bytes, got {type(chunk).__name__}")
-    if len(chunks) == 1 and type(chunks[0]) is bytes:
-        return _keccak256_cached(chunks[0])
     return _keccak256_cached(b"".join(bytes(chunk) for chunk in chunks))

@@ -12,6 +12,7 @@ completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import List, Sequence, Tuple
 
 from ..crypto.addresses import ADDRESS_LENGTH, Address, function_selector, is_address
@@ -75,8 +76,10 @@ def decode_word(abi_type: str, word: bytes) -> object:
     raise ABIError(f"unsupported ABI type: {abi_type}")
 
 
+@lru_cache(maxsize=256)
 def _parse_array_type(abi_type: str) -> Tuple[str, int]:
-    """Split ``"bytes32[3]"`` into (element type, length)."""
+    """Split ``"bytes32[3]"`` into (element type, length); memoised per type
+    string (a contract has a handful, parsed on every call otherwise)."""
     open_bracket = abi_type.index("[")
     element_type = abi_type[:open_bracket]
     length_text = abi_type[open_bracket + 1 : -1]
@@ -137,11 +140,11 @@ class FunctionABI:
     return_types: Tuple[str, ...] = ()
     mutates_state: bool = True
 
-    @property
+    @cached_property
     def signature(self) -> str:
         return f"{self.name}({','.join(self.argument_types)})"
 
-    @property
+    @cached_property
     def selector(self) -> bytes:
         return selector_of(self.signature)
 

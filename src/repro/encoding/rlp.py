@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple, Union
 
-__all__ = ["rlp_encode", "rlp_decode", "RLPDecodingError"]
+__all__ = ["rlp_encode", "rlp_payload", "rlp_list", "rlp_decode", "RLPDecodingError"]
 
 RLPItem = Union[bytes, bytearray, int, str, Sequence["RLPItem"]]
 
@@ -23,11 +23,23 @@ class RLPDecodingError(ValueError):
     """Raised when an RLP byte string is malformed."""
 
 
-def _encode_length(length: int, offset: int) -> bytes:
-    if length < 56:
-        return bytes([offset + length])
+def _long_prefix(length: int, offset: int) -> bytes:
+    """Prefix for a payload of 56 bytes or more: ``offset`` is 0xB7 for a
+    string and 0xF7 for a list, followed by the big-endian length."""
     length_bytes = length.to_bytes((length.bit_length() + 7) // 8, "big")
-    return bytes([offset + 55 + len(length_bytes)]) + length_bytes
+    return bytes((offset + len(length_bytes),)) + length_bytes
+
+
+# The prefix of every payload shorter than 256 bytes (one byte below 56, a
+# marker plus a one-byte length from there on) and every integer that is its
+# own encoding, built once: the hot loop below only indexes.
+_STRING_PREFIX = [bytes((0x80 + length,)) for length in range(56)] + [
+    _long_prefix(length, 0xB7) for length in range(56, 256)
+]
+_LIST_PREFIX = [bytes((0xC0 + length,)) for length in range(56)] + [
+    _long_prefix(length, 0xF7) for length in range(56, 256)
+]
+_SMALL_INT = [b"\x80"] + [bytes((value,)) for value in range(1, 0x80)]
 
 
 def _to_binary(item: RLPItem) -> bytes:
@@ -46,28 +58,66 @@ def _to_binary(item: RLPItem) -> bytes:
     raise TypeError(f"cannot RLP-encode object of type {type(item).__name__}")
 
 
+def _encode_string(raw: bytes) -> bytes:
+    length = len(raw)
+    if length < 256:
+        if length == 1 and raw[0] < 0x80:
+            return raw
+        return _STRING_PREFIX[length] + raw
+    return _long_prefix(length, 0xB7) + raw
+
+
+def rlp_payload(items: Sequence[RLPItem]) -> bytes:
+    """The concatenated encodings of ``items`` *without* the list header, so
+    ``rlp_encode(items) == rlp_list(rlp_payload(items))``.
+
+    An immutable object encodes its fields once with this and derives every
+    list it appears in (signing payload, hash preimage, wire form) by
+    appending to the payload and wrapping it with :func:`rlp_list`.
+
+    One flat pass: exact ``bytes`` and ``int`` elements — all but a few
+    percent of what the chain encodes — are handled inline; nested
+    sequences and every other type go through :func:`rlp_encode`.
+    """
+    parts = []
+    append = parts.append
+    for item in items:
+        kind = type(item)
+        if kind is bytes:
+            length = len(item)
+            if length >= 256:
+                append(_long_prefix(length, 0xB7))
+            elif length != 1 or item[0] >= 0x80:
+                append(_STRING_PREFIX[length])
+            append(item)
+        elif kind is int:
+            if item < 0x80:
+                if item < 0:
+                    raise ValueError("RLP integers must be non-negative")
+                append(_SMALL_INT[item])
+            else:
+                raw = item.to_bytes((item.bit_length() + 7) // 8, "big")
+                append(_encode_string(raw))
+        else:
+            append(rlp_encode(item))
+    return b"".join(parts)
+
+
+def rlp_list(payload: bytes) -> bytes:
+    """Wrap an already encoded list payload in its list header."""
+    length = len(payload)
+    if length < 256:
+        return _LIST_PREFIX[length] + payload
+    return _long_prefix(length, 0xF7) + payload
+
+
 def rlp_encode(item: RLPItem) -> bytes:
     """Encode an item (bytes, int, str, or nested sequence) as RLP."""
-    # Exact-type fast path for the two overwhelmingly common cases (raw bytes
-    # and small lists of encodables); subclasses and other types fall through
-    # to the general conversion.
     if type(item) is bytes:
-        length = len(item)
-        if length == 1 and item[0] < 0x80:
-            return item
-        if length < 56:
-            return bytes((0x80 + length,)) + item
-        return _encode_length(length, 0x80) + item
+        return _encode_string(item)
     if isinstance(item, (list, tuple)):
-        payload = b"".join(rlp_encode(element) for element in item)
-        payload_length = len(payload)
-        if payload_length < 56:
-            return bytes((0xC0 + payload_length,)) + payload
-        return _encode_length(payload_length, 0xC0) + payload
-    raw = _to_binary(item)
-    if len(raw) == 1 and raw[0] < 0x80:
-        return raw
-    return _encode_length(len(raw), 0x80) + raw
+        return rlp_list(rlp_payload(item))
+    return _encode_string(_to_binary(item))
 
 
 def _decode_item(data: bytes, offset: int) -> Tuple[Union[bytes, list], int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..chain.executor import BlockContext, TransactionExecutor
-from ..chain.gas import GasMeter, GasSchedule, OutOfGas
+from ..chain.gas import DEFAULT_GAS_SCHEDULE, GasMeter, GasSchedule, OutOfGas
 from ..chain.receipt import Receipt
 from ..chain.state import WorldState
 from ..chain.transaction import Transaction
@@ -64,7 +64,7 @@ class ExecutionEngine(TransactionExecutor):
         raa_provider: Optional[RAAProviderProtocol] = None,
     ) -> None:
         self.registry = registry or default_registry()
-        self.gas_schedule = gas_schedule or GasSchedule()
+        self.gas_schedule = gas_schedule or DEFAULT_GAS_SCHEDULE
         self.raa_provider = raa_provider
 
     # ------------------------------------------------------------------ execute
@@ -82,7 +82,7 @@ class ExecutionEngine(TransactionExecutor):
                 gas_used=0,
                 error=f"nonce mismatch: expected {expected_nonce}, got {transaction.nonce}",
             )
-        intrinsic = transaction.intrinsic_gas()
+        intrinsic = transaction.intrinsic_gas(self.gas_schedule)
         if intrinsic > transaction.gas_limit:
             state.increment_nonce(sender)
             return Receipt(

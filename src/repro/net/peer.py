@@ -139,7 +139,7 @@ class Peer:
         config = HMSConfig(contract_address=contract_address, set_selector=set_selector)
         provider = HMSRAAProvider(
             config=config,
-            pool_supplier=self.pool.transactions_with_arrival,
+            pool_supplier=lambda: self.pool,
             state_supplier=lambda: self.chain.state,
             layout=layout,
         )

@@ -5,6 +5,12 @@ The pool is the "underutilized communication channel" HMS exploits
 time, groups them per sender in nonce order (the ordering miners must
 respect), and drops transactions once they are committed in a published
 block or made stale by an advancing account nonce.
+
+``TxPool.version`` counts the pool's mutations (an admitted add, a
+same-nonce replacement, a removal that found its entry, ``clear``): two
+reads that see the same version saw the same pending set in the same
+order, which is what lets the HMS view built over the pool be reused
+instead of rebuilt.  A rejected add leaves it untouched.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ class TxPool:
         """The peer this pool belongs to — purely observability metadata
         (it labels this pool's trace events); empty for standalone pools."""
         self.dropped_count = 0
+        self.version = 0
+        """Bumped on every mutation of the pending set; never decreases."""
 
     # -- insertion --------------------------------------------------------------
 
@@ -94,6 +102,7 @@ class TxPool:
         sender_entries[transaction.nonce] = entry
         self._entries[transaction.hash] = entry
         insort(self._order, (arrival_time, transaction.hash))
+        self.version += 1
         tracer = _obs.TRACER
         if tracer is not None:
             if existing is not None:
@@ -193,6 +202,7 @@ class TxPool:
         entry = self._entries.pop(transaction_hash, None)
         if entry is None:
             return None
+        self.version += 1
         self._discard_order(entry)
         sender_entries = self._by_sender.get(entry.sender)
         if sender_entries is not None:
@@ -235,3 +245,4 @@ class TxPool:
         self._entries.clear()
         self._by_sender.clear()
         self._order.clear()
+        self.version += 1

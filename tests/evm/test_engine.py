@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain import Blockchain, GenesisConfig, Transaction
 from repro.chain.executor import BlockContext
+from repro.chain.gas import GasSchedule
 from repro.contracts.simple_storage import SimpleStorageContract
 from repro.crypto.addresses import address_from_label, contract_address
 from repro.encoding.hexutil import to_bytes32
@@ -123,6 +124,29 @@ class TestMessageCalls:
         block, _ = chain.build_block([transfer], miner=MINER, timestamp=20.0)
         chain.add_block(block)
         assert not chain.receipt_for(transfer.hash).success
+
+
+class TestCustomGasSchedule:
+    def test_intrinsic_gas_is_priced_by_the_engines_schedule(self, funded_genesis):
+        """One engine, one price list: the intrinsic charge uses the same
+        schedule as execution metering, not the module default."""
+        schedule = GasSchedule(tx_base=50_000, calldata_nonzero_byte=100)
+        chain = Blockchain(ExecutionEngine(gas_schedule=schedule), funded_genesis)
+        transfer = Transaction(sender=ALICE, nonce=0, to=BOB, data=b"\x01\x00")
+        assert transfer.intrinsic_gas() == 21_000 + 16 + 4
+        assert transfer.intrinsic_gas(schedule) == 50_000 + 100 + 4
+        block, _ = chain.build_block([transfer], miner=MINER, timestamp=10.0)
+        chain.add_block(block)
+        receipt = chain.receipt_for(transfer.hash)
+        assert receipt.success and receipt.gas_used == 50_104
+
+    def test_intrinsic_cost_above_the_limit_fails_under_the_custom_schedule_only(self, funded_genesis):
+        transfer = Transaction(sender=ALICE, nonce=0, to=BOB, value=1, gas_limit=30_000)
+        for schedule, succeeds in ((None, True), (GasSchedule(tx_base=50_000), False)):
+            chain = Blockchain(ExecutionEngine(gas_schedule=schedule), funded_genesis)
+            block, _ = chain.build_block([transfer], miner=MINER, timestamp=10.0)
+            chain.add_block(block)
+            assert chain.receipt_for(transfer.hash).success is succeeds
 
 
 class TestStaticCalls:

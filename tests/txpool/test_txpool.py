@@ -217,3 +217,38 @@ class TestArrivalOrderIndex:
         assert pool.entries() == []
         assert pool.add(make_transaction(), 2.0)
         assert len(pool.entries()) == 1
+
+
+class TestVersion:
+    """``version`` moves on every mutation of the pending set and on nothing
+    else — it is what HMS keys its reusable view on."""
+
+    def test_each_kind_of_mutation_bumps_once(self):
+        pool = TxPool(max_size=2)
+        versions = [pool.version]
+
+        def bumped() -> bool:
+            versions.append(pool.version)
+            return versions[-1] == versions[-2] + 1
+
+        first, second = make_transaction(nonce=0), make_transaction(nonce=1)
+        assert pool.add(first, 1.0) and bumped()
+        assert pool.add(second, 2.0) and bumped()
+        assert pool.add(make_transaction(nonce=1, gas_price=5), 3.0) and bumped(), "replacement"
+        assert pool.remove(first.hash) is not None and bumped()
+        assert pool.remove_committed(make_block([first, second])) == 0 and not bumped()
+        pool.clear()
+        assert bumped()
+
+    def test_rejected_adds_and_reads_leave_it_untouched(self):
+        pool = TxPool(max_size=1)
+        transaction = make_transaction(gas_price=3)
+        pool.add(transaction, 1.0)
+        version = pool.version
+        assert not pool.add(transaction, 2.0), "duplicate"
+        assert not pool.add(make_transaction(gas_price=2), 2.0), "underpriced replacement"
+        assert not pool.add(make_transaction(sender=CAROL), 2.0), "pool full"
+        assert pool.remove(b"\x00" * 32) is None
+        assert pool.drop_stale(WorldState()) == 0
+        pool.entries(), pool.transactions_with_arrival(), pool.pending_by_sender()
+        assert pool.version == version
