@@ -97,7 +97,7 @@ from .experiment import (
     run_experiment,
 )
 from .frame import GroupBy, ResultFrame
-from .lifecycle import end_of_trial_cleanup, reset_process_caches
+from .lifecycle import reset_process_caches
 from .registry import (
     Registry,
     RegistryError,
@@ -161,7 +161,6 @@ __all__ = [
     "Workload",
     "build_simulation",
     "derive_seed",
-    "end_of_trial_cleanup",
     "execute_plan",
     "fold_phases",
     "format_hot_phase_table",

@@ -38,7 +38,6 @@ from ..net.topology import BandwidthModel, ChurnPlan, Topology, resolve_topology
 from ..obs import runtime as _obs_runtime
 from ..obs.tracer import Tracer
 from .checkpoint import spec_digest
-from .lifecycle import end_of_trial_cleanup
 from .registry import WORKLOAD_REGISTRY
 from .seeding import SeedPlan
 from .spec import SimulationSpec
@@ -432,12 +431,10 @@ class SimulationHandle:
 
     def close(self) -> None:
         """Release what an interactively driven handle holds: the metrics
-        spill (if any) and the process-wide wire-encoding memo.  ``run()``
-        already does both; for ``start``/``run_until`` consumers — the
-        service facade's sessions — this is the explicit lifecycle end.
-        Idempotent."""
+        spill (if any).  ``run()`` already does; for ``start``/``run_until``
+        consumers — the service facade's sessions — this is the explicit
+        lifecycle end.  Idempotent."""
         self.metrics.close()
-        end_of_trial_cleanup()
 
     @property
     def reference_chain(self):
@@ -455,14 +452,10 @@ class SimulationHandle:
             return self._run_measured(spec, workload, simulator)
         finally:
             if tracer is not None:
-                # Freeze the probe snapshot while the per-trial caches still
-                # hold this run's counters, then leave the process untraced.
+                # Freeze the probe snapshot while the process-wide counters
+                # still read this run's values, then leave the process untraced.
                 tracer.finalize()
                 _obs_runtime.deactivate()
-            # The wire-encoding memo pins every gossiped object; dropping it
-            # here scopes it to the trial for *every* caller, not only the
-            # sweep workers that also clear it explicitly.
-            end_of_trial_cleanup()
             self.metrics.close()
             if tracer is not None and spec.trace_dir is not None:
                 # Trace files are keyed by the spec's content digest, so a

@@ -1,37 +1,19 @@
-"""Cache lifecycle for simulation trials and processes.
+"""Cache lifecycle for simulation processes.
 
-The engine keeps several per-process memos for speed: the keccak digest
-cache, the ordered-trie-root cache, the genesis template cache, and the
-wire-encoding memo.  Their lifetimes differ:
+The engine keeps three per-process memos for speed: the keccak digest
+cache, the ordered-trie-root cache and the genesis template cache.  All
+three hold pure input->output pairs (the first two in bounded LRUs), so
+warm sweep workers deliberately keep them across trials — clearing them
+between trials would only cost time.
 
-* keccak / trie-root / genesis entries are pure input->output pairs (the
-  first two in bounded LRUs), so warm sweep workers deliberately keep them
-  across trials — clearing them between trials would only cost time;
-* the wire-encoding memo is id-keyed and pins the objects it has encoded
-  (FIFO-capped, but a cap's worth of pinned artefacts is still a whole
-  trial's working set), so it MUST be dropped after every trial or sweep
-  cells leak into each other's RSS.
-
-Before this module each caller hand-rolled its own subset of clears (the
-engine's ``run()``, the sweep workers, the perf harnesses).  These two
-helpers are now the single source of truth for which caches belong to
-which lifetime.
+Nothing is scoped to a single trial any more: wire encodings live on the
+chain objects that own them (see :mod:`repro.chain.wire`) and are released
+with those objects, so a finished trial leaves nothing behind to clear.
 """
 
 from __future__ import annotations
 
-__all__ = ["end_of_trial_cleanup", "reset_process_caches"]
-
-
-def end_of_trial_cleanup() -> None:
-    """Drop the caches scoped to ONE trial (currently the wire memo).
-
-    Called by ``SimulationHandle.run()`` and the sweep workers after every
-    simulation; safe (and cheap) to call twice.
-    """
-    from ..chain.wire import clear_wire_cache
-
-    clear_wire_cache()
+__all__ = ["reset_process_caches"]
 
 
 def reset_process_caches() -> None:
@@ -42,10 +24,8 @@ def reset_process_caches() -> None:
     """
     from ..chain.genesis import clear_genesis_cache
     from ..chain.trie import clear_root_cache
-    from ..chain.wire import clear_wire_cache
     from ..crypto.keccak import clear_hash_cache
 
     clear_hash_cache()
     clear_root_cache()
-    clear_wire_cache()
     clear_genesis_cache()

@@ -81,18 +81,14 @@ def _run_job(job: Tuple[SimulationSpec, Dict[str, Any]]) -> Dict[str, Any]:
     ordered-trie-root memos are bounded LRUs whose entries are pure
     input->output pairs, so leaving them populated across a grid's trials
     changes nothing observable while saving every repeated hash; the genesis
-    template memo likewise persists per process.  Only the wire-encoding
-    memo is unbounded (it pins gossiped objects), so it is cleared after
-    every trial.
+    template memo likewise persists per process.  Wire encodings live on the
+    gossiped objects themselves, so they go when the trial's result does.
     """
     from .engine import run_simulation
-    from .lifecycle import end_of_trial_cleanup
 
     spec, tags = job
     result = run_simulation(spec, simulator=_process_simulator())
-    row = {"tags": tags, "summary": result.summary()}
-    end_of_trial_cleanup()
-    return row
+    return {"tags": tags, "summary": result.summary()}
 
 
 @dataclass

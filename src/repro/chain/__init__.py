@@ -40,7 +40,6 @@ from .wire import (
     encode_header,
     encode_receipt,
     encode_transaction,
-    clear_wire_cache,
     wire_cache_stats,
     wire_encoding,
 )
@@ -102,6 +101,5 @@ __all__ = [
     "encode_receipt",
     "encode_transaction",
     "wire_encoding",
-    "clear_wire_cache",
     "wire_cache_stats",
 ]

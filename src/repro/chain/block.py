@@ -4,19 +4,27 @@ A block commits a miner-chosen ordered list of transactions as one atomic
 super-transaction (the paper's "block publishing").  Headers carry the
 parent link, state/transaction/receipt roots, difficulty and timestamp so
 that validating peers can replay the block and check the roots.
+
+Headers and blocks are immutable once sealed, so each owns its bytes and
+pays for them once, when first asked: a header encodes the eleven fields
+around its timestamp a single time for both its hash preimage
+(milliseconds) and its wire form (microseconds); a block's ``hash`` and
+``wire`` live exactly as long as the block, so retention that drops the
+block drops its bytes.  The layouts are ``rlp_encode`` over the written-out
+field lists (``tests/chain/test_derive_once.py`` pins them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..crypto.addresses import Address, ZERO_ADDRESS
 from ..crypto.keccak import keccak256
-from ..encoding.rlp import rlp_encode
+from ..encoding.rlp import rlp_encode, rlp_list, rlp_payload
 from .receipt import Receipt, receipts_root
-from .transaction import Transaction
+from .transaction import TIMESTAMP_SCALE, Transaction
 from .trie import ordered_trie_root
 
 __all__ = ["BlockHeader", "Block", "transactions_root"]
@@ -46,27 +54,41 @@ class BlockHeader:
     nonce: int = 0
     extra_data: bytes = b""
 
-    @cached_property
-    def hash(self) -> bytes:
-        """Keccak-256 of the RLP-encoded header fields (computed once; headers are immutable)."""
-        return keccak256(
-            rlp_encode(
-                [
-                    self.parent_hash,
-                    self.number,
-                    int(self.timestamp * 1000),
-                    self.miner,
-                    self.state_root,
-                    self.transactions_root,
-                    self.receipts_root,
-                    self.difficulty,
-                    self.gas_limit,
-                    self.gas_used,
-                    self.nonce,
-                    self.extra_data,
-                ]
+    def _encode(self) -> Tuple[bytes, bytes]:
+        """``(hash preimage, wire form)``: the twelve-field RLP list with the
+        timestamp in integer milliseconds and in integer microseconds.  The
+        other eleven fields are encoded once and shared by both."""
+        before = rlp_payload((self.parent_hash, self.number))
+        after = rlp_payload(
+            (
+                self.miner,
+                self.state_root,
+                self.transactions_root,
+                self.receipts_root,
+                self.difficulty,
+                self.gas_limit,
+                self.gas_used,
+                self.nonce,
+                self.extra_data,
             )
         )
+        milliseconds = rlp_payload((int(self.timestamp * 1000),))
+        microseconds = rlp_payload((int(self.timestamp * TIMESTAMP_SCALE),))
+        return rlp_list(before + milliseconds + after), rlp_list(before + microseconds + after)
+
+    @cached_property
+    def hash(self) -> bytes:
+        """Keccak-256 of the RLP-encoded header fields (computed once; headers
+        are immutable).  A header that is hashed is about to be gossiped, so
+        the wire form the same pass produced is kept alongside."""
+        preimage, wire = self._encode()
+        self.__dict__.setdefault("wire", wire)
+        return keccak256(preimage)
+
+    @cached_property
+    def wire(self) -> bytes:
+        """The wire form: the hashed fields with the timestamp in microseconds."""
+        return self._encode()[1]
 
 
 @dataclass(frozen=True)
@@ -77,9 +99,24 @@ class Block:
     transactions: List[Transaction] = field(default_factory=list)
     receipts: List[Receipt] = field(default_factory=list)
 
-    @property
+    @cached_property
     def hash(self) -> bytes:
         return self.header.hash
+
+    @cached_property
+    def wire(self) -> bytes:
+        """``[header, [transaction wire bytes...], [receipts...]]``, computed
+        once.  Each transaction contributes the bytes it already carries —
+        the ones ``broadcast_transaction`` put on the wire.  Receipts are
+        encoded when the block is: they are mutable until
+        ``execute_transactions`` has stamped them, so they cache nothing."""
+        return rlp_encode(
+            [
+                self.header.wire,
+                [transaction.wire for transaction in self.transactions],
+                [receipt.wire for receipt in self.receipts],
+            ]
+        )
 
     @property
     def number(self) -> int:

@@ -7,12 +7,21 @@ and checks that the announced state/transaction/receipt roots match
 (Section II-D of the paper).  A block whose replay diverges is rejected.
 
 History is unbounded by default.  With ``retain_blocks=N`` the chain keeps
-only the newest N blocks in memory: older blocks (and their receipts) are
-evicted and folded into a sealed :class:`ChainAnchor` — a commitment to the
-pruned prefix (number, hash, state root) — and lookups below the window
-raise :class:`~repro.chain.errors.PrunedHistoryError`.  The head state is
-always live, so consensus never needs the evicted bodies; only historical
+only the newest N blocks in memory: older blocks (and their receipts, and
+the wire bytes they own) are evicted and folded into a sealed
+:class:`ChainAnchor` — a commitment to the pruned prefix (number, hash,
+state root) — and lookups below the window raise
+:class:`~repro.chain.errors.PrunedHistoryError`.  The head state is always
+live, so consensus never needs the evicted bodies; only historical
 inspection does.
+
+Pruning pays only for what it must: it slices the window, drops the index
+entries and seals the head state.  :attr:`Blockchain.anchor` and
+:attr:`Blockchain.last_snapshot` are observer surfaces (tests and interactive
+inspection read them, nothing under ``src/`` does), so they are derived when
+read.  Once the window is full every import prunes, so "the state at the
+last prune" *is* the head state and the derived values equal eagerly
+captured ones field for field.
 """
 
 from __future__ import annotations
@@ -117,8 +126,7 @@ class Blockchain:
         )
         self._blocks: List[Block] = [genesis_block]
         self._first_retained = 0
-        self._anchor: Optional[ChainAnchor] = None
-        self.last_snapshot: Optional[StateSnapshot] = None
+        self._newest_evicted: Optional[BlockHeader] = None
         self._blocks_by_hash: Dict[bytes, Block] = {genesis_block.hash: genesis_block}
         self._state = genesis_state.fork()
         self._state_token = (
@@ -152,8 +160,30 @@ class Blockchain:
 
     @property
     def anchor(self) -> Optional[ChainAnchor]:
-        """Commitment to the pruned prefix, or None while history is intact."""
-        return self._anchor
+        """Commitment to the pruned prefix, or None while history is intact.
+        Blocks are numbered from genesis without gaps, so the count folded
+        away is the number of the first one still retained."""
+        header = self._newest_evicted
+        if header is None:
+            return None
+        return ChainAnchor(
+            number=header.number,
+            block_hash=header.hash,
+            state_root=header.state_root,
+            timestamp=header.timestamp,
+            blocks_folded=self._first_retained,
+        )
+
+    @property
+    def last_snapshot(self) -> Optional[StateSnapshot]:
+        """Memory footprint of the head state as of the last prune (None
+        until the first), so tests can observe that pruning released
+        per-account memos rather than merely hiding blocks."""
+        if self._newest_evicted is None:
+            return None
+        return StateSnapshot.capture(
+            self._state, block_number=self.height, state_root=self.head.header.state_root
+        )
 
     def block_by_number(self, number: int) -> Block:
         index = number - self._first_retained
@@ -334,13 +364,12 @@ class Blockchain:
         return block
 
     def _prune_window(self) -> None:
-        """Evict blocks beyond the retention window into the sealed anchor.
+        """Evict blocks beyond the retention window.
 
-        The newest evicted block's commitments become the anchor; its (and
-        all older) bodies, hash-index entries, and receipts are dropped.  A
-        :class:`~repro.chain.state.StateSnapshot` of the live head state is
-        captured so tests (and the ``horizon`` experiment) can observe that
-        memory actually shrinks.
+        Their bodies, hash-index entries and receipts are dropped; the
+        newest evicted header is all :attr:`anchor` needs.  The head state
+        is sealed (its overlay folded into the shared frozen base) so what
+        stays resident is one settled base.
         """
         excess = len(self._blocks) - self.retain_blocks
         evicted = self._blocks[:excess]
@@ -350,23 +379,10 @@ class Blockchain:
             self._blocks_by_hash.pop(block.hash, None)
             for receipt in block.receipts:
                 self._receipts_by_tx.pop(receipt.transaction_hash, None)
-        newest = evicted[-1]
-        folded = (self._anchor.blocks_folded if self._anchor is not None else 0) + excess
-        self._anchor = ChainAnchor(
-            number=newest.number,
-            block_hash=newest.hash,
-            state_root=newest.header.state_root,
-            timestamp=newest.timestamp,
-            blocks_folded=folded,
-        )
-        # Seal the head state (fold its overlay into the shared frozen base)
-        # so the snapshot below measures one settled base, then record it.
+        self._newest_evicted = evicted[-1].header
         state = self._state
         if not state._journal:
             state._seal()
-        self.last_snapshot = StateSnapshot.capture(
-            state, block_number=self.height, state_root=self.head.header.state_root
-        )
 
     def committed_transaction_hashes(self) -> List[bytes]:
         """Hashes of every transaction committed to the chain so far."""

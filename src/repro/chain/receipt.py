@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 from ..crypto.addresses import Address
 from ..crypto.keccak import keccak256
 from ..encoding.rlp import rlp_encode
+from .trie import ordered_trie_root
 
 __all__ = ["LogEntry", "Receipt"]
 
@@ -57,12 +58,28 @@ class Receipt:
         )
 
     @property
+    def wire(self) -> bytes:
+        """The wire form: the consensus fields plus error text, return data
+        and block position.  Encoded on every read — a receipt is mutable
+        (``execute_transactions`` stamps its position after execution)."""
+        return rlp_encode(
+            [
+                self.transaction_hash,
+                1 if self.success else 0,
+                self.gas_used,
+                [[log.address, list(log.topics), log.data] for log in self.logs],
+                self.error.encode("utf-8") if self.error else b"",
+                self.return_data,
+                self.block_number if self.block_number is not None else b"",
+                self.transaction_index if self.transaction_index is not None else b"",
+            ]
+        )
+
+    @property
     def failed(self) -> bool:
         return not self.success
 
 
 def receipts_root(receipts: List[Receipt]) -> bytes:
     """Merkle Patricia trie root over the block's receipts (keyed by index)."""
-    from .trie import ordered_trie_root
-
     return ordered_trie_root([receipt.encode() for receipt in receipts])

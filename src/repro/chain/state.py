@@ -43,8 +43,12 @@ from .errors import UnknownAccount
 
 __all__ = ["StateSnapshot", "WorldState", "live_state_stats"]
 
-_LIVE_STATES: "weakref.WeakSet[WorldState]" = weakref.WeakSet()
-"""Every live WorldState, tracked weakly for the rss_stats accounting hooks."""
+_LIVE_STATES: set = set()
+"""A weak reference to every live WorldState, for the rss_stats accounting
+hooks.  Each removes itself when its state dies, through the C-level
+``set.discard``: states are forked four times per block, and a ``WeakSet``
+would run two Python frames for each."""
+_untrack_state = _LIVE_STATES.discard
 
 _ABSENT = object()
 """Journal sentinel: the address had no overlay entry when first touched."""
@@ -66,7 +70,7 @@ class WorldState:
         self._overlay: Dict[Address, Account] = {}
         self._journal: List[Dict[Address, object]] = []
         self._root_cache: Optional[bytes] = None
-        _LIVE_STATES.add(self)
+        _LIVE_STATES.add(weakref.ref(self, _untrack_state))
 
     # -- account access -----------------------------------------------------
 
@@ -273,7 +277,7 @@ class WorldState:
         child._overlay = {}
         child._journal = []
         child._root_cache = self._root_cache
-        _LIVE_STATES.add(child)
+        _LIVE_STATES.add(weakref.ref(child, _untrack_state))
         return child
 
     def copy(self) -> "WorldState":
@@ -320,9 +324,9 @@ class WorldState:
 class StateSnapshot:
     """A sealed observation of one state's memory footprint.
 
-    Recorded by the chain each time retention prunes its window, so tests
-    and the ``horizon`` experiment can assert that pruning actually released
-    per-account memos rather than merely hiding blocks.
+    What :attr:`Blockchain.last_snapshot` reports for a pruned chain, so
+    tests can assert that pruning actually released per-account memos
+    rather than merely hiding blocks.
     """
 
     block_number: int
@@ -356,7 +360,7 @@ def live_state_stats() -> Dict[str, int]:
     them — the number of distinct bases is exactly the quantity retention
     bounds, because every evicted apply-cache template releases one.
     """
-    states = list(_LIVE_STATES)
+    states = [state for state in (ref() for ref in list(_LIVE_STATES)) if state is not None]
     bases: Dict[int, Dict[Address, Account]] = {}
     overlay_accounts = 0
     for state in states:

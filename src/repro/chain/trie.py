@@ -42,7 +42,11 @@ __all__ = [
     "ProofError",
 ]
 
-EMPTY_ROOT = keccak256(rlp_encode(b""))
+EMPTY_ROOT = bytes.fromhex("56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421")
+"""``keccak256(rlp_encode(b""))`` — the root of an empty trie, and so of every
+empty block's transaction and receipt lists.  Written out (tests pin it to
+the formula) so importing the chain hashes nothing and does not load the
+native keccak."""
 
 
 class ProofError(ValueError):
@@ -439,6 +443,8 @@ def ordered_trie_root(values: Sequence[bytes]) -> bytes:
     distinct list is committed once per process.  The memo is bounded (FIFO
     eviction) and holds only pure ``values -> root`` pairs.
     """
+    if not values:
+        return EMPTY_ROOT
     key = tuple(bytes(value) for value in values)
     cached = _ORDERED_ROOT_CACHE.get(key)
     if cached is not None:

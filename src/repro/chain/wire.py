@@ -5,15 +5,24 @@ but a real devp2p network ships RLP byte strings.  This codec provides the
 byte-level round trip so that (a) object identity never leaks information a
 real peer would not have, which tests assert by round-tripping every gossiped
 artefact, and (b) traces and fixtures can be persisted and replayed.
+
+Encoding is owned by the objects: an immutable artefact (``Transaction``,
+``BlockHeader``, ``Block``) derives its ``wire`` bytes once and keeps them
+for as long as it lives; a mutable ``Receipt`` encodes on every read.  The
+``encode_*`` functions only read that attribute.  :func:`wire_encoding` is
+the one counted, traced seam the gossip layer calls: a *miss* is the call
+that derived an object's bytes (timed as the ``gossip_encode`` phase), a
+*hit* one that found them on the object.  Nothing is held here, so there is
+nothing to clear between trials and nothing for threads to contend on.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from ..crypto.addresses import Address
-from ..encoding.rlp import RLPDecodingError, rlp_decode, rlp_encode
+from ..encoding.rlp import RLPDecodingError, rlp_decode
 from ..obs import runtime as _obs
 from .block import Block, BlockHeader
 from .receipt import LogEntry, Receipt
@@ -30,7 +39,6 @@ __all__ = [
     "encode_block",
     "decode_block",
     "wire_encoding",
-    "clear_wire_cache",
     "wire_cache_stats",
 ]
 
@@ -86,22 +94,9 @@ def decode_transaction(payload: bytes) -> Transaction:
 
 
 def encode_header(header: BlockHeader) -> bytes:
-    return rlp_encode(
-        [
-            header.parent_hash,
-            header.number,
-            int(header.timestamp * TIMESTAMP_SCALE),
-            header.miner,
-            header.state_root,
-            header.transactions_root,
-            header.receipts_root,
-            header.difficulty,
-            header.gas_limit,
-            header.gas_used,
-            header.nonce,
-            header.extra_data,
-        ]
-    )
+    """The twelve header fields as one RLP list, timestamp in integer
+    microseconds (:attr:`BlockHeader.wire`)."""
+    return header.wire
 
 
 def decode_header(payload: bytes) -> BlockHeader:
@@ -130,10 +125,6 @@ def decode_header(payload: bytes) -> BlockHeader:
 # -- receipts and logs -------------------------------------------------------------------
 
 
-def _encode_log(log: LogEntry) -> list:
-    return [log.address, list(log.topics), log.data]
-
-
 def _decode_log(fields: list) -> LogEntry:
     if len(fields) != 3 or not isinstance(fields[1], list):
         raise WireDecodingError("log entries must be [address, topics, data]")
@@ -141,18 +132,10 @@ def _decode_log(fields: list) -> LogEntry:
 
 
 def encode_receipt(receipt: Receipt) -> bytes:
-    return rlp_encode(
-        [
-            receipt.transaction_hash,
-            1 if receipt.success else 0,
-            receipt.gas_used,
-            [_encode_log(log) for log in receipt.logs],
-            receipt.error.encode("utf-8") if receipt.error else b"",
-            receipt.return_data,
-            receipt.block_number if receipt.block_number is not None else b"",
-            receipt.transaction_index if receipt.transaction_index is not None else b"",
-        ]
-    )
+    """``[transaction_hash, success, gas_used, [[address, topics, data]...],
+    error, return_data, block_number, transaction_index]``
+    (:attr:`Receipt.wire`, encoded per call: receipts are mutable)."""
+    return receipt.wire
 
 
 def decode_receipt(payload: bytes) -> Receipt:
@@ -178,17 +161,10 @@ def decode_receipt(payload: bytes) -> Receipt:
 
 
 def encode_block(block: Block) -> bytes:
-    """``[header, [transaction wire bytes...], [receipts...]]``.  Each
-    transaction contributes the bytes it already carries — the ones
-    ``broadcast_transaction`` put on the wire — instead of being re-encoded
-    per block."""
-    return rlp_encode(
-        [
-            encode_header(block.header),
-            [transaction.wire for transaction in block.transactions],
-            [encode_receipt(receipt) for receipt in block.receipts],
-        ]
-    )
+    """``[header, [transaction wire bytes...], [receipts...]]``
+    (:attr:`Block.wire`, assembled once per block from the bytes its header
+    and transactions already carry)."""
+    return block.wire
 
 
 def decode_block(payload: bytes) -> Block:
@@ -204,84 +180,45 @@ def decode_block(payload: bytes) -> Block:
     return Block(header=header, transactions=transactions, receipts=receipts)
 
 
-# -- per-object encoding memo ----------------------------------------------------------
+# -- the gossip layer's seam -------------------------------------------------------------
 
-_ENCODERS = {
-    Transaction: encode_transaction,
-    Block: encode_block,
-    BlockHeader: encode_header,
-    Receipt: encode_receipt,
-}
+_WIRE_TYPES = (Transaction, Block, BlockHeader, Receipt)
 
-_WIRE_CACHE: dict = {}
-"""``id(artefact) -> (artefact, payload)``.  Holding a strong reference to
-the artefact pins its ``id`` for the life of the entry, which is what makes
-the id-keyed lookup sound; :func:`clear_wire_cache` bounds the lifetime."""
-
-_WIRE_CACHE_LIMIT = 8192
-"""Entry cap, evicted FIFO (dicts iterate in insertion order).  The gossip
-working set is the handful of blocks currently in flight, so the cap never
-bites a hit that matters — what it bounds is the *pinning*: without it a
-long-horizon run keeps every gossiped block alive through its memo entry
-even after the chains have pruned it.  Eviction is always safe (a re-gossip
-of an evicted artefact just re-encodes)."""
-
-_WIRE_CACHE_STATS = {"hits": 0, "misses": 0}
+_WIRE_STATS = {"hits": 0, "misses": 0}
 
 
 def wire_encoding(artefact: Union[Transaction, Block, BlockHeader, Receipt]) -> bytes:
-    """The artefact's wire encoding, computed at most once per object.
+    """The artefact's wire encoding, derived at most once per immutable object.
 
     Gossiped artefacts are immutable once sealed, so the gossip layer hands
-    the *same* frozen object to every neighbour and memoises the bytes it
+    the *same* frozen object to every neighbour and accounts the bytes it
     would have put on a real wire (for traffic accounting and persisted
-    traces) instead of paying an encode/decode round trip per hop.
-
-    Entries hold strong references; sweep workers call
-    :func:`clear_wire_cache` between trials (the same lifecycle as
-    :func:`repro.crypto.keccak.clear_hash_cache`) so nothing leaks across
-    runs.
+    traces) instead of paying an encode/decode round trip per hop.  The
+    bytes live on the artefact: this only counts whether it found them there
+    (a hit) or derived them (a miss, timed as the ``gossip_encode`` phase).
     """
-    key = id(artefact)
-    entry = _WIRE_CACHE.get(key)
-    if entry is not None and entry[0] is artefact:
-        _WIRE_CACHE_STATS["hits"] += 1
-        return entry[1]
-    encoder = _ENCODERS.get(type(artefact))
-    if encoder is None:
+    if type(artefact) not in _WIRE_TYPES:
         raise TypeError(f"no wire encoding for {type(artefact).__name__}")
+    payload = artefact.__dict__.get("wire")  # where cached_property keeps it
+    if payload is not None:
+        _WIRE_STATS["hits"] += 1
+        return payload
     tracer = _obs.TRACER
     start = perf_counter() if tracer is not None else 0.0
-    payload = encoder(artefact)
+    payload = artefact.wire
     if tracer is not None:
         tracer.phase("gossip_encode", start)
-    _WIRE_CACHE[key] = (artefact, payload)
-    _WIRE_CACHE_STATS["misses"] += 1
-    while len(_WIRE_CACHE) > _WIRE_CACHE_LIMIT:
-        _WIRE_CACHE.pop(next(iter(_WIRE_CACHE)))
+    _WIRE_STATS["misses"] += 1
     return payload
 
 
-def clear_wire_cache() -> None:
-    """Drop every memoised wire encoding (and the artefact references
-    pinning them).  Always safe: the memo only caches pure object->bytes
-    pairs for immutable artefacts."""
-    _WIRE_CACHE.clear()
-
-
 def wire_cache_stats() -> dict:
-    """Hit/miss/size counters of the wire-encoding memo.
+    """Hit/miss counters of :func:`wire_encoding`.
 
-    A hit is a :func:`wire_encoding` call answered from the id-keyed memo
-    (a block offered to its second neighbour, a transaction re-announced);
-    a miss is one that ran the artefact's encoder.  Bytes an artefact keeps
-    on itself are neither: a transaction's first ``wire_encoding`` is still
-    a miss even though its encoder only reads :attr:`Transaction.wire`, and
-    ``encode_block`` reading those same per-transaction bytes never enters
-    the memo, so it moves no counter.
+    A miss is a call that derived the artefact's bytes (its first
+    ``wire_encoding``, or any call on a ``Receipt``, which caches nothing);
+    a hit is one that found them on the object — a block range sync offers
+    again, a transaction re-announced, a header hashed before.  The counters
+    are plain ints: exact on one thread, advisory under several.
     """
-    return {
-        "hits": _WIRE_CACHE_STATS["hits"],
-        "misses": _WIRE_CACHE_STATS["misses"],
-        "size": len(_WIRE_CACHE),
-    }
+    return dict(_WIRE_STATS)

@@ -57,6 +57,8 @@ class Miner:
         """Pick and order transactions for the next block."""
         state = self.chain.state
         executable = self.pool.executable_by_sender(state)
+        if not executable:
+            return []  # policies are not consulted for an empty block
         ordered = self.policy.order(executable, state, timestamp)
         return self._truncate(ordered)
 

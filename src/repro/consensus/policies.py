@@ -40,7 +40,13 @@ __all__ = [
 
 
 class OrderingPolicy(Protocol):
-    """Selects and orders pending transactions for the next block."""
+    """Selects and orders pending transactions for the next block.
+
+    A miner with nothing executable builds an empty block without calling
+    :meth:`order`, so a policy must not rely on being consulted every block:
+    draw randomness and count only per transaction ordered, as every shipped
+    policy does (none draws or counts anything on empty input).
+    """
 
     name: str
 

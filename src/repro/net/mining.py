@@ -14,6 +14,7 @@ block interval (true of the paper's private testbed).
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, MutableSequence, Optional, Sequence, Tuple
@@ -62,10 +63,11 @@ class BlockProductionProcess:
         self.interval_model = interval_model or PoissonInterval(seed=seed)
         self._rng = random.Random(seed)
         self._miners: List[MinerHandle] = []
+        self._cumulative_power: List[float] = []
         self._running = False
         self.blocks_produced = 0
-        # The log pins every produced block (and, through the wire memo, its
-        # encoding), so bounded-memory runs window it to the newest
+        # The log pins every produced block (and with it the wire bytes the
+        # block holds), so bounded-memory runs window it to the newest
         # ``history_limit`` entries; the default keeps the full run.
         self.block_log: MutableSequence[Tuple[float, str, Block]] = (
             deque(maxlen=history_limit) if history_limit is not None else []
@@ -95,6 +97,8 @@ class BlockProductionProcess:
         )
         handle = MinerHandle(peer=peer, miner=miner, hash_power=hash_power)
         self._miners.append(handle)
+        power_so_far = self._cumulative_power[-1] if self._cumulative_power else 0
+        self._cumulative_power.append(power_so_far + hash_power)
         return handle
 
     def miners(self) -> List[MinerHandle]:
@@ -121,8 +125,13 @@ class BlockProductionProcess:
         self.simulator.schedule_in(delay, self._produce)
 
     def _pick_winner(self) -> MinerHandle:
-        weights = [handle.hash_power for handle in self._miners]
-        return self._rng.choices(self._miners, weights=weights, k=1)[0]
+        """Draw the winner with probability proportional to hash power — the
+        arithmetic of ``random.choices(miners, weights=...)`` (one
+        ``random()`` draw bisected into the running totals), with the totals
+        kept from :meth:`register_miner` instead of re-summed per block."""
+        cumulative = self._cumulative_power
+        point = self._rng.random() * (cumulative[-1] + 0.0)
+        return self._miners[bisect(cumulative, point, 0, len(cumulative) - 1)]
 
     def _produce(self) -> None:
         if not self._running:

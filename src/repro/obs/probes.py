@@ -8,7 +8,7 @@ thin wrappers the probes call), but one ``snapshot()`` reads them all.
 Two scopes exist:
 
 * **process-global probes** live here and read process-wide counters
-  (the keccak digest cache, the wire-encoding memo, live CoW state
+  (the keccak digest cache, the wire-encoding counters, live CoW state
   instances).  They are registered at import time via lazy imports so
   this module never drags the chain/crypto stack in eagerly;
 * **per-trial probes** (this run's network counters, propagation
@@ -69,7 +69,7 @@ def snapshot() -> Dict[str, Dict[str, Any]]:
 
 
 def _wire_cache_probe() -> Dict[str, Any]:
-    """Wire-encoding memo occupancy and hit/miss counters."""
+    """``wire_encoding()`` hit/miss counters (bytes found on / derived for the object)."""
     from ..chain.wire import wire_cache_stats
 
     return wire_cache_stats()

@@ -182,8 +182,8 @@ class Tracer:
         return {name: readings[name] for name in sorted(readings)}
 
     def finalize(self) -> None:
-        """Freeze the probe snapshot (called by the engine before the
-        per-trial caches are cleared, so counters are still meaningful)."""
+        """Freeze the probe snapshot (called by the engine as the trial ends,
+        before a later run moves the process-wide counters)."""
         self._final_snapshot = self.snapshot()
 
     # -- digests ------------------------------------------------------------------

@@ -1,27 +1,42 @@
 """Chain objects derive their bytes once — and the bytes are the documented ones.
 
 A transaction RLP-encodes its canonical fields a single time and wraps that
-body into the signing payload, the hash preimage and the wire form.  These
-tests write each formula out with plain ``rlp_encode`` over the field list,
-so the layout cannot drift with the caching, and check that nothing cached
-survives onto an object it does not describe.
+body into the signing payload, the hash preimage and the wire form; a header
+encodes the eleven fields around its timestamp once for both its hash and
+its wire form; a block assembles its wire form once from the bytes its parts
+already carry.  These tests write each formula out with plain ``rlp_encode``
+over the field list, so the layout cannot drift with the caching, and check
+that nothing cached survives onto an object it does not describe.
 """
 
 from __future__ import annotations
 
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain import wire
 from repro.chain.apply_cache import BlockApplyCache
+from repro.chain.block import Block, BlockHeader
 from repro.chain.chain import Blockchain
 from repro.chain.errors import ValidationError
 from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import GenesisConfig
-from repro.chain.transaction import Transaction
-from repro.chain.wire import decode_block, encode_block, encode_transaction, wire_cache_stats
+from repro.chain.transaction import TIMESTAMP_SCALE, Transaction
+from repro.chain.trie import EMPTY_ROOT, _ordered_trie_root_uncached, ordered_trie_root
+from repro.chain.wire import (
+    decode_block,
+    decode_header,
+    encode_block,
+    encode_header,
+    encode_receipt,
+    encode_transaction,
+    wire_cache_stats,
+)
 from repro.contracts.sereth import SerethContract
 from repro.crypto.addresses import address_from_label
 from repro.crypto.keccak import keccak256
@@ -152,14 +167,39 @@ class TestBlockEncodingReusesTransactionBytes:
     def test_layout_is_header_transactions_receipts(self, block):
         assert encode_block(block) == rlp_encode(
             [
-                wire.encode_header(block.header),
+                encode_header(block.header),
                 [encode_transaction(transaction) for transaction in block.transactions],
-                [wire.encode_receipt(receipt) for receipt in block.receipts],
+                [encode_receipt(receipt) for receipt in block.receipts],
             ]
         )
+        assert encode_block(block) is block.wire, "one bytes object per block"
+
+    def test_receipt_layout(self, block):
+        for index, receipt in enumerate(block.receipts):
+            assert (receipt.block_number, receipt.transaction_index) == (block.number, index)
+            assert encode_receipt(receipt) == rlp_encode(
+                [
+                    receipt.transaction_hash,
+                    1 if receipt.success else 0,
+                    receipt.gas_used,
+                    [[log.address, list(log.topics), log.data] for log in receipt.logs],
+                    receipt.error.encode("utf-8") if receipt.error else b"",
+                    receipt.return_data,
+                    receipt.block_number,
+                    receipt.transaction_index,
+                ]
+            )
+
+    def test_pickle_keeps_block_hash_and_wire(self, block):
+        expected_hash, expected_wire = block.hash, block.wire
+        twin = decode_block(expected_wire)  # nothing derived on it yet
+        for candidate in (block, twin):
+            restored = pickle.loads(pickle.dumps(candidate))
+            assert restored.header == block.header
+            assert restored.hash == expected_hash
+            assert restored.wire == expected_wire
 
     def test_encode_block_does_not_re_encode_or_touch_the_memo(self, block, monkeypatch):
-        wire.clear_wire_cache()
         for transaction in block.transactions:
             wire.wire_encoding(transaction)  # what broadcast_transaction does
         before = wire_cache_stats()
@@ -172,4 +212,80 @@ class TestBlockEncodingReusesTransactionBytes:
         assert wire_cache_stats() == before, "per-object bytes are neither hits nor misses"
         monkeypatch.undo()
         assert decode_block(payload).transactions == block.transactions
-        wire.clear_wire_cache()
+
+
+byte_strings = st.binary(max_size=40)
+small_ints = st.integers(min_value=0, max_value=2**64)
+# Eighths of a second (below 2**53 microseconds) are exact in binary and at both integer
+# scales, so the microsecond wire form round-trips them bit for bit.
+timestamps = st.integers(min_value=0, max_value=2**32).map(lambda eighths: eighths / 8)
+headers = st.builds(
+    BlockHeader,
+    parent_hash=byte_strings,
+    number=small_ints,
+    timestamp=timestamps,
+    miner=byte_strings,
+    state_root=byte_strings,
+    transactions_root=byte_strings,
+    receipts_root=byte_strings,
+    difficulty=small_ints,
+    gas_limit=small_ints,
+    gas_used=small_ints,
+    nonce=small_ints,
+    extra_data=byte_strings,
+)
+
+
+def header_fields(header: BlockHeader, timestamp_scale: int) -> list:
+    return [
+        header.parent_hash,
+        header.number,
+        int(header.timestamp * timestamp_scale),
+        header.miner,
+        header.state_root,
+        header.transactions_root,
+        header.receipts_root,
+        header.difficulty,
+        header.gas_limit,
+        header.gas_used,
+        header.nonce,
+        header.extra_data,
+    ]
+
+
+class TestHeaderBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(header=headers, hash_first=st.booleans())
+    def test_hash_and_wire_are_the_written_out_formulas(self, header, hash_first):
+        expected_hash = keccak256(rlp_encode(header_fields(header, 1000)))
+        expected_wire = rlp_encode(header_fields(header, TIMESTAMP_SCALE))
+        # Either may be asked for first; each is derived once.
+        for name in ("hash", "wire") if hash_first else ("wire", "hash"):
+            getattr(header, name)
+        assert header.hash == expected_hash
+        assert encode_header(header) == expected_wire
+        assert encode_header(header) is header.wire
+        decoded = decode_header(expected_wire)
+        assert decoded == header and decoded.hash == expected_hash
+
+    def test_replace_rederives(self):
+        header = BlockHeader(parent_hash=b"\x01" * 32, number=4, timestamp=52.0)
+        assert header.hash and header.wire
+        bumped = replace(header, number=5)
+        assert bumped.hash == BlockHeader(parent_hash=b"\x01" * 32, number=5, timestamp=52.0).hash
+        assert decode_header(bumped.wire).number == 5
+
+
+class TestEmptyRootIsAConstant:
+    def test_constant_is_the_formula(self):
+        assert EMPTY_ROOT == keccak256(rlp_encode(b""))
+        assert ordered_trie_root([]) == ordered_trie_root(()) == _ordered_trie_root_uncached(())
+
+    def test_importing_the_chain_hashes_nothing(self):
+        probe = (
+            "from repro.crypto.keccak import hash_cache_stats\n"
+            "import repro.chain, repro.chain.wire, sys\n"
+            "assert hash_cache_stats()['misses'] == 0, hash_cache_stats()\n"
+            "assert 'repro.crypto.keccak_native' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)

@@ -1,11 +1,13 @@
 """Tests for windowed chain history: pruning, the anchor, and typed misses."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain.chain import Blockchain, ChainAnchor
 from repro.chain.errors import InvalidBlock, PrunedHistoryError
 from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import GenesisConfig
+from repro.chain.state import StateSnapshot, WorldState
 from repro.chain.transaction import Transaction
 from repro.crypto.addresses import address_from_label
 
@@ -115,6 +117,96 @@ class TestAnchor:
         snapshot = chain.last_snapshot
         assert snapshot is not None
         assert snapshot.block_number == chain.height
+
+
+class EagerChain(Blockchain):
+    """The reference the lazy properties replaced: capture the anchor and
+    the snapshot inside every prune, the way the chain used to."""
+
+    eager_anchor = None
+    eager_snapshot = None
+
+    def _prune_window(self) -> None:
+        excess = len(self._blocks) - self.retain_blocks
+        newest = self._blocks[excess - 1]
+        folded = (self.eager_anchor.blocks_folded if self.eager_anchor else 0) + excess
+        super()._prune_window()
+        self.eager_anchor = ChainAnchor(
+            number=newest.number,
+            block_hash=newest.hash,
+            state_root=newest.header.state_root,
+            timestamp=newest.timestamp,
+            blocks_folded=folded,
+        )
+        self.eager_snapshot = StateSnapshot.capture(
+            self._state, block_number=self.height, state_root=self.head.header.state_root
+        )
+
+
+class TestLazyEqualsEager:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        retain_blocks=st.integers(min_value=2, max_value=16),
+        carries_transaction=st.lists(st.booleans(), max_size=40),
+    )
+    def test_anchor_and_snapshot_read_what_an_eager_prune_captured(
+        self, retain_blocks, carries_transaction
+    ):
+        genesis = GenesisConfig.for_labels(["alice", "bob", "miner"], balance=10**18)
+        retained = EagerChain(ValueTransferExecutor(), genesis, retain_blocks=retain_blocks)
+        twin = make_chain()
+        assert retained.anchor is None and retained.last_snapshot is None
+        nonce = 0
+        for carries in carries_transaction:
+            transactions = []
+            if carries:
+                transactions.append(Transaction(sender=ALICE, nonce=nonce, to=BOB, value=1))
+                nonce += 1
+            block, _ = twin.build_block(
+                transactions, miner=MINER, timestamp=float(twin.height + 1)
+            )
+            twin.add_block(block)
+            retained.add_block(block)
+
+            assert retained.anchor == retained.eager_anchor
+            assert retained.last_snapshot == retained.eager_snapshot
+            boundary = retained.earliest_block_number
+            if boundary == 0:
+                assert retained.anchor is None and retained.last_snapshot is None
+                continue
+            evicted = twin.block_by_number(boundary - 1)
+            anchor = retained.anchor
+            assert (anchor.number, anchor.block_hash, anchor.state_root, anchor.timestamp) == (
+                evicted.number, evicted.hash, evicted.header.state_root, evicted.timestamp
+            )
+            assert anchor.blocks_folded + len(retained.blocks()) == retained.height + 1
+            assert retained.last_snapshot == StateSnapshot.capture(
+                retained.state, retained.height, retained.head.header.state_root
+            )
+            assert retained.head.hash == twin.head.hash
+            assert retained.state.state_root() == twin.state.state_root()
+
+    def test_imports_on_a_full_window_pay_for_no_observer_surface(self, monkeypatch):
+        chain = make_chain(retain_blocks=4)
+        grow(chain, 6)
+        calls = {"rss_stats": 0, "anchor": 0}
+        rss_stats, anchor_init = WorldState.rss_stats, ChainAnchor.__init__
+
+        def counting_rss_stats(self):
+            calls["rss_stats"] += 1
+            return rss_stats(self)
+
+        def counting_anchor_init(self, *args, **kwargs):
+            calls["anchor"] += 1
+            anchor_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorldState, "rss_stats", counting_rss_stats)
+        monkeypatch.setattr(ChainAnchor, "__init__", counting_anchor_init)
+        grow(chain, 200, start_nonce=6)
+        assert chain.earliest_block_number == 203
+        assert calls == {"rss_stats": 0, "anchor": 0}
+        assert chain.anchor.number == 202 and chain.last_snapshot.block_number == 206
+        assert calls == {"rss_stats": 1, "anchor": 1}
 
 
 class TestOutcomeParity:

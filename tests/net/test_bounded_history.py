@@ -1,9 +1,11 @@
 """Tests for windowed gossip bookkeeping and pruned-horizon range sync."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.chain import GenesisConfig, Transaction
-from repro.chain.wire import wire_encoding
 from repro.crypto.addresses import address_from_label
 from repro.net.latency import ConstantLatency
 from repro.net.mining import BlockProductionProcess
@@ -139,19 +141,27 @@ class TestBoundedBlockLog:
             )
 
 
-class TestWireCacheCap:
-    def test_wire_memo_is_fifo_capped(self, monkeypatch):
-        import repro.chain.wire as wire
-
-        wire.clear_wire_cache()
-        monkeypatch.setattr(wire, "_WIRE_CACHE_LIMIT", 8)
-        transactions = [
-            Transaction(sender=ALICE, nonce=nonce, to=BOB, value=1)
-            for nonce in range(20)
-        ]
-        encodings = [wire_encoding(transaction) for transaction in transactions]
-        assert len(wire._WIRE_CACHE) <= 8
-        # Eviction is invisible to callers: an evicted artefact re-encodes
-        # to the same bytes on the next call.
-        assert wire_encoding(transactions[0]) == encodings[0]
-        wire.clear_wire_cache()
+class TestWireBytesLifetime:
+    def test_evicted_block_is_released_with_its_bytes(self):
+        """A gossiped block owns its wire bytes, so nothing outside the
+        chains' windows keeps it (or them) alive once retention evicts it."""
+        simulator, network, (miner, follower) = build_network(
+            history_limit=4, retain_blocks=4
+        )
+        early = None
+        for offset in range(50):
+            transaction = Transaction(sender=ALICE, nonce=offset, to=BOB, value=1)
+            block, _ = miner.chain.build_block(
+                [transaction], miner=MINER, timestamp=float(offset + 1)
+            )
+            network.broadcast_block(miner, block)
+            simulator.run()
+            if offset == 10:
+                assert "wire" in block.__dict__, "broadcast derived the bytes"
+                early = weakref.ref(block)
+            del block
+        assert miner.chain.height == follower.chain.height == 50
+        assert follower.chain.earliest_block_number == 47
+        assert network.stats.block_bytes > 0
+        gc.collect()
+        assert early() is None

@@ -1,5 +1,7 @@
 """Integration tests for peers, gossip, and the block production process."""
 
+import random
+
 import pytest
 
 from repro.chain import GenesisConfig, Transaction
@@ -126,6 +128,27 @@ class TestBlockProduction:
         production = BlockProductionProcess(simulator, network)
         with pytest.raises(ValueError):
             production.start()
+
+    @pytest.mark.parametrize("powers", [(1.0,), (1.0, 3.0), (0.5, 0.25, 2.0), (3, 1.5, 1.5, 0.1)])
+    def test_winner_draws_are_random_choices_draws(self, powers):
+        """``_pick_winner`` keeps running totals instead of calling
+        ``random.choices`` per block: same winners, same RNG stream — also
+        for a miner that registers after blocks have been drawn."""
+        seed = 20260807
+        simulator, network, peers = build_network(num_peers=len(powers) + 1)
+        production = BlockProductionProcess(simulator, network, seed=seed)
+        reference = random.Random(seed)
+        for peer, power in zip(peers, powers):
+            production.register_miner(peer, hash_power=power)
+        for late_power in (None, 0.75):
+            if late_power is not None:
+                production.register_miner(peers[-1], hash_power=late_power)
+            miners = production.miners()
+            weights = [handle.hash_power for handle in miners]
+            for _ in range(5_000):
+                expected = reference.choices(miners, weights=weights, k=1)[0]
+                assert production._pick_winner() is expected
+        assert production._rng.getstate() == reference.getstate()
 
 
 class TestPeerClientAPI:

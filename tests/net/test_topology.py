@@ -9,7 +9,7 @@ import pytest
 
 from repro.chain.genesis import GenesisConfig
 from repro.chain.transaction import Transaction
-from repro.chain.wire import clear_wire_cache, wire_encoding
+from repro.chain.wire import wire_encoding
 from repro.crypto.addresses import address_from_label
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -35,13 +35,6 @@ ALICE = address_from_label("alice")
 BOB = address_from_label("bob")
 
 PEER_IDS_100 = [f"peer-{index}" for index in range(100)]
-
-
-@pytest.fixture(autouse=True)
-def fresh_wire_cache():
-    clear_wire_cache()
-    yield
-    clear_wire_cache()
 
 
 RANDOM_K_SEED = 20260807
