@@ -67,9 +67,9 @@ THROUGHPUT_METRICS = {"keccak_bulk_mbps"}
 def _clear_hash_cache() -> None:
     """Restore cold-start process state so every timed section starts cold.
 
-    Delegates to the shared lifecycle helper (which drops the keccak,
-    trie-root, wire, and genesis memos) with a keccak-only fallback so the
-    harness can still time builds that predate ``repro.api.lifecycle``.
+    Delegates to the shared lifecycle helper (which drops every registered
+    process memo) with a keccak-only fallback so the harness can still time
+    builds that predate ``repro.api.lifecycle``.
     """
     try:
         from repro.api.lifecycle import reset_process_caches

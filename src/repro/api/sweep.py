@@ -77,11 +77,11 @@ def _process_simulator():
 def _run_job(job: Tuple[SimulationSpec, Dict[str, Any]]) -> Dict[str, Any]:
     """Worker entry point: run one spec and return its picklable row.
 
-    Workers are deliberately kept *warm* between jobs: the keccak digest and
-    ordered-trie-root memos are bounded LRUs whose entries are pure
-    input->output pairs, so leaving them populated across a grid's trials
-    changes nothing observable while saving every repeated hash; the genesis
-    template memo likewise persists per process.  Wire encodings live on the
+    Workers are deliberately kept *warm* between jobs: the process memos
+    (keccak digests, genesis templates — each a ``repro.memo.bounded_memo``)
+    hold pure input->output pairs under a fixed cap, so leaving them
+    populated across a grid's trials changes nothing observable while saving
+    every repeated hash and genesis build.  Wire encodings live on the
     gossiped objects themselves, so they go when the trial's result does.
     """
     from .engine import run_simulation

@@ -22,7 +22,6 @@ from .genesis import (
     GenesisConfig,
     build_genesis,
     build_genesis_cached,
-    clear_genesis_cache,
     genesis_digest,
 )
 from .logs import LogBloom, LogIndex, LogQuery, MatchedLog, bloom_for_block
@@ -71,7 +70,6 @@ __all__ = [
     "GenesisConfig",
     "build_genesis",
     "build_genesis_cached",
-    "clear_genesis_cache",
     "genesis_digest",
     "BlockApplyCache",
     "LogEntry",

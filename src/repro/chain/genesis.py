@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.addresses import Address, ZERO_ADDRESS, address_from_label
+from ..memo import bounded_memo
 from .account import Account
 from .block import Block, BlockHeader, transactions_root
 from .receipt import receipts_root
@@ -19,7 +19,6 @@ __all__ = [
     "build_genesis",
     "build_genesis_cached",
     "genesis_digest",
-    "clear_genesis_cache",
 ]
 
 DEFAULT_INITIAL_BALANCE = 10**24
@@ -134,8 +133,23 @@ def genesis_digest(config: GenesisConfig) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
-_GENESIS_CACHE: "OrderedDict[bytes, Tuple[Block, WorldState]]" = OrderedDict()
-_GENESIS_CACHE_MAX = 32
+class _ByDigest:
+    """A config as a memo key: hashed and compared by its content digest."""
+
+    def __init__(self, config: GenesisConfig) -> None:
+        self.config = config
+        self.digest = genesis_digest(config)
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _ByDigest) and self.digest == other.digest
+
+
+@bounded_memo("genesis", 32)
+def _genesis_template(key: _ByDigest) -> Tuple[Block, WorldState]:
+    return build_genesis(key.config)
 
 
 def build_genesis_cached(config: GenesisConfig) -> Tuple[Block, WorldState]:
@@ -146,19 +160,4 @@ def build_genesis_cached(config: GenesisConfig) -> Tuple[Block, WorldState]:
     MUST treat the returned state as immutable and work on ``fork()``s of
     it (which is what :class:`~repro.chain.chain.Blockchain` does).
     """
-    digest = genesis_digest(config)
-    entry = _GENESIS_CACHE.get(digest)
-    if entry is None:
-        entry = build_genesis(config)
-        _GENESIS_CACHE[digest] = entry
-        while len(_GENESIS_CACHE) > _GENESIS_CACHE_MAX:
-            _GENESIS_CACHE.popitem(last=False)
-    else:
-        _GENESIS_CACHE.move_to_end(digest)
-    return entry
-
-
-def clear_genesis_cache() -> None:
-    """Drop the genesis template memo (lifecycle hook, mirrors
-    :func:`repro.crypto.keccak.clear_hash_cache`)."""
-    _GENESIS_CACHE.clear()
+    return _genesis_template(_ByDigest(config))

@@ -6,34 +6,30 @@ produced here match ``keccak256`` as computed by Geth/Solidity and therefore
 match the "marks" that the Sereth contract and the Hash-Mark-Set algorithm
 compute in the paper.
 
-The permutation is generated at import time as one fully unrolled function:
+The permutation is generated on first use as one fully unrolled function:
 all 24 rounds are emitted as straight-line code over 25 local variables, with
 the theta/rho/pi/chi index arithmetic and rotation offsets folded into
 constants.  Hashing *is* on the simulator's hot path (every transaction hash,
 every trie node, every HMS mark), and the unrolled form runs several times
 faster than a loop-and-list implementation while remaining dependency-free
-and bit-exact.
+and bit-exact.  A process whose digests all come from the native backend
+never compiles it.
 
 The module-level :func:`keccak256` memoises digests (validating peers re-hash
-the same transactions on every block replay).  The memo is process-global, so
-long-lived sweep workers must reset it between engine runs via
-:func:`clear_hash_cache`; :func:`hash_cache_stats` exposes hit/size counters
-for the benchmark harness.
+the same transactions on every block replay) in a
+:func:`~repro.memo.bounded_memo` of :data:`KECCAK_MEMO_SIZE` entries, so a
+process of any lifetime (sweep worker, ``repro serve``) holds at most that
+many; nobody has to reset it.  The ``hash_cache`` probe reads its counters.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
-from typing import Dict, List
+from typing import List
 
-__all__ = [
-    "keccak256",
-    "keccak_f1600",
-    "Keccak256",
-    "clear_hash_cache",
-    "hash_cache_stats",
-]
+from ..memo import bounded_memo
+
+__all__ = ["keccak256", "keccak_f1600", "Keccak256"]
 
 _ROUNDS = 24
 
@@ -108,7 +104,11 @@ def _generate_permutation() -> "callable":
     return namespace["_permute"]
 
 
-_permute = _generate_permutation()
+def _permute(state: List[int]) -> List[int]:
+    """First call only: compile the unrolled permutation over this name."""
+    global _permute
+    _permute = _generate_permutation()
+    return _permute(state)
 
 
 def keccak_f1600(state: List[int]) -> List[int]:
@@ -186,32 +186,34 @@ class Keccak256:
         return self.digest().hex()
 
 
+NATIVE_SELF_TEST = (
+    (b"", "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"),
+    (b"abc", "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45"),
+    (bytes(range(256)), "dc924469b334aed2a19fac7252e9961aea41f8d91996366029dbe0884229bf36"),
+    (b"\x00" * 32, "290decd9548b62a8d60345a988386fc84ba6bc95484008f6362f93160ef3e563"),
+    (b"x" * 135, "16570bdb055e663ea1cb57ac6f09194f4bc7b7070847971fc0b86710366dc34f"),
+    (b"y" * 136, "299eb9c75467c19fbc1653d67b1f49ff3bb50fc9c1c9ce98c205e5ac6a05b9c8"),
+    (b"z" * 137, "32fe0c7ccc0a26485fc1555eb4075da8b6c66da403bdf0fedb664a4a876d7a98"),
+    (b"w" * 272, "29231205f1ce6ece6bcd3600f0ea2db18d85af0be12f744208ea9d2fbc85e33f"),
+)
+"""Padding-boundary vectors with the pure-Python sponge's digests pinned (a
+tier-1 test holds them equal to ``Keccak256(vector).digest()``), so checking
+the native backend does not compile and run the sponge it replaces."""
+
+
 def _load_native_backend():
     """The compiled Keccak-256 one-shot, verified digest-for-digest against
-    the pure-Python sponge on padding-boundary vectors; ``None`` (pure
-    Python everywhere) when no compiler is available, the build fails, or
-    any vector disagrees — the backend may be faster, never different."""
+    :data:`NATIVE_SELF_TEST`; ``None`` (pure Python everywhere) when no
+    compiler is available, the build fails, or any vector disagrees — the
+    backend may be faster, never different."""
     try:
         from .keccak_native import load_native_keccak256
 
         native = load_native_keccak256()
-    except Exception:
-        return None
-    if native is None:
-        return None
-    vectors = (
-        b"",
-        b"abc",
-        bytes(range(256)),
-        b"\x00" * 32,
-        b"x" * 135,
-        b"y" * 136,
-        b"z" * 137,
-        b"w" * 272,
-    )
-    try:
-        for vector in vectors:
-            if native(vector) != Keccak256(vector).digest():
+        if native is None:
+            return None
+        for vector, digest in NATIVE_SELF_TEST:
+            if native(vector).hex() != digest:
                 return None
     except Exception:
         return None
@@ -233,33 +235,19 @@ def _native_backend():
     return _NATIVE_KECCAK256
 
 
-@lru_cache(maxsize=200_000)
+KECCAK_MEMO_SIZE = 4096
+"""The knee of the measured hit curve (README "Performance"): replaying the
+benchmark workloads' keccak inputs, 4,096 entries keep >= 98 % of the hits an
+unbounded memo gets, at ~1 MB instead of ~12 MB.  ``tests/crypto/
+test_keccak_traffic.py`` re-measures the curve and fails if this stops holding."""
+
+
+@bounded_memo("keccak256", KECCAK_MEMO_SIZE)
 def _keccak256_cached(data: bytes) -> bytes:
     native = _native_backend()
     if native is not None:
         return native(data)
     return Keccak256(data).digest()
-
-
-def clear_hash_cache() -> None:
-    """Drop every memoised digest.
-
-    The memo only ever caches pure ``input -> digest`` pairs, so clearing is
-    always safe; it exists so long-lived processes (multiprocessing sweep
-    workers, benchmark loops) can bound their memory between engine runs.
-    """
-    _keccak256_cached.cache_clear()
-
-
-def hash_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the global digest memo."""
-    info = _keccak256_cached.cache_info()
-    return {
-        "hits": info.hits,
-        "max_size": info.maxsize,
-        "misses": info.misses,
-        "size": info.currsize,
-    }
 
 
 def keccak256(*chunks: bytes) -> bytes:
@@ -272,8 +260,7 @@ def keccak256(*chunks: bytes) -> bytes:
     Results are memoised: the simulated network re-hashes the same
     transactions on every validating peer (block replay), and HMS recomputes
     the same marks on every view call, so caching pure hash results removes a
-    large constant factor without changing any observable behaviour.  See
-    :func:`clear_hash_cache` for the memo's lifecycle.
+    large constant factor without changing any observable behaviour.
     """
     for chunk in chunks:
         if type(chunk) is not bytes:

@@ -14,8 +14,9 @@ Strictly optional and strictly verified:
 * no compiler, a failed compile, or a failed load simply returns ``None``
   and :mod:`repro.crypto.keccak` keeps using the pure-Python sponge;
 * :mod:`repro.crypto.keccak` cross-checks the loaded function against the
-  pure-Python implementation on a battery of padding-boundary vectors and
-  discards it on any mismatch, so a bad toolchain can never change digests;
+  pure-Python implementation's pinned digests on a battery of padding-boundary
+  vectors and discards it on any mismatch, so a bad toolchain can never change
+  digests;
 * ``REPRO_PURE_KECCAK=1`` in the environment disables the backend outright
   (useful for benchmarking the fallback and for debugging).
 
@@ -169,7 +170,7 @@ def load_native_keccak256() -> Optional[Callable[[bytes], bytes]]:
     """The compiled one-shot Keccak-256, or ``None`` when unavailable.
 
     Callers MUST verify the returned function against the pure-Python
-    implementation before trusting it (``repro.crypto.keccak`` does).
+    implementation's digests before trusting it (``repro.crypto.keccak`` does).
     """
     if os.environ.get("REPRO_PURE_KECCAK"):
         return None

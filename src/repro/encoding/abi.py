@@ -12,10 +12,11 @@ completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from ..crypto.addresses import ADDRESS_LENGTH, Address, function_selector, is_address
+from ..memo import bounded_memo
 from .hexutil import WORD_SIZE, bytes32_from_int, int_from_bytes32, pad_left, to_bytes32
 
 __all__ = [
@@ -76,7 +77,7 @@ def decode_word(abi_type: str, word: bytes) -> object:
     raise ABIError(f"unsupported ABI type: {abi_type}")
 
 
-@lru_cache(maxsize=256)
+@bounded_memo("abi_array_type", 256)
 def _parse_array_type(abi_type: str) -> Tuple[str, int]:
     """Split ``"bytes32[3]"`` into (element type, length); memoised per type
     string (a contract has a handful, parsed on every call otherwise)."""

@@ -1,9 +1,10 @@
 """The counter/gauge probe registry behind ``obs.snapshot()``.
 
-A *probe* is a named zero-argument callable returning a flat, JSON-ready
-dict with sorted keys.  The registry subsumes the engine's scattered
-``*_stats()`` surfaces: the old free functions still exist (they are now
-thin wrappers the probes call), but one ``snapshot()`` reads them all.
+A *probe* is a named zero-argument callable returning a JSON-ready dict
+with sorted keys (flat, except ``memos``: one sub-dict per registered memo).
+The registry subsumes the engine's scattered ``*_stats()`` surfaces: the old
+free functions still exist (they are now thin wrappers the probes call), but
+one ``snapshot()`` reads them all.
 
 Two scopes exist:
 
@@ -23,6 +24,8 @@ probe" walkthrough targets exactly this function.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List
+
+from ..memo import memo_stats
 
 __all__ = ["register_probe", "unregister_probe", "probe_names", "snapshot"]
 
@@ -76,10 +79,10 @@ def _wire_cache_probe() -> Dict[str, Any]:
 
 
 def _hash_cache_probe() -> Dict[str, Any]:
-    """Keccak LRU cache hit/miss counters."""
-    from ..crypto.keccak import hash_cache_stats
+    """Keccak digest memo hit/miss counters (the ``keccak256`` entry of ``memos``)."""
+    from ..crypto import keccak  # noqa: F401  (declares the memo)
 
-    return hash_cache_stats()
+    return memo_stats()["keccak256"]
 
 
 def _live_state_probe() -> Dict[str, Any]:
@@ -91,4 +94,5 @@ def _live_state_probe() -> Dict[str, Any]:
 
 register_probe("wire_cache", _wire_cache_probe)
 register_probe("hash_cache", _hash_cache_probe)
+register_probe("memos", memo_stats)
 register_probe("live_state", _live_state_probe)

@@ -27,7 +27,7 @@ from repro.chain.errors import ValidationError
 from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import GenesisConfig
 from repro.chain.transaction import TIMESTAMP_SCALE, Transaction
-from repro.chain.trie import EMPTY_ROOT, _ordered_trie_root_uncached, ordered_trie_root
+from repro.chain.trie import EMPTY_ROOT, MerklePatriciaTrie, ordered_trie_root
 from repro.chain.wire import (
     decode_block,
     decode_header,
@@ -279,13 +279,13 @@ class TestHeaderBytes:
 class TestEmptyRootIsAConstant:
     def test_constant_is_the_formula(self):
         assert EMPTY_ROOT == keccak256(rlp_encode(b""))
-        assert ordered_trie_root([]) == ordered_trie_root(()) == _ordered_trie_root_uncached(())
+        assert ordered_trie_root([]) == ordered_trie_root(()) == MerklePatriciaTrie().root()
 
     def test_importing_the_chain_hashes_nothing(self):
         probe = (
-            "from repro.crypto.keccak import hash_cache_stats\n"
+            "from repro.memo import memo_stats\n"
             "import repro.chain, repro.chain.wire, sys\n"
-            "assert hash_cache_stats()['misses'] == 0, hash_cache_stats()\n"
+            "assert memo_stats()['keccak256']['misses'] == 0, memo_stats()\n"
             "assert 'repro.crypto.keccak_native' not in sys.modules\n"
         )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.api import reset_process_caches
 from repro.chain.chain import Blockchain
 from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import (
     GenesisConfig,
     build_genesis,
     build_genesis_cached,
-    clear_genesis_cache,
     genesis_digest,
 )
 from repro.crypto.addresses import address_from_label
@@ -18,9 +18,9 @@ ALICE = address_from_label("alice")
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    clear_genesis_cache()
+    reset_process_caches()
     yield
-    clear_genesis_cache()
+    reset_process_caches()
 
 
 def config() -> GenesisConfig:
@@ -72,7 +72,7 @@ class TestTemplateCache:
 
     def test_clear_hook_forces_rebuild(self):
         first = build_genesis_cached(config())
-        clear_genesis_cache()
+        reset_process_caches()
         second = build_genesis_cached(config())
         assert first[1] is not second[1]
         assert first[0].hash == second[0].hash

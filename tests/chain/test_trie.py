@@ -93,6 +93,17 @@ class TestRootProperties:
         assert ordered_trie_root([]) == EMPTY_ROOT
 
     @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.binary(min_size=1, max_size=16), max_size=20))
+    def test_property_ordered_root_equals_from_scratch_trie(self, values):
+        """No memo sits behind ``ordered_trie_root``: asked twice it gives the
+        root of a fresh trie keyed by RLP-encoded index, for any value type."""
+        reference = MerklePatriciaTrie()
+        for index, value in enumerate(values):
+            reference.put(rlp_encode(index), value)
+        assert ordered_trie_root(values) == reference.root()
+        assert ordered_trie_root(tuple(bytearray(value) for value in values)) == reference.root()
+
+    @settings(max_examples=40, deadline=None)
     @given(
         st.dictionaries(
             st.binary(min_size=1, max_size=8), st.binary(min_size=1, max_size=16), max_size=20

@@ -93,22 +93,28 @@ class TestPermutation:
 
 class TestHashCacheLifecycle:
     def test_clear_and_stats(self):
-        from repro.crypto.keccak import clear_hash_cache, hash_cache_stats, keccak256
+        from repro.api import reset_process_caches
+        from repro.crypto.keccak import KECCAK_MEMO_SIZE, keccak256
+        from repro.obs import snapshot
 
-        clear_hash_cache()
+        def hash_cache_stats():
+            return snapshot()["hash_cache"]
+
+        reset_process_caches()
         baseline = hash_cache_stats()
-        assert baseline["size"] == 0
+        assert baseline["size"] == 0 and baseline["max_size"] == KECCAK_MEMO_SIZE
         keccak256(b"lifecycle-probe")
         keccak256(b"lifecycle-probe")
         stats = hash_cache_stats()
         assert stats["size"] == 1
         assert stats["hits"] >= 1
-        clear_hash_cache()
+        reset_process_caches()
         assert hash_cache_stats()["size"] == 0
 
     def test_clearing_does_not_change_digests(self):
-        from repro.crypto.keccak import clear_hash_cache, keccak256
+        from repro.api import reset_process_caches
+        from repro.crypto.keccak import keccak256
 
         before = keccak256(b"stable-across-clear")
-        clear_hash_cache()
+        reset_process_caches()
         assert keccak256(b"stable-across-clear") == before

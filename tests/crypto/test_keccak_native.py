@@ -38,6 +38,19 @@ class TestBackendParity:
         for vector in BOUNDARY_VECTORS:
             assert native(vector) == Keccak256(vector).digest(), len(vector)
 
+    def test_pinned_self_test_digests_are_the_pure_sponge_s(self):
+        # The native backend is checked against these pins, not against a
+        # live run of the sponge; this keeps the pins as strong as that run.
+        assert len(keccak_module.NATIVE_SELF_TEST) == 8
+        for vector, digest in keccak_module.NATIVE_SELF_TEST:
+            assert Keccak256(vector).hexdigest() == digest, len(vector)
+
+    def test_a_backend_that_disagrees_with_a_pin_is_discarded(self, monkeypatch):
+        import repro.crypto.keccak_native as native_module
+
+        monkeypatch.setattr(native_module, "load_native_keccak256", lambda: lambda data: b"\x00" * 32)
+        assert keccak_module._load_native_backend() is None
+
     def test_cached_entry_point_matches_reference_sponge(self):
         # Whatever backend is active behind the memo, the observable digest
         # must equal the reference implementation's.
@@ -68,6 +81,29 @@ class TestBackendParity:
         )
         assert result.returncode == 0, result.stderr
         assert "lazy" in result.stdout
+
+    def test_permutation_compiles_on_first_pure_digest_only(self):
+        # Import compiles nothing, and neither does a digest the native
+        # backend serves; the pure sponge (REPRO_PURE_KECCAK=1, or no
+        # compiler) pays for the unrolled permutation on its first block.
+        import subprocess
+        import sys
+
+        probe = (
+            "import os, repro.crypto.keccak as k; "
+            "lazy = k._permute; "
+            "digest = k.keccak256(b'abc'); "
+            "assert (k._permute is not lazy) == (k._NATIVE_KECCAK256 is None); "
+            "assert digest == k.Keccak256(b'abc').digest() and k._permute is not lazy; "
+            "print(digest.hex())"
+        )
+        native_allowed = {key: value for key, value in os.environ.items() if key != "REPRO_PURE_KECCAK"}
+        for environment in (native_allowed, {**os.environ, "REPRO_PURE_KECCAK": "1"}):
+            result = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, env=environment
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == keccak_module.NATIVE_SELF_TEST[1][1]
 
     def test_foreign_cache_file_is_rebuilt_not_loaded(self, monkeypatch, tmp_path):
         # A pre-existing .so that fails the ownership/permission check must

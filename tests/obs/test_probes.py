@@ -16,7 +16,7 @@ from repro.obs import probe_names, register_probe, snapshot, unregister_probe
 
 class TestRegistry:
     def test_builtin_probes_are_registered(self):
-        assert {"hash_cache", "live_state", "wire_cache"} <= set(probe_names())
+        assert {"hash_cache", "live_state", "memos", "wire_cache"} <= set(probe_names())
 
     def test_register_and_unregister_custom_probe(self):
         register_probe("test_custom", lambda: {"b": 2, "a": 1})
@@ -53,11 +53,12 @@ class TestStatsJsonContract:
         # each must be a plain dict of scalars with stable sorted keys.
         from repro.chain.state import WorldState, live_state_stats
         from repro.chain.wire import wire_cache_stats
-        from repro.crypto.keccak import hash_cache_stats
+        from repro.memo import memo_stats
 
         surfaces = {
             "wire_cache_stats": wire_cache_stats(),
-            "hash_cache_stats": hash_cache_stats(),
+            "memo_stats": memo_stats(),
+            "memo_stats[keccak256]": memo_stats()["keccak256"],
             "live_state_stats": live_state_stats(),
             "rss_stats": WorldState().rss_stats(),
         }
