@@ -6,9 +6,10 @@ summarize, exit.  This package keeps simulations *resident* — a
 JSON-RPC-over-HTTP facade (stdlib only), each session a locked
 :class:`ServiceSession` with a deterministic spec-derived seed, so a
 replayed request log rebuilds byte-identical state.  :mod:`.client` is the
-matching stdlib HTTP client, :mod:`.loadgen` the closed/open-loop load
-generator that measures the facade's tail latency, and :mod:`.catalog` the
-registry listing backing ``registry.list`` and ``repro list``.
+matching client, :mod:`.http11` the one HTTP/1.1 message codec both ends
+frame with, :mod:`.loadgen` the closed/open-loop load generator that measures
+the facade's tail latency, and :mod:`.catalog` the registry listing backing
+``registry.list`` and ``repro list``.
 """
 
 from .catalog import registry_catalog

@@ -1,21 +1,27 @@
-"""The stdlib HTTP client for the service, in the shape e2e suites expect.
+"""The service's client, in the shape e2e suites expect.
 
 The module-level helpers mirror the idiom of blockchain-simulator e2e
 harnesses — build a ``payload``, ``post_request`` it, check
 ``has_success_status`` — so a test reads like a transcript of what a real
 client does.  :class:`ServiceClient` wraps them with one method per RPC.
 
-Transport: every exchange goes through :func:`_roundtrip` on an
-``http.client`` connection.  :class:`ServiceClient` keeps one persistent
-connection per calling thread and reuses it for every verb; before sending on
-a reused socket it probes for readability with a zero timeout — readable
-before anything was sent means the peer closed (or restarted) — and
-reconnects.  That reconnect consumes no retry and is safe for every verb,
-``tx.submit`` included, because no byte of the request has left yet.
+Transport: every exchange goes through :func:`_roundtrip` on a
+:class:`_Connection` — a plain ``TCP_NODELAY`` socket (TLS-wrapped for
+``https://``, with ``ssl`` imported only then) speaking the
+:mod:`~repro.service.http11` codec: the request leaves as one ``sendall``,
+the answer is one head plus ``Content-Length`` bytes off a buffered read
+side.  :class:`ServiceClient` keeps one persistent connection per calling
+thread and reuses it for every verb; before sending on a reused socket it
+probes for readability with a zero timeout — readable before anything was
+sent means the peer closed (or restarted) — and reconnects.  That reconnect
+consumes no retry and is safe for every verb, ``tx.submit`` included,
+because no byte of the request has left yet.  An answer that says
+``Connection: close`` closes our side too, so the next request starts fresh.
 
-Transport failures (refused, reset, timeout, a connection dropped mid-body)
-raise :class:`~repro.service.errors.ServiceConnectionError` and close the
-connection they poisoned; JSON-RPC error envelopes raise
+Transport failures (refused, reset, timeout, a connection dropped mid-body,
+a non-200 status, a non-JSON body, an answer whose ``id`` is not the
+request's) raise :class:`~repro.service.errors.ServiceConnectionError` and
+close the connection they poisoned; JSON-RPC error envelopes raise
 :class:`~repro.service.errors.ServiceRPCError` carrying the server's typed
 ``kind`` — a killed server is always a typed exception here, never a hang
 (every request carries a timeout).
@@ -32,10 +38,10 @@ request was lost, and a blind resend could double-apply it.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import select
+import socket
 import threading
 import time
 from itertools import count
@@ -43,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional
 from urllib.parse import urlsplit
 
 from .errors import ServiceConnectionError, ServiceRPCError
+from .http11 import frame, read_body, read_head
 
 __all__ = [
     "payload",
@@ -54,7 +61,6 @@ __all__ = [
 ]
 
 DEFAULT_PORT = 8547
-_JSON_HEADERS = {"Content-Type": "application/json"}
 _request_ids = count(1)
 
 IDEMPOTENT_METHODS = frozenset(
@@ -92,36 +98,67 @@ def payload(method: str, params: Optional[Dict[str, Any]] = None, request_id: Op
     }
 
 
-def _connect(url: str, timeout: float) -> http.client.HTTPConnection:
-    """An unopened connection to ``url``'s host (opens on first request)."""
-    parts = urlsplit(url)
-    factory = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-    return factory(parts.netloc, timeout=timeout)
+class _Connection:
+    """One socket to ``url``'s host and its buffered read side; unopened
+    until the first request, reusable after :meth:`close`."""
+
+    def __init__(self, url: str, timeout: float) -> None:
+        parts = urlsplit(url)
+        self.secure = parts.scheme == "https"
+        self.origin = f"{parts.scheme}://{parts.netloc}"
+        self.host = parts.hostname or ""
+        self.port = parts.port or (443 if self.secure else 80)
+        self.host_header = f"Host: {parts.netloc}\r\n"
+        self.timeout = timeout
+        self.sock: Optional[socket.socket] = None
+        self.stream: Any = None
+
+    def connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        # Requests are single small writes on a kept-alive socket: never let
+        # Nagle's algorithm hold one back for the peer's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.secure:
+            import ssl
+
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=self.host)
+        self.sock, self.stream = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.stream.close()
+            self.sock.close()
+            self.sock = self.stream = None
 
 
-def _roundtrip(
-    connection: http.client.HTTPConnection, verb: str, path: str, body: Optional[Dict[str, Any]] = None
-) -> Any:
+def _roundtrip(connection: _Connection, verb: str, path: str, body: Optional[Dict[str, Any]] = None) -> Any:
     """One HTTP exchange on ``connection``; returns the parsed JSON answer.
 
     The one place transport failures become typed: refused / reset / timed
-    out (``OSError``), dropped mid-response (``HTTPException`` — e.g.
-    ``IncompleteRead`` from a server killed mid-body, which is *not* an
-    ``OSError``), a non-200 status, or a non-JSON body.  Every failure closes
-    the connection, whose stream position is no longer known.
+    out (``OSError``), dropped before or inside the answer, a broken frame
+    (:class:`~repro.service.http11.ProtocolError`), a non-200 status, or a
+    non-JSON body (all ``ValueError``).  Every failure closes the connection,
+    whose stream position is no longer known.
     """
-    data = None if body is None else json.dumps(body).encode("utf-8")
+    data = b"" if body is None else json.dumps(body).encode("utf-8")
     try:
-        connection.request(verb, path, data, _JSON_HEADERS if data else {})
-        response = connection.getresponse()
-        raw = response.read()
-        if response.status != 200:
-            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+        if connection.sock is None:
+            connection.connect()
+        connection.sock.sendall(frame(f"{verb} {path or '/'} HTTP/1.1", data, connection.host_header))
+        head = read_head(connection.stream)
+        if head is None:
+            raise ConnectionError("connection closed before the answer")
+        (version, status, reason), headers = head
+        raw = read_body(connection.stream, headers)
+        if version != "HTTP/1.1" or headers.get("connection", "").lower() == "close":
+            connection.close()
+        if status != "200":
+            raise ValueError(f"HTTP {status} {reason}")
         return json.loads(raw)
-    except (OSError, http.client.HTTPException, ValueError) as error:
+    except (OSError, ValueError) as error:
         connection.close()
         raise ServiceConnectionError(
-            f"{verb} http://{connection.host}:{connection.port}{path} failed: {error!r}"
+            f"{verb} {connection.origin}{path} failed: {error!r}"
         ) from error
 
 
@@ -137,7 +174,7 @@ def _peer_closed(sock: Any) -> bool:
 def post_request(url: str, body: Dict[str, Any], timeout: float = 60.0) -> Dict[str, Any]:
     """POST one JSON-RPC envelope on a one-shot connection and return the
     parsed response envelope."""
-    connection = _connect(url, timeout)
+    connection = _Connection(url, timeout)
     try:
         return _roundtrip(connection, "POST", urlsplit(url).path, body)
     finally:
@@ -195,7 +232,7 @@ class ServiceClient:
         self._jitter = random.Random(retry_seed)
         self._sleep = sleep
         self.retries_performed = 0
-        self._connections: Dict[int, http.client.HTTPConnection] = {}  # by thread ident
+        self._connections: Dict[int, _Connection] = {}  # by thread ident
 
     # -- transport -----------------------------------------------------------------
 
@@ -204,7 +241,7 @@ class ServiceClient:
         ident = threading.get_ident()
         connection = self._connections.get(ident)
         if connection is None:
-            connection = self._connections[ident] = _connect(self.url, self.timeout)
+            connection = self._connections[ident] = _Connection(self.url, self.timeout)
         elif connection.sock is not None and _peer_closed(connection.sock):
             # The server ended this keep-alive socket (idle timeout, restart).
             # Nothing has left yet, so reconnecting is safe for every verb
@@ -263,7 +300,15 @@ class ServiceClient:
         )
 
     def _request_once(self, method: str, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        envelope = self._roundtrip("POST", "/rpc", payload(method, params))
+        request = payload(method, params)
+        envelope = self._roundtrip("POST", "/rpc", request)
+        if not isinstance(envelope, dict) or envelope.get("id") != request["id"]:
+            # Not the answer to this request: the stream is out of step, and
+            # every later answer on it would be somebody else's too.
+            self._connections[threading.get_ident()].close()
+            raise ServiceConnectionError(
+                f"{method}: answer does not carry request id {request['id']}: {envelope!r:.200}"
+            )
         error = envelope.get("error")
         if error is not None:
             raise ServiceRPCError(

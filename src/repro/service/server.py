@@ -1,4 +1,4 @@
-"""The simulator-as-a-service facade: JSON-RPC 2.0 over stdlib HTTP.
+"""The simulator-as-a-service facade: JSON-RPC 2.0 over hand-framed HTTP/1.1.
 
 Two layers, deliberately separable:
 
@@ -7,11 +7,15 @@ Two layers, deliberately separable:
   ``service`` probe, and a wall-clock :class:`~repro.obs.tracer.Tracer` of
   request-lifecycle events (``rpc.request``/``rpc.error``/``session.*``).
   Unit tests drive :meth:`SimulatorService.dispatch` directly.
-* :class:`ServiceServer` — ``ThreadingHTTPServer`` with keep-alive
-  connections, one thread per *connection*.  The connection's thread parses
-  each envelope and runs it inline; *session* methods first take one of
-  ``workers`` engine slots (a semaphore, so at most ``workers`` engines run
-  at once); control-plane methods (``service.*``, ``registry.list``,
+* :class:`ServiceServer` — a ``socketserver.ThreadingTCPServer`` with
+  keep-alive connections, one thread per *connection*.  The connection's
+  thread reads each request with the :mod:`~repro.service.http11` codec,
+  runs it inline and answers in one write; what the codec refuses (chunked
+  bodies, a hostile or over-limit ``Content-Length``) gets a typed error
+  and ``Connection: close`` before any body byte is read, and ``curl`` /
+  ``urllib`` remain supported clients.  *Session* methods first take one
+  of ``workers`` engine slots (a semaphore, so at most ``workers`` engines
+  run at once); control-plane methods (``service.*``, ``registry.list``,
   ``obs.probes``) skip the slots so a saturated server can still answer
   pings and an operator can always shut it down.
 
@@ -26,10 +30,11 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -48,6 +53,7 @@ from .errors import (
     SessionNotFoundError,
     TooManySessionsError,
 )
+from .http11 import ProtocolError, frame, read_body, read_head
 from .persist import RequestJournal
 from .session import ServiceSession, build_session_spec, session_id_for
 
@@ -483,11 +489,10 @@ class SimulatorService:
 # -- HTTP transport ------------------------------------------------------------------
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
-    """One JSON-RPC 2.0 request per POST; ``GET /healthz`` for liveness."""
+class _RequestHandler(socketserver.StreamRequestHandler):
+    """One connection: JSON-RPC 2.0 requests (``POST``) and ``GET /healthz``
+    for liveness, answered in order until either side closes."""
 
-    server_version = "repro-service"
-    protocol_version = "HTTP/1.1"
     # Connections persist, so small writes must not wait on Nagle's algorithm
     # for the peer's delayed ACK (a 40 ms stall per response).
     disable_nagle_algorithm = True
@@ -496,90 +501,81 @@ class _RequestHandler(BaseHTTPRequestHandler):
     so an abandoned client cannot pin its thread.  (Socket reads and writes
     only — a long ``session.run`` is not on the socket while it computes.)"""
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # the tracer records request lifecycles; stderr stays quiet
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            self.close_connection = True  # unless a whole request proves otherwise
+            try:
+                head = read_head(self.rfile)
+                if head is None:
+                    return
+                (verb, path, version), headers = head
+                if not version.startswith("HTTP/1."):
+                    raise ProtocolError(400, f"unsupported protocol version {version!r}")
+                if version != "HTTP/1.0" and headers.get("expect", "").lower() == "100-continue":
+                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                body = read_body(self.rfile, headers)
+            except ProtocolError as error:
+                self._respond(error.status, _error_envelope(RPC_INVALID_REQUEST, str(error)))
+                return
+            except OSError:  # idle timeout, reset: nobody left to answer
+                return
+            connection = headers.get("connection", "").lower()
+            self.close_connection = connection == "close" or (
+                version == "HTTP/1.0" and connection != "keep-alive"
+            )
+            if verb == "POST":
+                self._rpc(body)
+            elif verb == "GET" and path == "/healthz":
+                self._respond(200, {"ok": not self.server.rpc_server.service.closed.is_set()})  # type: ignore[attr-defined]
+            else:
+                self._respond(404, {"ok": False, "error": "unknown path (POST JSON-RPC to /rpc)"})
 
     def _respond(self, status: int, body: Dict[str, Any]) -> None:
         payload = json.dumps(body, sort_keys=True).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
-            f"Server: {self.server_version}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-        )
-        if self.server.rpc_server.service.closed.is_set():  # type: ignore[attr-defined]
+        if status != 200 or self.server.rpc_server.service.closed.is_set():  # type: ignore[attr-defined]
             self.close_connection = True
-        if self.close_connection:
-            head += "Connection: close\r\n"
+        extra = "Server: repro-service\r\n" + ("Connection: close\r\n" if self.close_connection else "")
         try:
             # Header and body in ONE write: one segment, one client wake-up.
-            self.wfile.write(head.encode("latin-1") + b"\r\n" + payload)
+            self.wfile.write(frame(f"HTTP/1.1 {status} {HTTPStatus(status).phrase}", payload, extra))
         except OSError:  # client went away (reset, broken pipe, timed out)
             self.close_connection = True
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            service: SimulatorService = self.server.rpc_server.service  # type: ignore[attr-defined]
-            self._respond(200, {"ok": not service.closed.is_set()})
-        else:
-            self._respond(404, {"ok": False, "error": "unknown path (POST JSON-RPC to /rpc)"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
+    def _rpc(self, raw: bytes) -> None:
         rpc_server: "ServiceServer" = self.server.rpc_server  # type: ignore[attr-defined]
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
             envelope = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            self._respond(
-                200,
-                _error_envelope(None, RPC_PARSE_ERROR, "request body is not valid JSON"),
-            )
+            self._respond(200, _error_envelope(RPC_PARSE_ERROR, "request body is not valid JSON"))
             return
         if not isinstance(envelope, dict) or not isinstance(envelope.get("method"), str):
-            self._respond(
-                200,
-                _error_envelope(
-                    None, RPC_INVALID_REQUEST, "expected a single JSON-RPC request object"
-                ),
-            )
+            self._respond(200, _error_envelope(RPC_INVALID_REQUEST, "expected a single JSON-RPC request object"))
             return
-        request_id = envelope.get("id")
         method = envelope["method"]
-        params = envelope.get("params")
         try:
-            result = rpc_server.execute(method, params)
+            answer = {"result": rpc_server.execute(method, envelope.get("params"))}
         except ServiceError as error:
-            self._respond(
-                200, {"jsonrpc": "2.0", "id": request_id, "error": error.to_rpc_error()}
-            )
-            return
+            answer = {"error": error.to_rpc_error()}
         except Exception as error:  # transport-layer surprise: still answer
-            self._respond(
-                200,
-                {
-                    "jsonrpc": "2.0",
-                    "id": request_id,
-                    "error": ExecutionError(f"internal error: {error}").to_rpc_error(),
-                },
-            )
-            return
-        self._respond(200, {"jsonrpc": "2.0", "id": request_id, "result": result})
-        if method == "service.shutdown":
+            answer = {"error": ExecutionError(f"internal error: {error}").to_rpc_error()}
+        self._respond(200, {"jsonrpc": "2.0", "id": envelope.get("id"), **answer})
+        if method == "service.shutdown" and "result" in answer:
             # The envelope is already on the wire; stop the server from a
             # helper thread (shutdown() would deadlock from a handler).
             threading.Thread(target=rpc_server.shutdown, daemon=True).start()
 
 
-def _error_envelope(request_id: Any, code: int, message: str) -> Dict[str, Any]:
+def _error_envelope(code: int, message: str) -> Dict[str, Any]:
+    """The answer to a request that never yielded an id to echo."""
     return {
         "jsonrpc": "2.0",
-        "id": request_id,
+        "id": None,
         "error": {"code": code, "message": message, "data": {"kind": "invalid_request"}},
     }
 
 
-class _HTTPServer(ThreadingHTTPServer):
+class _HTTPServer(socketserver.ThreadingTCPServer):
     """One daemon thread per accepted connection, each one tracked so
     shutdown can end the idle ones instead of leaving them parked in a read."""
 

@@ -265,6 +265,7 @@ class ServiceSession:
     ) -> None:
         self.session_id = session_id
         self.spec = spec
+        self.spec_digest = spec_digest(spec)  # the spec is frozen: derived once, not per status()
         self.lock = threading.RLock()
         self.closed = threading.Event()
         self.state = "open"  # open -> finished -> closed
@@ -530,7 +531,7 @@ class ServiceSession:
             "pending": metrics.pending_count(),
             "committed": metrics.committed_count(),
             "seed": self.spec.seed,
-            "spec_digest": spec_digest(self.spec),
+            "spec_digest": self.spec_digest,
             "requests_served": self.requests_served,
         }
 
@@ -539,7 +540,7 @@ class ServiceSession:
             "session": self.session_id,
             "state": self.state,
             "seed": self.spec.seed,
-            "spec_digest": spec_digest(self.spec),
+            "spec_digest": self.spec_digest,
             "spec": self.spec.describe(),
         }
 
