@@ -1,11 +1,11 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one of the paper's reported results (see the
-per-experiment index in DESIGN.md) and prints the corresponding table or
-series via :func:`repro.experiments.reporting.emit_block`, so running
+The pytest benchmarks time the HMS view path (A6) and the sweep engine's
+parallel mode, printing their tables via
+:func:`repro.experiments.reporting.emit_block`::
 
     pytest benchmarks/ --benchmark-only -s
 
-reproduces the evaluation section's numbers; the pytest-benchmark timings are
-a by-product that track how expensive each harness is.
+The paper's reported results themselves are regenerated, and claim-gated,
+by ``repro run <experiment>`` (see ``repro list --experiments``).
 """

@@ -48,9 +48,6 @@ from repro.chain.trie import MerklePatriciaTrie
 from repro.crypto import keccak as keccak_module
 from repro.crypto.keccak import Keccak256
 from repro.encoding.rlp import rlp_encode
-from repro.experiments.runner import ExperimentConfig, experiment_spec
-from repro.experiments.scenario import SERETH_CLIENT_SCENARIO
-from repro.experiments.sequential import SequentialHistoryConfig, sequential_spec
 from repro.txpool.pool import TxPool
 
 SECONDS_METRICS = {
@@ -173,17 +170,27 @@ def _summary_checksum(summary: Dict[str, Any]) -> str:
 
 def bench_figure2_cell(num_buys: int) -> Tuple[float, str]:
     """One market-workload Figure-2 cell, end to end through the facade."""
-    from repro.api.engine import run_simulation
+    from repro.api import Simulation, run_simulation
 
-    spec = experiment_spec(
-        ExperimentConfig(
-            scenario=SERETH_CLIENT_SCENARIO,
-            buys_per_set=4.0,
+    # Every market parameter spelled out: the checksum covers the spec's
+    # rendering, which lists exactly the parameters given.
+    spec = (
+        Simulation.builder()
+        .scenario("sereth_client")
+        .workload(
+            "market",
             num_buys=num_buys,
-            num_miners=2,
-            num_client_peers=2,
-            seed=1234,
+            buys_per_set=4.0,
+            submission_interval=1.0,
+            start_time=30.0,
+            initial_price=100,
+            price_max_step=5,
+            num_buyers=4,
         )
+        .miners(2)
+        .clients(2)
+        .seed(1234)
+        .build()
     )
     _clear_hash_cache()
     started = time.perf_counter()
@@ -194,9 +201,19 @@ def bench_figure2_cell(num_buys: int) -> Tuple[float, str]:
 
 def bench_sequential_history(num_pairs: int) -> Tuple[float, str]:
     """The single-sender sequential-history experiment, end to end."""
-    from repro.api.engine import run_simulation
+    from repro.api import Simulation, run_simulation
 
-    spec = sequential_spec(SequentialHistoryConfig(num_pairs=num_pairs, seed=7))
+    spec = (
+        Simulation.builder()
+        .scenario("geth_unmodified")
+        .workload("sequential", num_pairs=num_pairs, submission_interval=1.0)
+        .miners(1)
+        .clients(1)
+        .gossip(0.06, 0.04)
+        .miner_policy("random")
+        .seed(7)
+        .build()
+    )
     _clear_hash_cache()
     started = time.perf_counter()
     result = run_simulation(spec)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.plotting import format_percentage, format_table
 from repro.api import Simulation, Sweep
-from repro.experiments.reporting import emit_block
+from repro.experiments.reporting import emit_block, format_percentage, format_table
 
 
 def main() -> None:

@@ -1,9 +1,10 @@
 """Regenerate Figure 2: transaction efficiency vs READ-UNCOMMITTED/WRITE ratio.
 
-Runs the dynamic-pricing market workload for the three scenarios of the
-paper's evaluation (unmodified Geth, Sereth client, semantic mining) across
-a sweep of buy:set ratios and prints the table, the ASCII chart, and the
-headline-claim checks.
+Runs the registered ``figure2`` experiment — the dynamic-pricing market
+workload for the three scenarios of the paper's evaluation (unmodified Geth,
+Sereth client, semantic mining) across a sweep of buy:set ratios — and
+prints the mean efficiency per cell and the headline-claim gates.  The same
+run is ``repro run figure2`` on the command line.
 
 Run with:  python examples/figure2_experiment.py                (reduced, ~30 s)
            python examples/figure2_experiment.py --full          (paper-sized sweep)
@@ -14,18 +15,14 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.plotting import format_table
-from repro.experiments.claims import check_headline_claims
-from repro.experiments.figure2 import Figure2Config, run_figure2
-from repro.experiments.reporting import emit_block
-from repro.experiments.runner import ExperimentConfig
-from repro.experiments.scenario import GETH_UNMODIFIED
+from repro.api import ExperimentOptions, run_experiment
+from repro.experiments.reporting import emit_block, format_percentage, format_table
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="run the paper-sized sweep (slower)")
-    parser.add_argument("--seed", type=int, default=11, help="base random seed")
+    parser.add_argument("--seed", type=int, default=11, help="root random seed")
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the sweep (results are identical to serial)",
@@ -33,30 +30,31 @@ def main() -> None:
     arguments = parser.parse_args()
 
     if arguments.full:
-        config = Figure2Config(
-            ratios=(1.0, 2.0, 4.0, 10.0, 20.0),
-            trials=5,
-            num_buys=100,
-            base=ExperimentConfig(scenario=GETH_UNMODIFIED, seed=arguments.seed),
-        )
+        options = ExperimentOptions(workers=arguments.workers, seed=arguments.seed, trials=5)
     else:
-        config = Figure2Config(
-            ratios=(1.0, 2.0, 10.0, 20.0),
+        options = ExperimentOptions(
+            workers=arguments.workers,
+            seed=arguments.seed,
             trials=2,
-            num_buys=60,
-            base=ExperimentConfig(scenario=GETH_UNMODIFIED, seed=arguments.seed, num_buyers=3),
+            overrides={"buys_per_set": [1.0, 2.0, 10.0, 20.0], "num_buys": 60, "num_buyers": 3},
         )
+    run = run_experiment("figure2", options)
 
-    result = run_figure2(
-        config, keep_results=arguments.workers <= 1, workers=arguments.workers
+    table = run.frame.pivot(index="buys_per_set", columns="scenario", values="eta")
+    scenarios = table.column_names[1:]
+    rows = [
+        [f"{row['buys_per_set']:g}:1"] + [format_percentage(row[name]) for name in scenarios]
+        for row in table
+    ]
+    emit_block(
+        "Figure 2 — transaction efficiency vs buy:set ratio "
+        f"(mean of {run.experiment.trials(options)} trials)",
+        format_table(["ratio (buys:set)"] + scenarios, rows),
     )
-    emit_block("Figure 2 — transaction efficiency vs buy:set ratio", result.as_table())
-    emit_block("Figure 2 — ASCII rendering", result.as_chart())
 
-    checks = check_headline_claims(result)
     rows = [
         [check.claim[:58], check.paper_value, check.measured_value, "yes" if check.holds else "NO"]
-        for check in checks
+        for check in run.claim_checks
     ]
     emit_block(
         "Headline claims (Abstract / Section VII)",

@@ -5,7 +5,7 @@
 without PYTHONPATH gymnastics::
 
     pip install -e .
-    repro figure2 --ratios 1 10 --trials 1 --workers 4
+    repro run figure2 --smoke --workers 4
 """
 
 from setuptools import find_packages, setup

@@ -19,11 +19,10 @@ Each strategy probes a different part of the paper's threat surface:
   service: victims' RAA reads are answered with a delayed view of the pool,
   widening the read-latency window the paper's attacks exploit.
 
-The historical :class:`FrontrunningAttacker` (the hard-coded attacker the
-``frontrunning`` workload has always wired in) lives here too; it predates
-the :class:`~repro.adversary.base.Adversary` lifecycle and is kept
-behaviourally identical for the legacy experiment, with a back-compat
-re-export from :mod:`repro.api.workloads`.
+:class:`FrontrunningAttacker`, the hard-coded attacker the ``frontrunning``
+workload wires in, lives here too.  It predates the
+:class:`~repro.adversary.base.Adversary` lifecycle and is kept behaviourally
+identical, so the ``frontrunning`` experiment's seeded runs do not change.
 """
 
 from __future__ import annotations

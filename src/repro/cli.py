@@ -11,7 +11,7 @@ The generic experiment commands drive any experiment registered in
     repro trace figure2 --smoke --trace-out traces/   # repro.obs tracer + hot phases
     repro serve --port 8547 --workers 4       # simulator-as-a-service JSON-RPC facade
     repro loadgen --smoke --url http://127.0.0.1:8547   # measured tail latency + gates
-    repro list                                # every registry, one line per entry
+    repro list [--adversaries|--topologies]   # every registry, one line per entry
 
 ``--checkpoint FILE`` makes the sweep resumable: completed cells append to a
 JSONL file keyed by the grid's digest, and a re-run executes only the
@@ -19,15 +19,11 @@ missing cells (byte-identical exports either way).  ``--set NAME=VALUE``
 overrides experiment knobs: a comma list replaces a sweep dimension, a
 scalar lands on the base spec.
 
-The historical per-experiment subcommands remain as thin wrappers::
+``repro sweep`` runs an ad-hoc scenario x parameter grid that no
+experiment declares::
 
-    repro figure2 --ratios 1 2 10 20 --trials 2 --workers 4
-    repro market --scenario semantic_mining --ratio 2
-    repro sequential | frontrunning | oracle | ablation --name miner_fraction
-    repro attack-matrix --adversaries displacement insertion --workers 4
     repro sweep --workload market --scenarios geth_unmodified semantic_mining \
         --over buys_per_set=1,2,10 --trials 2 --workers 4 --csv out.csv
-    repro list [--adversaries|--topologies]
 
 Every subcommand resolves scenarios, workloads, adversaries, and
 experiments through the :mod:`repro.api` registries and executes through
@@ -40,7 +36,6 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from .analysis.plotting import format_percentage, format_table
 from .api import (
     CheckpointMismatchError,
     ExperimentOptions,
@@ -50,27 +45,7 @@ from .api import (
     format_hot_phase_table,
     plan_experiment,
 )
-from .experiments.attack_matrix import (
-    DEFAULT_ADVERSARIES,
-    DEFAULT_DEFENSES,
-    HMS_DEFENSE,
-    AttackMatrixConfig,
-    run_attack_matrix,
-)
-from .experiments.ablations import (
-    sweep_block_interval,
-    sweep_gossip_impairment,
-    sweep_semantic_miner_fraction,
-    sweep_submission_interval,
-)
-from .experiments.claims import check_headline_claims
-from .experiments.figure2 import Figure2Config, run_figure2
-from .experiments.frontrunning import FrontrunningConfig, run_frontrunning_experiment
-from .experiments.reporting import emit_block
-from .experiments.runner import ExperimentConfig
-from .experiments.scenario import GETH_UNMODIFIED, SCENARIOS
-from .experiments.sequential import SequentialHistoryConfig, run_sequential_history
-from .oracle.comparison import OracleComparisonConfig, run_raa_vs_oracle
+from .experiments.reporting import emit_block, format_percentage, format_table
 
 __all__ = ["main", "build_parser"]
 
@@ -173,6 +148,26 @@ def build_parser() -> argparse.ArgumentParser:
         "(open the .trace.json in Perfetto or chrome://tracing)",
     )
 
+    sweep = subparsers.add_parser(
+        "sweep", help="run an arbitrary scenario x parameter grid through repro.api"
+    )
+    sweep.add_argument("--workload", default="market", help="registered workload name")
+    sweep.add_argument(
+        "--scenarios", nargs="+", default=["geth_unmodified", "sereth_client", "semantic_mining"]
+    )
+    sweep.add_argument(
+        "--over",
+        nargs="*",
+        default=[],
+        metavar="NAME=V1,V2,...",
+        help="extra grid dimensions, e.g. buys_per_set=1,2,10 block_interval=5,13",
+    )
+    sweep.add_argument("--trials", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--json", dest="json_path", default=None, help="write rows as JSON")
+    sweep.add_argument("--csv", dest="csv_path", default=None, help="write rows as CSV")
+
     serve = subparsers.add_parser(
         "serve",
         help="run the persistent simulator-as-a-service JSON-RPC facade "
@@ -244,94 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000.0,
         help="--smoke gate: fail if any mode's p95 exceeds this many ms",
     )
-
-    figure2 = subparsers.add_parser("figure2", help="run the Figure 2 ratio sweep")
-    figure2.add_argument("--ratios", type=float, nargs="+", default=[1.0, 2.0, 4.0, 10.0, 20.0])
-    figure2.add_argument("--trials", type=int, default=2)
-    figure2.add_argument("--num-buys", type=int, default=100)
-    figure2.add_argument("--seed", type=int, default=11)
-    figure2.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-
-    market = subparsers.add_parser("market", help="run one market experiment data point")
-    market.add_argument("--scenario", choices=sorted(SCENARIOS), default="sereth_client")
-    market.add_argument("--ratio", type=float, default=2.0, help="buys per set")
-    market.add_argument("--num-buys", type=int, default=100)
-    market.add_argument("--block-interval", type=float, default=13.0)
-    market.add_argument("--seed", type=int, default=0)
-
-    sequential = subparsers.add_parser("sequential", help="run the sequential-history experiment")
-    sequential.add_argument("--pairs", type=int, default=25)
-    sequential.add_argument("--seed", type=int, default=0)
-
-    frontrunning = subparsers.add_parser("frontrunning", help="run the frontrunning experiment")
-    frontrunning.add_argument(
-        "--victim-read-mode", choices=["read_committed", "read_uncommitted"],
-        default="read_uncommitted",
-    )
-    frontrunning.add_argument("--buys", type=int, default=40)
-    frontrunning.add_argument("--seed", type=int, default=0)
-
-    oracle = subparsers.add_parser("oracle", help="compare RAA against a conventional oracle")
-    oracle.add_argument("--queries", type=int, default=10)
-    oracle.add_argument("--seed", type=int, default=0)
-
-    ablation = subparsers.add_parser("ablation", help="run one of the ablation sweeps")
-    ablation.add_argument(
-        "--name",
-        choices=["miner_fraction", "gossip", "submission_interval", "block_interval"],
-        required=True,
-    )
-    ablation.add_argument("--trials", type=int, default=2)
-    ablation.add_argument("--workers", type=int, default=1)
-
-    attack_matrix = subparsers.add_parser(
-        "attack-matrix", help="run every adversary against every defense configuration"
-    )
-    attack_matrix.add_argument(
-        "--adversaries",
-        nargs="+",
-        default=list(DEFAULT_ADVERSARIES),
-        help="registered adversary names to run as matrix rows",
-    )
-    attack_matrix.add_argument(
-        "--defenses",
-        nargs="+",
-        default=list(DEFAULT_DEFENSES),
-        help="scenario names to run as defense columns",
-    )
-    attack_matrix.add_argument("--buys", type=int, default=20, help="victim buys per cell")
-    attack_matrix.add_argument(
-        "--reprice-interval",
-        type=float,
-        default=None,
-        help="owner repricing period (moving-market regime for delay attacks); "
-        "default: one opening set only, the paper's V-B market",
-    )
-    attack_matrix.add_argument("--trials", type=int, default=1)
-    attack_matrix.add_argument("--workers", type=int, default=1)
-    attack_matrix.add_argument("--seed", type=int, default=11)
-    attack_matrix.add_argument("--no-control", action="store_true", help="skip the adversary-free control row")
-    attack_matrix.add_argument("--json", dest="json_path", default=None, help="write cells as JSON")
-
-    sweep = subparsers.add_parser(
-        "sweep", help="run an arbitrary scenario x parameter grid through repro.api"
-    )
-    sweep.add_argument("--workload", default="market", help="registered workload name")
-    sweep.add_argument(
-        "--scenarios", nargs="+", default=["geth_unmodified", "sereth_client", "semantic_mining"]
-    )
-    sweep.add_argument(
-        "--over",
-        nargs="*",
-        default=[],
-        metavar="NAME=V1,V2,...",
-        help="extra grid dimensions, e.g. buys_per_set=1,2,10 block_interval=5,13",
-    )
-    sweep.add_argument("--trials", type=int, default=1)
-    sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--json", dest="json_path", default=None, help="write rows as JSON")
-    sweep.add_argument("--csv", dest="csv_path", default=None, help="write rows as CSV")
 
     listing = subparsers.add_parser(
         "list",
@@ -483,184 +390,6 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             "\n".join(files) if files else "(none written)",
         )
     return 0
-
-
-def _command_figure2(arguments: argparse.Namespace) -> int:
-    config = Figure2Config(
-        ratios=tuple(arguments.ratios),
-        trials=arguments.trials,
-        num_buys=arguments.num_buys,
-        base=ExperimentConfig(scenario=GETH_UNMODIFIED, seed=arguments.seed),
-    )
-    keep_results = arguments.workers <= 1
-    result = run_figure2(config, keep_results=keep_results, workers=arguments.workers)
-    emit_block("Figure 2 — transaction efficiency vs buy:set ratio", result.as_table())
-    emit_block("Figure 2 — chart", result.as_chart())
-    checks = check_headline_claims(result)
-    rows = [[c.claim[:58], c.paper_value, c.measured_value, "yes" if c.holds else "NO"] for c in checks]
-    emit_block("Headline claims", format_table(["claim", "paper", "measured", "holds"], rows))
-    return 0 if all(check.holds for check in checks) else 1
-
-
-def _command_market(arguments: argparse.Namespace) -> int:
-    spec = (
-        Simulation.builder()
-        .scenario(arguments.scenario)
-        .workload("market", buys_per_set=arguments.ratio, num_buys=arguments.num_buys)
-        .block_interval(arguments.block_interval)
-        .seed(arguments.seed)
-        .build()
-    )
-    result = Simulation(spec).run()
-    buy_report = result.report()
-    set_report = result.reports["set"]
-    rows = [
-        ["scenario", arguments.scenario],
-        ["buys_per_set", arguments.ratio],
-        ["seed", arguments.seed],
-        ["efficiency", result.efficiency],
-        ["buys_successful", buy_report.successful],
-        ["buys_committed", buy_report.committed],
-        ["sets_successful", set_report.successful],
-        ["sets_committed", set_report.committed],
-        ["blocks", result.blocks_produced],
-        ["simulated_seconds", result.simulated_seconds],
-    ]
-    emit_block(
-        f"Market experiment — {arguments.scenario} at {arguments.ratio:g} buys/set",
-        format_table(["metric", "value"], rows),
-    )
-    return 0
-
-
-def _command_sequential(arguments: argparse.Namespace) -> int:
-    result = run_sequential_history(
-        SequentialHistoryConfig(num_pairs=arguments.pairs, seed=arguments.seed)
-    )
-    emit_block(
-        "Sequential history",
-        f"committed={result.report.committed} successful={result.report.successful} "
-        f"efficiency={result.efficiency:.3f} (paper: 1.0)",
-    )
-    return 0 if result.efficiency == 1.0 else 1
-
-
-def _command_frontrunning(arguments: argparse.Namespace) -> int:
-    result = run_frontrunning_experiment(
-        FrontrunningConfig(
-            num_victim_buys=arguments.buys,
-            victim_read_mode=arguments.victim_read_mode,
-            seed=arguments.seed,
-        )
-    )
-    emit_block(
-        f"Frontrunning — victim reads {arguments.victim_read_mode}",
-        format_table(
-            ["metric", "value"],
-            [
-                ["victim buys", result.victim_buys],
-                ["filled at observed terms", result.filled_at_observed_terms],
-                ["rejected", result.rejected],
-                ["attacks launched", result.attacks_launched],
-                ["overpaid fills", result.overpaid],
-                ["audit clean", result.audit_clean],
-            ],
-        ),
-    )
-    return 0 if result.overpaid == 0 else 1
-
-
-def _command_oracle(arguments: argparse.Namespace) -> int:
-    result = run_raa_vs_oracle(OracleComparisonConfig(num_queries=arguments.queries, seed=arguments.seed))
-    emit_block(
-        "RAA vs conventional oracle",
-        format_table(
-            ["path", "mean data latency (s)"],
-            [
-                ["RAA (local view call)", f"{result.mean_raa_latency:.4f}"],
-                ["oracle round trip", f"{result.mean_oracle_latency:.1f}"],
-            ],
-        ),
-    )
-    return 0
-
-
-def _command_ablation(arguments: argparse.Namespace) -> int:
-    sweeps = {
-        "miner_fraction": lambda: sweep_semantic_miner_fraction(
-            trials=arguments.trials, workers=arguments.workers
-        ),
-        "gossip": lambda: sweep_gossip_impairment(
-            trials=arguments.trials, workers=arguments.workers
-        ),
-        "submission_interval": lambda: sweep_submission_interval(
-            trials=arguments.trials, workers=arguments.workers
-        ),
-        "block_interval": lambda: sweep_block_interval(
-            trials=arguments.trials, workers=arguments.workers
-        ),
-    }
-    result = sweeps[arguments.name]()
-    rows = [
-        [point.scenario, f"{point.parameter:g}", format_percentage(point.mean_efficiency)]
-        for point in result.points
-    ]
-    emit_block(
-        f"Ablation — {result.name}",
-        format_table(["scenario", result.parameter_name, "efficiency"], rows),
-    )
-    return 0
-
-
-def _command_attack_matrix(arguments: argparse.Namespace) -> int:
-    try:
-        config = AttackMatrixConfig(
-            adversaries=tuple(arguments.adversaries),
-            defenses=tuple(arguments.defenses),
-            num_victim_buys=arguments.buys,
-            reprice_interval=arguments.reprice_interval,
-            trials=arguments.trials,
-            include_control=not arguments.no_control,
-            seed=arguments.seed,
-        )
-    except (KeyError, ValueError) as error:
-        message = error.args[0] if error.args else error
-        raise SystemExit(f"repro attack-matrix: {message}")
-    result = run_attack_matrix(config, workers=arguments.workers)
-    if arguments.json_path:
-        import json
-        from pathlib import Path
-
-        target = Path(arguments.json_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    emit_block(
-        f"Attack matrix — {len(config.adversaries)} adversaries x "
-        f"{len(config.defenses)} defenses, {config.num_victim_buys} victim buys/cell",
-        format_table(
-            ["adversary", "defense", "attempts", "successes", "profit", "harm", "harm%", "latency", "overpaid"],
-            result.as_rows(),
-        ),
-    )
-    verdicts = [
-        ["mark-bound offers held everywhere (overpaid == 0)", "yes" if result.structurally_sound else "NO"],
-    ]
-    headline_cell_ran = (
-        "displacement" in config.adversaries and HMS_DEFENSE in config.defenses
-    )
-    verdicts.append(
-        [
-            f"displacement harmless under {HMS_DEFENSE} (Section V-B)",
-            ("yes" if result.hms_protected else "NO")
-            if headline_cell_ran
-            else "n/a (cell not in grid)",
-        ]
-    )
-    emit_block("Verdicts", format_table(["claim", "holds"], verdicts))
-    return 0 if result.hms_protected and result.structurally_sound else 1
 
 
 def _parse_dimensions(pairs: Sequence[str]) -> Dict[str, List[Any]]:
@@ -853,13 +582,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _command_run,
         "claims": _command_claims,
         "trace": _command_trace,
-        "figure2": _command_figure2,
-        "market": _command_market,
-        "sequential": _command_sequential,
-        "frontrunning": _command_frontrunning,
-        "oracle": _command_oracle,
-        "ablation": _command_ablation,
-        "attack-matrix": _command_attack_matrix,
         "sweep": _command_sweep,
         "serve": _command_serve,
         "loadgen": _command_loadgen,

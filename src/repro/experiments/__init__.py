@@ -1,134 +1,21 @@
-"""Experiment harness: the paper's experiments as registered plugins.
+"""The paper's experiments as registered plugins.
 
 Importing this package registers every shipped experiment in
 :data:`repro.api.experiment.EXPERIMENT_REGISTRY` (``figure2``,
 ``sequential``, ``frontrunning``, ``oracle``, ``ablation``,
-``attack_matrix``, ``propagation``, ``horizon``, ``chaos``), alongside the historical
-per-experiment entry points,
-which remain as thin wrappers."""
+``attack_matrix``, ``propagation``, ``horizon``, ``chaos``).  Run one with
+``repro run <name>`` (or ``repro claims`` / ``repro trace``), or from
+Python with :func:`repro.api.run_experiment`.
+"""
 
-from .ablations import (
-    AblationExperiment,
-    AblationPoint,
-    AblationResult,
-    sweep_block_interval,
-    sweep_gossip_impairment,
-    sweep_semantic_miner_fraction,
-    sweep_submission_interval,
+from . import (  # noqa: F401  (imported for their registration side effect)
+    ablations,
+    attack_matrix,
+    chaos,
+    figure2,
+    frontrunning,
+    horizon,
+    oracle,
+    propagation,
+    sequential,
 )
-from .attack_matrix import (
-    AttackMatrixCell,
-    AttackMatrixConfig,
-    AttackMatrixExperiment,
-    AttackMatrixResult,
-    run_attack_matrix,
-)
-from .chaos import (
-    ChaosExperiment,
-    chaos_claims,
-    chaos_jobs,
-)
-from .claims import ClaimCheck, check_headline_claims
-from .figure2 import (
-    DEFAULT_RATIOS,
-    Figure2Config,
-    Figure2Experiment,
-    Figure2Point,
-    Figure2Result,
-    run_figure2,
-)
-from .frontrunning import (
-    FrontrunningConfig,
-    FrontrunningExperiment,
-    FrontrunningResult,
-    run_frontrunning_experiment,
-)
-from .horizon import (
-    HorizonExperiment,
-    RSS_CEILING_MB,
-    UNRETAINED_EXCESS_FACTOR,
-    horizon_claims,
-)
-# Imported for its registration side effect (the "oracle" experiment).  Bound
-# as a module, not an attribute: when the import chain *starts* at
-# repro.oracle, that module is still mid-execution here and its class names
-# do not exist yet — registration completes when its own import finishes.
-from ..oracle import comparison as _oracle_comparison  # noqa: F401
-from .propagation import (
-    DEFAULT_TOPOLOGIES,
-    PropagationExperiment,
-    propagation_claims,
-    propagation_jobs,
-)
-from .runner import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_market_experiment,
-    sereth_contract_address,
-)
-from .scenario import (
-    GETH_UNMODIFIED,
-    SCENARIOS,
-    SEMANTIC_MINING,
-    SERETH_CLIENT_SCENARIO,
-    Scenario,
-    scenario_by_name,
-)
-from .sequential import (
-    SequentialHistoryConfig,
-    SequentialHistoryExperiment,
-    SequentialHistoryResult,
-    run_sequential_history,
-)
-
-__all__ = [
-    "AblationExperiment",
-    "AblationPoint",
-    "AblationResult",
-    "sweep_block_interval",
-    "sweep_gossip_impairment",
-    "sweep_semantic_miner_fraction",
-    "sweep_submission_interval",
-    "AttackMatrixCell",
-    "AttackMatrixConfig",
-    "AttackMatrixExperiment",
-    "AttackMatrixResult",
-    "run_attack_matrix",
-    "ChaosExperiment",
-    "chaos_claims",
-    "chaos_jobs",
-    "ClaimCheck",
-    "check_headline_claims",
-    "FrontrunningConfig",
-    "FrontrunningExperiment",
-    "FrontrunningResult",
-    "run_frontrunning_experiment",
-    "HorizonExperiment",
-    "RSS_CEILING_MB",
-    "UNRETAINED_EXCESS_FACTOR",
-    "horizon_claims",
-    "DEFAULT_RATIOS",
-    "Figure2Config",
-    "Figure2Experiment",
-    "Figure2Point",
-    "Figure2Result",
-    "run_figure2",
-    "DEFAULT_TOPOLOGIES",
-    "PropagationExperiment",
-    "propagation_claims",
-    "propagation_jobs",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_market_experiment",
-    "sereth_contract_address",
-    "GETH_UNMODIFIED",
-    "SCENARIOS",
-    "SEMANTIC_MINING",
-    "SERETH_CLIENT_SCENARIO",
-    "Scenario",
-    "scenario_by_name",
-    "SequentialHistoryConfig",
-    "SequentialHistoryExperiment",
-    "SequentialHistoryResult",
-    "run_sequential_history",
-]

@@ -1,84 +1,41 @@
 """Ablation sweeps for the factors the paper discusses qualitatively (Section V-C).
 
-Each sweep varies one knob of the market experiment and reports the buy
-transaction efficiency, giving quantitative backing to the paper's prose:
+``repro run ablation --set name=<which>`` varies one knob of the market
+experiment and reports the buy transaction efficiency, giving quantitative
+backing to the paper's prose:
 
-* ``sweep_semantic_miner_fraction`` — "if only a fraction of the miners were
-  assisting ... there would still be benefits proportional to the
-  participation" (A1 in DESIGN.md).
-* ``sweep_gossip_impairment`` — "or if communication of the TxPool were
-  impeded among the Sereth enabled peers" (A2).
-* ``sweep_submission_interval`` — "transaction efficiency becomes more
-  sensitive to the transaction interval" at high buy ratios (A3).
-* ``sweep_block_interval`` — the reparameterization discussion: HMS reduces
-  the significance of the block interval (A4).
+* ``miner_fraction`` — "if only a fraction of the miners were assisting ...
+  there would still be benefits proportional to the participation" (A1).
+* ``gossip`` — "or if communication of the TxPool were impeded among the
+  Sereth enabled peers" (A2).
+* ``submission_interval`` — "transaction efficiency becomes more sensitive
+  to the transaction interval" at high buy ratios (A3).
+* ``block_interval`` — the reparameterization discussion: HMS reduces the
+  significance of the block interval (A4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
-
-from ..analysis.stats import SummaryStats, summarize
 from ..api.experiment import Experiment, ExperimentOptions, register_experiment
 from ..api.frame import ResultFrame
 from ..api.seeding import derive_seed
+from ..api.spec import SimulationSpec, freeze_params
 from ..api.sweep import Sweep
 from .claims import ablation_claims
-from .runner import ExperimentConfig, experiment_spec
-from .scenario import GETH_UNMODIFIED, SEMANTIC_MINING, SERETH_CLIENT_SCENARIO, Scenario
+from .scenario import GETH_UNMODIFIED, SEMANTIC_MINING, SERETH_CLIENT_SCENARIO
 
-__all__ = [
-    "AblationExperiment",
-    "AblationPoint",
-    "AblationResult",
-    "ABLATION_NAMES",
-    "sweep_semantic_miner_fraction",
-    "sweep_gossip_impairment",
-    "sweep_submission_interval",
-    "sweep_block_interval",
-]
+__all__ = ["AblationExperiment", "ABLATION_NAMES"]
 
-
-@dataclass
-class AblationPoint:
-    """One setting of the swept parameter, aggregated over trials."""
-
-    parameter: float
-    scenario: str
-    efficiencies: List[float]
-    stats: SummaryStats
-
-    @property
-    def mean_efficiency(self) -> float:
-        return self.stats.mean
-
-
-@dataclass
-class AblationResult:
-    """A full one-dimensional sweep."""
-
-    name: str
-    parameter_name: str
-    points: List[AblationPoint]
-
-    def series(self, scenario: str) -> List[AblationPoint]:
-        return [point for point in self.points if point.scenario == scenario]
-
-    def values(self, scenario: str) -> List[float]:
-        return [point.mean_efficiency for point in self.series(scenario)]
-
-
-def _run_point(
-    base: ExperimentConfig, scenario: Scenario, trials: int, workers: int = 1, **overrides
-) -> List[float]:
-    jobs = []
-    for trial in range(trials):
-        config = replace(base, scenario=scenario, seed=base.seed + 101 * trial, **overrides)
-        jobs.append((experiment_spec(config), {"trial": trial}))
-    rows = Sweep.from_specs(jobs).run(workers=workers).rows
-    return [row.report("buy")["success_rate"] for row in rows]
-
+MARKET_PARAMS = {
+    "buys_per_set": 1.0,
+    "submission_interval": 1.0,
+    "start_time": 30.0,
+    "initial_price": 100,
+    "price_max_step": 5,
+    "num_buyers": 4,
+}
+"""Every market-workload parameter, spelled out in each ablation spec: the
+spec digests (and so checkpoints and exports) key on the full set."""
 
 ABLATION_NAMES = ("miner_fraction", "gossip", "submission_interval", "block_interval")
 
@@ -115,8 +72,9 @@ class AblationExperiment(Experiment):
     )
 
     def _cells(self, which: str, smoke: bool):
-        """(scenario label, parameter value, scenario object, config overrides)
-        for every grid cell of the chosen ablation."""
+        """(scenario label, parameter value, scenario object, overrides) for
+        every grid cell of the chosen ablation; an override names a market
+        parameter or a spec field."""
         if which == "miner_fraction":
             values = (0.0, 1.0) if smoke else (0.0, 0.25, 0.5, 0.75, 1.0)
             return [
@@ -178,9 +136,16 @@ class AblationExperiment(Experiment):
         for label, value, scenario, overrides in self._cells(which, options.smoke):
             for trial in range(self.trials(options)):
                 seed = derive_seed(root, "ablation", which, label, value, trial)
-                config = replace(
-                    ExperimentConfig(scenario=scenario, seed=seed, num_buys=num_buys),
-                    **overrides,
+                params = dict(MARKET_PARAMS, num_buys=num_buys)
+                fields = {}
+                for key, override in overrides.items():
+                    (params if key in params else fields)[key] = override
+                spec = SimulationSpec(
+                    scenario=scenario,
+                    workload="market",
+                    workload_params=freeze_params(params),
+                    seed=seed,
+                    **fields,
                 )
                 tags = {
                     "ablation": which,
@@ -189,126 +154,10 @@ class AblationExperiment(Experiment):
                     "trial": trial,
                     "seed": seed,
                 }
-                jobs.append((experiment_spec(config), tags))
+                jobs.append((spec, tags))
         return Sweep.from_specs(jobs)
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:
         return frame.derive(
             eta=lambda row: row["summary"]["reports"]["buy"]["success_rate"],
         )
-
-
-def sweep_semantic_miner_fraction(
-    fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    trials: int = 2,
-    base: Optional[ExperimentConfig] = None,
-    num_miners: int = 4,
-    workers: int = 1,
-) -> AblationResult:
-    """A1: efficiency versus the fraction of hash power running semantic mining."""
-    base = base or ExperimentConfig(scenario=SEMANTIC_MINING, buys_per_set=2.0)
-    points: List[AblationPoint] = []
-    for fraction in fractions:
-        scenario = SEMANTIC_MINING.with_semantic_fraction(fraction)
-        efficiencies = _run_point(base, scenario, trials, workers=workers, num_miners=num_miners)
-        points.append(
-            AblationPoint(
-                parameter=fraction,
-                scenario="semantic_mining",
-                efficiencies=efficiencies,
-                stats=summarize(efficiencies),
-            )
-        )
-    return AblationResult(
-        name="semantic_miner_fraction",
-        parameter_name="fraction of semantic mining power",
-        points=points,
-    )
-
-
-def sweep_gossip_impairment(
-    latencies: Sequence[float] = (0.05, 0.5, 2.0, 5.0),
-    trials: int = 2,
-    base: Optional[ExperimentConfig] = None,
-    workers: int = 1,
-) -> AblationResult:
-    """A2: efficiency versus TxPool gossip latency for the Sereth-client scenario."""
-    base = base or ExperimentConfig(scenario=SERETH_CLIENT_SCENARIO, buys_per_set=2.0)
-    points: List[AblationPoint] = []
-    for scenario in (SERETH_CLIENT_SCENARIO, SEMANTIC_MINING):
-        for latency in latencies:
-            efficiencies = _run_point(
-                base, scenario, trials, workers=workers,
-                gossip_latency=latency, gossip_jitter=latency / 2,
-            )
-            points.append(
-                AblationPoint(
-                    parameter=latency,
-                    scenario=scenario.name,
-                    efficiencies=efficiencies,
-                    stats=summarize(efficiencies),
-                )
-            )
-    return AblationResult(
-        name="gossip_impairment",
-        parameter_name="mean gossip latency (seconds)",
-        points=points,
-    )
-
-
-def sweep_submission_interval(
-    intervals: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    trials: int = 2,
-    base: Optional[ExperimentConfig] = None,
-    buys_per_set: float = 10.0,
-    workers: int = 1,
-) -> AblationResult:
-    """A3: sensitivity to the buy submission interval at a high read ratio."""
-    base = base or ExperimentConfig(scenario=GETH_UNMODIFIED, buys_per_set=buys_per_set)
-    points: List[AblationPoint] = []
-    for scenario in (GETH_UNMODIFIED, SERETH_CLIENT_SCENARIO):
-        for interval in intervals:
-            efficiencies = _run_point(
-                base, scenario, trials, workers=workers,
-                submission_interval=interval, buys_per_set=buys_per_set,
-            )
-            points.append(
-                AblationPoint(
-                    parameter=interval,
-                    scenario=scenario.name,
-                    efficiencies=efficiencies,
-                    stats=summarize(efficiencies),
-                )
-            )
-    return AblationResult(
-        name="submission_interval",
-        parameter_name="buy submission interval (seconds)",
-        points=points,
-    )
-
-
-def sweep_block_interval(
-    block_intervals: Sequence[float] = (5.0, 13.0, 30.0, 60.0),
-    trials: int = 2,
-    base: Optional[ExperimentConfig] = None,
-    workers: int = 1,
-) -> AblationResult:
-    """A4: efficiency versus the block interval for baseline and HMS clients."""
-    base = base or ExperimentConfig(scenario=GETH_UNMODIFIED, buys_per_set=4.0)
-    points: List[AblationPoint] = []
-    for scenario in (GETH_UNMODIFIED, SERETH_CLIENT_SCENARIO, SEMANTIC_MINING):
-        for block_interval in block_intervals:
-            efficiencies = _run_point(base, scenario, trials, workers=workers, block_interval=block_interval)
-            points.append(
-                AblationPoint(
-                    parameter=block_interval,
-                    scenario=scenario.name,
-                    efficiencies=efficiencies,
-                    stats=summarize(efficiencies),
-                )
-            )
-    return AblationResult(
-        name="block_interval",
-        parameter_name="mean block interval (seconds)",
-        points=points,
-    )

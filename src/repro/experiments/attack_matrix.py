@@ -19,15 +19,15 @@ Two notions of harm are tracked per cell:
   The paper's structural claim says this is zero in every cell; the
   chain auditor independently verifies it.
 
-The headline acceptance check is :meth:`AttackMatrixResult.hms_protected`:
+The headline claim gate (:func:`~repro.experiments.claims.attack_matrix_claims`):
 under the full HMS defense (semantic mining), the displacement attack —
 the paper's Section II-F frontrunner — causes zero victim harm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 # api submodule imports (not the package root): this module is pulled in by
 # repro.experiments, which repro.api's own init loads for the scenario axis.
@@ -48,11 +48,8 @@ __all__ = [
     "HMS_DEFENSE",
     "CONTROL_ROW",
     "AttackMatrixConfig",
-    "AttackMatrixCell",
     "AttackMatrixExperiment",
-    "AttackMatrixResult",
     "attack_matrix_jobs",
-    "run_attack_matrix",
 ]
 
 DEFAULT_ADVERSARIES: Tuple[str, ...] = (
@@ -113,108 +110,10 @@ class AttackMatrixConfig:
             raise ValueError("trials must be positive")
 
 
-@dataclass
-class AttackMatrixCell:
-    """One (adversary, defense) cell, aggregated over its trials."""
-
-    adversary: str
-    defense: str
-    trials: int
-    attempts: int
-    successes: int
-    profit: float
-    victim_submitted: int
-    victim_filled: int
-    victim_harm: int
-    victim_latency: Optional[float]
-    """Mean commit latency of the victim's buys (seconds) — how delay-based
-    attacks show up even when a static market keeps fills succeeding."""
-    overpaid: int
-    audit_clean: bool
-
-    @property
-    def harm_rate(self) -> float:
-        if self.victim_submitted == 0:
-            return 0.0
-        return self.victim_harm / self.victim_submitted
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "adversary": self.adversary,
-            "defense": self.defense,
-            "trials": self.trials,
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "profit": self.profit,
-            "victim_submitted": self.victim_submitted,
-            "victim_filled": self.victim_filled,
-            "victim_harm": self.victim_harm,
-            "harm_rate": self.harm_rate,
-            "victim_latency": self.victim_latency,
-            "overpaid": self.overpaid,
-            "audit_clean": self.audit_clean,
-        }
-
-
-@dataclass
-class AttackMatrixResult:
-    """Every cell of the matrix, with the paper's acceptance checks."""
-
-    config: AttackMatrixConfig
-    cells: List[AttackMatrixCell] = field(default_factory=list)
-
-    def cell(self, adversary: str, defense: str) -> AttackMatrixCell:
-        for candidate in self.cells:
-            if candidate.adversary == adversary and candidate.defense == defense:
-                return candidate
-        raise KeyError(f"no matrix cell for ({adversary!r}, {defense!r})")
-
-    # -- acceptance checks -------------------------------------------------------------
-
-    @property
-    def hms_protected(self) -> bool:
-        """Section V-B reproduced: displacement causes zero victim harm under
-        the full HMS defense (when both are part of the grid)."""
-        if HMS_DEFENSE not in self.config.defenses:
-            return True
-        if "displacement" not in self.config.adversaries:
-            return True
-        return self.cell("displacement", HMS_DEFENSE).victim_harm == 0
-
-    @property
-    def structurally_sound(self) -> bool:
-        """No victim overpaid in any cell — the mark-bound-offer invariant."""
-        return all(cell.overpaid == 0 and cell.audit_clean for cell in self.cells)
-
-    # -- rendering ---------------------------------------------------------------------
-
-    def as_rows(self) -> List[List[str]]:
-        """Table rows: adversary x defense with the headline numbers."""
-        rows = []
-        for cell in self.cells:
-            rows.append(
-                [
-                    cell.adversary,
-                    cell.defense,
-                    str(cell.attempts),
-                    str(cell.successes),
-                    f"{cell.profit:g}",
-                    f"{cell.victim_harm}/{cell.victim_submitted}",
-                    f"{cell.harm_rate:.0%}",
-                    "-" if cell.victim_latency is None else f"{cell.victim_latency:.1f}s",
-                    str(cell.overpaid),
-                ]
-            )
-        return rows
-
-    def to_dict(self) -> List[Dict[str, Any]]:
-        return [cell.as_dict() for cell in self.cells]
-
-
 @register_experiment
 class AttackMatrixExperiment(Experiment):
-    """The registry form of the attack matrix: every adversary against every
-    defense (plus a control row), claim-gated on the paper's Section V-B cell
+    """The attack matrix: every adversary against every defense (plus a
+    control row), claim-gated on the paper's Section V-B cell
     and the no-overpayment invariant across the whole grid.
 
     Overrides: ``adversaries`` / ``defenses`` (lists of registered names),
@@ -347,73 +246,3 @@ def attack_matrix_jobs(
                 jobs.append((base.with_seed(seed), tags))
     return jobs
 
-
-def run_attack_matrix(
-    config: Optional[AttackMatrixConfig] = None, workers: int = 1
-) -> AttackMatrixResult:
-    """Run the full grid and aggregate each cell over its trials."""
-    config = config or AttackMatrixConfig()
-    jobs = attack_matrix_jobs(config)
-    sweep_result = Sweep.from_specs(jobs).run(workers=workers)
-
-    aggregated: Dict[Tuple[str, str], Dict[str, Any]] = {}
-    for row in sweep_result.rows:
-        key = (row.tags["adversary"], row.tags["defense"])
-        bucket = aggregated.setdefault(
-            key,
-            {
-                "trials": 0,
-                "attempts": 0,
-                "successes": 0,
-                "profit": 0.0,
-                "victim_submitted": 0,
-                "victim_filled": 0,
-                "victim_harm": 0,
-                "latencies": [],
-                "overpaid": 0,
-                "audit_clean": True,
-            },
-        )
-        bucket["trials"] += 1
-        extras = row.summary["extras"]
-        bucket["overpaid"] += extras.get("overpaid", 0)
-        bucket["audit_clean"] = bucket["audit_clean"] and extras.get("audit_clean", True)
-        # Victim metrics come straight off the watched label so control cells
-        # (no adversary report) aggregate identically to attacked ones.
-        victim_report = row.summary["reports"][VICTIM_BUY_LABEL]
-        bucket["victim_submitted"] += victim_report["submitted"]
-        bucket["victim_filled"] += victim_report["successful"]
-        bucket["victim_harm"] += victim_report["submitted"] - victim_report["successful"]
-        if victim_report.get("mean_commit_latency") is not None:
-            bucket["latencies"].append(victim_report["mean_commit_latency"])
-        for report in row.summary.get("adversaries", {}).values():
-            bucket["attempts"] += report["attempts"]
-            bucket["successes"] += report["successes"]
-            bucket["profit"] += report["profit"]
-
-    result = AttackMatrixResult(config=config)
-    rows: List[Optional[str]] = list(config.adversaries)
-    if config.include_control:
-        rows.insert(0, None)
-    for adversary in rows:
-        row_label = adversary if adversary is not None else CONTROL_ROW
-        for defense in config.defenses:
-            bucket = aggregated[(row_label, defense)]
-            latencies = bucket["latencies"]
-            result.cells.append(
-                AttackMatrixCell(
-                    adversary=row_label,
-                    defense=defense,
-                    trials=bucket["trials"],
-                    attempts=bucket["attempts"],
-                    successes=bucket["successes"],
-                    profit=bucket["profit"],
-                    victim_submitted=bucket["victim_submitted"],
-                    victim_filled=bucket["victim_filled"],
-                    victim_harm=bucket["victim_harm"],
-                    victim_latency=(sum(latencies) / len(latencies)) if latencies else None,
-                    overpaid=bucket["overpaid"],
-                    audit_clean=bucket["audit_clean"],
-                )
-            )
-    return result

@@ -1,15 +1,13 @@
 """The paper's claims as reusable, per-experiment claim gates.
 
-Historically this module only knew how to check the two headline claims
-against a :class:`Figure2Result`; that path (:func:`check_headline_claims`)
-is kept intact.  The general protocol now lives in
-:mod:`repro.api.experiment`: a :class:`~repro.api.experiment.Claim` names a
-paper statement and checks it against the experiment's analyzed
-:class:`~repro.api.frame.ResultFrame`, and every registered experiment
-declares its claims so ``repro run <experiment>`` / ``repro claims
-<experiment>`` gate on them — figure2's headline numbers, the sequential
-history's η = 1.0, frontrunning's structural no-overpayment, the attack
-matrix's Section V-B cell, and the oracle comparison's latency gap.
+The protocol lives in :mod:`repro.api.experiment`: a
+:class:`~repro.api.experiment.Claim` names a paper statement and checks it
+against the experiment's analyzed :class:`~repro.api.frame.ResultFrame`.
+Every registered experiment declares its claims here, so ``repro run
+<experiment>`` / ``repro claims <experiment>`` gate on them — figure2's
+headline numbers, the sequential history's η = 1.0, frontrunning's
+structural no-overpayment, the attack matrix's Section V-B cell, and the
+oracle comparison's latency gap.
 
 The headline claims themselves:
 
@@ -25,12 +23,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..api.experiment import Claim, ClaimCheck
+from ..api.experiment import Claim
 from ..api.frame import ResultFrame
 
 __all__ = [
-    "ClaimCheck",
-    "check_headline_claims",
     "figure2_claims",
     "sequential_claims",
     "frontrunning_claims",
@@ -42,11 +38,6 @@ __all__ = [
 
 def _mean(values: List[float]) -> float:
     return sum(values) / len(values) if values else 0.0
-
-
-# ======================================================================================
-# Frame-based helpers (the per-experiment protocol)
-# ======================================================================================
 
 
 def _ratios(frame: ResultFrame) -> List[float]:
@@ -302,87 +293,3 @@ def ablation_claims() -> Tuple[Claim, ...]:
         ),
     )
 
-
-# ======================================================================================
-# Historical Figure2Result-based path (back-compat)
-# ======================================================================================
-
-
-def check_headline_claims(figure2) -> List[ClaimCheck]:
-    """Evaluate the paper's headline claims on a completed Figure 2 sweep
-    (the historical :class:`~repro.experiments.figure2.Figure2Result` path;
-    the registry path checks the same claims through :func:`figure2_claims`)."""
-    ratios = list(figure2.config.ratios)
-    checks: List[ClaimCheck] = []
-
-    # Claim 1: client-only HMS improves efficiency across the whole ratio range.
-    client_factors = [figure2.improvement_factor(ratio, scenario="sereth_client") for ratio in ratios]
-    improvement_everywhere = all(factor > 1.0 for factor in client_factors)
-    checks.append(
-        ClaimCheck(
-            claim="READ-UNCOMMITTED view (client-only HMS) improves state throughput "
-            "across the full ratio range",
-            paper_value="~5x across the range 1:1 to 20:1",
-            measured_value=(
-                f"{min(client_factors):.1f}x – {max(client_factors):.1f}x "
-                f"(mean {_mean(client_factors):.1f}x)"
-            ),
-            holds=improvement_everywhere,
-            detail="factors per ratio: "
-            + ", ".join(f"{ratio:g}:1 → {factor:.1f}x" for ratio, factor in zip(ratios, client_factors)),
-        )
-    )
-
-    # Claim 2: semantic mining lifts efficiency from a few percent to >= ~80%
-    # where state changes are frequent (low buy:set ratios).
-    frequent = [ratio for ratio in ratios if ratio <= 2.0] or ratios[:1]
-    geth_low = _mean([figure2.point("geth_unmodified", ratio).mean_efficiency for ratio in frequent])
-    semantic_low = _mean([figure2.point("semantic_mining", ratio).mean_efficiency for ratio in frequent])
-    checks.append(
-        ClaimCheck(
-            claim="Semantic mining raises efficiency from a few percent to most "
-            "transactions succeeding when state changes are frequent",
-            paper_value="<5% -> >80% (factor > 10) at 1-2 buys per set",
-            measured_value=f"{geth_low:.1%} -> {semantic_low:.1%}",
-            holds=semantic_low >= 0.7 and geth_low <= 0.20 and semantic_low > geth_low * 4,
-            detail=f"ratios considered frequent: {frequent}",
-        )
-    )
-
-    # Claim 3: the relative gain of semantic mining is greatest at low ratios.
-    semantic_factors = [
-        figure2.improvement_factor(ratio, scenario="semantic_mining") for ratio in ratios
-    ]
-    checks.append(
-        ClaimCheck(
-            claim="Relative improvement is greatest where there are 1-2 buys per set",
-            paper_value="largest gain at 1:1 and 2:1",
-            measured_value=", ".join(
-                f"{ratio:g}:1 → {factor:.1f}x" for ratio, factor in zip(ratios, semantic_factors)
-            ),
-            holds=max(semantic_factors[:2]) >= max(semantic_factors[2:])
-            if len(semantic_factors) > 2
-            else True,
-        )
-    )
-
-    # Claim 4: sets always succeed (single owner, program order).  Sweep runs
-    # record per-trial set efficiencies in the points themselves (they survive
-    # parallel execution); fall back to live results for hand-built figures.
-    set_rates: List[float] = []
-    for point in figure2.points:
-        if point.set_efficiencies:
-            set_rates.extend(point.set_efficiencies)
-        else:
-            for result in point.results:
-                set_rates.append(result.set_report.efficiency)
-    if set_rates:
-        checks.append(
-            ClaimCheck(
-                claim="All price sets succeed (sent from the contract owner in nonce order)",
-                paper_value="100%",
-                holds=min(set_rates) >= 0.99,
-                measured_value=f"{_mean(set_rates):.1%}",
-            )
-        )
-    return checks

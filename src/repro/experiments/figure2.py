@@ -2,151 +2,31 @@
 
 Sweeps the buy:set ratio for the three scenarios of the paper's evaluation
 (``geth_unmodified``, ``sereth_client``, ``semantic_mining``), running
-several seeded trials per point and reporting the mean with a 90% confidence
-interval, exactly the statistics the figure shows.
+seeded trials per cell; the claim gates compare the per-cell mean
+efficiencies against the paper's headline numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
-
-from ..analysis.plotting import ascii_chart, format_percentage, format_table
-from ..analysis.stats import SummaryStats, summarize
 from ..api.experiment import ExperimentOptions, GridExperiment, register_experiment
 from ..api.frame import ResultFrame
-from ..api.sweep import Sweep
 from .claims import figure2_claims
-from .runner import (
-    ExperimentConfig,
-    ExperimentResult,
-    experiment_spec,
-    result_from_simulation,
-)
-from .scenario import GETH_UNMODIFIED, SEMANTIC_MINING, SERETH_CLIENT_SCENARIO, Scenario
 
-__all__ = [
-    "Figure2Config",
-    "Figure2Experiment",
-    "Figure2Point",
-    "Figure2Result",
-    "run_figure2",
-    "DEFAULT_RATIOS",
-]
+__all__ = ["Figure2Experiment", "DEFAULT_RATIOS"]
 
 DEFAULT_RATIOS = (1.0, 2.0, 4.0, 10.0, 20.0)
 """Buy:set ratios swept; the paper varies sets from 100 down to 5 per 100 buys."""
-
-DEFAULT_SCENARIOS = (GETH_UNMODIFIED, SERETH_CLIENT_SCENARIO, SEMANTIC_MINING)
-
-
-@dataclass
-class Figure2Config:
-    """Sweep configuration for regenerating Figure 2."""
-
-    ratios: Sequence[float] = DEFAULT_RATIOS
-    scenarios: Sequence[Scenario] = DEFAULT_SCENARIOS
-    trials: int = 3
-    num_buys: int = 100
-    base: ExperimentConfig = field(
-        default_factory=lambda: ExperimentConfig(scenario=GETH_UNMODIFIED)
-    )
-
-    def experiment_config(self, scenario: Scenario, ratio: float, trial: int) -> ExperimentConfig:
-        return replace(
-            self.base,
-            scenario=scenario,
-            buys_per_set=ratio,
-            num_buys=self.num_buys,
-            seed=self.base.seed + 1000 * trial + int(ratio * 7),
-        )
-
-
-@dataclass
-class Figure2Point:
-    """One (scenario, ratio) data point aggregated over trials."""
-
-    scenario: str
-    ratio: float
-    efficiencies: List[float]
-    stats: SummaryStats
-    results: List[ExperimentResult] = field(default_factory=list)
-    set_efficiencies: List[float] = field(default_factory=list)
-    """Per-trial efficiency of the ``set`` transactions (claim 4 evidence);
-    populated from the sweep summaries, so it survives parallel runs where
-    live results cannot."""
-
-    @property
-    def mean_efficiency(self) -> float:
-        return self.stats.mean
-
-
-@dataclass
-class Figure2Result:
-    """All points of the sweep, with table/chart rendering."""
-
-    config: Figure2Config
-    points: List[Figure2Point]
-
-    def point(self, scenario_name: str, ratio: float) -> Figure2Point:
-        for point in self.points:
-            if point.scenario == scenario_name and point.ratio == ratio:
-                return point
-        raise KeyError(f"no point for scenario={scenario_name!r} ratio={ratio}")
-
-    def series(self, scenario_name: str) -> List[float]:
-        """Mean efficiencies for one scenario across the ratio sweep."""
-        return [
-            self.point(scenario_name, ratio).mean_efficiency for ratio in self.config.ratios
-        ]
-
-    def improvement_factor(self, ratio: float, over: str = "geth_unmodified",
-                           scenario: str = "sereth_client") -> float:
-        """How many times better ``scenario`` is than ``over`` at ``ratio``."""
-        baseline = self.point(over, ratio).mean_efficiency
-        improved = self.point(scenario, ratio).mean_efficiency
-        if baseline <= 0:
-            return float("inf") if improved > 0 else 1.0
-        return improved / baseline
-
-    # -- rendering ------------------------------------------------------------------
-
-    def as_table(self) -> str:
-        headers = ["ratio (buys:set)"] + [scenario.name for scenario in self.config.scenarios]
-        rows = []
-        for ratio in self.config.ratios:
-            row = [f"{ratio:g}:1"]
-            for scenario in self.config.scenarios:
-                point = self.point(scenario.name, ratio)
-                row.append(
-                    f"{format_percentage(point.stats.mean)} ±{100 * point.stats.confidence_halfwidth:.1f}"
-                )
-            rows.append(row)
-        return format_table(
-            headers,
-            rows,
-            title="Figure 2 — transaction efficiency eta vs READ-UNCOMMITTED/WRITE ratio "
-            f"({self.config.trials} trials, 90% CI)",
-        )
-
-    def as_chart(self) -> str:
-        series = {
-            scenario.name: self.series(scenario.name) for scenario in self.config.scenarios
-        }
-        labels = [f"{ratio:g}" for ratio in self.config.ratios]
-        return ascii_chart(series, labels, title="eta vs buy:set ratio")
 
 
 @register_experiment
 class Figure2Experiment(GridExperiment):
     """Figure 2 as a declarative grid: scenario x ratio, headline-claim gated.
 
-    The registry path (``repro run figure2``) sweeps the same grid as
-    :func:`run_figure2` but through the generic experiment engine — resumable,
-    frame-analyzed, and claim-checked by :func:`figure2_claims`.  Per-cell
-    seeds come from the sweep engine's coordinate derivation, so the numbers
-    are deterministic (serial == parallel == resumed) though not identical to
-    the historical runner's hand-rolled seed offsets.
+    ``repro run figure2`` sweeps the grid through the generic experiment
+    engine — resumable, frame-analyzed, and claim-checked by
+    :func:`figure2_claims`.  Per-cell seeds come from the sweep engine's
+    coordinate derivation, so the numbers are deterministic (serial ==
+    parallel == resumed).
     """
 
     name = "figure2"
@@ -187,59 +67,3 @@ class Figure2Experiment(GridExperiment):
             eta=lambda row: row["summary"]["reports"]["buy"]["success_rate"],
             set_eta=lambda row: row["summary"]["reports"]["set"]["efficiency"],
         )
-
-
-def run_figure2(
-    config: Optional[Figure2Config] = None,
-    keep_results: bool = False,
-    workers: int = 1,
-) -> Figure2Result:
-    """Run the full Figure 2 sweep through the :mod:`repro.api` sweep engine.
-
-    ``workers > 1`` executes the grid on a multiprocessing pool; the metrics
-    are identical to the serial run (every cell's spec fully seeds its run),
-    but live results cannot cross process boundaries, so ``keep_results``
-    requires the serial path.
-    """
-    config = config or Figure2Config()
-    jobs = []
-    experiment_configs: List[ExperimentConfig] = []
-    for scenario in config.scenarios:
-        for ratio in config.ratios:
-            for trial in range(config.trials):
-                experiment = config.experiment_config(scenario, ratio, trial)
-                experiment_configs.append(experiment)
-                jobs.append(
-                    (
-                        experiment_spec(experiment),
-                        {"scenario": scenario.name, "ratio": ratio, "trial": trial},
-                    )
-                )
-    sweep_result = Sweep.from_specs(jobs).run(workers=workers, keep_results=keep_results)
-
-    # Regroup rows (still in expansion order) into per-(scenario, ratio) points.
-    rows_by_cell: Dict[tuple, List] = {}
-    for row, experiment in zip(sweep_result.rows, experiment_configs):
-        key = (row.tags["scenario"], row.tags["ratio"])
-        rows_by_cell.setdefault(key, []).append((row, experiment))
-    points: List[Figure2Point] = []
-    for scenario in config.scenarios:
-        for ratio in config.ratios:
-            cell = rows_by_cell[(scenario.name, ratio)]
-            efficiencies = [row.report("buy")["success_rate"] for row, _ in cell]
-            results = [
-                result_from_simulation(experiment, row.result)
-                for row, experiment in cell
-                if row.result is not None
-            ]
-            points.append(
-                Figure2Point(
-                    scenario=scenario.name,
-                    ratio=ratio,
-                    efficiencies=efficiencies,
-                    stats=summarize(efficiencies),
-                    results=results,
-                    set_efficiencies=[row.report("set")["efficiency"] for row, _ in cell],
-                )
-            )
-    return Figure2Result(config=config, points=points)

@@ -19,92 +19,25 @@ price other than the one it observed — with mark-bound offers this is
 structurally impossible, and the experiment's auditor double-checks it.
 
 The attacker/victim wiring lives in :mod:`repro.api.workloads` as the
-registered ``frontrunning`` workload; this module keeps the historical
-config/result types and runs the spec through the facade.
+registered ``frontrunning`` workload; this module declares the experiment
+that sweeps it over both victim read modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from ..api.engine import run_simulation
 from ..api.experiment import ExperimentOptions, GridExperiment, register_experiment
 from ..api.frame import ResultFrame
-from ..api.spec import SimulationSpec, freeze_params
-from ..api.workloads import FrontrunningAttacker, VICTIM_BUY_LABEL
-from ..clients.market import READ_UNCOMMITTED
+from ..api.workloads import VICTIM_BUY_LABEL
 from .claims import frontrunning_claims
-from .scenario import SERETH_CLIENT_SCENARIO
 
-__all__ = [
-    "FrontrunningConfig",
-    "FrontrunningExperiment",
-    "FrontrunningResult",
-    "run_frontrunning_experiment",
-    "FrontrunningAttacker",
-]
-
-
-@dataclass
-class FrontrunningConfig:
-    """Shape of the frontrunning experiment."""
-
-    num_victim_buys: int = 40
-    buy_interval: float = 2.0
-    block_interval: float = 13.0
-    attack_markup: int = 25
-    """How much the attacker raises the price by, per attack."""
-    victim_read_mode: str = READ_UNCOMMITTED
-    seed: int = 0
-
-
-@dataclass
-class FrontrunningResult:
-    """Outcome counts plus the audit verdict."""
-
-    config: FrontrunningConfig
-    victim_buys: int
-    filled_at_observed_terms: int
-    rejected: int
-    attacks_launched: int
-    overpaid: int
-    """Buys that executed at terms other than the victim observed (must be 0)."""
-    audit_clean: bool
-
-    @property
-    def fill_rate(self) -> float:
-        return self.filled_at_observed_terms / self.victim_buys if self.victim_buys else 0.0
-
-
-def frontrunning_spec(config: FrontrunningConfig) -> SimulationSpec:
-    """The facade spec for a frontrunning run (victim on client-0, attacker
-    on client-1, everyone on Sereth clients so the pool is observable)."""
-    return SimulationSpec(
-        scenario=SERETH_CLIENT_SCENARIO,
-        workload="frontrunning",
-        workload_params=freeze_params(
-            {
-                "num_victim_buys": config.num_victim_buys,
-                "buy_interval": config.buy_interval,
-                "attack_markup": config.attack_markup,
-                "victim_read_mode": config.victim_read_mode,
-            }
-        ),
-        num_miners=1,
-        num_client_peers=2,
-        block_interval=config.block_interval,
-        gossip_latency=0.07,
-        gossip_jitter=0.05,
-        seed=config.seed,
-    )
+__all__ = ["FrontrunningExperiment"]
 
 
 @register_experiment
 class FrontrunningExperiment(GridExperiment):
-    """The registry form of the frontrunning experiment: the victim runs
-    under *both* read modes as a sweep dimension, and the claim gates assert
-    the structural no-overpayment invariant plus the HMS-view fill advantage."""
+    """The victim runs under *both* read modes as a sweep dimension, and the
+    claim gates assert the structural no-overpayment invariant plus the
+    HMS-view fill advantage."""
 
     name = "frontrunning"
     description = (
@@ -144,18 +77,3 @@ class FrontrunningExperiment(GridExperiment):
             audit_clean=lambda row: row["summary"]["extras"]["audit_clean"],
         )
 
-
-def run_frontrunning_experiment(config: Optional[FrontrunningConfig] = None) -> FrontrunningResult:
-    """Run the attacker-vs-victim workload and audit the committed history."""
-    config = config or FrontrunningConfig()
-    result = run_simulation(frontrunning_spec(config))
-    report = result.reports[VICTIM_BUY_LABEL]
-    return FrontrunningResult(
-        config=config,
-        victim_buys=report.submitted,
-        filled_at_observed_terms=report.successful,
-        rejected=report.committed - report.successful,
-        attacks_launched=result.extras["attacks_launched"],
-        overpaid=result.extras["overpaid"],
-        audit_clean=result.extras["audit_clean"],
-    )

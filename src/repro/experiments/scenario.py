@@ -10,8 +10,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict
+from dataclasses import dataclass, replace
 
 from ..clients.market import READ_COMMITTED, READ_UNCOMMITTED
 from ..net.peer import GETH_CLIENT, SERETH_CLIENT
@@ -21,8 +20,6 @@ __all__ = [
     "GETH_UNMODIFIED",
     "SERETH_CLIENT_SCENARIO",
     "SEMANTIC_MINING",
-    "SCENARIOS",
-    "scenario_by_name",
 ]
 
 
@@ -72,18 +69,3 @@ SEMANTIC_MINING = Scenario(
     buyer_read_mode=READ_UNCOMMITTED,
     semantic_mining=True,
 )
-
-SCENARIOS: Dict[str, Scenario] = {
-    scenario.name: scenario
-    for scenario in (GETH_UNMODIFIED, SERETH_CLIENT_SCENARIO, SEMANTIC_MINING)
-}
-
-
-def scenario_by_name(name: str) -> Scenario:
-    """Look up one of the paper's scenarios by its Figure 2 label."""
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
-        ) from None

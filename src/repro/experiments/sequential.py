@@ -8,81 +8,24 @@ transaction efficiency η was 1.0."
 
 The workload itself (one account alternating set/buy) lives in
 :mod:`repro.api.workloads` as the registered ``sequential`` workload; this
-module keeps the historical config/result types and runs the spec through
-the facade.
+module declares the experiment that runs it under the fully arbitrary miner
+ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from ..api.engine import run_simulation
 from ..api.experiment import ExperimentOptions, GridExperiment, register_experiment
 from ..api.frame import ResultFrame
-from ..api.spec import SimulationSpec, freeze_params
-from ..core.metrics import ThroughputReport
 from .claims import sequential_claims
-from .scenario import GETH_UNMODIFIED
 
-__all__ = [
-    "SequentialHistoryConfig",
-    "SequentialHistoryExperiment",
-    "SequentialHistoryResult",
-    "run_sequential_history",
-]
-
-
-@dataclass
-class SequentialHistoryConfig:
-    """A single-sender alternating set/buy workload."""
-
-    num_pairs: int = 25
-    """Number of (set, buy) pairs submitted."""
-    submission_interval: float = 1.0
-    block_interval: float = 13.0
-    seed: int = 0
-    random_miner_order: bool = True
-    """Use the fully arbitrary miner ordering to show nonce order still protects
-    the single-sender history."""
-
-
-@dataclass
-class SequentialHistoryResult:
-    config: SequentialHistoryConfig
-    report: ThroughputReport
-
-    @property
-    def efficiency(self) -> float:
-        return self.report.efficiency
-
-
-def sequential_spec(config: SequentialHistoryConfig) -> SimulationSpec:
-    """The facade spec for a sequential-history run."""
-    return SimulationSpec(
-        scenario=GETH_UNMODIFIED,
-        workload="sequential",
-        workload_params=freeze_params(
-            {
-                "num_pairs": config.num_pairs,
-                "submission_interval": config.submission_interval,
-            }
-        ),
-        num_miners=1,
-        num_client_peers=1,
-        block_interval=config.block_interval,
-        gossip_latency=0.06,
-        gossip_jitter=0.04,
-        miner_policy="random" if config.random_miner_order else "arrival_jitter",
-        seed=config.seed,
-    )
+__all__ = ["SequentialHistoryExperiment"]
 
 
 @register_experiment
 class SequentialHistoryExperiment(GridExperiment):
-    """The registry form of the sequential-history sanity test: a single
-    sender under the fully arbitrary miner ordering must still commit a
-    perfect history (claim gate: η = 1.0 for both transaction labels)."""
+    """A single sender under the fully arbitrary miner ordering must still
+    commit a perfect history (claim gate: η = 1.0 for both transaction
+    labels)."""
 
     name = "sequential"
     description = (
@@ -117,9 +60,3 @@ class SequentialHistoryExperiment(GridExperiment):
             set_eta=lambda row: row["summary"]["reports"]["set"]["efficiency"],
         )
 
-
-def run_sequential_history(config: Optional[SequentialHistoryConfig] = None) -> SequentialHistoryResult:
-    """Run the single-sender experiment and report its efficiency."""
-    config = config or SequentialHistoryConfig()
-    result = run_simulation(sequential_spec(config))
-    return SequentialHistoryResult(config=config, report=result.metrics.report())

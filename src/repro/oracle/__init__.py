@@ -1,12 +1,9 @@
-"""Conventional-oracle baseline: the operator service and the RAA comparison."""
+"""Conventional-oracle baseline: the off-chain operator service.
 
-from .comparison import OracleComparisonConfig, OracleComparisonResult, run_raa_vs_oracle
+The RAA-vs-oracle comparison that uses it is the registered ``oracle``
+experiment (:mod:`repro.experiments.oracle`).
+"""
+
 from .service import AnsweredRequest, OracleOperator
 
-__all__ = [
-    "OracleComparisonConfig",
-    "OracleComparisonResult",
-    "run_raa_vs_oracle",
-    "AnsweredRequest",
-    "OracleOperator",
-]
+__all__ = ["AnsweredRequest", "OracleOperator"]

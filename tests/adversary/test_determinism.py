@@ -9,8 +9,22 @@ import json
 
 import pytest
 
-from repro.api import Simulation, Sweep
-from repro.experiments.attack_matrix import AttackMatrixConfig, attack_matrix_jobs
+from repro.api import ExperimentOptions, Simulation, Sweep, plan_experiment
+
+
+def matrix_jobs():
+    """The (spec, tags) grid of a small displacement-only attack matrix."""
+    options = ExperimentOptions(
+        seed=5,
+        overrides={
+            "adversaries": "displacement",
+            "defenses": ["geth_unmodified", "semantic_mining"],
+            "buys": 6,
+            "control": False,
+        },
+    )
+    _, _, sweep = plan_experiment("attack_matrix", options)
+    return sweep.jobs()
 
 
 def adversarial_spec(seed: int = 13):
@@ -53,14 +67,7 @@ class TestSerialDeterminism:
 class TestSweepDeterminism:
     @pytest.fixture(scope="class")
     def jobs(self):
-        config = AttackMatrixConfig(
-            adversaries=("displacement",),
-            defenses=("geth_unmodified", "semantic_mining"),
-            num_victim_buys=6,
-            include_control=False,
-            seed=5,
-        )
-        return attack_matrix_jobs(config)
+        return matrix_jobs()
 
     def test_serial_equals_parallel_byte_for_byte(self, jobs):
         sweep = Sweep.from_specs(jobs)
@@ -70,15 +77,8 @@ class TestSweepDeterminism:
 
     def test_job_seeds_are_deterministic_and_distinct(self, jobs):
         seeds = [spec.seed for spec, _tags in jobs]
-        assert len(set(seeds)) == len(seeds)
-        config = AttackMatrixConfig(
-            adversaries=("displacement",),
-            defenses=("geth_unmodified", "semantic_mining"),
-            num_victim_buys=6,
-            include_control=False,
-            seed=5,
-        )
-        assert seeds == [spec.seed for spec, _tags in attack_matrix_jobs(config)]
+        assert len(seeds) == 2 and len(set(seeds)) == 2
+        assert seeds == [spec.seed for spec, _tags in matrix_jobs()]
 
 
 class TestSortedExports:

@@ -91,8 +91,3 @@ class TestBackCompatRelocation:
         from repro.api.workloads import VICTIM_BUY_LABEL as legacy
 
         assert legacy is relocated
-
-    def test_experiments_frontrunning_import_path_still_works(self):
-        from repro.experiments.frontrunning import FrontrunningAttacker
-
-        assert FrontrunningAttacker.__module__ == "repro.adversary.strategies"

@@ -1,7 +1,7 @@
 """Behavioural tests for the five shipped attack strategies.
 
 Cells are kept small (6 victim buys) so the whole module stays fast; the
-full-size grid runs through ``repro attack-matrix`` and CI's smoke job.
+full-size grid runs through ``repro run attack_matrix`` and CI's smoke job.
 """
 
 import pytest

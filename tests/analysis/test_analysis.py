@@ -1,59 +1,6 @@
-"""Tests for summary statistics and text rendering."""
+"""Tests for the console table rendering."""
 
-import math
-
-import pytest
-
-from repro.analysis.plotting import ascii_chart, format_percentage, format_table
-from repro.analysis.stats import confidence_interval, moving_average, summarize
-
-
-class TestSummarize:
-    def test_single_value(self):
-        stats = summarize([0.5])
-        assert stats.mean == 0.5
-        assert stats.stddev == 0.0
-        assert stats.confidence_halfwidth == 0.0
-
-    def test_mean_and_bounds(self):
-        stats = summarize([0.2, 0.4, 0.6])
-        assert stats.mean == pytest.approx(0.4)
-        assert stats.minimum == 0.2
-        assert stats.maximum == 0.6
-        assert stats.low <= stats.mean <= stats.high
-
-    def test_confidence_shrinks_with_more_samples(self):
-        few = summarize([0.3, 0.5, 0.7])
-        many = summarize([0.3, 0.5, 0.7] * 10)
-        assert many.confidence_halfwidth < few.confidence_halfwidth
-
-    def test_known_halfwidth_for_two_samples(self):
-        stats = summarize([0.0, 1.0])
-        expected = 6.314 * math.sqrt(0.5) / math.sqrt(2)
-        assert stats.confidence_halfwidth == pytest.approx(expected, rel=1e-3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_confidence_interval_helper(self):
-        low, high = confidence_interval([1.0, 2.0, 3.0])
-        assert low < 2.0 < high
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        assert moving_average([1.0, 2.0, 3.0], window=1) == [1.0, 2.0, 3.0]
-
-    def test_window_three_smooths(self):
-        assert moving_average([0.0, 3.0, 0.0], window=3) == [1.5, 1.0, 1.5]
-
-    def test_empty_input(self):
-        assert moving_average([], window=3) == []
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], window=0)
+from repro.experiments.reporting import format_percentage, format_table
 
 
 class TestRendering:
@@ -66,12 +13,3 @@ class TestRendering:
         assert lines[0] == "T"
         assert "name" in lines[1] and "value" in lines[1]
         assert len(lines) == 2 + 1 + 2  # title + header + separator + 2 rows
-
-    def test_ascii_chart_contains_all_series_markers(self):
-        chart = ascii_chart({"a": [0.1, 0.9], "b": [0.5, 0.5]}, ["1", "2"])
-        assert "o = a" in chart
-        assert "x = b" in chart
-
-    def test_ascii_chart_height_validation(self):
-        with pytest.raises(ValueError):
-            ascii_chart({"a": [0.1]}, ["1"], height=2)

@@ -1,68 +1,71 @@
-"""Tests for JSON persistence of experiment results."""
+"""Tests for JSON persistence of simulation and experiment results."""
 
 import json
 
 import pytest
 
-from repro.analysis.persistence import (
-    experiment_result_to_dict,
-    figure2_result_to_dict,
-    load_json,
-    save_json,
-)
-from repro.experiments.figure2 import Figure2Config, run_figure2
-from repro.experiments.runner import ExperimentConfig, run_market_experiment
-from repro.experiments.scenario import GETH_UNMODIFIED, SEMANTIC_MINING
+from repro.api import ExperimentOptions, Simulation, Sweep, run_experiment, run_simulation
+from repro.api.engine import SimulationResult
+
+
+def small_spec():
+    return (
+        Simulation.builder()
+        .scenario("semantic_mining")
+        .workload("market", num_buys=15, num_buyers=2, buys_per_set=3.0)
+        .seed(2)
+        .build()
+    )
 
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_market_experiment(
-        ExperimentConfig(scenario=SEMANTIC_MINING, num_buys=15, num_buyers=2, buys_per_set=3.0, seed=2)
-    )
+    return run_simulation(small_spec())
 
 
 class TestExperimentResultSerialization:
     def test_dict_contains_key_metrics(self, small_result):
-        data = experiment_result_to_dict(small_result)
-        assert data["scenario"] == "semantic_mining"
-        assert data["buy_report"]["submitted"] == 15
+        data = small_result.summary()
+        assert data["spec"]["scenario"] == "semantic_mining"
+        assert data["reports"]["buy"]["submitted"] == 15
         assert 0.0 <= data["efficiency"] <= 1.0
-        assert data["contract"].startswith("0x")
 
     def test_dict_is_json_encodable(self, small_result):
-        data = experiment_result_to_dict(small_result)
-        text = json.dumps(data)
+        text = json.dumps(small_result.summary())
         assert "semantic_mining" in text
 
-    def test_save_and_load_round_trip(self, small_result, tmp_path):
-        data = experiment_result_to_dict(small_result)
-        path = save_json(data, tmp_path / "results" / "run.json")
+    def test_save_and_load_round_trip(self, tmp_path):
+        result = Sweep.from_specs([(small_spec(), {"trial": 0})]).run()
+        path = tmp_path / "results" / "run.json"
+        text = result.to_json(path)
         assert path.exists()
-        restored = load_json(path)
-        assert restored == json.loads(json.dumps(data))
+        restored = json.loads(path.read_text(encoding="utf-8"))
+        assert restored == json.loads(text)
+        assert restored[0]["tags"] == {"trial": 0}
 
-    def test_save_json_handles_bytes_and_tuples(self, tmp_path):
-        path = save_json({"blob": b"\x01\x02", "pair": (1, 2)}, tmp_path / "misc.json")
-        restored = load_json(path)
-        assert restored["blob"] == "0x0102"
-        assert restored["pair"] == [1, 2]
+    def test_save_json_handles_bytes_and_tuples(self):
+        result = SimulationResult(
+            spec=small_spec(),
+            reports={},
+            primary_label=None,
+            blocks_produced=0,
+            simulated_seconds=0.0,
+            metrics=None,
+            extras={"blob": b"\x01\x02", "pair": (1, 2)},
+        )
+        restored = json.loads(json.dumps(result.summary()))
+        assert restored["extras"]["blob"] == "0x0102"
+        assert restored["extras"]["pair"] == [1, 2]
 
 
 class TestFigure2Serialization:
     def test_round_trip_preserves_points(self, tmp_path):
-        config = Figure2Config(
-            ratios=(2.0,),
-            trials=1,
-            num_buys=15,
-            base=ExperimentConfig(scenario=GETH_UNMODIFIED, num_buyers=2, seed=4),
+        options = ExperimentOptions(
+            trials=1, overrides={"buys_per_set": [2.0], "num_buys": 15, "num_buyers": 2}
         )
-        result = run_figure2(config)
-        data = figure2_result_to_dict(result)
-        path = save_json(data, tmp_path / "figure2.json")
-        restored = load_json(path)
-        assert restored["ratios"] == [2.0]
-        assert len(restored["points"]) == 3
-        for point in restored["points"]:
-            assert 0.0 <= point["mean"] <= 1.0
+        paths = run_experiment("figure2", options).export(tmp_path)
+        restored = json.loads(paths["json"].read_text(encoding="utf-8"))
+        assert [point["buys_per_set"] for point in restored] == [2.0] * 3
+        for point in restored:
+            assert 0.0 <= point["eta"] <= 1.0
             assert point["scenario"] in {"geth_unmodified", "sereth_client", "semantic_mining"}

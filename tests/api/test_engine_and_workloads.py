@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.api import Simulation, run_simulation
-from repro.experiments.runner import ExperimentConfig, experiment_spec, run_market_experiment
-from repro.experiments.scenario import GETH_UNMODIFIED, SEMANTIC_MINING
+from repro.api import Simulation, SimulationSpec, freeze_params, run_simulation
+from repro.experiments.scenario import GETH_UNMODIFIED
 
 
 def market_spec(scenario: str, seed: int = 7, **params):
@@ -57,15 +56,37 @@ class TestRootSeedThreading:
 
 class TestLegacyParity:
     def test_facade_reproduces_the_legacy_runner_exactly(self):
-        config = ExperimentConfig(
-            scenario=GETH_UNMODIFIED, num_buys=12, num_buyers=2, buys_per_set=2.0, seed=7
+        """The builder and a hand-written spec with every market parameter
+        spelled out (the form the ablation experiment builds) are the same
+        spec, so they produce the same digest and the same metrics."""
+        built = (
+            Simulation.builder()
+            .scenario("geth_unmodified")
+            .workload("market", num_buys=12, num_buyers=2, buys_per_set=2.0)
+            .seed(7)
+            .build()
         )
-        legacy = run_market_experiment(config)
-        facade = run_simulation(experiment_spec(config))
-        assert legacy.buy_report.as_dict() == facade.reports["buy"].as_dict()
-        assert legacy.set_report.as_dict() == facade.reports["set"].as_dict()
-        assert legacy.blocks_produced == facade.blocks_produced
-        assert legacy.simulated_seconds == facade.simulated_seconds
+        explicit = SimulationSpec(
+            scenario=GETH_UNMODIFIED,
+            workload="market",
+            workload_params=freeze_params(
+                {
+                    "num_buys": 12,
+                    "buys_per_set": 2.0,
+                    "submission_interval": 1.0,
+                    "start_time": 30.0,
+                    "initial_price": 100,
+                    "price_max_step": 5,
+                    "num_buyers": 2,
+                }
+            ),
+            seed=7,
+        )
+        first, second = run_simulation(built), run_simulation(explicit)
+        assert first.reports["buy"].as_dict() == second.reports["buy"].as_dict()
+        assert first.reports["set"].as_dict() == second.reports["set"].as_dict()
+        assert first.blocks_produced == second.blocks_produced
+        assert first.simulated_seconds == second.simulated_seconds
 
 
 class TestNewWorkloads:

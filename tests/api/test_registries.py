@@ -11,8 +11,7 @@ from repro.api import (
     register_workload,
     scenario_by_name,
 )
-from repro.experiments.scenario import SCENARIOS
-from repro.experiments.scenario import scenario_by_name as legacy_scenario_by_name
+from repro.experiments.scenario import GETH_UNMODIFIED, SEMANTIC_MINING, SERETH_CLIENT_SCENARIO
 
 
 class TestScenarioRegistry:
@@ -21,10 +20,9 @@ class TestScenarioRegistry:
             assert name in SCENARIO_REGISTRY
 
     def test_parity_with_legacy_lookup(self):
-        """api.scenario_by_name must agree with experiments.scenario_by_name."""
-        assert set(SCENARIO_REGISTRY.names()) >= set(SCENARIOS)
-        for name in SCENARIOS:
-            assert scenario_by_name(name) is legacy_scenario_by_name(name)
+        """api.scenario_by_name resolves to the paper's scenario constants."""
+        for scenario in (GETH_UNMODIFIED, SERETH_CLIENT_SCENARIO, SEMANTIC_MINING):
+            assert scenario_by_name(scenario.name) is scenario
 
     def test_unknown_scenario_raises_registry_error(self):
         with pytest.raises(RegistryError, match="unknown scenario"):

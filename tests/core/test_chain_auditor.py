@@ -143,19 +143,25 @@ class TestViolationDetection:
     def test_experiment_chains_always_audit_clean(self):
         """End-to-end: whatever the miner policy does, committed history satisfies
         the invariants — run a small experiment per scenario and audit it."""
-        from repro.experiments.runner import ExperimentConfig, run_market_experiment, sereth_contract_address
-        from repro.experiments.scenario import GETH_UNMODIFIED, SEMANTIC_MINING
+        from repro.api import Simulation, run_simulation
+        from repro.api.workloads import sereth_exchange_address
 
-        for scenario in (GETH_UNMODIFIED, SEMANTIC_MINING):
-            result = run_market_experiment(
-                ExperimentConfig(scenario=scenario, num_buys=20, num_buyers=2, buys_per_set=2.0, seed=13)
+        contract = sereth_exchange_address()
+        for scenario in ("geth_unmodified", "semantic_mining"):
+            spec = (
+                Simulation.builder()
+                .scenario(scenario)
+                .workload("market", num_buys=20, num_buyers=2, buys_per_set=2.0)
+                .seed(13)
+                .build()
             )
+            result = run_simulation(spec)
             chain_auditor = ChainAuditor(
-                contract_address=sereth_contract_address(),
+                contract_address=contract,
                 set_selector=SET_SELECTOR,
                 buy_selector=BUY_SELECTOR,
-                initial_mark=initial_mark(sereth_contract_address()),
+                initial_mark=initial_mark(contract),
             )
             report = chain_auditor.audit_chain(result.peers[0].chain)
-            assert report.is_clean, f"audit violations under {scenario.name}: {report.violations}"
-            assert report.successful_buys == result.buy_report.successful
+            assert report.is_clean, f"audit violations under {scenario}: {report.violations}"
+            assert report.successful_buys == result.reports["buy"].successful

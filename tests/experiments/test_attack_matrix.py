@@ -2,29 +2,41 @@
 
 import pytest
 
+from repro.api import ExperimentOptions, run_experiment
 from repro.experiments.attack_matrix import (
     CONTROL_ROW,
     AttackMatrixConfig,
     attack_matrix_jobs,
-    run_attack_matrix,
 )
 
 
 @pytest.fixture(scope="module")
 def smoke_result():
-    config = AttackMatrixConfig(
-        adversaries=("displacement", "insertion"),
-        defenses=("geth_unmodified", "semantic_mining"),
-        num_victim_buys=8,
-        seed=3,
+    return run_experiment(
+        "attack_matrix",
+        ExperimentOptions(
+            seed=3,
+            overrides={
+                "adversaries": ["displacement", "insertion"],
+                "defenses": ["geth_unmodified", "semantic_mining"],
+                "buys": 8,
+            },
+        ),
     )
-    return run_attack_matrix(config, workers=1)
+
+
+def cell(run, adversary, defense):
+    """The single frame row of one (adversary, defense) cell."""
+    rows = run.frame.filter(adversary=adversary, defense=defense)
+    if len(rows) != 1:
+        raise KeyError(f"no matrix cell for ({adversary!r}, {defense!r})")
+    return rows.row(0)
 
 
 class TestMatrixShape:
     def test_all_cells_present_including_control(self, smoke_result):
-        assert len(smoke_result.cells) == 3 * 2  # (control + 2 adversaries) x 2 defenses
-        assert smoke_result.cell(CONTROL_ROW, "geth_unmodified").attempts == 0
+        assert len(smoke_result.frame) == 3 * 2  # (control + 2 adversaries) x 2 defenses
+        assert cell(smoke_result, CONTROL_ROW, "geth_unmodified")["attempts"] == 0
 
     def test_unknown_adversary_fails_fast(self):
         with pytest.raises(KeyError, match="unknown adversary"):
@@ -32,29 +44,30 @@ class TestMatrixShape:
 
     def test_cell_lookup_raises_for_missing_cells(self, smoke_result):
         with pytest.raises(KeyError):
-            smoke_result.cell("displacement", "sereth_client")
+            cell(smoke_result, "displacement", "sereth_client")
 
     def test_as_dict_rows_are_json_shaped(self, smoke_result):
-        for cell in smoke_result.to_dict():
-            assert {"adversary", "defense", "attempts", "victim_harm", "harm_rate"} <= set(cell)
+        for row in smoke_result.export_frame().to_records():
+            assert {"adversary", "defense", "attempts", "victim_harm", "victim_submitted"} <= set(row)
 
 
 class TestAcceptance:
     def test_displacement_harms_the_baseline(self, smoke_result):
-        assert smoke_result.cell("displacement", "geth_unmodified").victim_harm > 0
+        assert cell(smoke_result, "displacement", "geth_unmodified")["victim_harm"] > 0
 
     def test_hms_shows_zero_victim_harm_under_displacement(self, smoke_result):
         """The headline acceptance criterion (paper Section V-B)."""
-        assert smoke_result.cell("displacement", "semantic_mining").victim_harm == 0
-        assert smoke_result.hms_protected
+        assert cell(smoke_result, "displacement", "semantic_mining")["victim_harm"] == 0
+        assert smoke_result.claim_checks[0].holds
 
     def test_mark_bound_offers_hold_in_every_cell(self, smoke_result):
-        assert smoke_result.structurally_sound
+        assert all(row["overpaid"] == 0 and row["audit_clean"] for row in smoke_result.frame)
+        assert smoke_result.passed
 
     def test_attackers_actually_attacked(self, smoke_result):
         for adversary in ("displacement", "insertion"):
             for defense in ("geth_unmodified", "semantic_mining"):
-                assert smoke_result.cell(adversary, defense).attempts > 0
+                assert cell(smoke_result, adversary, defense)["attempts"] > 0
 
 
 class TestJobExpansion:

@@ -11,16 +11,11 @@ import pytest
 
 from repro.api import ExperimentOptions, run_experiment
 from repro.api.experiment import ClaimCheck
-from repro.experiments import claims as claims_module
 from repro.experiments.claims import (
     attack_matrix_claims,
-    check_headline_claims,
     figure2_claims,
     sequential_claims,
 )
-from repro.experiments.figure2 import Figure2Config, run_figure2
-from repro.experiments.runner import ExperimentConfig
-from repro.experiments.scenario import GETH_UNMODIFIED
 
 
 @pytest.fixture(scope="module")
@@ -117,25 +112,31 @@ class TestClaimBuilders:
             assert built
             assert all(claim.paper_value for claim in built)
 
-    def test_claimcheck_is_the_shared_protocol_type(self):
-        from repro.api.experiment import ClaimCheck as api_claimcheck
+    def test_claimcheck_is_the_shared_protocol_type(self, figure2_smoke):
+        assert figure2_smoke.claim_checks
+        assert all(isinstance(check, ClaimCheck) for check in figure2_smoke.claim_checks)
 
-        assert claims_module.ClaimCheck is api_claimcheck is ClaimCheck
+
+def ablation_eta(name):
+    """``{(scenario, parameter): eta}`` of one ablation's smoke grid."""
+    run = run_experiment("ablation", ExperimentOptions(smoke=True, overrides={"name": name}))
+    assert run.passed
+    return {(row["scenario"], row["parameter"]): row["eta"] for row in run.frame}
 
 
-class TestHistoricalPath:
-    def test_check_headline_claims_still_works_on_a_figure2_result(self):
-        """The pre-protocol entry point keeps working on a tiny sweep (shape
-        only — a 1-ratio grid cannot satisfy the cross-range claims)."""
-        config = Figure2Config(
-            ratios=(2.0,),
-            trials=1,
-            num_buys=16,
-            base=ExperimentConfig(scenario=GETH_UNMODIFIED, seed=4, num_buyers=2),
-        )
-        checks = check_headline_claims(run_figure2(config))
-        assert checks
-        assert all(isinstance(check, ClaimCheck) for check in checks)
-        assert {check.claim for check in checks} >= {
-            "Relative improvement is greatest where there are 1-2 buys per set",
-        }
+class TestAblationShapes:
+    """The Section V-C prose the ablation sweeps back, beyond the sanity gate."""
+
+    def test_full_semantic_participation_commits_most_buys(self):
+        eta = ablation_eta("miner_fraction")
+        assert eta[("semantic_mining", 1.0)] > eta[("semantic_mining", 0.0)]
+        assert eta[("semantic_mining", 1.0)] >= 0.75
+
+    def test_hms_clients_dominate_the_baseline_at_every_submission_interval(self):
+        eta = ablation_eta("submission_interval")
+        for interval in (0.25, 2.0):
+            assert eta[("sereth_client", interval)] >= eta[("geth_unmodified", interval)] - 0.05
+
+    def test_semantic_mining_is_insensitive_to_the_block_interval(self):
+        eta = ablation_eta("block_interval")
+        assert min(eta[("semantic_mining", interval)] for interval in (5.0, 30.0)) >= 0.7

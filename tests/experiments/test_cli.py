@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
+from repro.api import EXPERIMENT_REGISTRY, ExperimentOptions
 from repro.cli import build_parser, main
 
 
@@ -11,55 +14,80 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_figure2_defaults(self):
-        arguments = build_parser().parse_args(["figure2"])
-        assert arguments.command == "figure2"
-        assert arguments.trials == 2
+        arguments = build_parser().parse_args(["run", "figure2"])
+        assert (arguments.command, arguments.experiment) == ("run", "figure2")
+        figure2 = EXPERIMENT_REGISTRY.get("figure2")
+        assert figure2.trials(ExperimentOptions()) == 2
 
     def test_market_scenario_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["market", "--scenario", "nonsense"])
+        with pytest.raises(SystemExit, match="unknown scenario"):
+            main(["sweep", "--workload", "market", "--scenarios", "nonsense"])
 
     def test_ablation_requires_name(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["ablation"])
+        with pytest.raises(SystemExit, match="unknown ablation"):
+            main(["run", "ablation", "--smoke", "--set", "name=nonsense"])
 
 
 class TestCommands:
     def test_market_command_runs(self, capsys):
         exit_code = main(
-            ["market", "--scenario", "semantic_mining", "--ratio", "2", "--num-buys", "20", "--seed", "5"]
+            [
+                "sweep", "--workload", "market", "--scenarios", "semantic_mining",
+                "--over", "buys_per_set=2", "num_buys=20", "--seed", "5",
+            ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "Market experiment" in output
+        assert "Sweep — market" in output
         assert "efficiency" in output
 
     def test_sequential_command_reports_perfect_efficiency(self, capsys):
-        exit_code = main(["sequential", "--pairs", "8", "--seed", "2"])
+        exit_code = main(["run", "sequential", "--smoke", "--seed", "2"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "efficiency=1.000" in output
+        assert "| 1 | 1 |" in output  # buy_eta and set_eta both 1.0
 
     def test_frontrunning_command_runs(self, capsys):
-        exit_code = main(["frontrunning", "--buys", "10", "--seed", "3"])
+        exit_code = main(["run", "frontrunning", "--smoke", "--seed", "3"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "overpaid fills" in output
+        assert "overpaid" in output
 
     def test_oracle_command_runs(self, capsys):
-        exit_code = main(["oracle", "--queries", "3", "--seed", "4"])
+        exit_code = main(["run", "oracle", "--smoke", "--seed", "4"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "RAA" in output and "oracle" in output
+        assert "mean_raa_latency" in output and "mean_oracle_latency" in output
 
     def test_figure2_command_small_sweep(self, capsys):
         exit_code = main(
-            ["figure2", "--ratios", "1", "10", "--trials", "1", "--num-buys", "30", "--seed", "3"]
+            ["run", "figure2", "--smoke", "--set", "buys_per_set=1,10", "--seed", "3"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "geth_unmodified" in output
-        assert "Headline claims" in output
+        assert "Claim gates" in output
+
+
+class TestRemovedVerbs:
+    """``run``/``sweep`` replaced the per-experiment verbs; none survives."""
+
+    @pytest.mark.parametrize(
+        "verb",
+        ["figure2", "market", "sequential", "frontrunning", "oracle", "ablation", "attack-matrix"],
+    )
+    def test_legacy_verb_is_an_argparse_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([verb])
+        assert raised.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_lists_exactly_the_seven_verbs(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--help"])
+        assert raised.value.code == 0
+        verbs = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert verbs.split(",") == ["run", "claims", "trace", "sweep", "serve", "loadgen", "list"]
 
 
 class TestGenericExperimentCommands:

@@ -1,19 +1,32 @@
-"""Unit tests for smaller harness pieces: configs, reporting, production hooks."""
+"""Unit tests for smaller harness pieces: plans, reporting, production hooks."""
 
 import pytest
 
 from repro.chain import GenesisConfig
 from repro.consensus.interval import FixedInterval
 from repro.consensus.policies import FifoPolicy
-from repro.experiments.figure2 import Figure2Config
+from repro.api import (
+    SCENARIO_REGISTRY,
+    WORKLOAD_REGISTRY,
+    ExperimentOptions,
+    Simulation,
+    plan_experiment,
+    run_simulation,
+)
+from repro.api.workloads import sereth_exchange_address
 from repro.experiments.reporting import emit_block
-from repro.experiments.runner import ExperimentConfig, sereth_contract_address
-from repro.experiments.scenario import GETH_UNMODIFIED, SCENARIOS, SEMANTIC_MINING
+from repro.experiments.scenario import (
+    GETH_UNMODIFIED,
+    SEMANTIC_MINING,
+    SERETH_CLIENT_SCENARIO,
+)
 from repro.net.latency import ConstantLatency
 from repro.net.mining import BlockProductionProcess
 from repro.net.network import Network
 from repro.net.peer import Peer
 from repro.net.sim import Simulator
+
+PAPER_SCENARIOS = (GETH_UNMODIFIED, SERETH_CLIENT_SCENARIO, SEMANTIC_MINING)
 
 
 class TestReporting:
@@ -25,41 +38,64 @@ class TestReporting:
         assert "=" * 78 in output
 
 
-class TestExperimentConfig:
+class TestMarketSpec:
     def test_duration_cap_defaults_scale_with_workload(self):
-        short = ExperimentConfig(scenario=GETH_UNMODIFIED, num_buys=10)
-        long = ExperimentConfig(scenario=GETH_UNMODIFIED, num_buys=200)
-        assert long.duration_cap > short.duration_cap
+        def simulated_seconds(num_buys):
+            spec = (
+                Simulation.builder()
+                .scenario("semantic_mining")
+                .workload("market", num_buys=num_buys, num_buyers=2)
+                .build()
+            )
+            return run_simulation(spec).simulated_seconds
+
+        assert simulated_seconds(60) > simulated_seconds(10)
 
     def test_explicit_max_duration_wins(self):
-        config = ExperimentConfig(scenario=GETH_UNMODIFIED, max_duration=123.0)
-        assert config.duration_cap == 123.0
+        spec = (
+            Simulation.builder()
+            .scenario("geth_unmodified")
+            .workload("market")
+            .max_duration(123.0)
+            .build()
+        )
+        assert WORKLOAD_REGISTRY.get("market")(spec).duration_cap(spec) == 123.0
 
     def test_contract_address_is_stable(self):
-        assert sereth_contract_address() == sereth_contract_address()
-        assert len(sereth_contract_address()) == 20
+        assert sereth_exchange_address() == sereth_exchange_address()
+        assert len(sereth_exchange_address()) == 20
 
 
-class TestFigure2Config:
+class TestFigure2Plan:
     def test_experiment_config_varies_seed_by_trial_and_ratio(self):
-        config = Figure2Config(trials=2)
-        first = config.experiment_config(GETH_UNMODIFIED, 1.0, trial=0)
-        second = config.experiment_config(GETH_UNMODIFIED, 1.0, trial=1)
-        other_ratio = config.experiment_config(GETH_UNMODIFIED, 10.0, trial=0)
-        assert first.seed != second.seed
-        assert first.seed != other_ratio.seed
+        _, _, sweep = plan_experiment("figure2", ExperimentOptions())
+        seeds = {
+            (tags["scenario"], tags["buys_per_set"], tags["trial"]): spec.seed
+            for spec, tags in sweep.jobs()
+        }
+        first = seeds[("geth_unmodified", 1.0, 0)]
+        assert first != seeds[("geth_unmodified", 1.0, 1)]
+        assert first != seeds[("geth_unmodified", 10.0, 0)]
 
     def test_experiment_config_carries_scenario_and_ratio(self):
-        config = Figure2Config(num_buys=50)
-        point = config.experiment_config(SEMANTIC_MINING, 4.0, trial=0)
-        assert point.scenario is SEMANTIC_MINING
-        assert point.buys_per_set == 4.0
-        assert point.num_buys == 50
+        options = ExperimentOptions(overrides={"num_buys": 50})
+        _, _, sweep = plan_experiment("figure2", options)
+        for spec, tags in sweep.jobs():
+            params = dict(spec.workload_params)
+            assert spec.scenario.name == tags["scenario"]
+            assert params["buys_per_set"] == tags["buys_per_set"]
+            assert params["num_buys"] == 50
 
 
 class TestScenarioRegistry:
     def test_three_paper_scenarios_registered(self):
-        assert set(SCENARIOS) == {"geth_unmodified", "sereth_client", "semantic_mining"}
+        assert {scenario.name for scenario in PAPER_SCENARIOS} == {
+            "geth_unmodified",
+            "sereth_client",
+            "semantic_mining",
+        }
+        for scenario in PAPER_SCENARIOS:
+            assert SCENARIO_REGISTRY.get(scenario.name) is scenario
 
     def test_scenarios_are_immutable_dataclasses(self):
         with pytest.raises(Exception):
