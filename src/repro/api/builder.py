@@ -22,33 +22,68 @@ with a precise error, not minutes into a sweep.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from ..adversary import ADVERSARY_REGISTRY
 from ..experiments.scenario import Scenario
-from ..faults import FAULT_REGISTRY, build_fault
-from ..net.topology import BandwidthModel, freeze_churn, resolve_topology
 from .registry import SCENARIO_REGISTRY, WORKLOAD_REGISTRY
-from .spec import MINER_POLICIES, SimulationSpec, freeze_params
+from .spec import SimulationSpec, canonical
 
-__all__ = ["Simulation", "SimulationBuilder", "BuildError"]
+__all__ = ["Simulation", "SimulationBuilder", "BuildError", "check_plugins"]
 
 
 class BuildError(ValueError):
     """A builder configuration that cannot produce a valid spec."""
 
 
+def check_plugins(spec: SimulationSpec) -> SimulationSpec:
+    """Validate the spec's workload and adversaries by constructing each
+    plugin once — their parameter checks need the whole spec, so they run
+    here rather than in a field canonicaliser."""
+    if spec.workload not in WORKLOAD_REGISTRY:
+        raise BuildError(
+            f"unknown workload {spec.workload!r}; registered: {WORKLOAD_REGISTRY.names()}"
+        )
+    try:
+        WORKLOAD_REGISTRY.get(spec.workload)(spec, **spec.params)
+    except (TypeError, ValueError) as error:
+        raise BuildError(
+            f"invalid parameters for workload {spec.workload!r}: {error}"
+        ) from error
+    for name, params in spec.adversaries:
+        if name not in ADVERSARY_REGISTRY:
+            raise BuildError(
+                f"unknown adversary {name!r}; registered: {ADVERSARY_REGISTRY.names()}"
+            )
+        try:
+            ADVERSARY_REGISTRY.get(name)(spec, **dict(params))
+        except (TypeError, ValueError) as error:
+            raise BuildError(
+                f"invalid parameters for adversary {name!r}: {error}"
+            ) from error
+    return spec
+
+
 class SimulationBuilder:
-    """Accumulates configuration and produces an immutable SimulationSpec."""
+    """Accumulates configuration and produces an immutable SimulationSpec.
+
+    Every setter stores its value through the spec field's own canonicaliser
+    (:func:`repro.api.spec.canonical`), so a bad value fails at the call
+    that set it, with the message the spec itself would give.
+    """
 
     def __init__(self) -> None:
         self._scenario: Optional[Scenario] = None
         self._workload: str = "market"
         self._params: Dict[str, Any] = {}
         self._fields: Dict[str, Any] = {}
-        self._overrides: Dict[str, str] = {}
-        self._adversaries: List[Tuple[str, Tuple[Tuple[str, Any], ...]]] = []
+
+    def _set(self, name: str, value: Any) -> "SimulationBuilder":
+        try:
+            self._fields[name] = canonical(name, value)
+        except ValueError as error:
+            raise BuildError(str(error)) from error
+        return self
 
     # -- what runs -----------------------------------------------------------------
 
@@ -81,33 +116,28 @@ class SimulationBuilder:
             raise BuildError(
                 f"unknown adversary {name!r}; registered: {ADVERSARY_REGISTRY.names()}"
             )
-        self._adversaries.append((name, freeze_params(params)))
-        return self
+        return self._set("adversaries", self._fields.get("adversaries", ()) + ((name, params),))
 
     # -- network shape -------------------------------------------------------------
 
     def miners(self, count: int) -> "SimulationBuilder":
-        self._fields["num_miners"] = count
-        return self
+        return self._set("num_miners", count)
 
     def clients(self, count: int) -> "SimulationBuilder":
-        self._fields["num_client_peers"] = count
-        return self
+        return self._set("num_client_peers", count)
 
     def block_interval(self, seconds: float, fixed: bool = False) -> "SimulationBuilder":
-        self._fields["block_interval"] = seconds
-        self._fields["fixed_block_interval"] = fixed
-        return self
+        self._set("block_interval", seconds)
+        return self._set("fixed_block_interval", fixed)
 
     def gossip(self, latency: float, jitter: Optional[float] = None) -> "SimulationBuilder":
-        self._fields["gossip_latency"] = latency
+        self._set("gossip_latency", latency)
         if jitter is not None:
-            self._fields["gossip_jitter"] = jitter
+            self._set("gossip_jitter", jitter)
         return self
 
     def transaction_loss(self, rate: float) -> "SimulationBuilder":
-        self._fields["transaction_loss_rate"] = rate
-        return self
+        return self._set("transaction_loss_rate", rate)
 
     def topology(self, name: str, **params: Any) -> "SimulationBuilder":
         """Select the gossip graph by registry name, with builder params.
@@ -115,70 +145,35 @@ class SimulationBuilder:
         ``full_mesh`` (the default when this is never called) preserves the
         legacy direct-broadcast behaviour byte for byte.
         """
-        try:
-            builder_class = resolve_topology(name)
-            builder_class(**params)  # eager parameter validation
-        except (TypeError, ValueError) as error:
-            raise BuildError(str(error)) from error
-        self._fields["topology"] = (name, tuple(sorted(params.items())))
-        return self
+        return self._set("topology", (name, params))
 
     def bandwidth(self, bytes_per_second: float, **params: Any) -> "SimulationBuilder":
         """Enable per-link FIFO bandwidth at ``bytes_per_second``."""
-        merged = {"bytes_per_second": bytes_per_second, **params}
-        try:
-            BandwidthModel(**merged)  # eager parameter validation
-        except (TypeError, ValueError) as error:
-            raise BuildError(str(error)) from error
-        self._fields["bandwidth"] = tuple(sorted(merged.items()))
-        return self
+        return self._set("bandwidth", {"bytes_per_second": bytes_per_second, **params})
 
     def churn(self, *events) -> "SimulationBuilder":
         """Schedule churn events, e.g. ``.churn(("leave", 40.0, "client-3"),
         ("join", 90.0, "client-3"))``; call repeatedly to append."""
-        existing = self._fields.get("churn", ())
-        try:
-            self._fields["churn"] = freeze_churn(tuple(existing) + tuple(events))
-        except (TypeError, ValueError) as error:
-            raise BuildError(str(error)) from error
-        return self
+        return self._set("churn", self._fields.get("churn", ()) + tuple(events))
 
     def fault(self, name: str, **params: Any) -> "SimulationBuilder":
         """Add a fault by registry name, e.g. ``.fault("drop", rate=0.2,
         target="block")`` or ``.fault("crash", peer="client-1", at=20.0)``;
-        call repeatedly to stack.  Parameters are validated eagerly by
-        constructing the fault once."""
-        if name not in FAULT_REGISTRY:
-            raise BuildError(
-                f"unknown fault {name!r}; registered: {FAULT_REGISTRY.names()}"
-            )
-        try:
-            build_fault(name, params)  # eager parameter validation
-        except (TypeError, ValueError) as error:
-            raise BuildError(
-                f"invalid parameters for fault {name!r}: {error}"
-            ) from error
-        existing = self._fields.get("faults", ())
-        self._fields["faults"] = tuple(existing) + ((name, freeze_params(params)),)
-        return self
+        call repeatedly to stack."""
+        return self._set("faults", self._fields.get("faults", ()) + ((name, params),))
 
     def miner_order_jitter(self, seconds: float) -> "SimulationBuilder":
-        self._fields["miner_order_jitter"] = seconds
-        return self
+        return self._set("miner_order_jitter", seconds)
 
     def miner_policy(self, policy: str) -> "SimulationBuilder":
-        """Force a baseline ordering policy (one of MINER_POLICIES)."""
-        if policy not in MINER_POLICIES:
-            raise BuildError(
-                f"unknown miner policy {policy!r}; expected one of {MINER_POLICIES}"
-            )
-        self._fields["miner_policy"] = policy
-        return self
+        """Force a baseline ordering policy (one of ``spec.MINER_POLICIES``)."""
+        return self._set("miner_policy", policy)
 
     def client_kind(self, peer_id: str, kind: str) -> "SimulationBuilder":
         """Override one peer's client software (mixed Sereth/Geth networks)."""
-        self._overrides[peer_id] = kind
-        return self
+        overrides = dict(self._fields.get("client_kind_overrides", ()))
+        overrides[peer_id] = kind
+        return self._set("client_kind_overrides", overrides)
 
     def gas(
         self,
@@ -187,33 +182,29 @@ class SimulationBuilder:
         transaction_gas_limit: Optional[int] = None,
     ) -> "SimulationBuilder":
         if block_gas_limit is not None:
-            self._fields["block_gas_limit"] = block_gas_limit
+            self._set("block_gas_limit", block_gas_limit)
         if max_transactions_per_block is not None:
-            self._fields["max_transactions_per_block"] = max_transactions_per_block
+            self._set("max_transactions_per_block", max_transactions_per_block)
         if transaction_gas_limit is not None:
-            self._fields["transaction_gas_limit"] = transaction_gas_limit
+            self._set("transaction_gas_limit", transaction_gas_limit)
         return self
 
     # -- run shape -----------------------------------------------------------------
 
     def seed(self, seed: int) -> "SimulationBuilder":
-        self._fields["seed"] = seed
-        return self
+        return self._set("seed", seed)
 
     def settle_blocks(self, count: int) -> "SimulationBuilder":
-        self._fields["settle_blocks"] = count
-        return self
+        return self._set("settle_blocks", count)
 
     def max_duration(self, seconds: float) -> "SimulationBuilder":
-        self._fields["max_duration"] = seconds
-        return self
+        return self._set("max_duration", seconds)
 
     def retention(self, retain_blocks: int) -> "SimulationBuilder":
         """Bound memory: keep only the newest ``retain_blocks`` blocks per
         chain (older history folds into a sealed ChainAnchor) and evict the
         apply-cache templates that slide out of the same window."""
-        self._fields["retention"] = retain_blocks
-        return self
+        return self._set("retention", retain_blocks)
 
     def metrics_window(
         self, seconds: float, spill_path: Optional[str] = None
@@ -221,26 +212,24 @@ class SimulationBuilder:
         """Stream metrics: fold resolved rows into bounded per-label and
         per-``seconds``-window aggregates instead of whole-run row lists.
         ``spill_path`` additionally appends every resolved row as JSONL."""
-        self._fields["metrics_window"] = seconds
+        self._set("metrics_window", seconds)
         if spill_path is not None:
-            self._fields["metrics_spill"] = spill_path
+            self._set("metrics_spill", spill_path)
         return self
 
     def accounts(self, *labels: str) -> "SimulationBuilder":
         """Fund additional account labels at genesis (beyond the workload's
         own clients) — the accounts RPC callers spend from."""
-        existing = self._fields.get("extra_accounts", ())
-        self._fields["extra_accounts"] = tuple(existing) + tuple(labels)
-        return self
+        return self._set("extra_accounts", self._fields.get("extra_accounts", ()) + labels)
 
     def observe(self, trace_dir: Optional[str] = None) -> "SimulationBuilder":
         """Enable the ``repro.obs`` tracer for this run: typed lifecycle
         events, phase timers, and a probe snapshot appear under the result
         summary's ``observability`` key.  ``trace_dir`` additionally writes
         the JSONL + Chrome-trace files there after the run."""
-        self._fields["observe"] = True
+        self._set("observe", True)
         if trace_dir is not None:
-            self._fields["trace_dir"] = trace_dir
+            self._set("trace_dir", trace_dir)
         return self
 
     # -- terminal ------------------------------------------------------------------
@@ -256,31 +245,12 @@ class SimulationBuilder:
             spec = SimulationSpec(
                 scenario=self._scenario,
                 workload=self._workload,
-                workload_params=freeze_params(self._params),
-                adversaries=tuple(self._adversaries),
-                client_kind_overrides=tuple(sorted(self._overrides.items())),
+                workload_params=self._params,
                 **self._fields,
             )
-        except (TypeError, ValueError) as error:
+        except ValueError as error:
             raise BuildError(str(error)) from error
-        # Validate workload and adversary parameters eagerly by constructing
-        # the plugins once.
-        workload_class = WORKLOAD_REGISTRY.get(spec.workload)
-        try:
-            workload_class(spec, **spec.params)
-        except (TypeError, ValueError) as error:
-            raise BuildError(
-                f"invalid parameters for workload {spec.workload!r}: {error}"
-            ) from error
-        for name, params in spec.adversaries:
-            adversary_class = ADVERSARY_REGISTRY.get(name)
-            try:
-                adversary_class(spec, **dict(params))
-            except (TypeError, ValueError) as error:
-                raise BuildError(
-                    f"invalid parameters for adversary {name!r}: {error}"
-                ) from error
-        return spec
+        return check_plugins(spec)
 
 
 class Simulation:
@@ -292,13 +262,6 @@ class Simulation:
     @classmethod
     def builder(cls) -> SimulationBuilder:
         return SimulationBuilder()
-
-    @classmethod
-    def from_spec(cls, spec: SimulationSpec) -> "Simulation":
-        return cls(spec)
-
-    def with_seed(self, seed: int) -> "Simulation":
-        return Simulation(replace(self.spec, seed=seed))
 
     def start(self):
         """Wire the network and begin block production (interactive use)."""

@@ -50,7 +50,7 @@ byte-identical exports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -185,6 +185,12 @@ class ExperimentOptions:
         self._consumed.add(key)
         return self.overrides.get(key, default)
 
+    def names(self, key: str, default: Sequence[str]) -> Tuple[str, ...]:
+        """One override as a tuple of names: a bare name (``--set
+        adversaries=displacement``) is one name, not its characters."""
+        value = self.override(key, default)
+        return (value,) if isinstance(value, str) else tuple(value)
+
     def unconsumed_overrides(self) -> List[str]:
         """Override keys no code path read — misspelled or unsupported knobs."""
         return sorted(set(self.overrides) - self._consumed)
@@ -263,21 +269,20 @@ class GridExperiment(Experiment):
     """Reduced dimensions for smoke mode; ``None`` keeps ``dimensions``."""
 
     def base_spec(self, options: ExperimentOptions) -> SimulationSpec:
-        from .builder import Simulation
+        from .builder import check_plugins
 
         params = dict(self.base_params)
         if options.smoke:
             params.update(self.smoke_params)
-        spec = (
-            Simulation.builder()
-            .scenario(self.scenario)
-            .workload(self.workload, **params)
-            .seed(self.seed(options))
-            .build()
+        return check_plugins(
+            SimulationSpec(
+                scenario=self.scenario,
+                workload=self.workload,
+                workload_params=params,
+                seed=self.seed(options),
+                **self.spec_fields,
+            )
         )
-        if self.spec_fields:
-            spec = replace(spec, **dict(self.spec_fields))
-        return spec
 
     def plan(self, options: ExperimentOptions) -> Sweep:
         dims: Dict[str, List[Any]] = {

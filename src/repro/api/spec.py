@@ -5,17 +5,23 @@ needs to stand up a network, drive a workload, and measure it — and nothing
 else.  Specs are frozen dataclasses built from plain values, so they are
 hashable, picklable (the sweep engine ships them to worker processes), and
 diffable (``describe()`` renders a stable dictionary).
+
+Each field is declared once, with :func:`knob`: its canonicaliser, its
+``describe()`` renderer, whether ``describe()`` elides it at its default or
+never renders it, and whether ``session.create`` refuses it.  Construction,
+``replace()``, the builder's setters, sweep dimensions, ``--set`` and the
+served ``session.create`` all canonicalise through that one declaration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..experiments.scenario import Scenario
 from ..net.topology import freeze_bandwidth, freeze_churn, freeze_topology
 
-__all__ = ["SimulationSpec", "freeze_params", "freeze_adversaries", "freeze_faults"]
+__all__ = ["SimulationSpec", "canonical", "freeze_params", "freeze_adversaries", "freeze_faults"]
 
 MINER_POLICIES = ("arrival_jitter", "random", "fifo", "fee_arrival")
 """Baseline ordering-policy overrides a spec may request by name."""
@@ -32,159 +38,296 @@ def freeze_params(params: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     return tuple(frozen)
 
 
-def freeze_adversaries(adversaries) -> Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]:
-    """Canonicalize ``(name, params)`` adversary entries into hashable tuples.
+def _freeze_entries(entries, kind: str) -> Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]:
+    """Canonicalize ``(name, params)`` entries into hashable tuples.
 
-    Accepts bare names, ``(name, params-dict)`` pairs, or already-frozen
-    entries, so specs can be written by hand as naturally as via the builder.
+    Each entry is a bare name, a ``(name, params)`` pair, or a ``{"name",
+    "params"}`` object (the ``describe()`` and wire form); a bare name or a
+    single object stands for a one-entry list, never for its characters.
     """
+    if isinstance(entries, (str, Mapping)):
+        entries = (entries,)
     frozen = []
-    for entry in adversaries:
-        if isinstance(entry, str):
-            name, params = entry, {}
-        else:
-            name, params = entry
-        if isinstance(params, dict):
-            params = freeze_params(params)
-        frozen.append((name, tuple(params)))
+    for entry in entries:
+        try:
+            if isinstance(entry, str):
+                name, params = entry, ()
+            elif isinstance(entry, Mapping):
+                name, params = entry["name"], entry.get("params") or ()
+            else:
+                name, params = entry
+            params = freeze_params(dict(params))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"{kind} entries must be names or (name, params) pairs, got {entry!r}"
+            ) from error
+        if not name or not isinstance(name, str):
+            raise ValueError(f"{kind} entries must be (name, params) tuples, got {name!r}")
+        frozen.append((name, params))
     return tuple(frozen)
 
 
+def freeze_adversaries(adversaries) -> Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]:
+    """Canonicalize adversary entries (shape only: names resolve against
+    :data:`repro.adversary.ADVERSARY_REGISTRY` at build time, where the
+    adversary's parameter checks can see the whole spec)."""
+    return _freeze_entries(adversaries, "adversaries")
+
+
 def freeze_faults(faults) -> Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]:
-    """Canonicalize ``(name, params)`` fault entries — same shape (and the
-    same input leniency) as :func:`freeze_adversaries`."""
-    return freeze_adversaries(faults)
+    """Canonicalize fault entries — the :func:`freeze_adversaries` shape —
+    and validate each against :data:`repro.faults.FAULT_REGISTRY` by
+    constructing it once."""
+    frozen = _freeze_entries(faults, "faults")
+    if frozen:
+        from ..faults import FAULT_REGISTRY, build_fault
+
+        for name, params in frozen:
+            if name not in FAULT_REGISTRY:
+                raise ValueError(
+                    f"unknown fault {name!r}; registered: {FAULT_REGISTRY.names()}"
+                )
+            try:
+                build_fault(name, params)
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"invalid parameters for fault {name!r}: {error}") from error
+    return frozen
+
+
+# -- field canonicalisers: (name, value) -> stored value, or ValueError ----------------
+
+Canon = Callable[[str, Any], Any]
+
+
+def _integer(name: str, value: Any) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(name: str, value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _text(name: str, value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _checked(canon: Canon, holds: Callable[[Any], bool], requirement: str) -> Canon:
+    """``canon``, then ``{name} must be {requirement}`` unless ``holds``."""
+
+    def check(name: str, value: Any) -> Any:
+        value = canon(name, value)
+        if not holds(value):
+            raise ValueError(f"{name} must be {requirement}, got {value!r}")
+        return value
+
+    return check
+
+
+def _optional(canon: Canon) -> Canon:
+    return lambda name, value: None if value is None else canon(name, value)
+
+
+def _frozen(freeze: Callable[[Any], Any]) -> Canon:
+    return lambda _name, value: freeze(value)
+
+
+_POSITIVE_INTEGER = _checked(_integer, lambda value: value > 0, "positive")
+_POSITIVE = _checked(_number, lambda value: value > 0, "positive")
+_NON_NEGATIVE = _checked(_number, lambda value: value >= 0, "non-negative")
+
+
+def _scenario(name: str, value: Any) -> Scenario:
+    if isinstance(value, Scenario):
+        return value
+    from .registry import SCENARIO_REGISTRY
+
+    if not isinstance(value, str) or value not in SCENARIO_REGISTRY:
+        raise ValueError(f"unknown scenario {value!r}; registered: {SCENARIO_REGISTRY.names()}")
+    return SCENARIO_REGISTRY.get(value)
+
+
+def _labels(name: str, value: Any) -> Tuple[str, ...]:
+    if isinstance(value, str):
+        value = (value,)
+    if not all(isinstance(label, str) and label for label in value):
+        raise ValueError(f"{name} must be non-empty string labels")
+    return tuple(value)
+
+
+def _entries(value) -> list:
+    """The ``describe()`` form of ``(name, params)`` entries."""
+    return [{"name": name, "params": dict(params)} for name, params in value]
+
+
+def knob(
+    canon: Canon,
+    default: Any = MISSING,
+    *,
+    render: Optional[Callable[[Any], Any]] = None,
+    elide: bool = False,
+    hidden: bool = False,
+    refused: Optional[str] = None,
+):
+    """Declare a spec field with everything every path needs to know about it.
+
+    ``canon(name, value)`` coerces and validates (raising ``ValueError``) and
+    returns the stored value; ``render`` is its JSON-ready ``describe()``
+    form (``None``: the value itself); ``elide`` leaves it out of
+    ``describe()`` while it equals its default, so specs that never set it
+    keep the exact bytes (and digests) recorded before it existed;
+    ``hidden`` never renders it; ``refused`` says why ``session.create``
+    does not accept it.
+    """
+    return field(
+        default=default,
+        metadata={
+            "canon": canon,
+            "render": render,
+            "elide": elide,
+            "hidden": hidden,
+            "refused": refused,
+        },
+    )
 
 
 @dataclass(frozen=True)
 class SimulationSpec:
     """One fully specified simulation: scenario x workload x network shape."""
 
-    scenario: Scenario
-    """Which client software / read mode / mining policy combination runs."""
-    workload: str
+    scenario: Scenario = knob(_scenario, render=lambda scenario: scenario.name)
+    """Which client software / read mode / mining policy combination runs;
+    a registered scenario name resolves to its instance."""
+    workload: str = knob(_text)
     """Registered workload name ("market", "ticket_sale", "auction", …)."""
-    workload_params: Tuple[Tuple[str, Any], ...] = ()
+    workload_params: Tuple[Tuple[str, Any], ...] = knob(
+        _frozen(lambda params: freeze_params(dict(params))), (), render=dict
+    )
     """Workload-specific knobs, canonicalized by :func:`freeze_params`."""
-    adversaries: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...] = ()
+    adversaries: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...] = knob(
+        _frozen(freeze_adversaries), (), render=_entries
+    )
     """Attack strategies running alongside the workload, as ``(name, params)``
-    entries canonicalized by :func:`freeze_adversaries`.  Names resolve
-    against :data:`repro.adversary.ADVERSARY_REGISTRY` (the builder and the
-    engine validate them; the spec only checks shape, to stay import-light)."""
+    entries canonicalized by :func:`freeze_adversaries`."""
 
-    num_miners: int = 1
-    num_client_peers: int = 2
-    block_interval: float = 13.0
-    fixed_block_interval: bool = False
-    gossip_latency: float = 0.08
-    gossip_jitter: float = 0.06
-    transaction_loss_rate: float = 0.0
-    miner_order_jitter: float = 4.0
-    miner_policy: Optional[str] = None
+    num_miners: int = knob(_POSITIVE_INTEGER, 1)
+    num_client_peers: int = knob(_POSITIVE_INTEGER, 2)
+    block_interval: float = knob(_POSITIVE, 13.0)
+    fixed_block_interval: bool = knob(_flag, False)
+    gossip_latency: float = knob(_NON_NEGATIVE, 0.08)
+    gossip_jitter: float = knob(_NON_NEGATIVE, 0.06)
+    transaction_loss_rate: float = knob(
+        _checked(_number, lambda rate: 0.0 <= rate < 1.0, "in [0, 1)"), 0.0
+    )
+    miner_order_jitter: float = knob(_NON_NEGATIVE, 4.0)
+    miner_policy: Optional[str] = knob(
+        _optional(
+            _checked(_text, MINER_POLICIES.__contains__, f"a miner policy in {MINER_POLICIES}")
+        ),
+        None,
+    )
     """Override the baseline ordering policy (one of MINER_POLICIES); ``None``
     keeps the scenario's default (arrival jitter, or semantic mining)."""
-    client_kind_overrides: Tuple[Tuple[str, str], ...] = ()
+    client_kind_overrides: Tuple[Tuple[str, str], ...] = knob(
+        _frozen(lambda overrides: tuple(sorted(dict(overrides).items()))), (), render=dict
+    )
     """Per-peer client-kind overrides, e.g. (("client-1", "geth"),) for a
     mixed Sereth/Geth network."""
-    block_gas_limit: int = 30_000_000
-    max_transactions_per_block: Optional[int] = None
-    transaction_gas_limit: int = 200_000
-    seed: int = 0
-    settle_blocks: int = 6
-    max_duration: Optional[float] = None
-    topology: Optional[Tuple[str, Tuple[Tuple[str, Any], ...]]] = None
+    block_gas_limit: int = knob(_POSITIVE_INTEGER, 30_000_000)
+    max_transactions_per_block: Optional[int] = knob(_optional(_POSITIVE_INTEGER), None)
+    transaction_gas_limit: int = knob(_POSITIVE_INTEGER, 200_000)
+    seed: int = knob(_integer, 0)
+    settle_blocks: int = knob(_checked(_integer, lambda count: count >= 0, "non-negative"), 6)
+    max_duration: Optional[float] = knob(_optional(_POSITIVE), None)
+    topology: Optional[Tuple[str, Tuple[Tuple[str, Any], ...]]] = knob(
+        _frozen(freeze_topology),
+        None,
+        render=lambda topology: {"name": topology[0], "params": dict(topology[1])},
+        elide=True,
+    )
     """Gossip graph as ``(name, params)`` against
-    :data:`repro.net.topology.TOPOLOGY_REGISTRY`; accepts a bare name or a
-    ``(name, params-dict)`` pair (canonicalized by ``freeze_topology``).
-    ``None`` keeps the legacy direct-broadcast full mesh."""
-    bandwidth: Optional[Tuple[Tuple[str, Any], ...]] = None
+    :data:`repro.net.topology.TOPOLOGY_REGISTRY` (canonicalized and validated
+    by ``freeze_topology``).  ``None`` keeps the legacy direct-broadcast full
+    mesh."""
+    bandwidth: Optional[Tuple[Tuple[str, Any], ...]] = knob(
+        _frozen(freeze_bandwidth), None, render=dict, elide=True
+    )
     """Per-link FIFO bandwidth as frozen ``BandwidthModel`` parameters; a
     bare number is taken as ``bytes_per_second``.  ``None`` disables
     serialisation delay (the legacy behaviour)."""
-    churn: Tuple[Tuple[Any, ...], ...] = ()
+    churn: Tuple[Tuple[Any, ...], ...] = knob(
+        _frozen(freeze_churn), (), render=lambda churn: [list(event) for event in churn], elide=True
+    )
     """Scheduled churn events, e.g. ``(("leave", 40.0, "client-3"),
     ("join", 90.0, "client-3"))`` — see ``ChurnPlan.from_events``."""
-    faults: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...] = ()
+    faults: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...] = knob(
+        _frozen(freeze_faults), (), render=_entries, elide=True
+    )
     """Deterministic fault injection as ``(name, params)`` entries — the same
-    frozen shape as ``adversaries`` (canonicalized by :func:`freeze_faults`).
-    Names resolve against :data:`repro.faults.FAULT_REGISTRY`; the builder
-    and the engine validate them, the spec only checks shape, to stay
-    import-light.  ``()`` (the default) arms nothing: the network keeps the
-    golden-gated clean path."""
-    retention: Optional[int] = None
+    frozen shape as ``adversaries``, validated against
+    :data:`repro.faults.FAULT_REGISTRY` by :func:`freeze_faults`.  ``()``
+    arms nothing: the network keeps the golden-gated clean path."""
+    retention: Optional[int] = knob(_optional(_integer), None, elide=True)
     """Keep only the newest N blocks per chain (and the matching apply-cache
     window); older history folds into a sealed ``ChainAnchor``.  ``None``
-    (the default) keeps unbounded history — the golden-gated behaviour."""
-    metrics_window: Optional[float] = None
+    keeps unbounded history."""
+    metrics_window: Optional[float] = knob(_optional(_POSITIVE), None, elide=True)
     """Fold resolved metrics rows into bounded per-label aggregates bucketed
     by this many simulated seconds instead of keeping whole-run row lists.
-    ``None`` (the default) keeps the unbounded, byte-stable collector."""
-    metrics_spill: Optional[str] = None
+    ``None`` keeps the unbounded, byte-stable collector."""
+    metrics_spill: Optional[str] = knob(
+        _optional(_text),
+        None,
+        elide=True,
+        refused="it names a file the server would write, which a remote caller must not choose",
+    )
     """Optional JSONL path appended with one line per resolved watched
     transaction (full-fidelity rows for offline analysis)."""
-    extra_accounts: Tuple[str, ...] = ()
+    extra_accounts: Tuple[str, ...] = knob(_labels, (), render=list, elide=True)
     """Additional account labels funded at genesis (beyond the peers' own
     workload clients).  The service facade uses this to give RPC callers
     spendable accounts; labels map to addresses via ``address_from_label``."""
-    observe: bool = False
+    observe: bool = knob(
+        _flag,
+        False,
+        elide=True,
+        refused="the tracer is process-wide and belongs to the server; "
+        "use the server's --trace-out for request-lifecycle traces",
+    )
     """Run with the ``repro.obs`` tracer active: typed lifecycle events,
     phase timers, and a probe snapshot land in the result's ``observability``
-    summary key.  ``False`` (the default) keeps the traced call sites to a
-    single dead branch — the golden-gated zero-cost path."""
-    trace_dir: Optional[str] = None
+    summary key.  ``False`` keeps the traced call sites to a single dead
+    branch — the golden-gated zero-cost path."""
+    trace_dir: Optional[str] = knob(
+        _optional(_text),
+        None,
+        hidden=True,
+        refused="it implies observe and names a server-side directory",
+    )
     """Directory to write this run's trace files into (``trace_<digest>.jsonl``
     + ``trace_<digest>.trace.json``); setting it implies ``observe=True``.
-    Deliberately excluded from :meth:`describe`: it names an output location,
-    not simulation behaviour, so per-job digests stay stable across runs
-    pointed at different directories."""
+    Never rendered: it names an output location, not simulation behaviour,
+    so per-job digests stay stable across runs pointed at different
+    directories."""
 
     def __post_init__(self) -> None:
-        if self.num_miners <= 0:
-            raise ValueError("num_miners must be positive")
-        if self.num_client_peers <= 0:
-            raise ValueError("num_client_peers must be positive")
-        if self.block_interval <= 0:
-            raise ValueError("block_interval must be positive")
-        if not 0.0 <= self.transaction_loss_rate < 1.0:
-            raise ValueError("transaction_loss_rate must be in [0, 1)")
-        if self.gossip_latency < 0 or self.gossip_jitter < 0:
-            raise ValueError("gossip latency and jitter cannot be negative")
-        if self.miner_policy is not None and self.miner_policy not in MINER_POLICIES:
-            raise ValueError(
-                f"unknown miner policy {self.miner_policy!r}; "
-                f"expected one of {MINER_POLICIES}"
-            )
-        try:
-            frozen_adversaries = freeze_adversaries(self.adversaries)
-        except (TypeError, ValueError) as error:
-            raise ValueError(
-                f"adversaries entries must be names or (name, params) pairs: {error}"
-            ) from error
-        for name, _params in frozen_adversaries:
-            if not name or not isinstance(name, str):
-                raise ValueError(
-                    f"adversaries entries must be (name, params) tuples, got {name!r}"
-                )
         # Canonicalize in place (frozen dataclass) so hand-written specs using
-        # bare names or params dicts hash/describe like builder-made ones.
-        object.__setattr__(self, "adversaries", frozen_adversaries)
-        # freeze_topology validates the name against TOPOLOGY_REGISTRY, so an
-        # unknown topology string fails here with the known-names list.
-        object.__setattr__(self, "topology", freeze_topology(self.topology))
-        object.__setattr__(self, "bandwidth", freeze_bandwidth(self.bandwidth))
-        object.__setattr__(self, "churn", freeze_churn(self.churn))
-        try:
-            frozen_faults = freeze_faults(self.faults)
-        except (TypeError, ValueError) as error:
-            raise ValueError(
-                f"faults entries must be names or (name, params) pairs: {error}"
-            ) from error
-        for name, _params in frozen_faults:
-            if not name or not isinstance(name, str):
-                raise ValueError(
-                    f"faults entries must be (name, params) tuples, got {name!r}"
-                )
-        object.__setattr__(self, "faults", frozen_faults)
+        # names, dicts or lists hash and describe like builder-made ones.
+        for name in _CANONICALISERS:
+            object.__setattr__(self, name, canonical(name, getattr(self, name)))
         if self.retention is not None:
             # The window must cover the settle horizon (receipts are consulted
             # until settle_blocks after the last submission) plus sync slack.
@@ -194,12 +337,7 @@ class SimulationSpec:
                     f"retention must be at least {floor} blocks "
                     f"(settle_blocks={self.settle_blocks} + sync slack)"
                 )
-        if self.metrics_window is not None and self.metrics_window <= 0:
-            raise ValueError("metrics_window must be positive (seconds)")
-        if not all(isinstance(label, str) and label for label in self.extra_accounts):
-            raise ValueError("extra_accounts must be non-empty string labels")
-        object.__setattr__(self, "extra_accounts", tuple(self.extra_accounts))
-        if self.trace_dir is not None and not self.observe:
+        if self.trace_dir is not None:
             object.__setattr__(self, "observe", True)
 
     # -- accessors ---------------------------------------------------------------------
@@ -232,67 +370,37 @@ class SimulationSpec:
         return replace(self, workload_params=freeze_params(merged))
 
     def describe(self) -> Dict[str, Any]:
-        """A stable, JSON-ready rendering of the spec (for export/diffing).
-
-        The network-model fields (``topology``/``bandwidth``/``churn``) are
-        emitted only when set: default specs keep rendering the exact bytes
-        the committed golden checksums were recorded against.
-        """
-        description = {
-            "scenario": self.scenario.name,
-            "workload": self.workload,
-            "workload_params": {key: value for key, value in self.workload_params},
-            "adversaries": [
-                {"name": name, "params": {key: value for key, value in params}}
-                for name, params in self.adversaries
-            ],
-            "num_miners": self.num_miners,
-            "num_client_peers": self.num_client_peers,
-            "block_interval": self.block_interval,
-            "fixed_block_interval": self.fixed_block_interval,
-            "gossip_latency": self.gossip_latency,
-            "gossip_jitter": self.gossip_jitter,
-            "transaction_loss_rate": self.transaction_loss_rate,
-            "miner_order_jitter": self.miner_order_jitter,
-            "miner_policy": self.miner_policy,
-            "client_kind_overrides": {
-                peer_id: kind for peer_id, kind in self.client_kind_overrides
-            },
-            "block_gas_limit": self.block_gas_limit,
-            "max_transactions_per_block": self.max_transactions_per_block,
-            "transaction_gas_limit": self.transaction_gas_limit,
-            "seed": self.seed,
-            "settle_blocks": self.settle_blocks,
-            "max_duration": self.max_duration,
-        }
-        if self.topology is not None:
-            name, params = self.topology
-            description["topology"] = {"name": name, "params": dict(params)}
-        if self.bandwidth is not None:
-            description["bandwidth"] = dict(self.bandwidth)
-        if self.churn:
-            description["churn"] = [list(event) for event in self.churn]
-        # Faults follow the same emit-only-when-set rule: a no-fault spec
-        # renders (and digests) the exact golden bytes.
-        if self.faults:
-            description["faults"] = [
-                {"name": name, "params": {key: value for key, value in params}}
-                for name, params in self.faults
-            ]
-        # Retention knobs are emitted only when set, like the network-model
-        # fields: default (unbounded) specs keep their golden bytes.
-        if self.retention is not None:
-            description["retention"] = self.retention
-        if self.metrics_window is not None:
-            description["metrics_window"] = self.metrics_window
-        if self.metrics_spill is not None:
-            description["metrics_spill"] = self.metrics_spill
-        # Extra genesis accounts (the service facade's funded callers) are
-        # emitted only when present, preserving default-spec golden bytes.
-        if self.extra_accounts:
-            description["extra_accounts"] = list(self.extra_accounts)
-        # ``observe`` follows the same emit-only-when-set rule; ``trace_dir``
-        # never appears (see its field docstring).
-        if self.observe:
-            description["observe"] = True
+        """A stable, JSON-ready rendering of the spec (for export/diffing),
+        driven by each field's declared renderer and elision rule."""
+        description = {}
+        for name, render, elided_at in _RENDERERS:
+            value = getattr(self, name)
+            if value == elided_at:
+                continue
+            description[name] = value if render is None else render(value)
         return description
+
+
+_CANONICALISERS = {
+    spec_field.name: spec_field.metadata["canon"] for spec_field in fields(SimulationSpec)
+}
+_RENDERERS = tuple(
+    (
+        spec_field.name,
+        spec_field.metadata["render"],
+        spec_field.default if spec_field.metadata["elide"] else object(),
+    )
+    for spec_field in fields(SimulationSpec)
+    if not spec_field.metadata["hidden"]
+)
+"""(name, renderer, value it is left out at) per rendered field; a fresh
+``object()`` equals no value, so a field that is never elided always renders."""
+
+
+def canonical(name: str, value: Any) -> Any:
+    """``value`` as spec field ``name`` stores it; raises ``ValueError``
+    (malformed shapes included) for a value the field cannot hold."""
+    try:
+        return _CANONICALISERS[name](name, value)
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError(f"bad {name} {value!r}: {error}") from error

@@ -31,7 +31,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..experiments.scenario import Scenario
 from .checkpoint import SweepCheckpoint, sweep_digest
-from .registry import SCENARIO_REGISTRY
 from .seeding import derive_seed
 from .spec import SimulationSpec
 
@@ -39,12 +38,10 @@ __all__ = ["EmptySelectionError", "Sweep", "SweepResult", "SweepRow", "apply_dim
 
 
 def apply_dimension(spec: SimulationSpec, name: str, value: Any) -> SimulationSpec:
-    """Apply one named knob to a spec: ``scenario``, a spec field, or —
-    anything else — a workload parameter.  Shared by the sweep grid expander
-    and the experiment engine's scalar overrides."""
-    if name == "scenario":
-        scenario = value if isinstance(value, Scenario) else SCENARIO_REGISTRY.get(value)
-        return replace(spec, scenario=scenario)
+    """Apply one named knob to a spec: a spec field (canonicalised and
+    validated by the field's own declaration, so ``scenario`` may be a
+    registered name) or — anything else — a workload parameter.  Shared by
+    the sweep grid expander and the experiment engine's scalar overrides."""
     if name in _SPEC_FIELD_NAMES:
         return replace(spec, **{name: value})
     return spec.with_params(**{name: value})
@@ -256,11 +253,6 @@ class Sweep:
 
     # -- expansion --------------------------------------------------------------------
 
-    def _apply_dimension(
-        self, spec: SimulationSpec, name: str, value: Any
-    ) -> SimulationSpec:
-        return apply_dimension(spec, name, value)
-
     @staticmethod
     def _tag_value(name: str, value: Any) -> Any:
         if isinstance(value, Scenario):
@@ -278,7 +270,7 @@ class Sweep:
             cell_spec = self.base
             tags: Dict[str, Any] = {}
             for name, value in zip(names, combo):
-                cell_spec = self._apply_dimension(cell_spec, name, value)
+                cell_spec = apply_dimension(cell_spec, name, value)
                 tags[name] = self._tag_value(name, value)
             for trial in range(self._trials):
                 seed = derive_seed(

@@ -393,22 +393,13 @@ def _command_trace(arguments: argparse.Namespace) -> int:
 
 
 def _parse_dimensions(pairs: Sequence[str]) -> Dict[str, List[Any]]:
-    """Parse ``name=v1,v2,...`` grid dimensions (numbers where possible)."""
-
-    def convert(token: str) -> Any:
-        for cast in (int, float):
-            try:
-                return cast(token)
-            except ValueError:
-                continue
-        return token
-
+    """Parse ``name=v1,v2,...`` grid dimensions (tokens as ``--set`` reads them)."""
     dimensions: Dict[str, List[Any]] = {}
     for pair in pairs:
         if "=" not in pair:
             raise SystemExit(f"bad --over dimension {pair!r}; expected NAME=V1,V2,...")
         name, _, values = pair.partition("=")
-        dimensions[name] = [convert(token) for token in values.split(",") if token]
+        dimensions[name] = [_convert_token(token) for token in values.split(",") if token]
     return dimensions
 
 

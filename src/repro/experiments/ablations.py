@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..api.experiment import Experiment, ExperimentOptions, register_experiment
 from ..api.frame import ResultFrame
 from ..api.seeding import derive_seed
-from ..api.spec import SimulationSpec, freeze_params
+from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
 from .claims import ablation_claims
 from .scenario import GETH_UNMODIFIED, SEMANTIC_MINING, SERETH_CLIENT_SCENARIO
@@ -143,7 +143,7 @@ class AblationExperiment(Experiment):
                 spec = SimulationSpec(
                     scenario=scenario,
                     workload="market",
-                    workload_params=freeze_params(params),
+                    workload_params=params,
                     seed=seed,
                     **fields,
                 )

@@ -145,25 +145,15 @@ class AttackMatrixExperiment(Experiment):
         "audit_clean",
     )
 
-    @staticmethod
-    def _name_list(value) -> tuple:
-        """A bare name (``--set adversaries=displacement``) means a
-        one-element list, not an iterable of characters."""
-        return (value,) if isinstance(value, str) else tuple(value)
-
     def matrix_config(self, options: ExperimentOptions) -> AttackMatrixConfig:
         smoke = options.smoke
-        adversaries = options.override(
-            "adversaries",
-            ("displacement", "insertion") if smoke else DEFAULT_ADVERSARIES,
-        )
-        defenses = options.override(
-            "defenses",
-            ("geth_unmodified", HMS_DEFENSE) if smoke else DEFAULT_DEFENSES,
-        )
         return AttackMatrixConfig(
-            adversaries=self._name_list(adversaries),
-            defenses=self._name_list(defenses),
+            adversaries=options.names(
+                "adversaries", ("displacement", "insertion") if smoke else DEFAULT_ADVERSARIES
+            ),
+            defenses=options.names(
+                "defenses", ("geth_unmodified", HMS_DEFENSE) if smoke else DEFAULT_DEFENSES
+            ),
             num_victim_buys=options.override("buys", 8 if smoke else 20),
             reprice_interval=options.override("reprice_interval"),
             trials=self.trials(options),

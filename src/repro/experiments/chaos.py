@@ -287,19 +287,13 @@ class ChaosExperiment(Experiment):
         "blocks_produced",
     )
 
-    @staticmethod
-    def _name_list(value) -> Tuple[str, ...]:
-        return (value,) if isinstance(value, str) else tuple(value)
-
     def plan(self, options: ExperimentOptions) -> Sweep:
         smoke = options.smoke
-        mixes = self._name_list(
-            options.override("mixes", SMOKE_MIXES if smoke else DEFAULT_MIXES)
+        mixes = options.names("mixes", SMOKE_MIXES if smoke else DEFAULT_MIXES)
+        intensities = options.names(
+            "intensities", SMOKE_INTENSITIES if smoke else DEFAULT_INTENSITIES
         )
-        intensities = self._name_list(
-            options.override("intensities", SMOKE_INTENSITIES if smoke else DEFAULT_INTENSITIES)
-        )
-        scenarios = self._name_list(options.override("scenarios", SCENARIOS))
+        scenarios = options.names("scenarios", SCENARIOS)
         buys = int(options.override("buys", 4 if smoke else 8))
         return Sweep.from_specs(
             chaos_jobs(

@@ -184,10 +184,6 @@ class PropagationExperiment(Experiment):
     )
 
     @staticmethod
-    def _name_list(value) -> tuple:
-        return (value,) if isinstance(value, str) else tuple(value)
-
-    @staticmethod
     def _int_list(value) -> Tuple[int, ...]:
         if isinstance(value, (int, float)):
             return (int(value),)
@@ -195,7 +191,7 @@ class PropagationExperiment(Experiment):
 
     def plan(self, options: ExperimentOptions) -> Sweep:
         smoke = options.smoke
-        topologies = self._name_list(options.override("topologies", DEFAULT_TOPOLOGIES))
+        topologies = options.names("topologies", DEFAULT_TOPOLOGIES)
         peers = self._int_list(
             options.override("peers", SMOKE_PEERS if smoke else DEFAULT_PEERS)
         )

@@ -467,38 +467,44 @@ class ChurnPlan:
 def freeze_topology(topology: Any) -> Optional[Tuple[str, Tuple[Tuple[str, Any], ...]]]:
     """Canonicalize a topology request into ``(name, frozen-params)``.
 
-    Accepts ``None``, a bare name string, ``(name, params-dict)``, or an
-    already-frozen entry; the name is validated against the registry so an
-    unknown topology string fails at spec-construction time with the
-    known-names list.
+    Accepts ``None``, a bare name string, ``(name, params)``, or a
+    ``{"name", "params"}`` object; the builder is constructed once, so an
+    unknown name (with the known-names list) or a bad parameter fails at
+    spec-construction time.
     """
     if topology is None:
         return None
     if isinstance(topology, str):
         name, params = topology, ()
+    elif isinstance(topology, Mapping):
+        name, params = topology["name"], topology.get("params") or ()
     else:
         name, params = topology
-    if isinstance(params, dict):
-        params = tuple(sorted(params.items()))
-    resolve_topology(name)  # ValueError on unknown names
-    return (name, tuple(params))
+    params = tuple(sorted(dict(params).items()))
+    try:
+        resolve_topology(name)(**dict(params))
+    except TypeError as error:
+        raise ValueError(f"invalid parameters for topology {name!r}: {error}") from error
+    return (name, params)
 
 
 def freeze_bandwidth(bandwidth: Any) -> Optional[Tuple[Tuple[str, Any], ...]]:
-    """Canonicalize a bandwidth request into a frozen params tuple."""
+    """Canonicalize a bandwidth request into a frozen params tuple, validated
+    by constructing the ``BandwidthModel`` once."""
     if bandwidth is None:
         return None
     if isinstance(bandwidth, (int, float)):
         bandwidth = {"bytes_per_second": float(bandwidth)}
-    if isinstance(bandwidth, dict):
-        frozen = []
-        for key in sorted(bandwidth):
-            value = bandwidth[key]
-            if key == "per_link":
-                value = tuple(tuple(link) for link in value)
-            frozen.append((key, value))
-        return tuple(frozen)
-    return tuple(tuple(item) for item in bandwidth)
+    frozen = []
+    for key, value in sorted(dict(bandwidth).items()):
+        if key == "per_link":
+            value = tuple(tuple(link) for link in value)
+        frozen.append((key, value))
+    try:
+        BandwidthModel(**dict(frozen))
+    except TypeError as error:
+        raise ValueError(f"invalid bandwidth parameters: {error}") from error
+    return tuple(frozen)
 
 
 def freeze_churn(churn: Any) -> Tuple[Tuple[Any, ...], ...]:

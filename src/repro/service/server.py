@@ -38,6 +38,7 @@ from http import HTTPStatus
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
+from ..api.checkpoint import spec_digest
 from ..obs.probes import register_probe, snapshot as probe_snapshot, unregister_probe
 from ..obs.tracer import Tracer
 from .catalog import registry_catalog
@@ -343,12 +344,10 @@ class SimulatorService:
                     f"server is at its {self.config.max_sessions}-session capacity; "
                     "close or wait for idle eviction"
                 )
-            from ..api.checkpoint import spec_digest
-
             digest = spec_digest(spec)
             ordinal = self._digest_ordinals.get(digest, 0)
             self._digest_ordinals[digest] = ordinal + 1
-            session = ServiceSession(session_id_for(spec, ordinal), spec)
+            session = ServiceSession(session_id_for(digest, ordinal), spec, digest)
             self._sessions[session.session_id] = session
             self.stats.sessions_created += 1
         self._trace(

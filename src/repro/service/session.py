@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..api.builder import BuildError, Simulation
+from ..api.builder import check_plugins
 from ..api.checkpoint import spec_digest
 from ..api.engine import SimulationHandle, build_simulation
 from ..api.experiment import EXPERIMENT_REGISTRY, ExperimentOptions
@@ -49,23 +49,23 @@ VIEW_CALLER_LABEL = "service-viewer"
 """Caller label for view calls that name no account (view calls need an
 address for ``msg.sender`` but no balance)."""
 
-_SPEC_FIELD_BUILDERS = (
-    "scenario",
-    "workload",
-    "params",
-    "miners",
-    "clients",
-    "block_interval",
-    "fixed_block_interval",
-    "settle_blocks",
-    "max_duration",
-    "metrics_window",
-    "retention",
-    "adversaries",
-    "topology",
-    "accounts",
-    "seed",
-)
+WIRE_ALIASES = {
+    "params": "workload_params",
+    "miners": "num_miners",
+    "clients": "num_client_peers",
+    "accounts": "extra_accounts",
+}
+"""Short ``session.create`` keys for spec fields, kept because existing
+clients and recorded ``--persist`` journals send them."""
+
+DEFAULT_REQUEST = {"scenario": "semantic_mining", "workload": "market"}
+"""What a ``session.create`` that names no experiment starts from."""
+
+SESSION_REFUSALS = {
+    spec_field.name: spec_field.metadata["refused"] for spec_field in fields(SimulationSpec)
+}
+"""Every spec field, mapped to why ``session.create`` refuses it (``None``
+for the served ones) — read from the spec's own field declarations."""
 
 
 def resolve_address(token: Any) -> bytes:
@@ -109,67 +109,44 @@ def jsonable(value: Any) -> Any:
 # -- spec construction -------------------------------------------------------------
 
 
-def _spec_from_experiment(request: Dict[str, Any]) -> SimulationSpec:
-    name = request.pop("experiment")
-    smoke = bool(request.pop("smoke", True))
+def _experiment_spec(name: Any, smoke: Any) -> SimulationSpec:
     if name not in EXPERIMENT_REGISTRY:
         raise InvalidParamsError(
             f"unknown experiment {name!r}; registered: {EXPERIMENT_REGISTRY.names()}"
         )
-    experiment = EXPERIMENT_REGISTRY.get(name)
-    base_spec = getattr(experiment, "base_spec", None)
+    base_spec = getattr(EXPERIMENT_REGISTRY.get(name), "base_spec", None)
     if base_spec is None:
         raise InvalidParamsError(
             f"experiment {name!r} does not expose a base spec; "
             "create the session from explicit spec fields instead"
         )
-    return base_spec(ExperimentOptions(smoke=smoke))
+    return base_spec(ExperimentOptions(smoke=bool(smoke)))
 
 
-def _spec_from_fields(request: Dict[str, Any]) -> SimulationSpec:
-    builder = Simulation.builder()
-    builder.scenario(str(request.pop("scenario", "semantic_mining")))
-    workload = str(request.pop("workload", "market"))
-    params = request.pop("params", {}) or {}
-    if not isinstance(params, dict):
-        raise InvalidParamsError("params must be an object of workload parameters")
-    builder.workload(workload, **params)
-    if "miners" in request:
-        builder.miners(int(request.pop("miners")))
-    if "clients" in request:
-        builder.clients(int(request.pop("clients")))
-    if "block_interval" in request:
-        builder.block_interval(
-            float(request.pop("block_interval")),
-            fixed=bool(request.pop("fixed_block_interval", False)),
+def _requested_fields(request: Dict[str, Any]) -> Dict[str, Any]:
+    """The request's spec fields by field name, wire aliases resolved;
+    refused and unknown keys are :class:`InvalidParamsError`."""
+    requested: Dict[str, Any] = {}
+    unknown = []
+    for key, value in request.items():
+        name = WIRE_ALIASES.get(key, key)
+        if name not in SESSION_REFUSALS:
+            unknown.append(key)
+        elif SESSION_REFUSALS[name] is not None:
+            raise InvalidParamsError(
+                f"{key!r} is not a session field: {SESSION_REFUSALS[name]}"
+            )
+        elif name in requested:
+            raise InvalidParamsError(f"{key!r} names the field {name!r} twice")
+        else:
+            requested[name] = value
+    if unknown:
+        known = [name for name, refused in SESSION_REFUSALS.items() if refused is None]
+        raise InvalidParamsError(
+            f"unknown session fields {sorted(unknown)}; known: "
+            f"{sorted(known + list(WIRE_ALIASES) + ['experiment', 'smoke'])}"
         )
-    request.pop("fixed_block_interval", None)
-    if "settle_blocks" in request:
-        builder.settle_blocks(int(request.pop("settle_blocks")))
-    if "max_duration" in request:
-        builder.max_duration(float(request.pop("max_duration")))
-    if "metrics_window" in request:
-        builder.metrics_window(float(request.pop("metrics_window")))
-    for entry in request.pop("adversaries", ()) or ():
-        if isinstance(entry, str):
-            builder.adversary(entry)
-        elif isinstance(entry, dict) and "name" in entry:
-            builder.adversary(str(entry["name"]), **(entry.get("params") or {}))
-        else:
-            raise InvalidParamsError(
-                f"adversaries entries must be names or {{name, params}} objects, got {entry!r}"
-            )
-    topology = request.pop("topology", None)
-    if topology is not None:
-        if isinstance(topology, str):
-            builder.topology(topology)
-        elif isinstance(topology, dict) and "name" in topology:
-            builder.topology(str(topology["name"]), **(topology.get("params") or {}))
-        else:
-            raise InvalidParamsError(
-                f"topology must be a name or a {{name, params}} object, got {topology!r}"
-            )
-    return builder.build()
+    return requested
 
 
 def build_session_spec(
@@ -178,63 +155,34 @@ def build_session_spec(
 ) -> SimulationSpec:
     """Build the effective :class:`SimulationSpec` for a ``session.create``.
 
-    The request either names a registered ``experiment`` (its smoke-grid
-    base spec, via :class:`ExperimentOptions`) or gives builder-style fields
-    (``scenario``/``workload``/``params``/``miners``/…).  Three session-level
-    rules apply on top:
+    The request names a registered ``experiment`` (its base spec, smoke
+    grid unless ``"smoke": false``) or starts from :data:`DEFAULT_REQUEST`;
+    every other key is a served spec field by name (or a
+    :data:`WIRE_ALIASES` short name), canonicalised by the spec itself.
+    Two session-level rules apply on top:
 
-    * ``accounts`` labels are funded at genesis (``spec.extra_accounts``);
     * ``retention`` defaults to ``retention_default`` when the request does
       not mention it (pass ``"retention": null`` to force unbounded history);
     * a missing ``seed`` is *derived from the spec digest* so identical
       requests build identical sessions (see :func:`derive_session_seed`).
-
-    ``observe``/``trace_dir`` are rejected: the tracer slot is process-global
-    and belongs to the server, not to one of its concurrent sessions.
     """
     request = dict(params or {})
-    for forbidden in ("observe", "trace_dir"):
-        if forbidden in request:
-            raise InvalidParamsError(
-                f"{forbidden!r} is not a session field: the server owns the process-wide "
-                "tracer; use the server's --trace-out for request-lifecycle traces"
-            )
-    accounts = request.pop("accounts", ()) or ()
-    if not isinstance(accounts, (list, tuple)) or not all(
-        isinstance(label, str) and label for label in accounts
-    ):
-        raise InvalidParamsError("accounts must be a list of non-empty labels")
-    explicit_seed = request.pop("seed", None)
-    retention_given = "retention" in request
-    retention = request.pop("retention", None)
-
+    experiment = request.pop("experiment", None)
+    smoke = request.pop("smoke", True) if experiment is not None else True
+    requested = _requested_fields(request)
     try:
-        if "experiment" in request:
-            spec = _spec_from_experiment(request)
+        if experiment is not None:
+            spec = replace(_experiment_spec(experiment, smoke), **requested)
         else:
-            spec = _spec_from_fields(request)
-    except (BuildError, KeyError, TypeError, ValueError) as error:
+            spec = SimulationSpec(**{**DEFAULT_REQUEST, **requested})
+        if spec.retention is None and "retention" not in requested:
+            spec = replace(spec, retention=retention_default)
+        check_plugins(spec)
+    except (KeyError, TypeError, ValueError) as error:
         message = error.args[0] if error.args else error
         raise InvalidParamsError(f"bad session spec: {message}") from error
-    if request:
-        raise InvalidParamsError(
-            f"unknown session fields {sorted(request)}; known: {sorted(_SPEC_FIELD_BUILDERS)}"
-        )
-
-    overrides: Dict[str, Any] = {}
-    if accounts:
-        overrides["extra_accounts"] = tuple(accounts)
-    if retention_given:
-        overrides["retention"] = None if retention is None else int(retention)
-    elif retention_default is not None and spec.retention is None:
-        overrides["retention"] = int(retention_default)
-    if overrides:
-        try:
-            spec = replace(spec, **overrides)
-        except ValueError as error:
-            raise InvalidParamsError(str(error)) from error
-    if explicit_seed is not None:
-        return spec.with_seed(int(explicit_seed))
+    if "seed" in requested:
+        return spec
     return spec.with_seed(derive_session_seed(spec))
 
 
@@ -245,10 +193,10 @@ def derive_session_seed(spec: SimulationSpec) -> int:
     return derive_seed(0, "service-session", spec_digest(spec.with_seed(0)))
 
 
-def session_id_for(spec: SimulationSpec, ordinal: int) -> str:
-    """Deterministic session id: content digest plus a per-digest ordinal,
-    so a replayed request log reallocates the very same ids."""
-    return f"{spec_digest(spec)}-{ordinal}"
+def session_id_for(digest: str, ordinal: int) -> str:
+    """Deterministic session id: the spec's content digest plus a per-digest
+    ordinal, so a replayed request log reallocates the very same ids."""
+    return f"{digest}-{ordinal}"
 
 
 # -- the session -------------------------------------------------------------------
@@ -261,11 +209,12 @@ class ServiceSession:
         self,
         session_id: str,
         spec: SimulationSpec,
+        digest: str,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.session_id = session_id
         self.spec = spec
-        self.spec_digest = spec_digest(spec)  # the spec is frozen: derived once, not per status()
+        self.spec_digest = digest  # the caller's one spec_digest(spec): never re-derived
         self.lock = threading.RLock()
         self.closed = threading.Event()
         self.state = "open"  # open -> finished -> closed

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -40,6 +41,20 @@ class TestCommands:
         assert exit_code == 0
         assert "Sweep — market" in output
         assert "efficiency" in output
+
+    def test_sweep_over_bool_field_runs_both_values(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        exit_code = main(
+            [
+                "sweep", "--workload", "market", "--scenarios", "semantic_mining",
+                "--over", "fixed_block_interval=false,true", "num_buys=4",
+                "--json", str(path),
+            ]
+        )
+        capsys.readouterr()
+        assert exit_code == 0
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        assert [row["summary"]["spec"]["fixed_block_interval"] for row in rows] == [False, True]
 
     def test_sequential_command_reports_perfect_efficiency(self, capsys):
         exit_code = main(["run", "sequential", "--smoke", "--seed", "2"])

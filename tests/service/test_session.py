@@ -81,14 +81,41 @@ class TestBuildSessionSpec:
             build_session_spec({"bogus": 1})
         assert "bogus" in str(excinfo.value)
 
+    def test_fixed_block_interval_alone_is_honoured(self, service):
+        created = service.dispatch("session.create", dict(SMALL_SPEC, fixed_block_interval=True))
+        assert created["spec"]["fixed_block_interval"] is True
+        assert created["spec"]["block_interval"] == 13.0
+
+    def test_network_model_fields_are_served(self, service):
+        created = service.dispatch(
+            "session.create",
+            dict(
+                SMALL_SPEC,
+                faults=[{"name": "drop", "params": {"rate": 0.1}}],
+                bandwidth=500000,
+                churn=[["leave", 40.0, "client-1"]],
+                miner_policy="fifo",
+            ),
+        )
+        spec = created["spec"]
+        assert spec["faults"] == [{"name": "drop", "params": {"rate": 0.1}}]
+        assert spec["bandwidth"] == {"bytes_per_second": 500000.0}
+        assert spec["churn"] == [["leave", 40.0, "client-1"]]
+        assert spec["miner_policy"] == "fifo"
+
     def test_observe_and_trace_dir_rejected(self):
-        for forbidden in ("observe", "trace_dir"):
+        for forbidden in ("observe", "trace_dir", "metrics_spill"):
             with pytest.raises(InvalidParamsError):
                 build_session_spec({forbidden: True})
 
-    def test_session_ids_are_digest_plus_ordinal(self):
-        spec = build_session_spec(dict(SMALL_SPEC))
-        assert session_id_for(spec, 0) == f"{spec_digest(spec)}-0"
+    def test_session_ids_are_digest_plus_ordinal(self, service):
+        digest = spec_digest(build_session_spec(dict(SMALL_SPEC)))
+        assert session_id_for(digest, 0) == f"{digest}-0"
+        created = service.dispatch("session.create", dict(SMALL_SPEC))
+        assert created["spec_digest"] == digest
+        assert created["session"] == session_id_for(digest, 0)
+        status = service.dispatch("session.status", {"session": created["session"]})
+        assert status["spec_digest"] == digest
 
 
 class TestSessionLifecycle:
