@@ -28,7 +28,7 @@ from .logs import LogBloom, LogIndex, LogQuery, MatchedLog, bloom_for_block
 from .receipt import LogEntry, Receipt, receipts_root
 from .state import StateSnapshot, WorldState, live_state_stats
 from .transaction import Transaction, sign_transaction
-from .trie import MerklePatriciaTrie, ordered_trie_root, trie_root, verify_proof
+from .trie import MerklePatriciaTrie, ordered_trie_root, verify_proof
 from .wire import (
     WireDecodingError,
     decode_block,
@@ -87,7 +87,6 @@ __all__ = [
     "bloom_for_block",
     "MerklePatriciaTrie",
     "ordered_trie_root",
-    "trie_root",
     "verify_proof",
     "WireDecodingError",
     "decode_block",

@@ -1,10 +1,13 @@
 """A hexary Merkle Patricia trie, Ethereum's authenticated key/value structure.
 
-The chain substrate commits to its transaction and receipt lists with this
-trie (as the yellow paper specifies), so the roots in block headers are real
-Merkle roots: a light client holding only a root can verify a single
-transaction's inclusion with a logarithmic proof, which the proof helpers at
-the bottom of this module implement.
+The chain substrate commits to its transaction and receipt lists with the
+roots of this trie keyed by RLP-encoded list index (as the yellow paper
+specifies), so the roots in block headers are real Merkle roots.
+:func:`ordered_trie_root` computes them from a per-length shape without
+building the trie; :class:`MerklePatriciaTrie` is the general structure it
+is tested against, with the logarithmic inclusion proofs a light client
+holding only a root would check (the proof helpers at the bottom of this
+module).
 
 Node model (per the yellow paper, appendix D):
 
@@ -31,11 +34,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.keccak import keccak256
-from ..encoding.rlp import rlp_decode, rlp_encode
+from ..encoding.rlp import _encode_string, rlp_decode, rlp_encode, rlp_list
+from ..memo import bounded_memo
 
 __all__ = [
     "MerklePatriciaTrie",
-    "trie_root",
     "ordered_trie_root",
     "verify_proof",
     "ProofError",
@@ -404,26 +407,83 @@ class MerklePatriciaTrie:
         return reference
 
 
-def trie_root(items: Dict[bytes, bytes]) -> bytes:
-    """Root of a trie holding ``items`` (a plain mapping)."""
-    trie = MerklePatriciaTrie()
-    for key, value in items.items():
-        trie.put(key, value)
-    return trie.root()
+# -- ordered roots ----------------------------------------------------------------------
+#
+# The trie keyed by rlp(0) .. rlp(n - 1) has a shape that depends on n alone:
+# nested (_LEAF, path, index), (_EXTENSION, path, child) and (_BRANCH, parts)
+# tuples with every path already RLP-encoded.  A branch's parts are its child
+# shapes with each run of empty slots as one constant (RLP keys are prefix-free,
+# so the value slot is always empty).  Values are encoded into it bottom-up.
+
+_LEAF, _EXTENSION, _BRANCH = 0, 1, 2
+
+SHAPE_MEMO_SIZE = 64
+"""Distinct list lengths kept.  The knee of the hit curve: replaying one
+``figure2_sweep`` repeat's 1,108 lengths (69 distinct, up to 131) through an
+LRU of 32 / 64 / unbounded gives 972 / 1,039 / 1,039 hits; every other bench
+workload uses at most 13 lengths.  ``tests/chain/test_trie_shape_traffic.py``
+re-measures it."""
+
+
+def _shape(keys: List[Tuple[List[int], int]], depth: int):
+    """The subtree over sorted ``(nibbles, index)`` keys sharing ``depth`` nibbles."""
+    first = keys[0][0]
+    if len(keys) == 1:
+        return (_LEAF, _encode_string(_hex_prefix_encode(first[depth:], True)), keys[0][1])
+    common = _common_prefix_length(first[depth:], keys[-1][0][depth:])
+    if common:
+        path = _encode_string(_hex_prefix_encode(first[depth : depth + common], False))
+        return (_EXTENSION, path, _shape(keys, depth + common))
+    parts: List[object] = []
+    for nibble in range(17):
+        group = [key for key in keys if key[0][depth] == nibble]
+        if group:
+            parts.append(_shape(group, depth + 1))
+        elif parts and type(parts[-1]) is bytes:
+            parts[-1] += b"\x80"
+        else:
+            parts.append(b"\x80")
+    return (_BRANCH, tuple(parts))
+
+
+@bounded_memo("ordered_trie_shape", SHAPE_MEMO_SIZE)
+def _ordered_shape(count: int):
+    """Keyed by length and holding no values: clearing it only costs a rebuild."""
+    return _shape(sorted((_to_nibbles(rlp_encode(index)), index) for index in range(count)), 0)
+
+
+def _reference(shape, values: Sequence[bytes]) -> bytes:
+    """A node as its parent holds it: its RLP encoding if shorter than 32
+    bytes, else the RLP string of that encoding's hash."""
+    kind = shape[0]
+    if kind == _LEAF:
+        value = values[shape[2]]
+        if not value:
+            raise ValueError("an ordered trie cannot commit an empty value")
+        encoded = rlp_list(shape[1] + _encode_string(bytes(value)))
+    elif kind == _EXTENSION:
+        encoded = rlp_list(shape[1] + _reference(shape[2], values))
+    else:
+        encoded = rlp_list(
+            b"".join([part if type(part) is bytes else _reference(part, values) for part in shape[1]])
+        )
+    return encoded if len(encoded) < 32 else b"\xa0" + keccak256(encoded)
 
 
 def ordered_trie_root(values: Sequence[bytes]) -> bytes:
-    """Root of a trie keyed by RLP-encoded list index — how Ethereum commits to
-    a block's transaction and receipt lists.
+    """Root of the trie keyed by RLP-encoded list index — how Ethereum commits
+    to a block's transaction and receipt lists (go-ethereum's ``DeriveSha``).
 
-    Built from scratch on every call: a validator takes a known block's
-    roots from ``BlockApplyCache``, so lists rarely repeat (measured: 121 of
-    1,244 calls on ``figure2_sweep``, none on the other benchmark workloads),
-    and the node hashes of one that does are keccak-memo hits.
+    Byte-identical to inserting every ``(rlp(index), value)`` into a
+    :class:`MerklePatriciaTrie`, with the same keccak inputs, but built from
+    the per-length shape (:func:`_ordered_shape`) instead of node objects.
+    Values must be non-empty: in a trie an empty value is an absent key.
     """
     if not values:
         return EMPTY_ROOT
-    return trie_root({rlp_encode(index): value for index, value in enumerate(values)})
+    reference = _reference(_ordered_shape(len(values)), values)
+    # A hashed root node is its own hash; an embedded one is hashed now.
+    return reference[1:] if len(reference) == 33 else keccak256(reference)
 
 
 def verify_proof(root: bytes, key: bytes, value: bytes, proof: Sequence[bytes]) -> bool:

@@ -5,14 +5,19 @@ straight-line code (~2.7x), but ~250 microseconds per permutation is still
 the engine's hard floor: every *unique* transaction hash, trie node, and
 state commitment in a sweep pays it.  This module removes that floor where
 the hardware allows: at first use it compiles a small, dependency-free C
-implementation of one-shot Keccak-256 with ``cc -O3 -shared``, caches the
-shared object under the system temp directory keyed by the source digest,
-and loads it through :mod:`ctypes`.
+implementation of one-shot Keccak-256 as a CPython extension module
+(``cc -O3 -shared`` against the interpreter's ``Python.h``), caches it under
+the system temp directory keyed by the source digest and the interpreter's
+extension suffix, and loads it through :mod:`importlib`.  The module's one
+function takes any buffer and returns the 32-byte digest as ``bytes``
+allocated in C: a call costs what a builtin call costs, with no argument
+marshalling or output buffer on the Python side.
 
 Strictly optional and strictly verified:
 
-* no compiler, a failed compile, or a failed load simply returns ``None``
-  and :mod:`repro.crypto.keccak` keeps using the pure-Python sponge;
+* no compiler, no ``Python.h``, a failed compile, or a failed load simply
+  returns ``None`` and :mod:`repro.crypto.keccak` keeps using the pure-Python
+  sponge;
 * :mod:`repro.crypto.keccak` cross-checks the loaded function against the
   pure-Python implementation's pinned digests on a battery of padding-boundary
   vectors and discards it on any mismatch, so a bad toolchain can never change
@@ -27,18 +32,26 @@ rate 1088, little-endian lane extraction — bit-identical to
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import subprocess
+import sys
+import sysconfig
 import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
 __all__ = ["load_native_keccak256"]
 
+_MODULE_NAME = "repro_keccak"
+"""The extension's module name; the C source's ``PyInit_`` function matches it."""
+
 _C_SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <stddef.h>
 #include <string.h>
@@ -97,7 +110,7 @@ static uint64_t load64(const uint8_t *p) {
     return v; /* little-endian hosts only; the loader self-test guards this */
 }
 
-int repro_keccak256(const uint8_t *data, size_t length, uint8_t *out) {
+static void keccak256(const uint8_t *data, size_t length, uint8_t *out) {
     uint64_t state[25];
     uint8_t block[136];
     memset(state, 0, sizeof(state));
@@ -116,24 +129,47 @@ int repro_keccak256(const uint8_t *data, size_t length, uint8_t *out) {
         state[i] ^= load64(block + 8 * i);
     keccak_f1600(state);
     memcpy(out, state, 32);
-    return 0;
 }
+
+static PyObject *py_keccak256(PyObject *module, PyObject *data) {
+    Py_buffer view;
+    if (PyObject_GetBuffer(data, &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    PyObject *digest = PyBytes_FromStringAndSize(NULL, 32);
+    if (digest != NULL)
+        keccak256(view.buf, (size_t)view.len, (uint8_t *)PyBytes_AS_STRING(digest));
+    PyBuffer_Release(&view);
+    return digest;
+}
+
+static PyMethodDef methods[] = {
+    {"keccak256", py_keccak256, METH_O, "One-shot Keccak-256 of a buffer."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "repro_keccak", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit_repro_keccak(void) { return PyModule_Create(&module); }
 """
 
 
 def _library_path() -> Path:
+    """The cache file: one per source digest and interpreter ABI (the suffix
+    names it), so two interpreters never load each other's build."""
     digest = hashlib.sha256(_C_SOURCE.encode("utf-8")).hexdigest()[:16]
     uid = os.getuid() if hasattr(os, "getuid") else 0
-    return (
-        Path(tempfile.gettempdir())
-        / f"repro-keccak-{uid}"
-        / f"keccak-{digest}.so"
-    )
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    return Path(tempfile.gettempdir()) / f"repro-keccak-{uid}" / f"keccak-{digest}{suffix}"
+
+
+def _python_include() -> Path:
+    return Path(sysconfig.get_paths()["include"])
 
 
 def _compile_library(lib_path: Path) -> bool:
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if compiler is None:
+    include = _python_include()
+    if compiler is None or not (include / "Python.h").is_file():
         return False
     cache_dir = lib_path.parent
     cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -142,12 +178,11 @@ def _compile_library(lib_path: Path) -> bool:
     with tempfile.TemporaryDirectory(dir=cache_dir) as scratch:
         source = Path(scratch) / "keccak.c"
         source.write_text(_C_SOURCE, encoding="utf-8")
-        built = Path(scratch) / "keccak.so"
-        result = subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", "-o", str(built), str(source)],
-            capture_output=True,
-            timeout=60,
-        )
+        built = Path(scratch) / lib_path.name
+        command = [compiler, "-O3", "-shared", "-fPIC", f"-I{include}", "-o", str(built), str(source)]
+        if sys.platform == "darwin":
+            command[1:1] = ["-undefined", "dynamic_lookup"]  # symbols come from the interpreter
+        result = subprocess.run(command, capture_output=True, timeout=60)
         if result.returncode != 0 or not built.exists():
             return False
         os.replace(built, lib_path)  # atomic: concurrent builders converge
@@ -182,16 +217,9 @@ def load_native_keccak256() -> Optional[Callable[[bytes], bytes]]:
                 return None
         if not _owned_by_us(lib_path.parent):
             return None  # a foreign cache dir could swap the file under us
-        library = ctypes.CDLL(str(lib_path))
-    except (OSError, subprocess.SubprocessError):
+        loader = importlib.machinery.ExtensionFileLoader(_MODULE_NAME, str(lib_path))
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_MODULE_NAME, loader))
+        loader.exec_module(module)
+        return module.keccak256
+    except (ImportError, OSError, subprocess.SubprocessError):
         return None
-    function = library.repro_keccak256
-    function.argtypes = [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p]
-    function.restype = ctypes.c_int
-
-    def keccak256_native(data: bytes) -> bytes:
-        out = ctypes.create_string_buffer(32)
-        function(data, len(data), out)
-        return out.raw
-
-    return keccak256_native

@@ -1,18 +1,49 @@
-"""Tests for the Merkle Patricia trie and its proofs."""
+"""Tests for the Merkle Patricia trie, its proofs, and ordered list roots."""
+
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.chain import trie as trie_module
 from repro.chain.trie import (
     EMPTY_ROOT,
     MerklePatriciaTrie,
     ProofError,
     ordered_trie_root,
-    trie_root,
     verify_proof,
 )
+from repro.crypto import keccak as keccak_module
 from repro.crypto.keccak import keccak256
 from repro.encoding.rlp import rlp_encode
+from repro.memo import clear_memos, memo_stats
+
+
+def trie_root(items):
+    """Root of a trie holding ``items`` (a plain mapping): the from-scratch
+    oracle ``ordered_trie_root`` is held to."""
+    trie = MerklePatriciaTrie()
+    for key, value in items.items():
+        trie.put(key, value)
+    return trie.root()
+
+
+def indexed(values):
+    return {rlp_encode(index): value for index, value in enumerate(values)}
+
+
+# One-byte values make embedded leaves, 32+ bytes hashed ones; the lengths
+# cross the RLP key boundaries at 127/128 (one-byte -> 0x81-prefixed keys)
+# and 255/256 (0x81 -> 0x82).
+ORDERED_VALUE = st.one_of(
+    st.binary(min_size=1, max_size=1),
+    st.binary(min_size=32, max_size=40),
+    st.binary(min_size=1, max_size=40),
+)
+ORDERED_LISTS = st.integers(min_value=0, max_value=300).flatmap(
+    lambda count: st.lists(ORDERED_VALUE, min_size=count, max_size=count)
+)
+BOUNDARY_LENGTHS = (1, 2, 16, 17, 127, 128, 129, 255, 256, 257, 300)
 
 
 class TestBasicOperations:
@@ -93,15 +124,62 @@ class TestRootProperties:
         assert ordered_trie_root([]) == EMPTY_ROOT
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.binary(min_size=1, max_size=16), max_size=20))
+    @given(ORDERED_LISTS)
+    @example([b"\x01"] * 128)
+    @example([b"\x01"] * 256)
+    @example([bytes([index % 256]) * 32 for index in range(257)])
     def test_property_ordered_root_equals_from_scratch_trie(self, values):
-        """No memo sits behind ``ordered_trie_root``: asked twice it gives the
-        root of a fresh trie keyed by RLP-encoded index, for any value type."""
-        reference = MerklePatriciaTrie()
-        for index, value in enumerate(values):
-            reference.put(rlp_encode(index), value)
-        assert ordered_trie_root(values) == reference.root()
-        assert ordered_trie_root(tuple(bytearray(value) for value in values)) == reference.root()
+        """Asked twice, ``ordered_trie_root`` gives the root of a fresh trie
+        keyed by RLP-encoded index, for bytes, bytearray and tuple inputs: its
+        per-length shape memo holds no values, so a repeat cannot go stale."""
+        expected = trie_root(indexed(values))
+        assert ordered_trie_root(values) == expected
+        assert ordered_trie_root(tuple(bytearray(value) for value in values)) == expected
+
+    @pytest.mark.parametrize("count", BOUNDARY_LENGTHS)
+    @pytest.mark.parametrize("size", [1, 31, 32])
+    def test_ordered_root_at_key_boundaries(self, count, size):
+        values = [bytes([index % 251 + 1]) * size for index in range(count)]
+        assert ordered_trie_root(values) == trie_root(indexed(values))
+
+    def test_ordered_root_builds_no_trie_nodes(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ordered_trie_root built a trie node")
+
+        monkeypatch.setattr(trie_module._Node, "__init__", refuse)
+        for count in BOUNDARY_LENGTHS:
+            ordered_trie_root([b"v%d" % index * 12 for index in range(count)])
+
+    @pytest.mark.parametrize("count", BOUNDARY_LENGTHS)
+    def test_ordered_root_hashes_what_the_trie_hashes(self, count, monkeypatch):
+        """The same keccak inputs as the from-scratch trie, so
+        ``crypto.keccak_calls`` and the memo's hit ratio stay as they were."""
+        values = [bytes([index % 256]) * (1 if index % 3 else 40) for index in range(count)]
+        seen = []
+        cached = keccak_module._keccak256_cached
+
+        def recording(data):
+            seen.append(data)
+            return cached(data)
+
+        monkeypatch.setattr(keccak_module, "_keccak256_cached", recording)
+        ordered_trie_root(values)
+        ours = Counter(seen)
+        seen.clear()
+        trie_root(indexed(values))
+        assert ours == Counter(seen)
+
+    def test_ordered_root_refuses_an_empty_value(self):
+        # In a trie an empty value is an absent key; a list has no holes.
+        with pytest.raises(ValueError):
+            ordered_trie_root([b"a", b"", b"c"])
+
+    def test_shape_memo_is_registered_and_cleared(self):
+        ordered_trie_root([b"x" * 32] * 5)
+        assert memo_stats()["ordered_trie_shape"]["size"] >= 1
+        clear_memos()
+        assert memo_stats()["ordered_trie_shape"]["size"] == 0
+        assert ordered_trie_root([b"x" * 32] * 5) == trie_root(indexed([b"x" * 32] * 5))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,9 +1,11 @@
 """The optional compiled keccak backend must be bit-identical to the pure
 Python sponge — or absent.  Either way digests never change."""
 
+import importlib.machinery
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import keccak as keccak_module
 from repro.crypto.keccak import Keccak256, keccak256
@@ -127,3 +129,45 @@ class TestBackendParity:
         monkeypatch.setattr(native_module, "_compile_library", lambda path: False)
         monkeypatch.setattr(native_module, "_library_path", lambda: missing)
         assert native_module.load_native_keccak256() is None
+
+    def test_cache_file_is_named_for_the_interpreter_abi(self):
+        # Two interpreters sharing a temp dir never load each other's build.
+        import repro.crypto.keccak_native as native_module
+
+        name = native_module._library_path().name
+        assert name.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
+
+    def test_missing_python_headers_degrade_to_pure_python(self, monkeypatch, tmp_path):
+        import repro.crypto.keccak_native as native_module
+
+        monkeypatch.setattr(native_module, "_python_include", lambda: tmp_path / "no-headers")
+        monkeypatch.setattr(native_module, "_library_path", lambda: tmp_path / "cache" / "keccak.so")
+        assert native_module.load_native_keccak256() is None
+
+    def test_the_backend_is_an_extension_function_not_a_ctypes_shim(self):
+        native = keccak_module._native_backend()
+        if native is None:
+            pytest.skip("no native keccak backend in this environment")
+        assert type(native).__name__ == "builtin_function_or_method"
+
+
+BUFFER_KINDS = (bytes, bytearray, memoryview)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=700),
+        st.sampled_from([134, 135, 136, 137, 271, 272, 273]).flatmap(
+            lambda size: st.binary(min_size=size, max_size=size)
+        ),
+    ),
+    st.sampled_from(BUFFER_KINDS),
+)
+def test_property_extension_matches_the_sponge(data, kind):
+    """Any length up to 700 bytes, across the 136-byte rate boundaries, from
+    any buffer type the extension accepts."""
+    native = keccak_module._native_backend()
+    if native is None:
+        pytest.skip("no native keccak backend in this environment")
+    assert native(kind(data)) == Keccak256(data).digest()

@@ -179,6 +179,11 @@ def hooked_environment(hook_dir: Path, out_dir: Path) -> Dict[str, str]:
     )
     environment["REACHABILITY_OUT"] = str(out_dir)
     environment["REACHABILITY_SOURCE"] = str(SOURCE_ROOT) + os.sep
+    # A fresh, empty temp dir per run: the native keccak backend is compiled
+    # under the profiler every time, never loaded from an earlier build.
+    temp_dir = out_dir.with_name(out_dir.name + "-tmp")
+    temp_dir.mkdir()
+    environment["TMPDIR"] = str(temp_dir)
     return environment
 
 
@@ -194,7 +199,12 @@ def run_hooked(label: str, command: Sequence[str], environment: Dict[str, str]) 
 
 def serve_and_loadgen(environment: Dict[str, str]) -> None:
     """``repro serve`` in the background, ``repro loadgen --smoke`` against it,
-    then the ``service.shutdown`` verb, so the server exits through atexit."""
+    a ``session.list`` while a session is open, then the ``service.shutdown``
+    verb, so the server exits through atexit.
+
+    The listing reads every open session's ``idle_seconds``; without it that
+    property is reached only if the idle reaper happens to tick while a
+    session is open, and the table would differ between two runs."""
     server = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0", "--workers", "2"],
         cwd=REPO_ROOT, env=environment, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
@@ -209,6 +219,15 @@ def serve_and_loadgen(environment: Dict[str, str]) -> None:
         if url is None:
             raise SystemExit("repro serve exited before announcing its URL")
         run_hooked("repro loadgen", [sys.executable, "-m", "repro.cli", "loadgen", "--smoke", "--url", url], environment)
+        run_hooked(
+            "session.list",
+            [sys.executable, "-c",
+             f"from repro.service import ServiceClient; client = ServiceClient({url!r}); "
+             "session = client.create_session(params={'num_buys': 4}); "
+             "assert session in [entry['session'] for entry in client.list_sessions()]; "
+             "client.close_session(session)"],
+            environment,
+        )
         run_hooked(
             "service.shutdown",
             [sys.executable, "-c",
