@@ -2,12 +2,8 @@
 """Substrate performance harness: measures the simulation hot path and writes
 ``BENCH_substrate.json``.
 
-Covers the four layers the chain substrate spends its time in:
+Covers the layers the chain substrate spends its time in:
 
-* ``trie_commit_s``       — insert N keys into a :class:`MerklePatriciaTrie`,
-  recomputing ``root()`` after every put (the per-block commit path);
-* ``trie_churn_s``        — interleaved put/delete churn over a live trie with
-  a root recomputation per operation (storage clears + reorgs);
 * ``pool_view_s``         — TxPool adds interleaved with
   ``transactions_with_arrival()`` views (the HMS view path);
 * ``keccak_bulk_mbps``    — single-hasher absorption throughput (higher is
@@ -44,15 +40,11 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
 
-from repro.chain.trie import MerklePatriciaTrie
 from repro.crypto import keccak as keccak_module
 from repro.crypto.keccak import Keccak256
-from repro.encoding.rlp import rlp_encode
 from repro.txpool.pool import TxPool
 
 SECONDS_METRICS = {
-    "trie_commit_s",
-    "trie_churn_s",
     "pool_view_s",
     "keccak_small_s",
     "figure2_cell_s",
@@ -77,36 +69,6 @@ def _clear_hash_cache() -> None:
 
 
 # -- micro benchmarks ---------------------------------------------------------------
-
-
-def bench_trie_commit(num_keys: int) -> float:
-    """Put ``num_keys`` entries, recomputing the root after every put."""
-    keys = [hashlib.sha256(b"trie-commit-%d" % index).digest() for index in range(num_keys)]
-    _clear_hash_cache()
-    trie = MerklePatriciaTrie()
-    started = time.perf_counter()
-    for index, key in enumerate(keys):
-        trie.put(key, b"value-%d" % index)
-        trie.root()
-    return time.perf_counter() - started
-
-
-def bench_trie_churn(num_keys: int) -> float:
-    """Interleave puts and deletes over a live trie, root after each op."""
-    keys = [hashlib.sha256(b"trie-churn-%d" % index).digest() for index in range(num_keys)]
-    trie = MerklePatriciaTrie()
-    for index, key in enumerate(keys):
-        trie.put(key, b"seed-%d" % index)
-    _clear_hash_cache()
-    trie.root()  # settle the resident structure before timing churn
-    started = time.perf_counter()
-    for index, key in enumerate(keys):
-        if index % 2 == 0:
-            trie.delete(key)
-        else:
-            trie.put(key, b"churn-%d" % index)
-        trie.root()
-    return time.perf_counter() - started
 
 
 def bench_pool_view(num_transactions: int, views_per_add: int) -> float:
@@ -228,7 +190,6 @@ def run_benchmarks(quick: bool, repeats: int) -> Dict[str, Any]:
     """Run the full grid and return ``{"metrics": ..., "checksums": ..., ...}``."""
     if quick:
         sizes = {
-            "trie_keys": 150,
             "pool_transactions": 300,
             "views_per_add": 1,
             "keccak_megabytes": 0.25,
@@ -238,7 +199,6 @@ def run_benchmarks(quick: bool, repeats: int) -> Dict[str, Any]:
         }
     else:
         sizes = {
-            "trie_keys": 500,
             "pool_transactions": 1200,
             "views_per_add": 2,
             "keccak_megabytes": 1.0,
@@ -260,8 +220,6 @@ def run_benchmarks(quick: bool, repeats: int) -> Dict[str, Any]:
         return elapsed
 
     grid: Dict[str, Callable[[], float]] = {
-        "trie_commit_s": lambda: bench_trie_commit(sizes["trie_keys"]),
-        "trie_churn_s": lambda: bench_trie_churn(sizes["trie_keys"]),
         "pool_view_s": lambda: bench_pool_view(
             sizes["pool_transactions"], sizes["views_per_add"]
         ),

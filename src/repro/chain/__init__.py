@@ -24,11 +24,10 @@ from .genesis import (
     build_genesis_cached,
     genesis_digest,
 )
-from .logs import LogBloom, LogIndex, LogQuery, MatchedLog, bloom_for_block
 from .receipt import LogEntry, Receipt, receipts_root
 from .state import StateSnapshot, WorldState, live_state_stats
 from .transaction import Transaction, sign_transaction
-from .trie import MerklePatriciaTrie, ordered_trie_root, verify_proof
+from .trie import ordered_trie_root
 from .wire import (
     WireDecodingError,
     decode_block,
@@ -80,14 +79,7 @@ __all__ = [
     "live_state_stats",
     "Transaction",
     "sign_transaction",
-    "LogBloom",
-    "LogIndex",
-    "LogQuery",
-    "MatchedLog",
-    "bloom_for_block",
-    "MerklePatriciaTrie",
     "ordered_trie_root",
-    "verify_proof",
     "WireDecodingError",
     "decode_block",
     "decode_header",

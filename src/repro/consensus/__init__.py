@@ -1,6 +1,5 @@
 """Consensus layer: block interval models, miner ordering policies, block assembly."""
 
-from .difficulty import DifficultyAwareInterval, DifficultyConfig, adjust_difficulty
 from .interval import (
     DEFAULT_BLOCK_INTERVAL_SECONDS,
     BlockIntervalModel,
@@ -18,9 +17,6 @@ from .policies import (
 )
 
 __all__ = [
-    "DifficultyAwareInterval",
-    "DifficultyConfig",
-    "adjust_difficulty",
     "DEFAULT_BLOCK_INTERVAL_SECONDS",
     "BlockIntervalModel",
     "FixedInterval",

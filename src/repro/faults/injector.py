@@ -8,29 +8,21 @@ function of the spec — byte-identical whether the trial runs serially, in a
 sweep worker, or resumed from a checkpoint — and adding or removing one
 fault entry reshuffles exactly that entry's stream and nothing else.
 
-Every injection is counted by fault kind, appended to a bounded in-order
-trace, and emitted as a ``fault.*`` event through :mod:`repro.obs` when a
-tracer is active; the engine also registers the counters as a per-trial
-``faults`` probe.
+Every injection is counted by fault kind and emitted as a ``fault.*``
+event through :mod:`repro.obs` when a tracer is active; the engine also
+registers the counters as a per-trial ``faults`` probe.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import runtime as _obs
 from .message import FaultEffect, MessageFault
 from .registry import build_fault
 
 __all__ = ["FaultInjector"]
-
-MAX_TRACE_ENTRIES = 65_536
-"""Bound the in-memory fault trace like the other long-horizon bookkeeping:
-counters stay exact for the whole run; the replayable trace keeps the newest
-entries."""
-
 
 class FaultInjector:
     """Applies a spec's faults at the network seams, deterministically."""
@@ -45,11 +37,6 @@ class FaultInjector:
             else:
                 self._peer_faults.append((name, fault))
         self.counts: Dict[str, int] = {}
-        self.trace: Deque[Tuple[float, str, str, str, Optional[str], Optional[str]]] = (
-            deque(maxlen=MAX_TRACE_ENTRIES)
-        )
-        """In-order injections: (time, fault name, action, message kind or
-        peer id, sender, receiver)."""
         self.injections = 0
         self.protected_block_peers: frozenset = frozenset()
         # The union of the message faults' [start, until) windows.  The
@@ -77,10 +64,6 @@ class FaultInjector:
             faults.append((name, fault, rng))
         return cls(faults)
 
-    @property
-    def has_message_faults(self) -> bool:
-        return bool(self._message_faults)
-
     def protect_block_peers(self, peer_ids) -> None:
         """Exempt ``peer_ids``, as receivers, from block-message faults.
 
@@ -103,7 +86,7 @@ class FaultInjector:
 
         Every active fault draws from its own stream on every matching hop
         (independent of what the others decided), so per-fault decision
-        sequences — and the whole trace — depend only on the spec.
+        sequences — and so the ``fault.*`` events — depend only on the spec.
         """
         if now < self.window_start or now >= self.window_until:
             return None
@@ -175,7 +158,6 @@ class FaultInjector:
     ) -> None:
         self.injections += 1
         self.counts[action] = self.counts.get(action, 0) + 1
-        self.trace.append((now, name, action, subject, sender_id, receiver_id))
         if action in ("crash", "restart"):
             return  # crash/restart emit their own richer events
         tracer = _obs.TRACER
@@ -194,20 +176,6 @@ class FaultInjector:
         stats = {f"injected_{action}": count for action, count in self.counts.items()}
         stats["injections"] = self.injections
         return dict(sorted(stats.items()))
-
-    def trace_rows(self) -> List[Dict[str, Any]]:
-        """The fault trace as JSON-ready rows (newest ``MAX_TRACE_ENTRIES``)."""
-        return [
-            {
-                "time": now,
-                "fault": name,
-                "action": action,
-                "subject": subject,
-                "sender": sender_id,
-                "receiver": receiver_id,
-            }
-            for now, name, action, subject, sender_id, receiver_id in self.trace
-        ]
 
     def summary(self) -> Dict[str, Any]:
         """The JSON-ready digest the engine puts under ``extras["faults"]``."""

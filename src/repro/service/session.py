@@ -17,6 +17,7 @@ makes a recorded load-generator run reproducible.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import fields, replace
@@ -27,7 +28,7 @@ from ..api.checkpoint import spec_digest
 from ..api.engine import SimulationHandle, build_simulation
 from ..api.experiment import EXPERIMENT_REGISTRY, ExperimentOptions
 from ..api.seeding import derive_seed
-from ..api.spec import SimulationSpec
+from ..api.spec import _POSITIVE_INTEGER, Canon, SimulationSpec, _checked, _integer, _number
 from ..clients.base import ContractClient
 from ..crypto.addresses import ADDRESS_LENGTH, address_from_label, contract_address
 from ..encoding.hexutil import bytes32_from_int, from_hex, to_hex
@@ -80,6 +81,21 @@ def resolve_address(token: Any) -> bytes:
             return raw
         return address_from_label(token)
     raise InvalidParamsError(f"expected an account label or 0x-hex address, got {token!r}")
+
+
+_FINITE = _checked(_number, math.isfinite, "finite")
+_NON_NEGATIVE_INTEGER = _checked(_integer, lambda value: value >= 0, "non-negative")
+_SLOT = _checked(_integer, lambda value: 0 <= value < 2**256, "a storage slot in [0, 2**256)")
+
+
+def wire_number(canon: Canon, name: str, value: Any) -> Any:
+    """One numeric RPC argument through a spec canonicaliser: JSON numbers
+    only (no strings, bools or fractional integers), and a refusal is
+    :class:`InvalidParamsError` rather than an engine error or a hang."""
+    try:
+        return canon(name, value)
+    except ValueError as error:
+        raise InvalidParamsError(str(error)) from error
 
 
 def decode_argument(value: Any) -> Any:
@@ -282,15 +298,16 @@ class ServiceSession:
         block-interval chunks so a server shutdown interrupts between steps
         (the fail-closed path) and bounded-memory metrics resolve in-window."""
         self._require_open()
-        self._ensure_started()
         simulator = self.handle.simulator
         spec = self.spec
         if to is not None:
-            target = float(to)
+            target = wire_number(_FINITE, "to", to)
         elif seconds is not None:
-            target = simulator.now + float(seconds)
+            target = simulator.now + wire_number(_FINITE, "seconds", seconds)
         else:
-            target = simulator.now + (blocks if blocks is not None else 1) * spec.block_interval
+            count = 1 if blocks is None else wire_number(_integer, "blocks", blocks)
+            target = simulator.now + count * spec.block_interval
+        self._ensure_started()
         while simulator.now < target:
             if self.closed.is_set():
                 raise ServerShutdownError(
@@ -337,9 +354,10 @@ class ServiceSession:
         derived from (sender, nonce) before the deploy commits, exactly as a
         real client predicts it."""
         self._require_open()
+        value = wire_number(_NON_NEGATIVE_INTEGER, "value", value)
         self._ensure_started()
         client = self._client(account)
-        transaction = client.deploy(code, from_hex(constructor), value=int(value))
+        transaction = client.deploy(code, from_hex(constructor), value=value)
         address = contract_address(client.address, transaction.nonce)
         return {
             "transaction_hash": to_hex(transaction.hash),
@@ -357,13 +375,13 @@ class ServiceSession:
         gas_limit: Optional[int] = None,
     ) -> Dict[str, Any]:
         self._require_open()
+        value = wire_number(_NON_NEGATIVE_INTEGER, "value", value)
+        if gas_limit is not None:
+            gas_limit = wire_number(_POSITIVE_INTEGER, "gas_limit", gas_limit)
         self._ensure_started()
         client = self._client(account)
         transaction = client.send_transaction(
-            to=resolve_address(to),
-            data=from_hex(data),
-            value=int(value),
-            gas_limit=int(gas_limit) if gas_limit is not None else None,
+            to=resolve_address(to), data=from_hex(data), value=value, gas_limit=gas_limit
         )
         return {
             "transaction_hash": to_hex(transaction.hash),
@@ -433,13 +451,12 @@ class ServiceSession:
             "balance": self.handle.reference_chain.state.get_balance(address),
         }
 
-    def storage(self, contract: Any, slot: int) -> Dict[str, Any]:
+    def storage(self, contract: Any, slot: Any = None) -> Dict[str, Any]:
         self._require_open()
         address = resolve_address(contract)
-        word = self.handle.reference_chain.state.get_storage(
-            address, bytes32_from_int(int(slot))
-        )
-        return {"address": to_hex(address), "slot": int(slot), "value": to_hex(word)}
+        slot = wire_number(_SLOT, "slot", slot)
+        word = self.handle.reference_chain.state.get_storage(address, bytes32_from_int(slot))
+        return {"address": to_hex(address), "slot": slot, "value": to_hex(word)}
 
     def hms_status(self, peer: Optional[str] = None) -> Dict[str, Any]:
         """Every watched contract's Hash-Mark-Set view on one peer (default:

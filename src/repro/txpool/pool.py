@@ -136,17 +136,10 @@ class TxPool:
 
     # -- lookup -----------------------------------------------------------------
 
-    def contains(self, transaction_hash: bytes) -> bool:
-        return transaction_hash in self._entries
-
     def __contains__(self, transaction_hash: object) -> bool:
         return transaction_hash in self._entries
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def size(self) -> int:
         return len(self._entries)
 
     def entries(self) -> List[PoolEntry]:

@@ -27,7 +27,7 @@ from repro.chain.errors import ValidationError
 from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import GenesisConfig
 from repro.chain.transaction import TIMESTAMP_SCALE, Transaction
-from repro.chain.trie import EMPTY_ROOT, MerklePatriciaTrie, ordered_trie_root
+from repro.chain.trie import EMPTY_ROOT, ordered_trie_root
 from repro.chain.wire import (
     decode_block,
     decode_header,
@@ -279,7 +279,7 @@ class TestHeaderBytes:
 class TestEmptyRootIsAConstant:
     def test_constant_is_the_formula(self):
         assert EMPTY_ROOT == keccak256(rlp_encode(b""))
-        assert ordered_trie_root([]) == ordered_trie_root(()) == MerklePatriciaTrie().root()
+        assert ordered_trie_root([]) == ordered_trie_root(()) == EMPTY_ROOT
 
     def test_importing_the_chain_hashes_nothing(self):
         probe = (

@@ -1,31 +1,63 @@
-"""Tests for the Merkle Patricia trie, its proofs, and ordered list roots."""
+"""Tests for ordered list roots, held to a from-scratch trie root."""
 
+import hashlib
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.chain import trie as trie_module
-from repro.chain.trie import (
-    EMPTY_ROOT,
-    MerklePatriciaTrie,
-    ProofError,
-    ordered_trie_root,
-    verify_proof,
-)
+from repro.chain.trie import EMPTY_ROOT, ordered_trie_root
 from repro.crypto import keccak as keccak_module
 from repro.crypto.keccak import keccak256
 from repro.encoding.rlp import rlp_encode
 from repro.memo import clear_memos, memo_stats
 
 
+def _nibbles(key):
+    return [nibble for byte in key for nibble in (byte >> 4, byte & 0x0F)]
+
+
+def _hex_prefix(nibbles, leaf):
+    """HP(x, t): a flag nibble (2 for a leaf, +1 for odd length), padded to bytes."""
+    flag = 2 * leaf + len(nibbles) % 2
+    padded = [flag] + ([] if flag % 2 else [0]) + list(nibbles)
+    return bytes(padded[index] << 4 | padded[index + 1] for index in range(0, len(padded), 2))
+
+
+def _reference(node):
+    """n(J, i): a node's structure if its RLP is shorter than 32 bytes, else its hash."""
+    encoded = rlp_encode(node)
+    return node if len(encoded) < 32 else keccak256(encoded)
+
+
+def _node(pairs, depth):
+    """c(J, i): the node over sorted ``(nibbles, value)`` pairs that agree on
+    their first ``depth`` nibbles."""
+    if len(pairs) == 1:
+        path, value = pairs[0]
+        return [_hex_prefix(path[depth:], True), value]
+    shared = depth
+    shortest = min(len(path) for path, _ in pairs)
+    while shared < shortest and len({path[shared] for path, _ in pairs}) == 1:
+        shared += 1
+    if shared > depth:
+        return [_hex_prefix(pairs[0][0][depth:shared], False), _reference(_node(pairs, shared))]
+    branch = []
+    for nibble in range(16):
+        group = [pair for pair in pairs if len(pair[0]) > depth and pair[0][depth] == nibble]
+        branch.append(_reference(_node(group, depth + 1)) if group else b"")
+    here = [value for path, value in pairs if len(path) == depth]
+    return branch + [here[0] if here else b""]
+
+
 def trie_root(items):
-    """Root of a trie holding ``items`` (a plain mapping): the from-scratch
-    oracle ``ordered_trie_root`` is held to."""
-    trie = MerklePatriciaTrie()
-    for key, value in items.items():
-        trie.put(key, value)
-    return trie.root()
+    """TRIE(J) of the yellow paper, appendix D, over ``items`` (a plain
+    mapping of non-empty values): the from-scratch oracle
+    ``ordered_trie_root`` is held to.  It shares no code with the
+    per-length shape."""
+    if not items:
+        return keccak256(rlp_encode(b""))
+    return keccak256(rlp_encode(_node(sorted((_nibbles(key), value) for key, value in items.items()), 0)))
 
 
 def indexed(values):
@@ -45,70 +77,51 @@ ORDERED_LISTS = st.integers(min_value=0, max_value=300).flatmap(
 )
 BOUNDARY_LENGTHS = (1, 2, 16, 17, 127, 128, 129, 255, 256, 257, 300)
 
+INCREMENTAL_TRIE_DIGEST = "1a0e807423078eb2e30634deb0e362355e9cd3e45673225d04c6aaedb274671e"
+
 
 class TestBasicOperations:
+    """The oracle itself: the empty root, Ethereum's published trie vectors,
+    and the digest of roots the deleted incremental trie computed."""
+
     def test_empty_root_is_hash_of_empty_string(self):
-        assert MerklePatriciaTrie().root() == keccak256(rlp_encode(b""))
-        assert MerklePatriciaTrie().root() == EMPTY_ROOT
-
-    def test_put_and_get(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"dog", b"puppy")
-        assert trie.get(b"dog") == b"puppy"
-        assert trie.get(b"cat") is None
-        assert b"dog" in trie and len(trie) == 1
-
-    def test_update_overwrites(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"dog", b"puppy")
-        trie.put(b"dog", b"adult")
-        assert trie.get(b"dog") == b"adult"
-        assert len(trie) == 1
-
-    def test_empty_value_deletes(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"dog", b"puppy")
-        trie.put(b"dog", b"")
-        assert trie.get(b"dog") is None
-        assert trie.root() == EMPTY_ROOT
-
-    def test_delete_restores_previous_root(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"dog", b"puppy")
-        root_one = trie.root()
-        trie.put(b"horse", b"stallion")
-        trie.delete(b"horse")
-        assert trie.root() == root_one
-
-    def test_delete_missing_key_is_noop(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"dog", b"puppy")
-        root = trie.root()
-        trie.delete(b"unicorn")
-        assert trie.root() == root
+        assert trie_root({}) == keccak256(rlp_encode(b"")) == EMPTY_ROOT
 
     def test_keys_that_share_prefixes(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"do", b"verb")
-        trie.put(b"dog", b"puppy")
-        trie.put(b"doge", b"coin")
-        trie.put(b"horse", b"stallion")
-        assert trie.get(b"do") == b"verb"
-        assert trie.get(b"dog") == b"puppy"
-        assert trie.get(b"doge") == b"coin"
-        assert trie.get(b"horse") == b"stallion"
+        # ethereum/tests TrieTests/trieanyorder.json: "puppy", "dogs", "foo".
+        assert trie_root(
+            {b"do": b"verb", b"dog": b"puppy", b"doge": b"coin", b"horse": b"stallion"}
+        ).hex() == "5991bb8c6514148a29db676a14ac506cd2cd5775ace63c30a4fe457715e9ac84"
+        assert trie_root(
+            {b"doe": b"reindeer", b"dog": b"puppy", b"dogglesworth": b"cat"}
+        ).hex() == "8aad789dff2f538bca5d8ea56e8abe10f4c7ba3a5dea95fea4cd6e7c3a1168d3"
+        assert trie_root({b"foo": b"bar", b"food": b"bass"}).hex() == (
+            "17beaa1648bafa633cda809c90c04af50fc8aed3cb40d16efbddee6fdf63c4c3"
+        )
+
+    def test_oracle_reproduces_the_incremental_trie_digest(self):
+        """One sha256 over the roots the incremental ``MerklePatriciaTrie``
+        (deleted once this oracle replaced it) gave for the boundary-length
+        lists and two arbitrary-key sets, pinned before the deletion."""
+        sets = [
+            indexed([bytes([index % 251 + 1]) * size for index in range(count)])
+            for count in BOUNDARY_LENGTHS
+            for size in (1, 31, 32)
+        ]
+        sets.append(
+            {b"do": b"verb", b"dog": b"puppy", b"doge": b"coin", b"horse": b"stallion", b"dodge": b"car"}
+        )
+        sets.append({b"\x12": b"short", b"\x12\x34": b"long"})
+        digest = hashlib.sha256(b"".join(trie_root(items) for items in sets)).hexdigest()
+        assert digest == INCREMENTAL_TRIE_DIGEST
 
 
 class TestRootProperties:
     def test_root_is_insertion_order_independent(self):
         items = {b"do": b"verb", b"dog": b"puppy", b"doge": b"coin", b"horse": b"stallion"}
-        forward = MerklePatriciaTrie()
-        for key in sorted(items):
-            forward.put(key, items[key])
-        backward = MerklePatriciaTrie()
-        for key in sorted(items, reverse=True):
-            backward.put(key, items[key])
-        assert forward.root() == backward.root()
+        forward = {key: items[key] for key in sorted(items)}
+        backward = {key: items[key] for key in sorted(items, reverse=True)}
+        assert trie_root(forward) == trie_root(backward)
 
     def test_root_changes_with_content(self):
         assert trie_root({b"a": b"1"}) != trie_root({b"a": b"2"})
@@ -142,14 +155,6 @@ class TestRootProperties:
         values = [bytes([index % 251 + 1]) * size for index in range(count)]
         assert ordered_trie_root(values) == trie_root(indexed(values))
 
-    def test_ordered_root_builds_no_trie_nodes(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("ordered_trie_root built a trie node")
-
-        monkeypatch.setattr(trie_module._Node, "__init__", refuse)
-        for count in BOUNDARY_LENGTHS:
-            ordered_trie_root([b"v%d" % index * 12 for index in range(count)])
-
     @pytest.mark.parametrize("count", BOUNDARY_LENGTHS)
     def test_ordered_root_hashes_what_the_trie_hashes(self, count, monkeypatch):
         """The same keccak inputs as the from-scratch trie, so
@@ -180,175 +185,3 @@ class TestRootProperties:
         clear_memos()
         assert memo_stats()["ordered_trie_shape"]["size"] == 0
         assert ordered_trie_root([b"x" * 32] * 5) == trie_root(indexed([b"x" * 32] * 5))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.dictionaries(
-            st.binary(min_size=1, max_size=8), st.binary(min_size=1, max_size=16), max_size=20
-        ),
-        st.randoms(use_true_random=False),
-    )
-    def test_property_root_is_permutation_invariant_and_values_retrievable(self, items, rng):
-        keys = list(items)
-        rng.shuffle(keys)
-        trie = MerklePatriciaTrie()
-        for key in keys:
-            trie.put(key, items[key])
-        assert trie.root() == trie_root(items)
-        for key, value in items.items():
-            assert trie.get(key) == value
-
-
-class TestProofs:
-    def build(self):
-        trie = MerklePatriciaTrie()
-        items = {
-            b"do": b"verb",
-            b"dog": b"puppy",
-            b"doge": b"coin",
-            b"horse": b"stallion",
-            b"dodge": b"car",
-        }
-        for key, value in items.items():
-            trie.put(key, value)
-        return trie, items
-
-    def test_valid_proofs_verify(self):
-        trie, items = self.build()
-        root = trie.root()
-        for key, value in items.items():
-            proof = trie.prove(key)
-            assert verify_proof(root, key, value, proof)
-
-    def test_wrong_value_rejected(self):
-        trie, _ = self.build()
-        proof = trie.prove(b"dog")
-        assert not verify_proof(trie.root(), b"dog", b"kitten", proof)
-
-    def test_wrong_root_rejected(self):
-        trie, _ = self.build()
-        proof = trie.prove(b"dog")
-        with pytest.raises(ProofError):
-            verify_proof(b"\x00" * 32, b"dog", b"puppy", proof)
-
-    def test_empty_proof_rejected(self):
-        with pytest.raises(ProofError):
-            verify_proof(b"\x00" * 32, b"dog", b"puppy", [])
-
-    def test_tampered_proof_rejected(self):
-        trie, _ = self.build()
-        proof = trie.prove(b"dog")
-        tampered = list(proof)
-        tampered[-1] = rlp_encode([b"\x20\x64\x6f\x67", b"kitten"])
-        with pytest.raises(ProofError):
-            verify_proof(trie.root(), b"dog", b"puppy", tampered)
-
-    def test_single_entry_proof(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"only", b"entry")
-        assert verify_proof(trie.root(), b"only", b"entry", trie.prove(b"only"))
-
-
-class TestStructuralDelete:
-    """The incremental trie: structural delete + memoised encodings."""
-
-    def rebuild_root(self, items):
-        rebuilt = MerklePatriciaTrie()
-        for key, value in items.items():
-            rebuilt.put(key, value)
-        return rebuilt.root()
-
-    def test_interleaved_put_delete_proofs_round_trip(self):
-        trie = MerklePatriciaTrie()
-        live = {}
-        script = [
-            ("put", b"do", b"verb"),
-            ("put", b"dog", b"puppy"),
-            ("put", b"doge", b"coin"),
-            ("del", b"dog", None),
-            ("put", b"horse", b"stallion"),
-            ("put", b"dodge", b"car"),
-            ("del", b"do", None),
-            ("put", b"dog", b"again"),
-            ("del", b"doge", None),
-            ("put", b"dot", b"punct"),
-            ("del", b"dodge", None),
-        ]
-        for action, key, value in script:
-            if action == "put":
-                trie.put(key, value)
-                live[key] = value
-            else:
-                trie.delete(key)
-                live.pop(key, None)
-            root = trie.root()
-            assert root == self.rebuild_root(live)
-            for live_key, live_value in live.items():
-                assert verify_proof(root, live_key, live_value, trie.prove(live_key))
-
-    def test_branch_collapses_to_leaf_after_delete(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"\x12\x34", b"a")
-        single_root = trie.root()
-        trie.put(b"\x12\x35", b"b")  # splits into a branch
-        trie.delete(b"\x12\x35")  # must collapse back
-        assert trie.root() == single_root
-
-    def test_branch_value_delete_collapses(self):
-        trie = MerklePatriciaTrie()
-        trie.put(b"\x12", b"short")  # becomes a branch value under the other key's path
-        trie.put(b"\x12\x34", b"long")
-        trie.delete(b"\x12")
-        assert trie.root() == self.rebuild_root({b"\x12\x34": b"long"})
-        trie.put(b"\x12", b"short")
-        trie.delete(b"\x12\x34")
-        assert trie.root() == self.rebuild_root({b"\x12": b"short"})
-
-    def test_delete_everything_returns_to_empty_root(self):
-        trie = MerklePatriciaTrie()
-        keys = [bytes([index, index * 3 % 256]) for index in range(30)]
-        for index, key in enumerate(keys):
-            trie.put(key, b"v%d" % index)
-        for key in keys:
-            trie.delete(key)
-        assert trie.root() == EMPTY_ROOT
-        assert len(trie) == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["put", "delete"]),
-                st.binary(min_size=1, max_size=6),
-                st.binary(min_size=0, max_size=12),
-            ),
-            max_size=60,
-        )
-    )
-    def test_property_incremental_root_equals_rebuild(self, operations):
-        """The tentpole invariant: memoised incremental roots never diverge
-        from a from-scratch rebuild, across arbitrary put/delete interleavings
-        (an empty put value is a delete)."""
-        trie = MerklePatriciaTrie()
-        model = {}
-        for action, key, value in operations:
-            if action == "put":
-                trie.put(key, value)
-                if value:
-                    model[key] = value
-                else:
-                    model.pop(key, None)
-            else:
-                trie.delete(key)
-                model.pop(key, None)
-        assert trie.root() == self.rebuild_root(model)
-        assert dict(trie.items()) == model
-
-    def test_root_is_stable_across_repeated_calls(self):
-        trie = MerklePatriciaTrie()
-        for index in range(10):
-            trie.put(b"key-%d" % index, b"value-%d" % index)
-        assert trie.root() == trie.root()
-        trie.delete(b"key-3")
-        first = trie.root()
-        assert trie.root() == first

@@ -1,11 +1,8 @@
-"""Tests for the wire codec, log blooms, and the log query index."""
+"""Tests for the wire codec."""
 
 import pytest
 
 from repro.chain import Blockchain, GenesisConfig, Transaction
-from repro.chain.block import Block, BlockHeader
-from repro.chain.logs import LogBloom, LogIndex, LogQuery, bloom_for_block
-from repro.chain.receipt import LogEntry, Receipt
 from repro.chain.wire import (
     WireDecodingError,
     decode_block,
@@ -20,7 +17,6 @@ from repro.chain.wire import (
 from repro.contracts.simple_storage import SimpleStorageContract
 from repro.crypto.addresses import address_from_label, contract_address
 from repro.crypto.keccak import keccak256
-from repro.encoding.hexutil import to_bytes32
 from repro.evm import ExecutionEngine, encode_deployment
 
 ALICE = address_from_label("alice")
@@ -86,6 +82,10 @@ class TestHeaderReceiptBlockWire:
             assert decoded.gas_used == receipt.gas_used
             assert decoded.encode() == receipt.encode()
             assert len(decoded.logs) == len(receipt.logs)
+        # set_value's receipt carries the contract's ValueChanged event.
+        (log,) = block.receipts[1].logs
+        assert log.address == contract_address(ALICE, 0)
+        assert list(log.topics) == [keccak256(b"ValueChanged(uint256)")]
 
     def test_block_round_trip_validates_on_a_fresh_peer(self):
         block = self.build_block()
@@ -100,81 +100,3 @@ class TestHeaderReceiptBlockWire:
         with pytest.raises(WireDecodingError):
             decode_block(encode_header(self.build_block().header))
 
-
-class TestLogBloom:
-    def test_added_items_are_possibly_present(self):
-        bloom = LogBloom()
-        bloom.add(b"topic-a")
-        assert bloom.might_contain(b"topic-a")
-
-    def test_absent_item_usually_reports_absent(self):
-        bloom = LogBloom()
-        bloom.add(b"topic-a")
-        misses = sum(1 for index in range(100) if not bloom.might_contain(f"other-{index}".encode()))
-        assert misses > 90  # false-positive rate of a near-empty 2048-bit bloom is tiny
-
-    def test_serialization_round_trip(self):
-        bloom = LogBloom().add(b"x").add(b"y")
-        restored = LogBloom.from_bytes(bloom.to_bytes())
-        assert restored.might_contain(b"x") and restored.might_contain(b"y")
-
-    def test_union(self):
-        left = LogBloom().add(b"x")
-        right = LogBloom().add(b"y")
-        union = left | right
-        assert union.might_contain(b"x") and union.might_contain(b"y")
-
-    def test_empty_bloom(self):
-        assert LogBloom().is_empty()
-        assert not LogBloom().might_contain(b"anything")
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            LogBloom.from_bytes(b"\x00" * 10)
-
-    def test_block_bloom_covers_all_logs(self):
-        log = LogEntry(address=ALICE, topics=(keccak256(b"Event()"),), data=b"")
-        receipt = Receipt(transaction_hash=b"\x01" * 32, success=True, gas_used=1, logs=[log])
-        header = BlockHeader(parent_hash=b"\x00" * 32, number=1, timestamp=1.0)
-        block = Block(header=header, transactions=[], receipts=[receipt])
-        bloom = bloom_for_block(block)
-        assert bloom.might_contain(ALICE)
-        assert bloom.might_contain(keccak256(b"Event()"))
-
-
-class TestLogIndex:
-    @pytest.fixture
-    def indexed_chain(self):
-        engine = ExecutionEngine()
-        chain = Blockchain(engine, GenesisConfig.for_labels(["alice", "bob", "miner"]))
-        deploy = Transaction(sender=ALICE, nonce=0, to=None, data=encode_deployment("SimpleStorage"))
-        block1, _ = chain.build_block([deploy], miner=MINER, timestamp=10.0)
-        chain.add_block(block1)
-        storage_address = contract_address(ALICE, 0)
-        set_value = Transaction(
-            sender=BOB, nonce=0, to=storage_address,
-            data=SimpleStorageContract.function_by_name("set_value").abi.encode_call(9),
-        )
-        block2, _ = chain.build_block([set_value], miner=MINER, timestamp=20.0)
-        chain.add_block(block2)
-        return chain, storage_address
-
-    def test_query_by_address_and_topic(self, indexed_chain):
-        chain, storage_address = indexed_chain
-        index = LogIndex(chain)
-        matches = index.query(LogQuery(address=storage_address))
-        assert len(matches) == 1
-        assert matches[0].block_number == 2
-        topic = keccak256(b"ValueChanged(uint256)")
-        assert index.query(LogQuery(topic0=topic))[0].log.topics[0] == topic
-
-    def test_query_with_no_matches(self, indexed_chain):
-        chain, _ = indexed_chain
-        index = LogIndex(chain)
-        assert index.query(LogQuery(address=address_from_label("nobody"))) == []
-
-    def test_block_range_filter(self, indexed_chain):
-        chain, storage_address = indexed_chain
-        index = LogIndex(chain)
-        assert index.query(LogQuery(address=storage_address, from_block=0, to_block=1)) == []
-        assert len(index.query(LogQuery(address=storage_address, from_block=2))) == 1

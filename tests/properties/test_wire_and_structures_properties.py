@@ -1,13 +1,11 @@
-"""Property-based tests for the wire codec, log bloom, and the Patricia trie."""
+"""Property-based tests for the wire codec."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chain.logs import LogBloom
 from repro.chain.transaction import Transaction
-from repro.chain.trie import MerklePatriciaTrie, verify_proof
 from repro.chain.wire import decode_transaction, encode_transaction
 from repro.crypto.addresses import address_from_label
 
@@ -45,75 +43,3 @@ class TestWireProperties:
             return
         assert encode_transaction(first) != encode_transaction(second)
 
-
-class TestBloomProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=30))
-    def test_no_false_negatives(self, items):
-        bloom = LogBloom()
-        for item in items:
-            bloom.add(item)
-        assert all(bloom.might_contain(item) for item in items)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=20),
-        st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=20),
-    )
-    def test_union_covers_both_sides(self, left_items, right_items):
-        left = LogBloom()
-        right = LogBloom()
-        for item in left_items:
-            left.add(item)
-        for item in right_items:
-            right.add(item)
-        union = left | right
-        assert all(union.might_contain(item) for item in left_items + right_items)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.binary(min_size=1, max_size=40), max_size=30))
-    def test_serialization_round_trip(self, items):
-        bloom = LogBloom()
-        for item in items:
-            bloom.add(item)
-        assert LogBloom.from_bytes(bloom.to_bytes()).to_bytes() == bloom.to_bytes()
-
-
-class TestTrieModelProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.dictionaries(
-            st.binary(min_size=1, max_size=6), st.binary(min_size=1, max_size=12), max_size=15
-        )
-    )
-    def test_trie_behaves_like_a_dict_and_proofs_verify(self, items):
-        trie = MerklePatriciaTrie()
-        for key, value in items.items():
-            trie.put(key, value)
-        assert len(trie) == len(items)
-        root = trie.root()
-        for key, value in items.items():
-            assert trie.get(key) == value
-            assert verify_proof(root, key, value, trie.prove(key))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.dictionaries(
-            st.binary(min_size=1, max_size=6), st.binary(min_size=1, max_size=12),
-            min_size=2, max_size=12,
-        ),
-        st.integers(min_value=0, max_value=11),
-    )
-    def test_deleting_a_key_matches_a_trie_built_without_it(self, items, victim_index):
-        keys = sorted(items)
-        victim = keys[victim_index % len(keys)]
-        full = MerklePatriciaTrie()
-        for key, value in items.items():
-            full.put(key, value)
-        full.delete(victim)
-        without = MerklePatriciaTrie()
-        for key, value in items.items():
-            if key != victim:
-                without.put(key, value)
-        assert full.root() == without.root()
-        assert full.get(victim) is None

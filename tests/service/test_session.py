@@ -4,10 +4,14 @@ These tests drive :meth:`SimulatorService.dispatch` directly — no HTTP, no
 threads — so they pin the *semantic* behaviour of every RPC verb: spec
 construction and its session-level rules (accounts, retention default,
 derived seeds), the full deploy → advance → receipt → call data path, the
-typed error taxonomy, idle eviction, and idempotent close.
+typed error taxonomy (hostile numeric arguments included, each answered
+within a second on a watchdog thread), idle eviction, and idempotent close.
 """
 
 from __future__ import annotations
+
+import json
+import threading
 
 import pytest
 
@@ -254,6 +258,74 @@ class TestErrors:
             assert isinstance(error, cls)
             wire = cls("message").to_rpc_error()
             assert wire["data"]["kind"] == kind
+
+
+ANY_ADDRESS = "0x" + "00" * 20
+
+HOSTILE_NUMBERS = [
+    pytest.param("state.storage", {"contract": ANY_ADDRESS, "slot": "abc"}, id="slot-string"),
+    pytest.param("state.storage", {"contract": ANY_ADDRESS, "slot": -1}, id="slot-negative"),
+    pytest.param("state.storage", {"contract": ANY_ADDRESS, "slot": 2**300}, id="slot-2**300"),
+    pytest.param("state.storage", {"contract": ANY_ADDRESS, "slot": 1.5}, id="slot-fraction"),
+    pytest.param("state.storage", {"contract": ANY_ADDRESS, "slot": True}, id="slot-bool"),
+    pytest.param("state.storage", {"contract": ANY_ADDRESS}, id="slot-missing"),
+    pytest.param("session.advance", {"seconds": "abc"}, id="seconds-string"),
+    pytest.param("session.advance", {"blocks": "x"}, id="blocks-string"),
+    pytest.param("session.advance", {"seconds": "inf"}, id="seconds-inf-string"),
+    pytest.param("session.advance", json.loads('{"seconds": Infinity}'), id="seconds-Infinity"),
+    pytest.param("session.advance", json.loads('{"to": NaN}'), id="to-NaN"),
+    pytest.param(
+        "contract.deploy",
+        {"account": "alice", "code": "SimpleStorage", "value": "x"},
+        id="deploy-value-string",
+    ),
+    pytest.param(
+        "tx.submit", {"account": "alice", "to": ANY_ADDRESS, "value": "x"}, id="submit-value-string"
+    ),
+    pytest.param(
+        "tx.submit",
+        {"account": "alice", "to": ANY_ADDRESS, "gas_limit": "x"},
+        id="submit-gas-limit-string",
+    ),
+]
+
+
+def dispatch_within(service, method, params, seconds=1.0):
+    """What ``service.dispatch`` raised (or returned) on a worker thread;
+    fails if it is still running after ``seconds`` (closing the service then
+    interrupts it)."""
+    outcome = {}
+
+    def work():
+        try:
+            outcome["result"] = service.dispatch(method, params)
+        except Exception as error:  # noqa: BLE001 - the outcome is the assertion
+            outcome["error"] = error
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{method} {params} still running after {seconds} s"
+    return outcome
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("method, params", HOSTILE_NUMBERS)
+    def test_hostile_number_is_invalid_params_within_a_second(self, service, method, params):
+        session = service.dispatch("session.create", dict(SMALL_SPEC))["session"]
+        outcome = dispatch_within(service, method, dict(params, session=session))
+        assert isinstance(outcome.get("error"), InvalidParamsError), outcome
+        # The refused request left the session usable.
+        assert service.dispatch("session.status", {"session": session})["state"] == "open"
+
+    def test_whole_floats_are_integers(self, service):
+        session = service.dispatch("session.create", dict(SMALL_SPEC))["session"]
+        status = service.dispatch("session.advance", {"session": session, "blocks": 2.0})
+        assert status["height"] >= 1
+        word = service.dispatch(
+            "state.storage", {"session": session, "contract": ANY_ADDRESS, "slot": 1.0}
+        )
+        assert word["slot"] == 1 and word["value"] == "0x" + "00" * 32
 
 
 class TestEvictionAndObservability:

@@ -24,6 +24,7 @@ import time
 import pytest
 
 import repro.contracts  # noqa: F401  (registers the shipped contracts)
+from repro.contracts.sereth import SLOT_P_MARK
 from repro.contracts.simple_storage import SimpleStorageContract
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.errors import (
@@ -72,6 +73,27 @@ def test_one_thread_reuses_one_connection_for_every_verb(server):
         assert client.retries_performed == 0
     # 1 create + 49 x 4 verbs, all on the one connection the thread opened.
     assert server.service.stats.connections_accepted == 1
+
+
+def test_state_storage_reads_the_mark_contract_call_returns(server):
+    """``state.storage`` on the Sereth mark slot is the committed mark: with
+    nothing pending it agrees with the READ-UNCOMMITTED ``mark`` call (RAA
+    fills the placeholder argument) and with the committed ``current`` view."""
+    with ServiceClient(server.url, timeout=30.0) as client:
+        session = client.create_session(**SMALL_SPEC)
+        for _ in range(12):
+            client.advance(session, blocks=1)
+            (watched,) = client.hms_status(session)["watched"]
+            if watched["installed"] and watched["pool_size"] == 0:
+                break
+        assert watched["source"] == "committed", watched
+        contract = watched["contract"]
+        placeholder = ["0x" + "00" * 32] * 3
+        (mark,) = client.call_contract_method(session, contract, "mark", [placeholder])["values"]
+        committed = client.call_contract_method(session, contract, "current", allow_raa=False)
+        word = client.storage(session, contract, SLOT_P_MARK)
+        assert word == mark == committed["values"][1]
+        assert word != "0x" + "00" * 32
 
 
 def test_one_client_shared_by_eight_threads_opens_eight_connections(server):
