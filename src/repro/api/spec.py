@@ -110,7 +110,10 @@ def _integer(name: str, value: Any) -> int:
 def _number(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must fit a float, got a {value.bit_length()}-bit integer") from None
 
 
 def _flag(name: str, value: Any) -> bool:

@@ -5,7 +5,10 @@ summarize, exit.  This package keeps simulations *resident* — a
 :class:`ServiceServer` multiplexes many concurrent sessions behind a
 JSON-RPC-over-HTTP facade (stdlib only), each session a locked
 :class:`ServiceSession` with a deterministic spec-derived seed, so a
-replayed request log rebuilds byte-identical state.  :mod:`.client` is the
+replayed request log rebuilds byte-identical state.  :mod:`.verbs` declares
+each RPC verb once (handler, typed params, control / idempotent / journaled
+flags), and dispatch, admission, client retry and the request journal all
+read that table.  :mod:`.client` is the
 matching client, :mod:`.http11` the one HTTP/1.1 message codec both ends
 frame with, :mod:`.loadgen` the closed/open-loop load generator that measures
 the facade's tail latency, and :mod:`.catalog` the registry listing backing
@@ -18,7 +21,6 @@ from .client import (
     has_success_status,
     payload,
     post_request,
-    post_request_localhost,
 )
 from .errors import (
     ExecutionError,
@@ -53,7 +55,6 @@ __all__ = [
     "session_id_for",
     "payload",
     "post_request",
-    "post_request_localhost",
     "has_success_status",
     "ServiceError",
     "MethodNotFoundError",

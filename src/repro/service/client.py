@@ -3,7 +3,8 @@
 The module-level helpers mirror the idiom of blockchain-simulator e2e
 harnesses — build a ``payload``, ``post_request`` it, check
 ``has_success_status`` — so a test reads like a transcript of what a real
-client does.  :class:`ServiceClient` wraps them with one method per RPC.
+client does.  :class:`ServiceClient` sends any verb with ``request`` and
+names the ones the load generators drive.
 
 Transport: every exchange goes through :func:`_roundtrip` on a
 :class:`_Connection` — a plain ``TCP_NODELAY`` socket (TLS-wrapped for
@@ -26,14 +27,16 @@ close the connection they poisoned; JSON-RPC error envelopes raise
 ``kind`` — a killed server is always a typed exception here, never a hang
 (every request carries a timeout).
 
-Resilience: :class:`ServiceClient` retries *idempotent* methods (reads,
-``healthz``, the summary-cached ``session.run``) on transport errors and on
+Resilience: :class:`ServiceClient` retries the verbs
+:mod:`~repro.service.verbs` declares ``idempotent`` (reads, the
+summary-cached ``session.run``) and ``healthz`` on transport errors and on
 typed ``server_overloaded`` rejections, with capped exponential backoff and
 deterministic seeded jitter (same ``retry_seed`` → same schedule, so tests
 and replayed load runs see identical timing decisions).  State-changing
 verbs — ``tx.submit``, ``session.advance``, ``contract.deploy``, create /
-close / shutdown — are never retried: a lost response does not prove the
-request was lost, and a blind resend could double-apply it.
+close / shutdown — and unknown methods are never retried: a lost response
+does not prove the request was lost, and a blind resend could double-apply
+it.
 """
 
 from __future__ import annotations
@@ -50,42 +53,16 @@ from urllib.parse import urlsplit
 
 from .errors import ServiceConnectionError, ServiceRPCError
 from .http11 import frame, read_body, read_head
+from .verbs import VERBS
 
 __all__ = [
     "payload",
     "post_request",
-    "post_request_localhost",
     "has_success_status",
-    "IDEMPOTENT_METHODS",
     "ServiceClient",
 ]
 
-DEFAULT_PORT = 8547
 _request_ids = count(1)
-
-IDEMPOTENT_METHODS = frozenset(
-    {
-        "service.ping",
-        "service.status",
-        "registry.list",
-        "obs.probes",
-        "session.list",
-        "session.describe",
-        "session.status",
-        "session.summary",
-        "session.metrics",
-        # run is idempotent by construction: the server caches the summary
-        # and a repeated run returns it rather than re-driving the engine.
-        "session.run",
-        "tx.receipt",
-        "state.balance",
-        "state.storage",
-        "hms.status",
-        "contract.call",
-    }
-)
-"""The verbs a client may safely resend: pure reads plus ``session.run``.
-Everything else mutates on arrival and is delivered at most once."""
 
 
 def payload(method: str, params: Optional[Dict[str, Any]] = None, request_id: Optional[int] = None) -> Dict[str, Any]:
@@ -181,20 +158,14 @@ def post_request(url: str, body: Dict[str, Any], timeout: float = 60.0) -> Dict[
         connection.close()
 
 
-def post_request_localhost(
-    body: Dict[str, Any], port: int = DEFAULT_PORT, timeout: float = 60.0
-) -> Dict[str, Any]:
-    """POST to a server on localhost (the e2e harness's default shape)."""
-    return post_request(f"http://127.0.0.1:{port}/rpc", body, timeout=timeout)
-
-
 def has_success_status(receipt: Dict[str, Any]) -> bool:
     """True when a ``tx.receipt`` result is committed AND executed cleanly."""
     return bool(receipt.get("committed")) and bool(receipt.get("success"))
 
 
 class ServiceClient:
-    """One server, one method per RPC; raises typed errors, returns results.
+    """One server: :meth:`request` sends any verb; raises typed errors,
+    returns results.
 
     ``retries`` bounds the *extra* attempts for idempotent verbs (so the
     worst case is ``retries + 1`` sends); backoff doubles from ``backoff``
@@ -294,9 +265,10 @@ class ServiceClient:
             self._sleep(delay)
 
     def request(self, method: str, params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        verb = VERBS.get(method)
         return self._with_retries(
             lambda: self._request_once(method, params),
-            idempotent=method in IDEMPOTENT_METHODS,
+            idempotent=verb is not None and verb.idempotent,
         )
 
     def _request_once(self, method: str, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -331,12 +303,6 @@ class ServiceClient:
     def status(self) -> Dict[str, Any]:
         return self.request("service.status")
 
-    def registries(self) -> Dict[str, Any]:
-        return self.request("registry.list")
-
-    def probes(self) -> Dict[str, Any]:
-        return self.request("obs.probes")
-
     def shutdown_server(self) -> Dict[str, Any]:
         return self.request("service.shutdown")
 
@@ -353,9 +319,6 @@ class ServiceClient:
     def list_sessions(self) -> List[Dict[str, Any]]:
         return list(self.request("session.list")["sessions"])
 
-    def describe_session(self, session: str) -> Dict[str, Any]:
-        return self.request("session.describe", {"session": session})
-
     def session_status(self, session: str) -> Dict[str, Any]:
         return self.request("session.status", {"session": session})
 
@@ -367,35 +330,10 @@ class ServiceClient:
         """Run the session's measured loop to completion; returns the summary."""
         return self.request("session.run", {"session": session})
 
-    def summary(self, session: str) -> Dict[str, Any]:
-        return self.request("session.summary", {"session": session})
-
-    def metrics(self, session: str) -> Dict[str, Any]:
-        return self.request("session.metrics", {"session": session})
-
     def close_session(self, session: str) -> Dict[str, Any]:
         return self.request("session.close", {"session": session})
 
     # -- transactions ---------------------------------------------------------------
-
-    def deploy_contract(
-        self,
-        session: str,
-        account: str,
-        code: str,
-        constructor: str = "0x",
-        value: int = 0,
-    ) -> Dict[str, Any]:
-        return self.request(
-            "contract.deploy",
-            {
-                "session": session,
-                "account": account,
-                "code": code,
-                "constructor": constructor,
-                "value": value,
-            },
-        )
 
     def submit_transaction(
         self,
@@ -406,16 +344,8 @@ class ServiceClient:
         value: int = 0,
         gas_limit: Optional[int] = None,
     ) -> Dict[str, Any]:
-        params: Dict[str, Any] = {
-            "session": session,
-            "account": account,
-            "to": to,
-            "data": data,
-            "value": value,
-        }
-        if gas_limit is not None:
-            params["gas_limit"] = gas_limit
-        return self.request("tx.submit", params)
+        params = {"session": session, "account": account, "to": to, "data": data, "value": value}
+        return self.request("tx.submit", {**params, "gas_limit": gas_limit})
 
     def receipt(self, session: str, transaction_hash: str) -> Dict[str, Any]:
         return self.request(
@@ -434,31 +364,9 @@ class ServiceClient:
         peer: Optional[str] = None,
         allow_raa: bool = True,
     ) -> Dict[str, Any]:
-        params: Dict[str, Any] = {
-            "session": session,
-            "contract": contract,
-            "function": function,
-            "arguments": arguments or [],
-            "allow_raa": allow_raa,
-        }
-        if account is not None:
-            params["account"] = account
-        if peer is not None:
-            params["peer"] = peer
-        return self.request("contract.call", params)
-
-    def balance(self, session: str, account: str) -> int:
-        return int(self.request("state.balance", {"session": session, "account": account})["balance"])
-
-    def storage(self, session: str, contract: str, slot: int) -> str:
-        return str(
-            self.request(
-                "state.storage", {"session": session, "contract": contract, "slot": slot}
-            )["value"]
-        )
+        """A view call; a ``None`` argument leaves that parameter to the server."""
+        params = {"session": session, "contract": contract, "function": function, "arguments": arguments}
+        return self.request("contract.call", {**params, "account": account, "peer": peer, "allow_raa": allow_raa})
 
     def hms_status(self, session: str, peer: Optional[str] = None) -> Dict[str, Any]:
-        params: Dict[str, Any] = {"session": session}
-        if peer is not None:
-            params["peer"] = peer
-        return self.request("hms.status", params)
+        return self.request("hms.status", {"session": session, "peer": peer})

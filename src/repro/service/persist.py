@@ -11,9 +11,10 @@ process loses at most the request whose response never went out), and
 HTTP listener opens — rebuilding byte-identical sessions: same specs, same
 seeds, same ids, same summaries.
 
-Read-only methods (status, summaries, balances, view calls) are never
-journaled: they do not change what a replay must rebuild, and keeping them
-out bounds the log by the write traffic, not the read traffic.
+Only the verbs :mod:`~repro.service.verbs` declares ``journaled`` are
+recorded.  Read-only methods (status, summaries, balances, view calls) do
+not change what a replay must rebuild, and keeping them out bounds the log
+by the write traffic, not the read traffic.
 """
 
 from __future__ import annotations
@@ -25,21 +26,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from .errors import ServiceError
+from .verbs import VERBS
 
-__all__ = ["JOURNALED_METHODS", "RequestJournal"]
-
-JOURNALED_METHODS = frozenset(
-    {
-        "session.create",
-        "session.advance",
-        "session.run",
-        "session.close",
-        "contract.deploy",
-        "tx.submit",
-    }
-)
-"""The state-changing RPC methods.  Everything else is a read against state
-these six determine, so replaying exactly this set rebuilds the server."""
+__all__ = ["RequestJournal"]
 
 _HEADER = {"journal": "repro-service-requests", "version": 1}
 
@@ -88,17 +77,18 @@ class RequestJournal:
                     rows.append(row)
         return rows
 
-    def replay(self, dispatch: Callable[[str, Dict[str, Any]], Dict[str, Any]]) -> int:
+    def replay(self, dispatch: Callable[[str, Any], Dict[str, Any]]) -> int:
         """Re-dispatch every recorded request through ``dispatch``.
 
         Typed service errors are counted, not fatal: a log may legitimately
         end with requests the old process rejected too (e.g. a submit against
-        a session whose close was also recorded earlier in the log).
+        a session whose close was also recorded earlier in the log), and
+        ``dispatch`` refuses a hand-mangled line's non-object ``params``.
         """
         for entry in self.entries():
             self.replayed += 1
             try:
-                dispatch(str(entry["method"]), dict(entry.get("params") or {}))
+                dispatch(str(entry["method"]), entry.get("params"))
             except ServiceError:
                 self.replay_errors += 1
         return self.replayed
@@ -119,8 +109,8 @@ class RequestJournal:
                 os.fsync(self._file.fileno())
 
     def record(self, method: str, params: Optional[Dict[str, Any]]) -> None:
-        """Durably append one successful request (no-op for read methods)."""
-        if method not in JOURNALED_METHODS:
+        """Durably append one successful request (no-op unless journaled)."""
+        if not VERBS[method].journaled:
             return
         line = json.dumps(
             {"method": method, "params": dict(params or {})},

@@ -15,9 +15,10 @@ Two layers, deliberately separable:
   and ``Connection: close`` before any body byte is read, and ``curl`` /
   ``urllib`` remain supported clients.  *Session* methods first take one
   of ``workers`` engine slots (a semaphore, so at most ``workers`` engines
-  run at once); control-plane methods (``service.*``, ``registry.list``,
-  ``obs.probes``) skip the slots so a saturated server can still answer
-  pings and an operator can always shut it down.
+  run at once); the verbs :mod:`~repro.service.verbs` declares ``control``
+  (``service.*``, ``registry.list``, ``obs.probes``) skip the slots so a
+  saturated server can still answer pings and an operator can always shut
+  it down.
 
 The fail-closed contract on shutdown: new requests are refused with
 ``server_shutdown``, requests waiting for an engine slot fail with the same
@@ -36,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..api.checkpoint import spec_digest
 from ..obs.probes import register_probe, snapshot as probe_snapshot, unregister_probe
@@ -44,7 +45,6 @@ from ..obs.tracer import Tracer
 from .catalog import registry_catalog
 from .errors import (
     ExecutionError,
-    InvalidParamsError,
     MethodNotFoundError,
     RPC_INVALID_REQUEST,
     RPC_PARSE_ERROR,
@@ -57,13 +57,9 @@ from .errors import (
 from .http11 import ProtocolError, frame, read_body, read_head
 from .persist import RequestJournal
 from .session import ServiceSession, build_session_spec, session_id_for
+from .verbs import VERBS
 
 __all__ = ["ServiceConfig", "ServiceStats", "SimulatorService", "ServiceServer"]
-
-CONTROL_METHODS = frozenset({"service.ping", "service.status", "service.shutdown", "registry.list", "obs.probes"})
-"""Methods that bypass the engine slots and admission: they never enter a
-session's engine, and they must stay answerable while every slot is taken
-(shutdown in particular)."""
 
 TRACE_RING = 4096
 """The request-lifecycle trace keeps this many most-recent events; older
@@ -140,7 +136,7 @@ class ServiceStats:
 
 
 class SimulatorService:
-    """The dispatcher: session table + method routing + observability."""
+    """The dispatcher: session table + verb routing + observability."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
@@ -166,33 +162,6 @@ class SimulatorService:
                 target=self._eviction_loop, name="repro-service-evict", daemon=True
             )
             self._eviction_thread.start()
-        self._methods: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-            "service.ping": self._rpc_ping,
-            "service.status": self._rpc_status,
-            # The transport layer performs the actual stop after the
-            # acknowledgement is on the wire; the dispatcher only acks.
-            "service.shutdown": lambda params: {"stopping": True},
-            "registry.list": lambda params: registry_catalog(),
-            "obs.probes": lambda params: {"probes": probe_snapshot()},
-            "session.create": self._rpc_session_create,
-            "session.list": self._rpc_session_list,
-            "session.describe": self._session_rpc("describe"),
-            "session.status": self._session_rpc("status"),
-            "session.advance": self._session_rpc("advance", "seconds", "to", "blocks"),
-            "session.run": self._session_rpc("run"),
-            "session.summary": self._session_rpc("summary"),
-            "session.metrics": self._session_rpc("metrics_report"),
-            "session.close": self._rpc_session_close,
-            "contract.deploy": self._session_rpc("deploy", "account", "code", "constructor", "value"),
-            "contract.call": self._session_rpc(
-                "call", "contract", "function", "arguments", "account", "peer", "allow_raa"
-            ),
-            "tx.submit": self._session_rpc("submit", "account", "to", "data", "value", "gas_limit"),
-            "tx.receipt": self._session_rpc("receipt", "transaction_hash"),
-            "state.balance": self._session_rpc("balance", "account"),
-            "state.storage": self._session_rpc("storage", "contract", "slot"),
-            "hms.status": self._session_rpc("hms_status", "peer"),
-        }
         # Durability: replay first (through the ordinary dispatcher, with
         # journaling suppressed), then open the journal for appending — a
         # resumed server continues the very log it was rebuilt from.
@@ -231,7 +200,7 @@ class SimulatorService:
         with self._trace_lock:
             # Unknown names share one row: hostile input must not grow the table.
             totals = self.stats.methods.setdefault(
-                method if method in self._methods else "(unknown)", [0, 0, 0.0]
+                method if method in VERBS else "(unknown)", [0, 0, 0.0]
             )
             totals[0] += 1
             totals[2] += duration_ms
@@ -247,31 +216,7 @@ class SimulatorService:
                     duration_ms=duration_ms,
                 )
 
-    # -- method plumbing -----------------------------------------------------------
-
-    def _session_rpc(self, attribute: str, *argument_names: str):
-        """An RPC handler that locks the named session and calls one of its
-        methods with the whitelisted keyword arguments."""
-
-        def handler(params: Dict[str, Any]) -> Dict[str, Any]:
-            session = self._session(params)
-            unknown = set(params) - set(argument_names) - {"session"}
-            if unknown:
-                raise InvalidParamsError(
-                    f"unknown parameters {sorted(unknown)}; "
-                    f"accepted: {sorted(argument_names) + ['session']}"
-                )
-            kwargs = {name: params[name] for name in argument_names if name in params}
-            with session.lock:
-                session.touch()
-                return getattr(session, attribute)(**kwargs)
-
-        return handler
-
-    def _session(self, params: Dict[str, Any]) -> ServiceSession:
-        session_id = params.get("session")
-        if not isinstance(session_id, str) or not session_id:
-            raise InvalidParamsError("missing required parameter 'session'")
+    def _session(self, session_id: str) -> ServiceSession:
         with self._sessions_lock:
             session = self._sessions.get(session_id)
         if session is None:
@@ -281,21 +226,30 @@ class SimulatorService:
     # -- dispatch ------------------------------------------------------------------
 
     def dispatch(self, method: str, params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Execute one request; raises :class:`ServiceError` subclasses."""
+        """Execute one request; raises :class:`ServiceError` subclasses.
+
+        The verb's declaration refuses bad ``params`` before any session
+        lock is taken, so a refused request never waits behind a busy
+        session; the handler gets typed keyword arguments."""
         started = time.perf_counter()
         self.stats.requests += 1
         self.stats.in_flight += 1
         try:
             if self.closed.is_set() and method != "service.status":
                 raise ServerShutdownError("service is shutting down")
-            handler = self._methods.get(method)
-            if handler is None:
-                raise MethodNotFoundError(
-                    f"unknown method {method!r}; known: {sorted(self._methods)}"
-                )
-            if params is not None and not isinstance(params, dict):
-                raise InvalidParamsError("params must be an object")
-            result = handler(dict(params or {}))
+            verb = VERBS.get(method)
+            if verb is None:
+                raise MethodNotFoundError(f"unknown method {method!r}; known: {sorted(VERBS)}")
+            kwargs = verb.arguments(params)
+            if verb.session:
+                session = self._session(kwargs.pop("session"))
+                if verb.check is not None:
+                    verb.check(session, kwargs)
+                with session.lock:
+                    session.touch()
+                    result = getattr(session, verb.handler)(**kwargs)
+            else:
+                result = getattr(self, verb.handler)(**kwargs)
             if self.journal is not None and not self._replaying:
                 self.journal.record(method, params)
         except ServiceError as error:
@@ -314,10 +268,19 @@ class SimulatorService:
 
     # -- control plane -------------------------------------------------------------
 
-    def _rpc_ping(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _rpc_ping(self) -> Dict[str, Any]:
         return {"ok": True, "service": "repro", "sessions": len(self._sessions)}
 
-    def _rpc_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _rpc_shutdown(self) -> Dict[str, Any]:
+        return {"stopping": True}  # the transport stops the server once this ack is out
+
+    def _rpc_registry_list(self) -> Dict[str, Any]:
+        return registry_catalog()
+
+    def _rpc_probes(self) -> Dict[str, Any]:
+        return {"probes": probe_snapshot()}
+
+    def _rpc_status(self) -> Dict[str, Any]:
         status: Dict[str, Any] = {
             "stats": self._probe(),
             "closing": self.closed.is_set(),
@@ -327,7 +290,7 @@ class SimulatorService:
                 "retention_default": self.config.retention_default,
                 "max_sessions": self.config.max_sessions,
             },
-            **self._rpc_session_list(params),
+            **self._rpc_session_list(),
         }
         if self.journal is not None:
             status["config"]["persist_dir"] = str(self.config.persist_dir)
@@ -336,8 +299,8 @@ class SimulatorService:
 
     # -- session lifecycle ---------------------------------------------------------
 
-    def _rpc_session_create(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        spec = build_session_spec(params, retention_default=self.config.retention_default)
+    def _rpc_session_create(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        spec = build_session_spec(request, retention_default=self.config.retention_default)
         with self._sessions_lock:
             if len(self._sessions) >= self.config.max_sessions:
                 raise TooManySessionsError(
@@ -365,7 +328,7 @@ class SimulatorService:
             "spec": spec.describe(),
         }
 
-    def _rpc_session_list(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _rpc_session_list(self) -> Dict[str, Any]:
         with self._sessions_lock:
             sessions = list(self._sessions.values())
         return {
@@ -380,15 +343,15 @@ class SimulatorService:
             ]
         }
 
-    def _rpc_session_close(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        session = self._session(params)
-        with session.lock:
-            session.close()
+    def _rpc_session_close(self, session: str) -> Dict[str, Any]:
+        closing = self._session(session)
+        with closing.lock:
+            closing.close()
         with self._sessions_lock:
-            self._sessions.pop(session.session_id, None)
+            self._sessions.pop(session, None)
         self.stats.sessions_closed += 1
-        self._trace("session.close", session=session.session_id)
-        return {"session": session.session_id, "state": session.state}
+        self._trace("session.close", session=session)
+        return {"session": session, "state": closing.state}
 
     # -- eviction ------------------------------------------------------------------
 
@@ -656,7 +619,8 @@ class ServiceServer:
         fails with the same typed ``server_shutdown`` as a refused one (and
         one that gets its slot after the close is refused by ``dispatch``).
         """
-        if method in CONTROL_METHODS:
+        verb = VERBS.get(method)
+        if verb is not None and verb.control:
             return self.service.dispatch(method, params)
         closed = self.service.closed
         if closed.is_set():

@@ -17,21 +17,20 @@ makes a recorded load-generator run reproducible.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import fields, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..api.builder import check_plugins
 from ..api.checkpoint import spec_digest
 from ..api.engine import SimulationHandle, build_simulation
 from ..api.experiment import EXPERIMENT_REGISTRY, ExperimentOptions
 from ..api.seeding import derive_seed
-from ..api.spec import _POSITIVE_INTEGER, Canon, SimulationSpec, _checked, _integer, _number
+from ..api.spec import SimulationSpec, _flag, _text
 from ..clients.base import ContractClient
-from ..crypto.addresses import ADDRESS_LENGTH, address_from_label, contract_address
-from ..encoding.hexutil import bytes32_from_int, from_hex, to_hex
+from ..crypto.addresses import Address, address_from_label, contract_address
+from ..encoding.hexutil import bytes32_from_int, to_hex
 from .errors import (
     ExecutionError,
     InvalidParamsError,
@@ -69,46 +68,6 @@ SESSION_REFUSALS = {
 for the served ones) — read from the spec's own field declarations."""
 
 
-def resolve_address(token: Any) -> bytes:
-    """An account label or ``0x…`` hex string as a 20-byte address."""
-    if isinstance(token, str):
-        if token.startswith("0x"):
-            raw = from_hex(token)
-            if len(raw) != ADDRESS_LENGTH:
-                raise InvalidParamsError(
-                    f"address must be {ADDRESS_LENGTH} bytes, got {len(raw)}"
-                )
-            return raw
-        return address_from_label(token)
-    raise InvalidParamsError(f"expected an account label or 0x-hex address, got {token!r}")
-
-
-_FINITE = _checked(_number, math.isfinite, "finite")
-_NON_NEGATIVE_INTEGER = _checked(_integer, lambda value: value >= 0, "non-negative")
-_SLOT = _checked(_integer, lambda value: 0 <= value < 2**256, "a storage slot in [0, 2**256)")
-
-
-def wire_number(canon: Canon, name: str, value: Any) -> Any:
-    """One numeric RPC argument through a spec canonicaliser: JSON numbers
-    only (no strings, bools or fractional integers), and a refusal is
-    :class:`InvalidParamsError` rather than an engine error or a hang."""
-    try:
-        return canon(name, value)
-    except ValueError as error:
-        raise InvalidParamsError(str(error)) from error
-
-
-def decode_argument(value: Any) -> Any:
-    """One JSON call argument as the engine's native form (hex → bytes)."""
-    if isinstance(value, str) and value.startswith("0x"):
-        return from_hex(value)
-    if isinstance(value, list):
-        return [decode_argument(item) for item in value]
-    if isinstance(value, (int, bool, str)) or value is None:
-        return value
-    raise InvalidParamsError(f"unsupported call argument {value!r}")
-
-
 def jsonable(value: Any) -> Any:
     """Render an engine value JSON-ready (bytes become ``0x…`` hex)."""
     if isinstance(value, bytes):
@@ -125,7 +84,7 @@ def jsonable(value: Any) -> Any:
 # -- spec construction -------------------------------------------------------------
 
 
-def _experiment_spec(name: Any, smoke: Any) -> SimulationSpec:
+def _experiment_spec(name: str, smoke: bool) -> SimulationSpec:
     if name not in EXPERIMENT_REGISTRY:
         raise InvalidParamsError(
             f"unknown experiment {name!r}; registered: {EXPERIMENT_REGISTRY.names()}"
@@ -136,7 +95,7 @@ def _experiment_spec(name: Any, smoke: Any) -> SimulationSpec:
             f"experiment {name!r} does not expose a base spec; "
             "create the session from explicit spec fields instead"
         )
-    return base_spec(ExperimentOptions(smoke=bool(smoke)))
+    return base_spec(ExperimentOptions(smoke=smoke))
 
 
 def _requested_fields(request: Dict[str, Any]) -> Dict[str, Any]:
@@ -188,6 +147,7 @@ def build_session_spec(
     requested = _requested_fields(request)
     try:
         if experiment is not None:
+            experiment, smoke = _text("experiment", experiment), _flag("smoke", smoke)
             spec = replace(_experiment_spec(experiment, smoke), **requested)
         else:
             spec = SimulationSpec(**{**DEFAULT_REQUEST, **requested})
@@ -241,7 +201,7 @@ class ServiceSession:
         self.requests_served = 0
         self._started = False
         self._summary: Optional[Dict[str, Any]] = None
-        self._clients: Dict[Tuple[str, str], ContractClient] = {}
+        self._clients: Dict[str, ContractClient] = {}
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -271,14 +231,10 @@ class ServiceSession:
             )
         return peer
 
-    def _client(self, account: str, peer_id: Optional[str] = None) -> ContractClient:
-        if not isinstance(account, str) or not account:
-            raise InvalidParamsError("account must be a non-empty label")
-        key = (account, peer_id or "")
-        client = self._clients.get(key)
+    def _client(self, account: str) -> ContractClient:
+        client = self._clients.get(account)
         if client is None:
-            client = ContractClient(account, self._peer(peer_id), self.handle.simulator)
-            self._clients[key] = client
+            client = self._clients[account] = ContractClient(account, self._peer(None), self.handle.simulator)
         return client
 
     def _ensure_started(self) -> None:
@@ -292,21 +248,21 @@ class ServiceSession:
         self,
         seconds: Optional[float] = None,
         to: Optional[float] = None,
-        blocks: Optional[int] = None,
+        blocks: int = 1,
     ) -> Dict[str, Any]:
-        """Advance simulated time (default: one block interval), stepping in
-        block-interval chunks so a server shutdown interrupts between steps
-        (the fail-closed path) and bounded-memory metrics resolve in-window."""
+        """Advance simulated time to ``to``, by ``seconds`` or by ``blocks``
+        intervals (default one; the verb's declaration bounds the target),
+        stepping in block-interval chunks so a server shutdown interrupts
+        between steps and bounded-memory metrics resolve in-window."""
         self._require_open()
         simulator = self.handle.simulator
         spec = self.spec
         if to is not None:
-            target = wire_number(_FINITE, "to", to)
+            target = to
         elif seconds is not None:
-            target = simulator.now + wire_number(_FINITE, "seconds", seconds)
+            target = simulator.now + seconds
         else:
-            count = 1 if blocks is None else wire_number(_integer, "blocks", blocks)
-            target = simulator.now + count * spec.block_interval
+            target = simulator.now + blocks * spec.block_interval
         self._ensure_started()
         while simulator.now < target:
             if self.closed.is_set():
@@ -347,17 +303,16 @@ class ServiceSession:
         self,
         account: str,
         code: str,
-        constructor: str = "0x",
+        constructor: bytes = b"",
         value: int = 0,
     ) -> Dict[str, Any]:
         """Deploy a registered contract from ``account``; the address is
         derived from (sender, nonce) before the deploy commits, exactly as a
         real client predicts it."""
         self._require_open()
-        value = wire_number(_NON_NEGATIVE_INTEGER, "value", value)
         self._ensure_started()
         client = self._client(account)
-        transaction = client.deploy(code, from_hex(constructor), value=value)
+        transaction = client.deploy(code, constructor, value=value)
         address = contract_address(client.address, transaction.nonce)
         return {
             "transaction_hash": to_hex(transaction.hash),
@@ -369,29 +324,24 @@ class ServiceSession:
     def submit(
         self,
         account: str,
-        to: Any,
-        data: str = "0x",
+        to: Address,
+        data: bytes = b"",
         value: int = 0,
         gas_limit: Optional[int] = None,
     ) -> Dict[str, Any]:
         self._require_open()
-        value = wire_number(_NON_NEGATIVE_INTEGER, "value", value)
-        if gas_limit is not None:
-            gas_limit = wire_number(_POSITIVE_INTEGER, "gas_limit", gas_limit)
         self._ensure_started()
         client = self._client(account)
-        transaction = client.send_transaction(
-            to=resolve_address(to), data=from_hex(data), value=value, gas_limit=gas_limit
-        )
+        transaction = client.send_transaction(to=to, data=data, value=value, gas_limit=gas_limit)
         return {
             "transaction_hash": to_hex(transaction.hash),
             "nonce": transaction.nonce,
             "submitted_at": transaction.submitted_at,
         }
 
-    def receipt(self, transaction_hash: str) -> Dict[str, Any]:
+    def receipt(self, transaction_hash: bytes) -> Dict[str, Any]:
         self._require_open()
-        receipt = self.handle.reference_chain.receipt_for(from_hex(transaction_hash))
+        receipt = self.handle.reference_chain.receipt_for(transaction_hash)
         if receipt is None:
             return {"committed": False}
         return {
@@ -410,10 +360,10 @@ class ServiceSession:
 
     def call(
         self,
-        contract: Any,
+        contract: Address,
         function: str,
-        arguments: Optional[List[Any]] = None,
-        account: Optional[str] = None,
+        arguments: Sequence[Any] = (),
+        account: str = VIEW_CALLER_LABEL,
         peer: Optional[str] = None,
         allow_raa: bool = True,
     ) -> Dict[str, Any]:
@@ -422,17 +372,14 @@ class ServiceSession:
         self._require_open()
         self._ensure_started()
         target_peer = self._peer(peer)
-        caller = address_from_label(account) if account else address_from_label(VIEW_CALLER_LABEL)
-        contract_addr = resolve_address(contract)
-        decoded = [decode_argument(item) for item in (arguments or [])]
         try:
             result = target_peer.call_contract(
-                contract_addr,
-                str(function),
-                decoded,
-                caller=caller,
+                contract,
+                function,
+                list(arguments),
+                caller=address_from_label(account),
                 now=self.handle.simulator.now,
-                allow_raa=bool(allow_raa),
+                allow_raa=allow_raa,
             )
         except (KeyError, TypeError, ValueError) as error:
             message = error.args[0] if error.args else error
@@ -443,20 +390,17 @@ class ServiceSession:
             "return_data": to_hex(result.return_data),
         }
 
-    def balance(self, account: Any) -> Dict[str, Any]:
+    def balance(self, account: Address) -> Dict[str, Any]:
         self._require_open()
-        address = resolve_address(account)
         return {
-            "address": to_hex(address),
-            "balance": self.handle.reference_chain.state.get_balance(address),
+            "address": to_hex(account),
+            "balance": self.handle.reference_chain.state.get_balance(account),
         }
 
-    def storage(self, contract: Any, slot: Any = None) -> Dict[str, Any]:
+    def storage(self, contract: Address, slot: int) -> Dict[str, Any]:
         self._require_open()
-        address = resolve_address(contract)
-        slot = wire_number(_SLOT, "slot", slot)
-        word = self.handle.reference_chain.state.get_storage(address, bytes32_from_int(slot))
-        return {"address": to_hex(address), "slot": slot, "value": to_hex(word)}
+        word = self.handle.reference_chain.state.get_storage(contract, bytes32_from_int(slot))
+        return {"address": to_hex(contract), "slot": slot, "value": to_hex(word)}
 
     def hms_status(self, peer: Optional[str] = None) -> Dict[str, Any]:
         """Every watched contract's Hash-Mark-Set view on one peer (default:

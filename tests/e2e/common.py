@@ -36,7 +36,9 @@ def deploy_contract(
     client: ServiceClient, session: str, account: str, code: str, **kwargs: Any
 ) -> Tuple[str, str]:
     """Deploy ``code`` and return ``(contract_address, transaction_hash)``."""
-    result = client.deploy_contract(session, account, code, **kwargs)
+    result = client.request(
+        "contract.deploy", {"session": session, "account": account, "code": code, **kwargs}
+    )
     return result["contract_address"], result["transaction_hash"]
 
 

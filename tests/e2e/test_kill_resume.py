@@ -86,7 +86,7 @@ def test_sigkilled_server_resumes_byte_identical_sessions(tmp_path):
         wait_until_healthy(client, first)
         session = client.create_session(**SESSION_SPEC)
         before = client.run(session)
-        summary = client.summary(session)
+        summary = client.request("session.summary", {"session": session})
     finally:
         # The point of the test: no graceful shutdown, no final flush.
         os.kill(first.pid, signal.SIGKILL)
@@ -97,7 +97,7 @@ def test_sigkilled_server_resumes_byte_identical_sessions(tmp_path):
         wait_until_healthy(client, second)
         listed = client.list_sessions()
         assert [row["session"] for row in listed] == [session]
-        resumed = client.summary(session)
+        resumed = client.request("session.summary", {"session": session})
         assert json.dumps(resumed, sort_keys=True) == json.dumps(summary, sort_keys=True)
         assert json.dumps(client.run(session), sort_keys=True) == json.dumps(
             before, sort_keys=True

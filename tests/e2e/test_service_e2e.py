@@ -63,8 +63,9 @@ def test_deploy_transact_and_read_back(client):
         )
         assert values == [1234]
         # Both extra accounts were funded at genesis and could pay gas.
-        assert client.balance(session, "e2e-alice") > 0
-        assert client.balance(session, "e2e-bob") > 0
+        for account in ("e2e-alice", "e2e-bob"):
+            balance = client.request("state.balance", {"session": session, "account": account})
+            assert balance["balance"] > 0
     finally:
         client.close_session(session)
 
@@ -92,8 +93,8 @@ def test_session_run_and_metrics(client):
     try:
         summary = client.run(session)
         assert "efficiency" in summary
-        assert client.summary(session) == summary
-        report = client.metrics(session)
+        assert client.request("session.summary", {"session": session}) == summary
+        report = client.request("session.metrics", {"session": session})
         assert report["labels"]["buy"]["submitted"] >= 1
     finally:
         client.close_session(session)
@@ -104,14 +105,14 @@ def test_named_experiment_session(client):
     try:
         status = client.session_status(session)
         assert status["state"] == "open"
-        described = client.describe_session(session)
+        described = client.request("session.describe", {"session": session})
         assert described["spec"]["workload"] == "market"
     finally:
         client.close_session(session)
 
 
 def test_registry_list_over_http(client):
-    catalog = client.registries()
+    catalog = client.request("registry.list")
     assert {entry["name"] for entry in catalog["scenarios"]} >= {
         "geth_unmodified",
         "semantic_mining",
@@ -123,7 +124,7 @@ def test_registry_list_over_http(client):
 
 
 def test_probe_snapshot_includes_service(client):
-    probes = client.probes()["probes"]
+    probes = client.request("obs.probes")["probes"]
     assert "service" in probes
     assert probes["service"]["requests"] >= 1
 

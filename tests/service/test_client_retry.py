@@ -14,7 +14,8 @@ import random
 import pytest
 
 import repro.contracts  # noqa: F401  (registers the shipped contracts)
-from repro.service.client import IDEMPOTENT_METHODS, ServiceClient
+from repro.service.client import ServiceClient
+from repro.service.verbs import VERBS
 from repro.service.errors import (
     ServerOverloadedError,
     ServiceConnectionError,
@@ -92,7 +93,7 @@ class TestRetrySchedule:
     def test_non_idempotent_methods_never_retry(self):
         for method in ("tx.submit", "session.advance", "contract.deploy",
                        "session.create", "session.close", "service.shutdown"):
-            assert method not in IDEMPOTENT_METHODS
+            assert not VERBS[method].idempotent
             client, slept = flaky_client(failures=1)
             with pytest.raises(ServiceConnectionError):
                 client.request(method)

@@ -15,8 +15,9 @@ import pytest
 
 import repro.contracts  # noqa: F401  (registers the shipped contracts)
 from repro.service.errors import SessionNotFoundError
-from repro.service.persist import JOURNALED_METHODS, RequestJournal
+from repro.service.persist import RequestJournal
 from repro.service.server import ServiceConfig, SimulatorService
+from repro.service.verbs import VERBS
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -72,9 +73,9 @@ class TestRecording:
         assert len(journal_lines(tmp_path)) == 1  # header only
 
     def test_journaled_set_covers_state_changers(self):
-        assert "session.create" in JOURNALED_METHODS
-        assert "tx.submit" in JOURNALED_METHODS
-        assert "session.summary" not in JOURNALED_METHODS
+        assert VERBS["session.create"].journaled
+        assert VERBS["tx.submit"].journaled
+        assert not VERBS["session.summary"].journaled
 
 
 class TestResume:
@@ -140,6 +141,23 @@ class TestResume:
             assert [row["session"] for row in listed["sessions"]] == [session]
         finally:
             second.close()
+
+    def test_non_object_params_line_is_one_replay_error(self, tmp_path):
+        path = tmp_path / "journal" / "requests.jsonl"
+        path.parent.mkdir()
+        rows = [
+            {"method": "session.create", "params": [1]},
+            {"method": "session.create", "params": SMALL_SPEC},
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+        service = persistent_service(tmp_path, resume=True)
+        try:
+            journal = service.dispatch("service.status", {})["journal"]
+            assert (journal["replayed"], journal["replay_errors"]) == (2, 1)
+            assert len(service.dispatch("session.list", {})["sessions"]) == 1
+        finally:
+            service.close()
 
     def test_status_reports_journal_counters(self, tmp_path):
         service = persistent_service(tmp_path)

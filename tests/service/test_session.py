@@ -17,7 +17,9 @@ import pytest
 
 import repro.contracts  # noqa: F401  (registers the shipped contracts)
 from repro.api.checkpoint import spec_digest
+from repro.api.workloads import sereth_exchange_address
 from repro.contracts.simple_storage import SimpleStorageContract
+from repro.encoding.hexutil import to_hex
 from repro.service.errors import (
     InvalidParamsError,
     MethodNotFoundError,
@@ -261,6 +263,7 @@ class TestErrors:
 
 
 ANY_ADDRESS = "0x" + "00" * 20
+MARKET = to_hex(sereth_exchange_address())
 
 HOSTILE_NUMBERS = [
     pytest.param("state.storage", {"contract": ANY_ADDRESS, "slot": "abc"}, id="slot-string"),
@@ -287,6 +290,25 @@ HOSTILE_NUMBERS = [
         {"account": "alice", "to": ANY_ADDRESS, "gas_limit": "x"},
         id="submit-gas-limit-string",
     ),
+    pytest.param("contract.call", {"contract": ANY_ADDRESS, "function": "current", "peer": [1]}, id="call-peer-array"),
+    pytest.param("contract.call", {"contract": ANY_ADDRESS, "function": "current", "account": 7}, id="call-account-number"),
+    pytest.param("tx.receipt", {"transaction_hash": 5}, id="receipt-hash-number"),
+    pytest.param("tx.receipt", {"transaction_hash": "0xzz"}, id="receipt-hash-not-hex"),
+    pytest.param("tx.submit", {"account": "alice", "to": ANY_ADDRESS, "data": 5}, id="submit-data-number"),
+    pytest.param("contract.deploy", {"account": "alice", "code": 5}, id="deploy-code-number"),
+    pytest.param(
+        "contract.call",
+        {"contract": MARKET, "function": "current", "allow_raa": "false"},
+        id="call-allow-raa-string",
+    ),
+    pytest.param("session.create", {"experiment": "figure2", "smoke": "false"}, id="create-smoke-string"),
+    pytest.param("session.advance", {"blocks": 10**12}, id="blocks-10**12"),
+    pytest.param("session.advance", {"blocks": 2**2000}, id="blocks-2**2000"),
+    pytest.param("session.advance", {"seconds": 1e300}, id="seconds-1e300"),
+    pytest.param("session.advance", {"seconds": 2**2000}, id="seconds-2**2000"),
+    pytest.param("session.advance", {"blocks": -1}, id="blocks-negative"),
+    pytest.param("session.advance", {"seconds": -1.0}, id="seconds-negative"),
+    pytest.param("session.advance", {"seconds": 13.0, "blocks": 1}, id="seconds-and-blocks"),
 ]
 
 
@@ -313,7 +335,9 @@ class TestNumericArguments:
     @pytest.mark.parametrize("method, params", HOSTILE_NUMBERS)
     def test_hostile_number_is_invalid_params_within_a_second(self, service, method, params):
         session = service.dispatch("session.create", dict(SMALL_SPEC))["session"]
-        outcome = dispatch_within(service, method, dict(params, session=session))
+        if method != "session.create":
+            params = dict(params, session=session)
+        outcome = dispatch_within(service, method, params)
         assert isinstance(outcome.get("error"), InvalidParamsError), outcome
         # The refused request left the session usable.
         assert service.dispatch("session.status", {"session": session})["state"] == "open"

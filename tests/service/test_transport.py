@@ -91,7 +91,9 @@ def test_state_storage_reads_the_mark_contract_call_returns(server):
         placeholder = ["0x" + "00" * 32] * 3
         (mark,) = client.call_contract_method(session, contract, "mark", [placeholder])["values"]
         committed = client.call_contract_method(session, contract, "current", allow_raa=False)
-        word = client.storage(session, contract, SLOT_P_MARK)
+        word = client.request(
+            "state.storage", {"session": session, "contract": contract, "slot": SLOT_P_MARK}
+        )["value"]
         assert word == mark == committed["values"][1]
         assert word != "0x" + "00" * 32
 
@@ -153,7 +155,9 @@ def test_restarted_server_accepts_tx_submit_without_a_retry(tmp_path):
     port = first.port
     with ServiceClient(first.url, timeout=30.0, sleep=pytest.fail) as client:
         session = client.create_session(**SMALL_SPEC)
-        deployed = client.deploy_contract(session, "alice", "SimpleStorage")
+        deployed = client.request(
+            "contract.deploy", {"session": session, "account": "alice", "code": "SimpleStorage"}
+        )
         client.advance(session, blocks=2)
         first.shutdown()
         second = start_server(port=port, resume=True, **persist)
