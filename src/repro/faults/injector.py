@@ -8,6 +8,10 @@ function of the spec — byte-identical whether the trial runs serially, in a
 sweep worker, or resumed from a checkpoint — and adding or removing one
 fault entry reshuffles exactly that entry's stream and nothing else.
 
+The message seam is a per-kind table: a hop only evaluates the faults that
+target its kind.  An off-target or inactive fault never touches its RNG, so
+skipping it leaves every decision stream unchanged.
+
 Every injection is counted by fault kind and emitted as a ``fault.*``
 event through :mod:`repro.obs` when a tracer is active; the engine also
 registers the counters as a per-trial ``faults`` probe.
@@ -29,13 +33,18 @@ class FaultInjector:
 
     def __init__(self, faults: Sequence[Tuple[str, object, random.Random]]) -> None:
         # Entries are (registered name, constructed fault, its own RNG).
-        self._message_faults: List[Tuple[str, MessageFault, random.Random]] = []
+        message_faults: List[Tuple[str, MessageFault, random.Random]] = []
         self._peer_faults: List[Tuple[str, object]] = []
         for name, fault, rng in faults:
             if getattr(fault, "category", None) == "message":
-                self._message_faults.append((name, fault, rng))
+                message_faults.append((name, fault, rng))
             else:
                 self._peer_faults.append((name, fault))
+        # Message kind -> the faults that target it, in spec order.
+        self._by_kind: Dict[str, Tuple[Tuple[str, MessageFault, random.Random], ...]] = {
+            kind: tuple(entry for entry in message_faults if entry[1].target in (kind, "both"))
+            for kind in ("tx", "block")
+        }
         self.counts: Dict[str, int] = {}
         self.injections = 0
         self.protected_block_peers: frozenset = frozenset()
@@ -45,14 +54,12 @@ class FaultInjector:
         # network after ``until`` — costs two comparisons, not a call chain.
         # Skipping the call is draw-free by construction: an inactive fault
         # never touches its RNG, so the decision streams are byte-identical.
-        starts = [fault.start for _, fault, _ in self._message_faults]
-        untils = [fault.until for _, fault, _ in self._message_faults]
-        self.window_start = min(starts) if starts else float("inf")
-        self.window_until = (
-            float("inf")
-            if any(until is None for until in untils)
-            else max(untils)
-        ) if untils else float("-inf")
+        # Fault constructors refuse non-finite bounds, so neither is NaN.
+        self.window_start = min((fault.start for _, fault, _ in message_faults), default=float("inf"))
+        self.window_until = max(
+            (float("inf") if fault.until is None else fault.until for _, fault, _ in message_faults),
+            default=float("-inf"),
+        )
 
     @classmethod
     def from_spec(cls, entries, seeds) -> "FaultInjector":
@@ -84,19 +91,22 @@ class FaultInjector:
     ) -> Optional[FaultEffect]:
         """Decide what happens to one gossip hop; ``None`` = deliver clean.
 
-        Every active fault draws from its own stream on every matching hop
-        (independent of what the others decided), so per-fault decision
-        sequences — and so the ``fault.*`` events — depend only on the spec.
+        Each fault targeting ``message_kind`` whose window covers ``now``
+        draws once from its own stream (independent of the others), so
+        per-fault decision sequences — and the ``fault.*`` events — depend
+        only on the spec.
         """
         if now < self.window_start or now >= self.window_until:
             return None
         if message_kind == "block" and receiver_id in self.protected_block_peers:
             return None
         effect: Optional[FaultEffect] = None
-        for name, fault, rng in self._message_faults:
-            decision = fault.decide(rng, now, message_kind)
-            if decision is None:
+        for name, fault, rng in self._by_kind[message_kind]:
+            if now < fault.start or (fault.until is not None and now >= fault.until):
                 continue
+            if rng.random() >= fault.rate:
+                continue
+            decision = fault.effect(rng)
             effect = decision if effect is None else effect.merge(decision)
             self._record(now, name, fault.action, message_kind, sender_id, receiver_id)
         return effect

@@ -1,9 +1,13 @@
 """Message-level faults: what a flaky wire does to one gossip hop.
 
 Every fault here is evaluated at the *send* seam of
-:class:`repro.net.network.Network` — once per scheduled delivery hop, for
-both direct broadcast and topology flood — and draws exclusively from its
-own injector-owned RNG stream, never from the network's loss/latency RNGs.
+:class:`repro.net.network.Network` — once per scheduled delivery hop of the
+message kind it targets (``tx``, ``block`` or ``both``), for both direct
+broadcast and topology flood — and draws exclusively from its own
+injector-owned RNG stream, never from the network's loss/latency RNGs.
+Inside its ``[start, until)`` window a fault draws once per matching hop and
+fires when that draw is below ``rate``; only then does :meth:`effect` draw
+the effect's own parameters (see :meth:`repro.faults.FaultInjector.on_message`).
 With no faults installed the network takes a single dead branch per hop, so
 the default path (and the committed golden checksums) is untouched.
 
@@ -17,6 +21,7 @@ later by the ordinary orphan → range-sync path when the next block arrives.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +38,14 @@ __all__ = [
 ]
 
 _TARGETS = ("tx", "block", "both")
+
+
+def _finite(label: str, value: float) -> None:
+    """Refuse NaN and infinities: a NaN window bound silently disables every
+    message fault (the injector's window union turns NaN), and a NaN or
+    infinite delay would put a non-finite time on the event heap."""
+    if not math.isfinite(value):
+        raise ValueError(f"fault {label} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -64,6 +77,8 @@ class MessageFault:
     ``start``/``until`` bound the fault in simulated time — the chaos
     experiment relies on ``until`` to let the network heal: once faults
     cease, ordinary gossip plus range sync must reconverge every peer.
+    ``until=None`` keeps the fault on for the rest of the run; every bound
+    given must be finite.
     """
 
     category = "message"
@@ -80,37 +95,20 @@ class MessageFault:
             raise ValueError("fault rate must be in (0, 1]")
         if target not in _TARGETS:
             raise ValueError(f"fault target must be one of {_TARGETS}, got {target!r}")
+        _finite("start", start)
         if start < 0.0:
             raise ValueError("fault start cannot be negative")
-        if until is not None and until <= start:
-            raise ValueError("fault window must end after it starts")
+        if until is not None:
+            _finite("until", until)
+            if until <= start:
+                raise ValueError("fault window must end after it starts")
         self.rate = rate
         self.target = target
         self.start = start
         self.until = until
 
-    def applies_to(self, message_kind: str) -> bool:
-        return self.target == "both" or self.target == message_kind
-
-    def active_at(self, now: float) -> bool:
-        return now >= self.start and (self.until is None or now < self.until)
-
-    def decide(
-        self, rng: random.Random, now: float, message_kind: str
-    ) -> Optional[FaultEffect]:
-        """One independent draw per matching hop; ``None`` means no injection.
-
-        Every active fault draws from its *own* stream regardless of what
-        other faults decided, so the per-fault decision sequences — and
-        therefore the whole fault trace — depend only on the spec.
-        """
-        if not self.applies_to(message_kind) or not self.active_at(now):
-            return None
-        if rng.random() >= self.rate:
-            return None
-        return self.effect(rng)
-
     def effect(self, rng: random.Random) -> FaultEffect:  # pragma: no cover
+        """What one firing does; draws any parameters it needs from ``rng``."""
         raise NotImplementedError
 
 
@@ -142,6 +140,7 @@ class DuplicateFault(MessageFault):
         spread: float = 0.5,
     ) -> None:
         super().__init__(rate, target=target, start=start, until=until)
+        _finite("spread", spread)
         if spread <= 0.0:
             raise ValueError("duplicate spread must be positive seconds")
         self.spread = spread
@@ -167,6 +166,8 @@ class DelayFault(MessageFault):
         jitter: float = 0.5,
     ) -> None:
         super().__init__(rate, target=target, start=start, until=until)
+        _finite("extra", extra)
+        _finite("jitter", jitter)
         if extra < 0.0 or jitter < 0.0:
             raise ValueError("delay extra/jitter cannot be negative")
         if extra == 0.0 and jitter == 0.0:

@@ -20,7 +20,7 @@ from .peer import (
     PeerStats,
     SERETH_CLIENT,
 )
-from .sim import ScheduledEvent, Simulator
+from .sim import Simulator
 from .topology import (
     BandwidthModel,
     ChurnPlan,
@@ -50,7 +50,6 @@ __all__ = [
     "IMPORT_REJECTED",
     "Peer",
     "PeerStats",
-    "ScheduledEvent",
     "Simulator",
     "BandwidthModel",
     "ChurnPlan",

@@ -52,7 +52,10 @@ class ConstantLatency:
 
 
 class UniformLatency:
-    """Deliveries take a uniform random time in [low, high] seconds."""
+    """Deliveries take a uniform random time in [low, high] seconds.
+
+    ``sample`` is ``Random.uniform``'s own ``low + (high - low) * random()``
+    with the span and bound method taken once: the same bits, fewer calls."""
 
     def __init__(
         self, low: float = 0.02, high: float = 0.2, seed: Optional[int] = None
@@ -61,10 +64,11 @@ class UniformLatency:
             raise ValueError("require 0 <= low <= high")
         self.low = low
         self.high = high
-        self._rng = _seeded_rng(seed)
+        self._span = high - low
+        self._random = _seeded_rng(seed).random
 
     def sample(self, source_id: str, destination_id: str) -> float:
-        return self._rng.uniform(self.low, self.high)
+        return self.low + self._span * self._random()
 
 
 class NormalLatency:

@@ -4,6 +4,12 @@ The paper's phenomena are entirely timing-structural — submission intervals,
 gossip delays, block intervals, and the order things land in the pool — so a
 single-threaded event loop reproduces them faithfully and deterministically
 (see DESIGN.md §2 on why this substitution is sound for this paper).
+
+A scheduled event is a plain ``list`` ``[time, sequence, callback, args]``:
+``heapq`` orders exact lists in C, and sequence numbers are unique, so a
+comparison stops at ``sequence`` and never reaches the callback.
+:meth:`Simulator.cancel` clears the callback slot; a cleared entry is skipped
+when popped.
 """
 
 from __future__ import annotations
@@ -12,51 +18,23 @@ import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
-__all__ = ["Simulator", "ScheduledEvent"]
+__all__ = ["Simulator"]
 
 Callback = Callable[..., None]
 
 
-class ScheduledEvent(list):
-    """A heap entry ``[time, sequence, callback, args]``.
+class Simulator:
+    """A minimal, deterministic discrete-event loop.
 
-    A ``list`` so ``heapq`` orders entries in C; sequence numbers are unique,
-    so a comparison stops at ``sequence`` and never reaches the callback.
-    Cancelling clears the callback slot.
+    ``now`` is the current simulation time in seconds: a plain attribute the
+    gossip path reads on every hop, written only by the loop itself.
     """
 
-    __slots__ = ()
-
-    @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def sequence(self) -> int:
-        return self[1]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing when the event is popped."""
-        self[2] = None
-
-
-class Simulator:
-    """A minimal, deterministic discrete-event loop."""
-
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
-        self._queue: List[ScheduledEvent] = []
+        self.now = start_time
+        self._queue: List[list] = []
         self._sequence = itertools.count()
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def reset(self, start_time: float = 0.0) -> None:
         """Drain the event heap and rewind to a just-constructed state.
@@ -66,26 +44,31 @@ class Simulator:
         same clock, empty queue, sequence numbers restarting at zero — so a
         reused simulator reproduces a fresh one's event order exactly.
         """
-        self._now = start_time
+        self.now = start_time
         self._queue.clear()
         self._sequence = itertools.count()
         self.events_processed = 0
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule_at(self, time: float, callback: Callback, *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule an event in the past ({time} < {self._now})")
-        event = ScheduledEvent((time, next(self._sequence), callback, args))
-        heappush(self._queue, event)
-        return event
+    def schedule_at(self, time: float, callback: Callback, *args: Any) -> list:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``
+        and return its entry.  A time before ``now``, or NaN, is refused."""
+        if not time >= self.now:
+            raise ValueError(f"cannot schedule an event at {time}: the clock is at {self.now}")
+        entry = [time, next(self._sequence), callback, args]
+        heappush(self._queue, entry)
+        return entry
 
-    def schedule_in(self, delay: float, callback: Callback, *args: Any) -> ScheduledEvent:
+    def schedule_in(self, delay: float, callback: Callback, *args: Any) -> list:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError("delay must be non-negative")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def cancel(self, entry: list) -> None:
+        """Prevent a scheduled entry's callback from firing when it is popped."""
+        entry[2] = None
 
     # -- running ---------------------------------------------------------------
 
@@ -96,7 +79,7 @@ class Simulator:
             time, _sequence, callback, args = heappop(queue)
             if callback is None:  # cancelled
                 continue
-            self._now = time
+            self.now = time
             callback(*args)
             self.events_processed += 1
             return True
@@ -113,7 +96,7 @@ class Simulator:
                 heappop(queue)
             if not queue or queue[0][0] > end_time:
                 # No more events at or before end_time: advance the clock to it.
-                self._now = max(self._now, end_time)
+                self.now = max(self.now, end_time)
                 break
             self.step()
             processed += 1
@@ -138,4 +121,4 @@ class Simulator:
     # -- introspection ------------------------------------------------------------
 
     def pending_events(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if entry[2] is not None)

@@ -45,6 +45,20 @@ def test_raw_jsonrpc_envelope(service_url):
     assert envelope["result"]["ok"] is True
 
 
+def test_non_finite_fault_param_is_invalid_params(service_url):
+    """A JSON ``NaN`` in a fault window would silently switch every message
+    fault off; the server must refuse it as a typed parameter error."""
+    body = payload(
+        "session.create",
+        {"faults": [{"name": "drop", "params": {"rate": 0.5, "until": float("nan")}}]},
+    )
+    assert '"until": NaN' in json.dumps(body)
+    envelope = post_request(f"{service_url}/rpc", body)
+    assert "result" not in envelope
+    assert envelope["error"]["data"]["kind"] == "invalid_params"
+    assert "finite" in envelope["error"]["message"]
+
+
 def test_deploy_transact_and_read_back(client):
     session = create_market_session(client)
     try:

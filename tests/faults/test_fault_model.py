@@ -59,6 +59,46 @@ class TestRegistry:
         assert fault.category == "message"
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestFiniteParameters:
+    """NaN and infinities are refused when the fault is built: a NaN window
+    bound turned the injector's window union NaN and silently switched off
+    every message fault, and a non-finite delay reached the event heap."""
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("drop", {"rate": 0.5, "start": NAN}),
+            ("drop", {"rate": 0.5, "start": INF}),
+            ("drop", {"rate": 0.5, "until": NAN}),
+            ("drop", {"rate": 0.5, "until": INF}),
+            ("corrupt", {"rate": 0.5, "until": NAN}),
+            ("delay", {"rate": 0.5, "extra": NAN}),
+            ("delay", {"rate": 0.5, "extra": INF}),
+            ("delay", {"rate": 0.5, "jitter": NAN}),
+            ("delay", {"rate": 0.5, "jitter": INF}),
+            ("duplicate", {"rate": 0.5, "spread": NAN}),
+            ("duplicate", {"rate": 0.5, "spread": INF}),
+        ],
+    )
+    def test_build_fault_refuses_non_finite(self, name, params):
+        with pytest.raises(ValueError, match="finite"):
+            build_fault(name, params)
+
+    def test_builder_refuses_a_nan_window_ahead_of_a_live_fault(self):
+        with pytest.raises(BuildError, match="finite"):
+            (
+                Simulation.builder()
+                .scenario("semantic_mining")
+                .workload("market", num_buys=4)
+                .fault("drop", rate=0.5, until=NAN)
+                .fault("delay", rate=0.5, target="block", until=34.0)
+                .build()
+            )
+
+
 class TestSpecSurface:
     def test_faults_absent_from_default_describe(self):
         spec = faulted_spec()

@@ -12,9 +12,9 @@ def drive(simulator: Simulator):
     tie_a = simulator.schedule_in(1.5, lambda: fired.append("tie-a"))
     simulator.schedule_in(1.5, lambda: fired.append("tie-b"))
     cancelled = simulator.schedule_in(1.7, lambda: fired.append("cancelled"))
-    cancelled.cancel()
+    simulator.cancel(cancelled)
     simulator.run()
-    return fired, simulator.now, simulator.events_processed, tie_a.sequence
+    return fired, simulator.now, simulator.events_processed, tie_a[1]
 
 
 class TestReset:

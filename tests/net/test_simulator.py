@@ -37,6 +37,16 @@ class TestScheduling:
         with pytest.raises(ValueError):
             simulator.schedule_in(-1.0, lambda: None)
 
+    def test_cannot_schedule_at_nan(self):
+        """NaN compares false to everything: a ``time < now`` guard let it
+        onto the heap, where it poisons the ordering of every later entry."""
+        simulator = Simulator(start_time=10.0)
+        with pytest.raises(ValueError):
+            simulator.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            simulator.schedule_in(float("nan"), lambda: None)
+        assert simulator.pending_events() == 0
+
     def test_events_scheduled_during_events_run(self):
         simulator = Simulator()
         fired = []
@@ -53,7 +63,7 @@ class TestScheduling:
         simulator = Simulator()
         fired = []
         event = simulator.schedule_at(1.0, lambda: fired.append("x"))
-        event.cancel()
+        simulator.cancel(event)
         simulator.run()
         assert fired == []
 
@@ -82,7 +92,7 @@ class TestRunModes:
         simulator = Simulator()
         simulator.schedule_at(1.0, lambda: None)
         cancelled = simulator.schedule_at(2.0, lambda: None)
-        cancelled.cancel()
+        simulator.cancel(cancelled)
         assert simulator.pending_events() == 1
 
     def test_step_returns_false_when_empty(self):
@@ -106,10 +116,17 @@ class TestEntryShape:
         simulator = Simulator()
         first = simulator.schedule_at(2.0, lambda: None)
         second = simulator.schedule_at(1.0, lambda: None)
-        assert (first.time, first.sequence, first.cancelled) == (2.0, 0, False)
-        assert (second.time, second.sequence) == (1.0, 1)
-        first.cancel()
-        assert first.cancelled
+        assert (first[0], first[1], first[2] is None) == (2.0, 0, False)
+        assert (second[0], second[1]) == (1.0, 1)
+        simulator.cancel(first)
+        assert first[2] is None
+
+    def test_entry_is_an_exact_list(self):
+        """Exact lists keep CPython's list fast paths (unpack, subscript,
+        free list) that a ``list`` subclass misses."""
+        simulator = Simulator()
+        assert type(simulator.schedule_at(1.0, lambda: None)) is list
+        assert type(simulator.schedule_in(1.0, lambda: None)) is list
 
     def test_same_time_events_never_compare_callbacks(self):
         """Ordering stops at the unique sequence number, so callbacks and
@@ -137,7 +154,7 @@ class TestEntryShape:
     def test_run_until_does_not_run_past_a_cancelled_head(self):
         simulator = Simulator()
         fired = []
-        simulator.schedule_at(1.0, lambda: fired.append("cancelled")).cancel()
+        simulator.cancel(simulator.schedule_at(1.0, lambda: fired.append("cancelled")))
         simulator.schedule_at(10.0, lambda: fired.append("late"))
         assert simulator.run_until(5.0) == 0
         assert fired == []
@@ -156,7 +173,7 @@ class TestEntryShape:
     def test_cancelled_events_are_not_counted(self):
         simulator = Simulator()
         simulator.schedule_at(1.0, lambda: None)
-        simulator.schedule_at(2.0, lambda: None).cancel()
+        simulator.cancel(simulator.schedule_at(2.0, lambda: None))
         simulator.schedule_at(3.0, lambda: None)
         assert simulator.pending_events() == 2
         assert simulator.run() == 2
@@ -174,7 +191,7 @@ class TestEntryShape:
             fired = []
             events = [instance.schedule_at(1.0, fired.append, label) for label in "xyz"]
             instance.run()
-            return [event.sequence for event in events], fired
+            return [event[1] for event in events], fired
 
         assert drive(simulator) == drive(Simulator()) == ([0, 1, 2], ["x", "y", "z"])
 

@@ -302,6 +302,16 @@ HOSTILE_NUMBERS = [
         id="call-allow-raa-string",
     ),
     pytest.param("session.create", {"experiment": "figure2", "smoke": "false"}, id="create-smoke-string"),
+    pytest.param(
+        "session.create",
+        json.loads('{"faults": [{"name": "drop", "params": {"rate": 0.5, "until": NaN}}]}'),
+        id="create-fault-until-NaN",
+    ),
+    pytest.param(
+        "session.create",
+        json.loads('{"faults": [{"name": "delay", "params": {"rate": 0.5, "extra": Infinity}}]}'),
+        id="create-fault-extra-Infinity",
+    ),
     pytest.param("session.advance", {"blocks": 10**12}, id="blocks-10**12"),
     pytest.param("session.advance", {"blocks": 2**2000}, id="blocks-2**2000"),
     pytest.param("session.advance", {"seconds": 1e300}, id="seconds-1e300"),
