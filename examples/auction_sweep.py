@@ -1,7 +1,7 @@
 """The auction workload plus the parallel sweep engine, end to end.
 
 The ``auction`` workload is a ~50-line plugin (see
-``repro/api/workloads.py``): bidders race an English auction whose accepted
+``repro/workloads/auction.py``): bidders race an English auction whose accepted
 bids advance a hash mark, so HMS can serialize the pending bid stream and a
 bidder can outbid the *pending* high bid instead of a stale committed one.
 This example sweeps scenario x contention through the ``Sweep`` engine,

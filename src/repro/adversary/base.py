@@ -1,7 +1,7 @@
 """The adversary framework: lifecycle hooks, wiring, and shared metrics.
 
 An :class:`Adversary` is the attacker-side counterpart of
-:class:`~repro.api.workloads.Workload`: the engine owns everything generic
+:class:`~repro.workloads.base.Workload`: the engine owns everything generic
 (an adversary peer on the gossip network, a funded account, a seeded RNG
 stream, the observation loop) while the strategy owns only *what the attack
 does*.  Strategies implement three lifecycle hooks, all driven from the
@@ -33,7 +33,7 @@ from ..obs import runtime as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..api.spec import SimulationSpec
-    from ..api.workloads import SimulationContext
+    from ..workloads.base import SimulationContext
     from ..net.peer import Peer
 
 __all__ = ["AdversaryTarget", "Adversary"]

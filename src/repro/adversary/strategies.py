@@ -40,7 +40,7 @@ from .base import Adversary
 from .registry import register_adversary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.workloads import SimulationContext
+    from ..workloads.base import SimulationContext
 
 __all__ = [
     "VICTIM_BUY_LABEL",
@@ -66,7 +66,7 @@ def _set_calldata(set_selector: bytes, flag: bytes, mark: bytes, value: int) -> 
 
 
 # ======================================================================================
-# the legacy frontrunner (relocated from repro.api.workloads)
+# the legacy frontrunner (the ``frontrunning`` workload's hard-coded attacker)
 # ======================================================================================
 
 

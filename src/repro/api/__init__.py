@@ -6,7 +6,8 @@ The facade has four pieces:
   an immutable :class:`SimulationSpec` describing one run;
 * the **registries** — scenarios (``geth_unmodified``, ``sereth_client``,
   ``semantic_mining``), workloads (``market``, ``ticket_sale``, ``auction``,
-  ``oracle``, ``sequential``, ``victim_market``, ``frontrunning``), and
+  ``oracle``, ``sequential``, ``victim_market``, ``frontrunning``,
+  ``steady_state`` — see :mod:`repro.workloads`), and
   adversaries (``displacement``, ``insertion``, ``suppression``,
   ``censoring_miner``, ``stale_oracle`` — see :mod:`repro.adversary`)
   resolved by name, with decorator-based registration for plugins;
@@ -109,11 +110,7 @@ from .registry import (
 from .seeding import SeedPlan, derive_seed
 from .spec import SimulationSpec, freeze_adversaries, freeze_params
 from .sweep import EmptySelectionError, Sweep, SweepResult, SweepRow
-from .workloads import (
-    SimulationContext,
-    Workload,
-    sereth_exchange_address,
-)
+from ..workloads.base import SimulationContext, Workload, sereth_exchange_address
 
 __all__ = [
     "ADVERSARY_REGISTRY",

@@ -3,7 +3,7 @@
 This module is the single place in the repository that stands up a
 ``Network`` of ``Peer`` objects, registers miners, and drives the
 discrete-event loop.  Everything experiment-specific comes from the
-:class:`~repro.api.workloads.Workload` the spec names; everything stochastic
+:class:`~repro.workloads.base.Workload` the spec names; everything stochastic
 is seeded from one :class:`~repro.api.seeding.SeedPlan` rooted at
 ``spec.seed``, so a spec is a complete, reproducible description of a run.
 """
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..adversary import ADVERSARY_REGISTRY, Adversary, AdversaryTarget
+from ..adversary import ADVERSARY_REGISTRY, Adversary
 from ..chain.apply_cache import BlockApplyCache
 from ..chain.genesis import DEFAULT_INITIAL_BALANCE, GenesisConfig
 from ..consensus.interval import FixedInterval, PoissonInterval
@@ -41,7 +41,7 @@ from .checkpoint import spec_digest
 from .registry import WORKLOAD_REGISTRY
 from .seeding import SeedPlan
 from .spec import SimulationSpec
-from .workloads import SimulationContext, Workload
+from ..workloads.base import SimulationContext, Workload
 
 __all__ = ["SimulationHandle", "SimulationResult", "run_simulation", "build_simulation"]
 
@@ -367,7 +367,7 @@ class SimulationHandle:
 
         # Adversaries bind last (they attack whatever the workload stood up)
         # with RNG streams derived from the run's seed plan.
-        target = self._adversary_target()
+        target = self.workload.adversary_target()
         for adversary_index, adversary in enumerate(self.adversaries):
             adversary.bind(
                 self.context,
@@ -376,23 +376,6 @@ class SimulationHandle:
                 random.Random(self.seeds.adversary(adversary_index, adversary.name)),
             )
             adversary.start()
-
-    def _adversary_target(self) -> Optional[AdversaryTarget]:
-        """What the adversaries attack, derived from the workload's HMS wiring."""
-        semantic = self.workload.semantic_config()
-        if semantic is not None:
-            return AdversaryTarget(
-                contract_address=semantic.hms.contract_address,
-                set_selector=semantic.hms.set_selector,
-                buy_selectors=tuple(semantic.buy_selectors),
-            )
-        targets = list(self.workload.hms_targets())
-        if targets:
-            contract_address, set_selector = targets[0]
-            return AdversaryTarget(
-                contract_address=contract_address, set_selector=set_selector
-            )
-        return None
 
     def _miner_policy(self, miner_index: int, semantic, semantic_miner_count: int):
         spec = self.spec

@@ -28,7 +28,7 @@ __all__ = [
 
 # The two process-wide registries the facade consults.  Scenario entries are
 # ``repro.experiments.scenario.Scenario`` instances; workload entries are
-# ``repro.api.workloads.Workload`` subclasses.
+# ``repro.workloads.base.Workload`` subclasses.
 SCENARIO_REGISTRY: Registry = Registry("scenario")
 WORKLOAD_REGISTRY: Registry = Registry("workload")
 

@@ -39,7 +39,8 @@ from ..api.registry import SCENARIO_REGISTRY
 from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
-from ..api.workloads import VICTIM_BUY_LABEL
+from ..adversary.strategies import VICTIM_BUY_LABEL
+from ..workloads.victim_market import victim_columns
 from .claims import attack_matrix_claims
 
 __all__ = [
@@ -165,23 +166,19 @@ class AttackMatrixExperiment(Experiment):
         return Sweep.from_specs(attack_matrix_jobs(self.matrix_config(options)))
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:
-        def victim(row, key):
-            return row["summary"]["reports"][VICTIM_BUY_LABEL][key]
-
         def attack_total(row, key):
             return sum(
                 report[key] for report in row["summary"].get("adversaries", {}).values()
             )
 
         return frame.derive(
-            victim_submitted=lambda row: victim(row, "submitted"),
-            victim_filled=lambda row: victim(row, "successful"),
-            victim_harm=lambda row: victim(row, "submitted") - victim(row, "successful"),
-            victim_latency=lambda row: victim(row, "mean_commit_latency"),
+            **victim_columns(),
+            victim_latency=lambda row: row["summary"]["reports"][VICTIM_BUY_LABEL][
+                "mean_commit_latency"
+            ],
             attempts=lambda row: attack_total(row, "attempts"),
             successes=lambda row: attack_total(row, "successes"),
             profit=lambda row: attack_total(row, "profit"),
-            overpaid=lambda row: row["summary"]["extras"].get("overpaid", 0),
             audit_clean=lambda row: row["summary"]["extras"].get("audit_clean", True),
         )
 

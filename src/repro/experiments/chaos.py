@@ -43,7 +43,7 @@ from ..api.frame import ResultFrame
 from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
-from ..api.workloads import VICTIM_BUY_LABEL
+from ..workloads.victim_market import victim_columns
 
 __all__ = [
     "DEFAULT_MIXES",
@@ -307,9 +307,6 @@ class ChaosExperiment(Experiment):
         )
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:
-        def victim(row, key):
-            return row["summary"]["reports"][VICTIM_BUY_LABEL][key]
-
         def faults(row, key, default=None):
             return row["summary"]["extras"].get("faults", {}).get(key, default)
 
@@ -325,9 +322,6 @@ class ChaosExperiment(Experiment):
             unique_heads=lambda row: faults(row, "unique_heads"),
             min_height=lambda row: faults(row, "min_height"),
             max_height=lambda row: faults(row, "max_height"),
-            victim_submitted=lambda row: victim(row, "submitted"),
-            victim_filled=lambda row: victim(row, "successful"),
-            victim_harm=lambda row: victim(row, "submitted") - victim(row, "successful"),
-            overpaid=lambda row: row["summary"]["extras"].get("overpaid", 0),
+            **victim_columns(),
             blocks_produced=lambda row: row["summary"]["blocks_produced"],
         )

@@ -18,7 +18,7 @@ The frontrunning *harm* metric of interest is whether a victim ever pays a
 price other than the one it observed — with mark-bound offers this is
 structurally impossible, and the experiment's auditor double-checks it.
 
-The attacker/victim wiring lives in :mod:`repro.api.workloads` as the
+The attacker/victim wiring lives in :mod:`repro.workloads.victim_market` as the
 registered ``frontrunning`` workload; this module declares the experiment
 that sweeps it over both victim read modes.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..api.experiment import ExperimentOptions, GridExperiment, register_experiment
 from ..api.frame import ResultFrame
-from ..api.workloads import VICTIM_BUY_LABEL
+from ..adversary.strategies import VICTIM_BUY_LABEL
 from .claims import frontrunning_claims
 
 __all__ = ["FrontrunningExperiment"]

@@ -6,7 +6,7 @@ committed, then the operator's answering transaction must be committed,
 before the consumer can read the value — at least one to two block intervals
 of latency.  RAA answers a local view call immediately.
 
-The consumer/operator wiring lives in :mod:`repro.api.workloads` as the
+The consumer/operator wiring lives in :mod:`repro.workloads.oracle` as the
 registered ``oracle`` workload (the operator itself is
 :class:`repro.oracle.OracleOperator`); this module declares the experiment
 that runs both data paths side by side (benchmark A5).

@@ -27,7 +27,7 @@ from ..api.frame import ResultFrame
 from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
-from ..api.workloads import VICTIM_BUY_LABEL
+from ..workloads.victim_market import victim_columns
 
 __all__ = [
     "DEFAULT_TOPOLOGIES",
@@ -209,17 +209,11 @@ class PropagationExperiment(Experiment):
         )
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:
-        def victim(row, key):
-            return row["summary"]["reports"][VICTIM_BUY_LABEL][key]
-
         def network(row, key):
             return row["summary"]["extras"].get("network", {}).get(key)
 
         return frame.derive(
-            victim_submitted=lambda row: victim(row, "submitted"),
-            victim_filled=lambda row: victim(row, "successful"),
-            victim_harm=lambda row: victim(row, "submitted") - victim(row, "successful"),
-            overpaid=lambda row: row["summary"]["extras"].get("overpaid", 0),
+            **victim_columns(),
             block_p50=lambda row: network(row, "block_propagation_p50"),
             block_p95=lambda row: network(row, "block_propagation_p95"),
             orphan_rate=lambda row: network(row, "orphan_rate"),

@@ -7,7 +7,7 @@ order.  As expected, the transaction failure rate was zero and the
 transaction efficiency η was 1.0."
 
 The workload itself (one account alternating set/buy) lives in
-:mod:`repro.api.workloads` as the registered ``sequential`` workload; this
+:mod:`repro.workloads.sequential` as the registered ``sequential`` workload; this
 module declares the experiment that runs it under the fully arbitrary miner
 ordering.
 """

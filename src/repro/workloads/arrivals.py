@@ -10,21 +10,13 @@ the others are available for sensitivity studies).
 from __future__ import annotations
 
 import random
-from typing import List, Protocol
+from typing import List
 
 __all__ = [
-    "ArrivalProcess",
     "RegularArrivals",
     "PoissonArrivals",
     "BurstyArrivals",
 ]
-
-
-class ArrivalProcess(Protocol):
-    """Generates the submission times for ``count`` events starting at ``start``."""
-
-    def times(self, count: int, start: float) -> List[float]:
-        ...
 
 
 class RegularArrivals:

@@ -77,17 +77,3 @@ class TestBuilderAndSpec:
     def test_freeze_adversaries_accepts_names_and_pairs(self):
         frozen = freeze_adversaries(["displacement", ("suppression", {"burst": 2})])
         assert frozen == (("displacement", ()), ("suppression", (("burst", 2),)))
-
-
-class TestBackCompatRelocation:
-    def test_api_workloads_reexports_the_attacker(self):
-        from repro.adversary.strategies import FrontrunningAttacker as relocated
-        from repro.api.workloads import FrontrunningAttacker as legacy
-
-        assert legacy is relocated
-
-    def test_victim_buy_label_reexported(self):
-        from repro.adversary.strategies import VICTIM_BUY_LABEL as relocated
-        from repro.api.workloads import VICTIM_BUY_LABEL as legacy
-
-        assert legacy is relocated

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Simulation, Sweep, run_simulation
-from repro.api.workloads import STEADY_LABEL
+from repro.workloads.steady_state import STEADY_LABEL
 from repro.chain.errors import PrunedHistoryError
 
 

@@ -144,7 +144,7 @@ class TestViolationDetection:
         """End-to-end: whatever the miner policy does, committed history satisfies
         the invariants — run a small experiment per scenario and audit it."""
         from repro.api import Simulation, run_simulation
-        from repro.api.workloads import sereth_exchange_address
+        from repro.api import sereth_exchange_address
 
         contract = sereth_exchange_address()
         for scenario in ("geth_unmodified", "semantic_mining"):

@@ -13,7 +13,7 @@ from repro.api import (
     plan_experiment,
     run_simulation,
 )
-from repro.api.workloads import sereth_exchange_address
+from repro.api import sereth_exchange_address
 from repro.experiments.reporting import emit_block
 from repro.experiments.scenario import (
     GETH_UNMODIFIED,

@@ -17,7 +17,7 @@ import pytest
 
 import repro.contracts  # noqa: F401  (registers the shipped contracts)
 from repro.api.checkpoint import spec_digest
-from repro.api.workloads import sereth_exchange_address
+from repro.api import sereth_exchange_address
 from repro.contracts.simple_storage import SimpleStorageContract
 from repro.encoding.hexutil import to_hex
 from repro.service.errors import (
@@ -29,6 +29,7 @@ from repro.service.errors import (
 )
 from repro.service.server import ServiceConfig, SimulatorService
 from repro.service.session import build_session_spec, derive_session_seed, session_id_for
+from tests.workloads.test_declarations import HOSTILE_WORKLOAD_PARAMS
 
 SET_VALUE_ABI = SimpleStorageContract.function_by_name("set_value").abi
 
@@ -319,6 +320,9 @@ HOSTILE_NUMBERS = [
     pytest.param("session.advance", {"blocks": -1}, id="blocks-negative"),
     pytest.param("session.advance", {"seconds": -1.0}, id="seconds-negative"),
     pytest.param("session.advance", {"seconds": 13.0, "blocks": 1}, id="seconds-and-blocks"),
+] + [
+    pytest.param("session.create", {"workload": workload, "params": params}, id=f"create-{case}")
+    for workload, params, case in HOSTILE_WORKLOAD_PARAMS
 ]
 
 

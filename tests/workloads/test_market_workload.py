@@ -1,38 +1,39 @@
-"""Tests for the price processes and the market workload scheduler."""
+"""The market plugin's buy/set schedule, driven through Simulation, and its price walk."""
+
+from collections import Counter
 
 import pytest
 
-from repro.core.metrics import MetricsCollector
-from repro.net.sim import Simulator
-from repro.workloads.market import BUY_LABEL, MarketWorkload, MarketWorkloadConfig, SET_LABEL
-from repro.workloads.prices import ConstantPrices, RandomWalkPrices, UniformPrices
+from repro.api import BuildError, Simulation, WORKLOAD_REGISTRY, build_simulation
+from repro.crypto.addresses import address_from_label
+from repro.workloads.market import BUY_LABEL, SET_LABEL, RandomWalkPrices
+
+START = 10.0
 
 
-class FakeActor:
-    """Minimal stand-in for PriceSetter/Buyer used to test scheduling only."""
-
-    def __init__(self):
-        self.calls = []
-
-    def set_price(self, price):
-        self.calls.append(("set", price))
-        return _FakeTransaction()
-
-    def buy(self):
-        self.calls.append(("buy", None))
-        return _FakeTransaction()
-
-
-class _FakeTransaction:
-    _counter = 0
-
-    def __init__(self):
-        _FakeTransaction._counter += 1
-        self.hash = _FakeTransaction._counter.to_bytes(32, "big")
-        self.submitted_at = 0.0
+def market_spec(**params):
+    params = {"submission_interval": 1.0, "start_time": START, **params}
+    return (
+        Simulation.builder()
+        .scenario("sereth_client")
+        .workload("market", **params)
+        .miners(1)
+        .clients(2)
+        .settle_blocks(2)
+        .seed(4)
+        .build()
+    )
 
 
-class TestPriceProcesses:
+def run_market(num_buys=10, buys_per_set=2.0, num_buyers=2):
+    handle = build_simulation(
+        market_spec(num_buys=num_buys, buys_per_set=buys_per_set, num_buyers=num_buyers)
+    )
+    handle.run()
+    return handle
+
+
+class TestPriceWalk:
     def test_random_walk_stays_in_bounds_and_is_seeded(self):
         walk = RandomWalkPrices(initial=100, max_step=5, minimum=1, maximum=200, seed=3)
         prices = [walk.next_price() for _ in range(500)]
@@ -54,81 +55,56 @@ class TestPriceProcesses:
         with pytest.raises(ValueError):
             RandomWalkPrices(max_step=0)
 
-    def test_uniform_prices_in_range(self):
-        process = UniformPrices(minimum=10, maximum=20, seed=2)
-        assert all(10 <= process.next_price() <= 20 for _ in range(200))
 
-    def test_uniform_prices_validation(self):
-        with pytest.raises(ValueError):
-            UniformPrices(minimum=5, maximum=1)
-
-    def test_constant_prices(self):
-        assert [ConstantPrices(42).next_price() for _ in range(3)] == [42, 42, 42]
-
-
-class TestWorkloadConfig:
+class TestMarketParameters:
     def test_num_sets_follows_ratio(self):
-        assert MarketWorkloadConfig(num_buys=100, buys_per_set=1.0).num_sets == 100
-        assert MarketWorkloadConfig(num_buys=100, buys_per_set=20.0).num_sets == 5
-        assert MarketWorkloadConfig(num_buys=100, buys_per_set=1000.0).num_sets == 1
+        market = WORKLOAD_REGISTRY.get("market")
+        spec = market_spec()
+        assert market(spec, num_buys=100, buys_per_set=1.0).num_sets == 100
+        assert market(spec, num_buys=100, buys_per_set=20.0).num_sets == 5
+        assert market(spec, num_buys=100, buys_per_set=1000.0).num_sets == 1
 
-    def test_buy_window(self):
-        config = MarketWorkloadConfig(num_buys=50, submission_interval=2.0)
-        assert config.buy_window == 100.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MarketWorkloadConfig(num_buys=0)
-        with pytest.raises(ValueError):
-            MarketWorkloadConfig(buys_per_set=0)
-        with pytest.raises(ValueError):
-            MarketWorkloadConfig(submission_interval=0)
+    @pytest.mark.parametrize(
+        "params",
+        [{"num_buys": 0}, {"buys_per_set": 0}, {"submission_interval": 0}, {"num_buyers": 0}],
+    )
+    def test_validation(self, params):
+        with pytest.raises(BuildError):
+            market_spec(**params)
 
 
-class TestWorkloadScheduling:
-    def build(self, num_buys=10, buys_per_set=2.0, buyers=2):
-        simulator = Simulator()
-        setter = FakeActor()
-        buyer_actors = [FakeActor() for _ in range(buyers)]
-        metrics = MetricsCollector()
-        config = MarketWorkloadConfig(
-            num_buys=num_buys, buys_per_set=buys_per_set, submission_interval=1.0, start_time=10.0
-        )
-        workload = MarketWorkload(config, setter, buyer_actors, metrics, prices=ConstantPrices(50))
-        workload.schedule(simulator)
-        simulator.run()
-        return workload, setter, buyer_actors, metrics
-
+class TestMarketSchedule:
     def test_counts_match_configuration(self):
-        workload, setter, buyers, metrics = self.build(num_buys=10, buys_per_set=2.0)
-        total_buys = sum(1 for actor in buyers for call in actor.calls if call[0] == "buy")
-        total_sets = sum(1 for call in setter.calls if call[0] == "set")
-        assert total_buys == 10
-        assert total_sets == 5 + 1  # workload sets plus the opening warmup set
+        metrics = run_market(num_buys=10, buys_per_set=2.0).metrics
+        assert len(metrics.records(BUY_LABEL)) == 10
+        assert len(metrics.records(SET_LABEL)) == 5 + 1  # plus the opening set
 
     def test_buys_round_robin_over_buyers(self):
-        workload, setter, buyers, metrics = self.build(num_buys=10, buys_per_set=2.0, buyers=2)
-        per_buyer = [sum(1 for call in actor.calls if call[0] == "buy") for actor in buyers]
-        assert per_buyer == [5, 5]
+        metrics = run_market(num_buys=10, buys_per_set=2.0, num_buyers=2).metrics
+        senders = Counter(record.transaction.sender for record in metrics.records(BUY_LABEL))
+        assert senders == {address_from_label("buyer-0"): 5, address_from_label("buyer-1"): 5}
 
     def test_sets_are_evenly_spaced_within_the_buy_window(self):
-        workload, _, _, _ = self.build(num_buys=10, buys_per_set=2.0)
-        assert len(workload.set_times) == 5
-        gaps = [b - a for a, b in zip(workload.set_times, workload.set_times[1:])]
+        metrics = run_market(num_buys=10, buys_per_set=2.0).metrics
+        set_times = sorted(record.submitted_at for record in metrics.records(SET_LABEL))
+        opening, set_times = set_times[0], set_times[1:]
+        assert opening < START
+        assert len(set_times) == 5
+        gaps = [b - a for a, b in zip(set_times, set_times[1:])]
         assert all(gap == pytest.approx(gaps[0]) for gap in gaps)
-        assert workload.set_times[0] >= 10.0
-        assert workload.set_times[-1] <= 10.0 + workload.config.buy_window
+        assert set_times[0] >= START
+        assert set_times[-1] <= START + 10 * 1.0
+
+    def test_buys_go_out_at_the_submission_interval(self):
+        metrics = run_market(num_buys=10).metrics
+        buy_times = sorted(record.submitted_at for record in metrics.records(BUY_LABEL))
+        assert buy_times == [START + index * 1.0 for index in range(10)]
 
     def test_metrics_watch_every_submission(self):
-        _, _, _, metrics = self.build(num_buys=10, buys_per_set=5.0)
+        metrics = run_market(num_buys=10, buys_per_set=5.0).metrics
         assert metrics.watched_count(BUY_LABEL) == 10
         assert metrics.watched_count(SET_LABEL) == 2 + 1
 
-    def test_requires_at_least_one_buyer(self):
-        config = MarketWorkloadConfig(num_buys=1)
-        with pytest.raises(ValueError):
-            MarketWorkload(config, FakeActor(), [], MetricsCollector())
-
-    def test_end_of_submissions_is_after_start(self):
-        workload, _, _, _ = self.build()
-        assert workload.end_of_submissions >= workload.config.start_time
+    def test_end_of_submissions_closes_the_buy_window(self):
+        workload = run_market(num_buys=10).workload
+        assert workload.end_of_submissions == START + 10 * 1.0

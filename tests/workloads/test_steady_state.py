@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import Simulation, build_simulation, run_simulation
 from repro.api.registry import WORKLOAD_REGISTRY
-from repro.api.workloads import STEADY_LABEL, SteadyStateWorkload
+from repro.workloads.steady_state import STEADY_LABEL, SteadyStateWorkload
 
 
 def steady_spec(seed=7, **params):

@@ -18,8 +18,10 @@ also covers the processes an entry point starts itself (``repro serve`` under
     python tools/reachability.py            # regenerate REACHABILITY.md (~5 min)
     python tools/reachability.py --check    # fail if the committed table drifted
 
-Either way it exits nonzero if a function under ``experiments/``, ``oracle/``
-or ``cli.py`` is in class (c).
+Either way it exits nonzero if a function under ``experiments/``, ``oracle/``,
+``workloads/`` or ``cli.py`` is in class (c).  ``--check`` also fails if the
+class (b)+(c) line total grew past the committed table's: the ratchet only
+turns one way.
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 TABLE_PATH = REPO_ROOT / "REACHABILITY.md"
-GATED_PREFIXES = ("experiments/", "oracle/", "cli.py")
-"""Class (c) must stay empty here: the experiment layer, its oracle half and
-the CLI are what the one-way-to-run-an-experiment design keeps small."""
+GATED_PREFIXES = ("experiments/", "oracle/", "workloads/", "cli.py")
+"""Class (c) must stay empty here: the experiment layer, its oracle half, the
+workload plugins and the CLI are what the one-way-to-run-an-experiment and
+declare-each-workload-once designs keep small."""
 
 EXPERIMENTS = (
     "figure2", "sequential", "frontrunning", "oracle", "attack_matrix",
@@ -355,6 +358,12 @@ def render(classes: Dict[str, List[Function]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def unreached_lines(table: str) -> Optional[int]:
+    """The class (b)+(c) line total a rendered table records (``None``: none)."""
+    totals = re.findall(r"^\| \([bc]\) [^|]+ \| \d+ \| (\d+) \|$", table, re.MULTILINE)
+    return sum(int(total) for total in totals) if len(totals) == 2 else None
+
+
 def gate_failures(classes: Dict[str, List[Function]]) -> List[str]:
     return [
         f"{function.module}: {function.qualname}"
@@ -383,6 +392,11 @@ def main(argv: Sequence[str] = None) -> int:
             )
             print("REACHABILITY.md is out of date: run python tools/reachability.py")
             status = 1
+        ceiling, total = unreached_lines(committed), unreached_lines(table)
+        if ceiling is not None and total > ceiling:
+            print(f"class (b)+(c) grew from {ceiling} to {total} lines: reach the new "
+                  "code from an entry point, or delete it")
+            status = 1
     else:
         TABLE_PATH.write_text(table, encoding="utf-8")
         print(f"wrote {TABLE_PATH.relative_to(REPO_ROOT)}")
@@ -391,7 +405,7 @@ def main(argv: Sequence[str] = None) -> int:
               f"{sum(f.own_lines for f in classes[name])} lines")
     failures = gate_failures(classes)
     if failures:
-        print("unreached functions in the experiment layer, oracle or CLI:")
+        print("unreached functions in the experiment layer, oracle, workloads or CLI:")
         print("\n".join(f"  {failure}" for failure in failures))
         status = 1
     return status
