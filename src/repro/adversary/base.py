@@ -59,14 +59,6 @@ class AdversaryTarget:
             and transaction.selector in self.buy_selectors
         )
 
-    def is_set(self, transaction: Transaction) -> bool:
-        """Whether ``transaction`` is a state-advancing set on the watched contract."""
-        return (
-            transaction.to == self.contract_address
-            and self.set_selector is not None
-            and transaction.selector == self.set_selector
-        )
-
 
 class Adversary:
     """Base class for pluggable attack strategies.

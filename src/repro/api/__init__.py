@@ -97,7 +97,7 @@ from .experiment import (
     register_experiment,
     run_experiment,
 )
-from .frame import GroupBy, ResultFrame
+from .frame import ResultFrame
 from .lifecycle import reset_process_caches
 from .registry import (
     Registry,
@@ -130,7 +130,6 @@ __all__ = [
     "ExperimentRun",
     "GETH_UNMODIFIED",
     "GridExperiment",
-    "GroupBy",
     "PrunedHistoryError",
     "Registry",
     "RegistryError",
@@ -178,16 +177,10 @@ __all__ = [
     "reset_process_caches",
     "run_simulation",
     "sereth_exchange_address",
-    "scenario_by_name",
     "spec_digest",
     "sweep_digest",
     "unregister_probe",
 ]
-
-
-def scenario_by_name(name: str) -> Scenario:
-    """Resolve a registered scenario by name (registry-backed)."""
-    return SCENARIO_REGISTRY.get(name)
 
 
 # Register the paper's three scenarios; plugins add theirs via

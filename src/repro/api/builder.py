@@ -105,11 +105,6 @@ class SimulationBuilder:
         self._params = dict(params)
         return self
 
-    def params(self, **params: Any) -> "SimulationBuilder":
-        """Merge additional workload parameters."""
-        self._params.update(params)
-        return self
-
     def adversary(self, name: str, **params: Any) -> "SimulationBuilder":
         """Add an attack strategy by registry name; call repeatedly to stack."""
         if name not in ADVERSARY_REGISTRY:
@@ -135,9 +130,6 @@ class SimulationBuilder:
         if jitter is not None:
             self._set("gossip_jitter", jitter)
         return self
-
-    def transaction_loss(self, rate: float) -> "SimulationBuilder":
-        return self._set("transaction_loss_rate", rate)
 
     def topology(self, name: str, **params: Any) -> "SimulationBuilder":
         """Select the gossip graph by registry name, with builder params.
@@ -194,33 +186,16 @@ class SimulationBuilder:
     def seed(self, seed: int) -> "SimulationBuilder":
         return self._set("seed", seed)
 
-    def settle_blocks(self, count: int) -> "SimulationBuilder":
-        return self._set("settle_blocks", count)
-
-    def max_duration(self, seconds: float) -> "SimulationBuilder":
-        return self._set("max_duration", seconds)
-
     def retention(self, retain_blocks: int) -> "SimulationBuilder":
         """Bound memory: keep only the newest ``retain_blocks`` blocks per
         chain (older history folds into a sealed ChainAnchor) and evict the
         apply-cache templates that slide out of the same window."""
         return self._set("retention", retain_blocks)
 
-    def metrics_window(
-        self, seconds: float, spill_path: Optional[str] = None
-    ) -> "SimulationBuilder":
+    def metrics_window(self, seconds: float) -> "SimulationBuilder":
         """Stream metrics: fold resolved rows into bounded per-label and
-        per-``seconds``-window aggregates instead of whole-run row lists.
-        ``spill_path`` additionally appends every resolved row as JSONL."""
-        self._set("metrics_window", seconds)
-        if spill_path is not None:
-            self._set("metrics_spill", spill_path)
-        return self
-
-    def accounts(self, *labels: str) -> "SimulationBuilder":
-        """Fund additional account labels at genesis (beyond the workload's
-        own clients) — the accounts RPC callers spend from."""
-        return self._set("extra_accounts", self._fields.get("extra_accounts", ()) + labels)
+        per-``seconds``-window aggregates instead of whole-run row lists."""
+        return self._set("metrics_window", seconds)
 
     def observe(self, trace_dir: Optional[str] = None) -> "SimulationBuilder":
         """Enable the ``repro.obs`` tracer for this run: typed lifecycle

@@ -121,13 +121,6 @@ class SimulationResult:
             data["observability"] = self.obs.summary()
         return data
 
-    def windows_frame(self):
-        """The streaming per-(label, window) aggregates as a ResultFrame
-        (empty unless the spec set ``metrics_window``)."""
-        from .frame import ResultFrame
-
-        return ResultFrame.from_records(self.metrics.windows())
-
 
 class SimulationHandle:
     """A fully wired (but not yet run) simulation.
@@ -330,7 +323,6 @@ class SimulationHandle:
         # constructs the exact unbounded collector the golden bytes gate.
         self.metrics = MetricsCollector(
             metrics_window=spec.metrics_window,
-            spill_path=spec.metrics_spill,
             seed=self.seeds.derived("metrics"),
         )
         self.context = SimulationContext(
@@ -412,13 +404,6 @@ class SimulationHandle:
         self.simulator.run_until(time)
         return self
 
-    def close(self) -> None:
-        """Release what an interactively driven handle holds: the metrics
-        spill (if any).  ``run()`` already does; for ``start``/``run_until``
-        consumers — the service facade's sessions — this is the explicit
-        lifecycle end.  Idempotent."""
-        self.metrics.close()
-
     @property
     def reference_chain(self):
         return self.context.reference_chain
@@ -439,7 +424,6 @@ class SimulationHandle:
                 # still read this run's values, then leave the process untraced.
                 tracer.finalize()
                 _obs_runtime.deactivate()
-            self.metrics.close()
             if tracer is not None and spec.trace_dir is not None:
                 # Trace files are keyed by the spec's content digest, so a
                 # sweep's workers land per-job files under one directory with

@@ -8,13 +8,11 @@ dependency-free (no pandas) — a dict of equal-length column lists with the
 handful of relational operations the experiments actually need:
 
     frame = ResultFrame.from_sweep(sweep_result)
-    by_cell = (
-        frame.derive(eta=lambda row: row["summary"]["reports"]["buy"]["success_rate"])
-        .group_by("scenario", "buys_per_set")
-        .aggregate(mean_eta=("eta", mean))
+    derived = frame.derive(
+        eta=lambda row: row["summary"]["reports"]["buy"]["success_rate"]
     )
-    by_cell.pivot(index="buys_per_set", columns="scenario", values="mean_eta")
-    by_cell.to_markdown("figure2.md")
+    derived.pivot(index="buys_per_set", columns="scenario", values="eta")
+    derived.to_markdown("figure2.md")
 
 Columns hold plain Python values; scalar columns (numbers, strings, bools,
 ``None``) export to CSV/Markdown, while structured columns (the raw
@@ -27,26 +25,15 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-__all__ = ["ResultFrame", "GroupBy", "mean", "total", "count", "minimum", "maximum"]
+__all__ = ["ResultFrame", "mean"]
 
 Row = Dict[str, Any]
 _SCALAR_TYPES = (int, float, str, bool)
 
 
-# -- aggregation helpers ----------------------------------------------------------------
+# -- aggregation helper ------------------------------------------------------------------
 
 
 def mean(values: Sequence[float]) -> Optional[float]:
@@ -55,24 +42,6 @@ def mean(values: Sequence[float]) -> Optional[float]:
     if not values:
         return None
     return sum(values) / len(values)
-
-
-def total(values: Sequence[float]) -> float:
-    return sum(value for value in values if value is not None)
-
-
-def count(values: Sequence[Any]) -> int:
-    return len(values)
-
-
-def minimum(values: Sequence[float]) -> Optional[float]:
-    values = [value for value in values if value is not None]
-    return min(values) if values else None
-
-
-def maximum(values: Sequence[float]) -> Optional[float]:
-    values = [value for value in values if value is not None]
-    return max(values) if values else None
 
 
 class ResultFrame:
@@ -206,26 +175,6 @@ class ResultFrame:
             data[name] = [function(row) for row in self.rows()]
         return ResultFrame(data)
 
-    def sort_by(self, *names: str, reverse: bool = False) -> "ResultFrame":
-        """Rows reordered by the given columns (stable, ``None`` sorts first)."""
-        for name in names:
-            if name not in self._columns:
-                raise KeyError(f"no column {name!r}; available: {self.column_names}")
-
-        def key(row: Row) -> Tuple:
-            return tuple(
-                (row[name] is not None, row[name]) for name in names
-            )
-
-        ordered = sorted(self.rows(), key=key, reverse=reverse)
-        return ResultFrame.from_records(ordered, columns=self.column_names)
-
-    def group_by(self, *keys: str) -> "GroupBy":
-        for name in keys:
-            if name not in self._columns:
-                raise KeyError(f"no column {name!r}; available: {self.column_names}")
-        return GroupBy(self, keys)
-
     def pivot(
         self,
         index: str,
@@ -306,47 +255,6 @@ class ResultFrame:
 
     def __repr__(self) -> str:
         return f"ResultFrame({self._length} rows x {len(self._columns)} columns)"
-
-
-class GroupBy:
-    """A deferred grouping; :meth:`aggregate` produces the reduced frame."""
-
-    def __init__(self, frame: ResultFrame, keys: Tuple[str, ...]) -> None:
-        self.frame = frame
-        self.keys = keys
-
-    def groups(self) -> List[Tuple[Tuple[Any, ...], List[Row]]]:
-        """(key-values, rows) pairs in first-appearance order."""
-        buckets: Dict[Tuple[Any, ...], List[Row]] = {}
-        order: List[Tuple[Any, ...]] = []
-        for row in self.frame.rows():
-            key = tuple(row[name] for name in self.keys)
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(row)
-        return [(key, buckets[key]) for key in order]
-
-    def aggregate(self, **aggregations: Any) -> ResultFrame:
-        """Reduce each group to one row.
-
-        Each aggregation is either ``name=(column, fn)`` — apply ``fn`` to
-        that column's values within the group — or ``name=fn`` with ``fn``
-        taking the group's row dicts.
-        """
-        records: List[Row] = []
-        for key, rows in self.groups():
-            record: Row = dict(zip(self.keys, key))
-            for name, spec in aggregations.items():
-                if isinstance(spec, tuple):
-                    column, function = spec
-                    record[name] = function([row[column] for row in rows])
-                else:
-                    record[name] = spec(rows)
-            records.append(record)
-        return ResultFrame.from_records(
-            records, columns=list(self.keys) + list(aggregations)
-        )
 
 
 def _deliver(text: str, path: Optional[Union[str, Path]]) -> str:

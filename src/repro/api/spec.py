@@ -8,7 +8,8 @@ diffable (``describe()`` renders a stable dictionary).
 
 Each field is declared once, with :func:`knob`: its canonicaliser, its
 ``describe()`` renderer, whether ``describe()`` elides it at its default or
-never renders it, and whether ``session.create`` refuses it.  Construction,
+never renders it, whether ``session.create`` refuses it, and how large a
+value ``session.create`` may ask for.  Construction,
 ``replace()``, the builder's setters, sweep dimensions, ``--set`` and the
 served ``session.create`` all canonicalise through that one declaration.
 """
@@ -184,6 +185,7 @@ def knob(
     elide: bool = False,
     hidden: bool = False,
     refused: Optional[str] = None,
+    served_max: Optional[int] = None,
 ):
     """Declare a spec field with everything every path needs to know about it.
 
@@ -193,7 +195,10 @@ def knob(
     ``describe()`` while it equals its default, so specs that never set it
     keep the exact bytes (and digests) recorded before it existed;
     ``hidden`` never renders it; ``refused`` says why ``session.create``
-    does not accept it.
+    does not accept it; ``served_max`` is the largest count a served
+    session may ask for (a number's value, a list's length, or each
+    parameter of a ``(name, params)`` entry): a ceiling on what one request
+    can make the server allocate, not checked for direct runs.
     """
     return field(
         default=default,
@@ -203,6 +208,7 @@ def knob(
             "elide": elide,
             "hidden": hidden,
             "refused": refused,
+            "served_max": served_max,
         },
     )
 
@@ -226,8 +232,8 @@ class SimulationSpec:
     """Attack strategies running alongside the workload, as ``(name, params)``
     entries canonicalized by :func:`freeze_adversaries`."""
 
-    num_miners: int = knob(_POSITIVE_INTEGER, 1)
-    num_client_peers: int = knob(_POSITIVE_INTEGER, 2)
+    num_miners: int = knob(_POSITIVE_INTEGER, 1, served_max=64)
+    num_client_peers: int = knob(_POSITIVE_INTEGER, 2, served_max=256)
     block_interval: float = knob(_POSITIVE, 13.0)
     fixed_block_interval: bool = knob(_flag, False)
     gossip_latency: float = knob(_NON_NEGATIVE, 0.08)
@@ -260,6 +266,7 @@ class SimulationSpec:
         None,
         render=lambda topology: {"name": topology[0], "params": dict(topology[1])},
         elide=True,
+        served_max=256,
     )
     """Gossip graph as ``(name, params)`` against
     :data:`repro.net.topology.TOPOLOGY_REGISTRY` (canonicalized and validated
@@ -272,7 +279,11 @@ class SimulationSpec:
     bare number is taken as ``bytes_per_second``.  ``None`` disables
     serialisation delay (the legacy behaviour)."""
     churn: Tuple[Tuple[Any, ...], ...] = knob(
-        _frozen(freeze_churn), (), render=lambda churn: [list(event) for event in churn], elide=True
+        _frozen(freeze_churn),
+        (),
+        render=lambda churn: [list(event) for event in churn],
+        elide=True,
+        served_max=1024,
     )
     """Scheduled churn events, e.g. ``(("leave", 40.0, "client-3"),
     ("join", 90.0, "client-3"))`` — see ``ChurnPlan.from_events``."""
@@ -291,14 +302,6 @@ class SimulationSpec:
     """Fold resolved metrics rows into bounded per-label aggregates bucketed
     by this many simulated seconds instead of keeping whole-run row lists.
     ``None`` keeps the unbounded, byte-stable collector."""
-    metrics_spill: Optional[str] = knob(
-        _optional(_text),
-        None,
-        elide=True,
-        refused="it names a file the server would write, which a remote caller must not choose",
-    )
-    """Optional JSONL path appended with one line per resolved watched
-    transaction (full-fidelity rows for offline analysis)."""
     extra_accounts: Tuple[str, ...] = knob(_labels, (), render=list, elide=True)
     """Additional account labels funded at genesis (beyond the peers' own
     workload clients).  The service facade uses this to give RPC callers

@@ -25,9 +25,10 @@ import io
 import itertools
 import json
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..experiments.scenario import Scenario
 from .checkpoint import SweepCheckpoint, sweep_digest
@@ -69,6 +70,23 @@ def _process_simulator():
 
         _PROCESS_SIMULATOR = Simulator()
     return _PROCESS_SIMULATOR
+
+
+@contextmanager
+def _worker_pool(workers: int) -> Iterator[multiprocessing.pool.Pool]:
+    """A process pool whose workers, on success, exit through their sentinel
+    (``close`` then ``join``).  ``Pool.__exit__`` would ``terminate`` them
+    instead: a SIGTERM can land while a worker runs a Python-level signal
+    handler or holds a queue lock, and leave a sibling blocked on it.  On an
+    error the pool is still terminated."""
+    pool = multiprocessing.Pool(processes=workers)
+    try:
+        yield pool
+    except BaseException:
+        pool.terminate()
+        raise
+    pool.close()
+    pool.join()
 
 
 def _run_job(job: Tuple[SimulationSpec, Dict[str, Any]]) -> Dict[str, Any]:
@@ -131,11 +149,6 @@ class SweepResult:
         :meth:`ResultFrame.filter` (it still iterates/indexes like a list)."""
         return SweepResult(rows=[row for row in self.rows if row.matches(**tags)])
 
-    def efficiencies(self, **tags: Any) -> List[float]:
-        return [
-            row.efficiency for row in self.filter(**tags) if row.efficiency is not None
-        ]
-
     def mean_efficiency(self, **tags: Any) -> float:
         matching = self.filter(**tags)
         if not matching:
@@ -147,12 +160,6 @@ class SweepResult:
                 "efficiency metric (the workload has no primary label)"
             )
         return sum(values) / len(values)
-
-    def to_frame(self) -> "Any":
-        """This result as a columnar :class:`~repro.api.frame.ResultFrame`."""
-        from .frame import ResultFrame
-
-        return ResultFrame.from_sweep(self)
 
     # -- export ---------------------------------------------------------------------
 
@@ -286,9 +293,6 @@ class Sweep:
                 jobs.append((cell_spec.with_seed(seed), trial_tags))
         return jobs
 
-    def specs(self) -> List[SimulationSpec]:
-        return [spec for spec, _tags in self.jobs()]
-
     # -- execution --------------------------------------------------------------------
 
     def run(
@@ -321,7 +325,7 @@ class Sweep:
                 )
             return self._run_checkpointed(jobs, workers, checkpoint)
         if workers > 1:
-            with multiprocessing.Pool(processes=workers) as pool:
+            with _worker_pool(workers) as pool:
                 raw_rows = pool.map(_run_job, jobs)
             rows = [SweepRow(tags=raw["tags"], summary=raw["summary"]) for raw in raw_rows]
         elif keep_results:
@@ -354,7 +358,7 @@ class Sweep:
         store.begin()
         pending = [(index, jobs[index]) for index in store.missing()]
         if pending and workers > 1:
-            with multiprocessing.Pool(processes=workers) as pool:
+            with _worker_pool(workers) as pool:
                 for (index, (_spec, tags)), raw in zip(
                     pending, pool.imap(_run_job, [job for _index, job in pending])
                 ):

@@ -13,7 +13,7 @@ from .errors import (
     UnknownAccount,
     ValidationError,
 )
-from .executor import BlockContext, TransactionExecutor, ValueTransferExecutor
+from .executor import BlockContext, TransactionExecutor
 from .gas import GasMeter, GasSchedule, OutOfGas
 from .apply_cache import BlockApplyCache
 from .genesis import (
@@ -28,19 +28,7 @@ from .receipt import LogEntry, Receipt, receipts_root
 from .state import StateSnapshot, WorldState, live_state_stats
 from .transaction import Transaction, sign_transaction
 from .trie import ordered_trie_root
-from .wire import (
-    WireDecodingError,
-    decode_block,
-    decode_header,
-    decode_receipt,
-    decode_transaction,
-    encode_block,
-    encode_header,
-    encode_receipt,
-    encode_transaction,
-    wire_cache_stats,
-    wire_encoding,
-)
+from .wire import wire_cache_stats, wire_encoding
 
 __all__ = [
     "Account",
@@ -60,7 +48,6 @@ __all__ = [
     "ValidationError",
     "BlockContext",
     "TransactionExecutor",
-    "ValueTransferExecutor",
     "GasMeter",
     "GasSchedule",
     "OutOfGas",
@@ -80,15 +67,6 @@ __all__ = [
     "Transaction",
     "sign_transaction",
     "ordered_trie_root",
-    "WireDecodingError",
-    "decode_block",
-    "decode_header",
-    "decode_receipt",
-    "decode_transaction",
-    "encode_block",
-    "encode_header",
-    "encode_receipt",
-    "encode_transaction",
     "wire_encoding",
     "wire_cache_stats",
 ]

@@ -29,11 +29,6 @@ class Account:
     code: Optional[str] = None
     storage: Dict[StorageSlot, bytes] = field(default_factory=dict)
 
-    @property
-    def is_contract(self) -> bool:
-        """True if this account holds contract code."""
-        return self.code is not None
-
     def copy(self) -> "Account":
         """Return a deep copy (storage dict included, encoding memos not)."""
         return Account(

@@ -3,8 +3,7 @@
 The blockchain applies transactions through a :class:`TransactionExecutor`;
 the concrete implementation lives in :mod:`repro.evm.engine`.  Keeping the
 interface here avoids a circular dependency and lets tests substitute
-simple executors (e.g. value-transfer-only) when contract semantics are not
-under test.
+simpler executors when contract semantics are not under test.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .receipt import Receipt
 from .state import WorldState
 from .transaction import Transaction
 
-__all__ = ["BlockContext", "TransactionExecutor", "ValueTransferExecutor"]
+__all__ = ["BlockContext", "TransactionExecutor"]
 
 
 @dataclass(frozen=True)
@@ -45,42 +44,3 @@ class TransactionExecutor(Protocol):
         receipt so the transaction is still *included* in the block.
         """
         ...
-
-
-class ValueTransferExecutor:
-    """Minimal executor handling only plain value transfers.
-
-    Used by chain-layer unit tests; the full contract engine is
-    :class:`repro.evm.engine.ExecutionEngine`.
-    """
-
-    def execute(
-        self, state: WorldState, transaction: Transaction, block: BlockContext
-    ) -> Receipt:
-        intrinsic = transaction.intrinsic_gas()
-        fee = intrinsic * transaction.gas_price
-        sender_balance = state.get_balance(transaction.sender)
-        if transaction.nonce != state.get_nonce(transaction.sender):
-            return Receipt(
-                transaction_hash=transaction.hash,
-                success=False,
-                gas_used=0,
-                error="nonce mismatch",
-            )
-        state.increment_nonce(transaction.sender)
-        if sender_balance < transaction.value + fee or intrinsic > transaction.gas_limit:
-            return Receipt(
-                transaction_hash=transaction.hash,
-                success=False,
-                gas_used=min(intrinsic, transaction.gas_limit),
-                error="insufficient balance or gas",
-            )
-        state.subtract_balance(transaction.sender, transaction.value + fee)
-        if transaction.to is not None:
-            state.add_balance(transaction.to, transaction.value)
-        state.add_balance(block.miner, fee)
-        return Receipt(
-            transaction_hash=transaction.hash,
-            success=True,
-            gas_used=intrinsic,
-        )

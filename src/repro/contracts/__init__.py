@@ -16,13 +16,11 @@ from .sereth import (
 )
 from .simple_storage import SimpleStorageContract
 from .ticket_sale import TicketSaleContract
-from .token import TokenContract
 
 for _contract_class in (
     SerethContract,
     SimpleStorageContract,
     TicketSaleContract,
-    TokenContract,
     OracleContract,
     AuctionContract,
 ):
@@ -37,6 +35,5 @@ __all__ = [
     "genesis_storage",
     "SimpleStorageContract",
     "TicketSaleContract",
-    "TokenContract",
     "OracleContract",
 ]

@@ -19,7 +19,6 @@ from .series import (
     Series,
     build_series,
     deepest_branch_iterative,
-    deepest_branch_recursive,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "Series",
     "build_series",
     "deepest_branch_iterative",
-    "deepest_branch_recursive",
 ]

@@ -32,7 +32,7 @@ with it: nothing process-global, nothing for a trial boundary to clear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ...chain.transaction import Transaction
 from ...crypto.addresses import ZERO_ADDRESS
@@ -41,7 +41,7 @@ from ...txpool.pool import TxPool
 from .fpv import AMV, EMPTY_POOL_SENTINEL, HEAD_FLAG, SUCCESS_FLAG
 from .node import TxNode
 from .process import HMSConfig, classify_transaction, process_transactions
-from .series import Series, build_series
+from .series import Series, build_series, deepest_branch_iterative
 
 __all__ = ["HMSView", "HashMarkSet"]
 
@@ -83,9 +83,13 @@ class HMSView:
 class HashMarkSet:
     """Serialize a blockchain transaction pool (Algorithm 1)."""
 
-    def __init__(self, config: HMSConfig, recursive: bool = False) -> None:
+    def __init__(
+        self,
+        config: HMSConfig,
+        search: Callable[[TxNode], List[TxNode]] = deepest_branch_iterative,
+    ) -> None:
         self.config = config
-        self.recursive = recursive
+        self.search = search
         self._classified: Dict[Tuple[bytes, float], Optional[TxNode]] = {}
         """``(hash, arrival_time) -> node`` (``None``: not a series member)
         for exactly the entries the last pass saw."""
@@ -104,7 +108,7 @@ class HashMarkSet:
 
     def serialize(self, pool_entries: Iterable[Tuple[Transaction, float]]) -> Series:
         """Filter and serialize the pool into the longest series."""
-        return build_series(self.collect(pool_entries), recursive=self.recursive)
+        return build_series(self.collect(pool_entries), self.search)
 
     # -- Algorithm 1 -------------------------------------------------------------
 
@@ -124,7 +128,7 @@ class HashMarkSet:
         """
         view_key = None
         if isinstance(pool_entries, TxPool):
-            view_key = (pool_entries, pool_entries.version, committed, self.recursive)
+            view_key = (pool_entries, pool_entries.version, committed, self.search)
             if view_key == self._view_key:
                 return self._view
             entries = pool_entries.transactions_with_arrival()
@@ -147,9 +151,9 @@ class HashMarkSet:
                 node_keys.append(key)
         self._classified = live
 
-        series_key = (self.recursive, node_keys)
+        series_key = (self.search, node_keys)
         if series_key != self._series_key:
-            self._series = build_series(nodes, recursive=self.recursive)
+            self._series = build_series(nodes, self.search)
             self._series_key = series_key
         series = self._series
 

@@ -36,10 +36,6 @@ class TxNode:
     def is_head_candidate(self) -> bool:
         return self.fpv.is_head_candidate
 
-    @property
-    def value(self) -> bytes:
-        return self.fpv.value
-
     def detach(self) -> None:
         """Clear graph links (used when rebuilding the series from scratch)."""
         self.previous = None

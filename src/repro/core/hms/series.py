@@ -6,20 +6,19 @@ candidate and returns the deepest path found.  The resolution rule —
 "branches are resolved by taking the longest branch" — mirrors the
 blockchain's own fork choice.
 
-Two traversals are provided: a recursive one that is a line-for-line
-transcription of DEEPESTBRANCH for fidelity (and for the termination lemma's
-tests), and an iterative one used by default so adversarially deep pools
-cannot blow the Python recursion limit.
+The traversal is iterative, so adversarially deep pools cannot blow the
+Python recursion limit; the tests check it against a line-for-line recursive
+transcription of DEEPESTBRANCH.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .node import TxNode
 
-__all__ = ["Series", "build_series", "deepest_branch_recursive", "deepest_branch_iterative"]
+__all__ = ["Series", "build_series", "deepest_branch_iterative"]
 
 
 @dataclass
@@ -79,27 +78,6 @@ def _link_nodes(nodes: Sequence[TxNode]) -> None:
         node.successors.sort(key=lambda item: (item.arrival_time, item.transaction.hash))
 
 
-def deepest_branch_recursive(head: TxNode) -> List[TxNode]:
-    """DEEPESTBRANCH exactly as written in the paper (recursive DFS)."""
-    best: Dict[str, object] = {"depth": 0, "path": []}
-
-    def explore(node: TxNode, depth: int, path: List[TxNode]) -> None:
-        if not node.successors:
-            if depth > best["depth"]:
-                best["depth"] = depth
-                best["path"] = list(path)
-            return
-        for successor in node.successors:
-            path.append(successor)
-            explore(successor, depth + 1, path)
-            path.pop()
-
-    explore(head, 1, [head])
-    if not best["path"]:
-        return [head]
-    return list(best["path"])  # type: ignore[arg-type]
-
-
 def deepest_branch_iterative(head: TxNode) -> List[TxNode]:
     """Iterative deepest-branch search (explicit stack, no recursion limit)."""
     best_path: List[TxNode] = [head]
@@ -122,7 +100,10 @@ def deepest_branch_iterative(head: TxNode) -> List[TxNode]:
     return best_path
 
 
-def build_series(nodes: Sequence[TxNode], recursive: bool = False) -> Series:
+def build_series(
+    nodes: Sequence[TxNode],
+    search: Callable[[TxNode], List[TxNode]] = deepest_branch_iterative,
+) -> Series:
     """SERIES (Algorithm 3): link the DAG, then take the deepest branch over
     all head candidates.
 
@@ -141,7 +122,6 @@ def build_series(nodes: Sequence[TxNode], recursive: bool = False) -> Series:
     if not head_candidates:
         head_candidates = [node for node in node_list if node.previous is None]
 
-    search = deepest_branch_recursive if recursive else deepest_branch_iterative
     best: List[TxNode] = []
     for candidate in sorted(
         head_candidates, key=lambda item: (item.arrival_time, item.transaction.hash)

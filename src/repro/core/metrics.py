@@ -25,13 +25,10 @@ golden-checksum-gated and must stay byte-identical.
 into bounded per-label aggregates (counts, latency sum/min/max, and a
 seeded reservoir for p50/p95) plus per-time-window aggregates, then
 dropped.  Memory is O(labels + windows + reservoir), not O(transactions).
-An optional ``spill_path`` appends one JSONL line per resolved record so
-full-fidelity rows can still be recovered offline.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -184,7 +181,6 @@ class MetricsCollector:
         self,
         metrics_window: Optional[float] = None,
         reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-        spill_path: Optional[str] = None,
         seed: int = 0,
     ) -> None:
         if metrics_window is not None and metrics_window <= 0:
@@ -195,8 +191,6 @@ class MetricsCollector:
         self._window_seconds = metrics_window
         self._streaming = metrics_window is not None
         self._reservoir_size = reservoir_size
-        self._spill_path = spill_path
-        self._spill_handle = None
         self._rng = random.Random(seed)
         self._aggregates: Dict[str, _LabelAggregate] = {}
         self._windows: Dict[Tuple[str, int], List[float]] = {}
@@ -334,8 +328,6 @@ class MetricsCollector:
                         success=receipt.success,
                         latency=round(block.timestamp - record.submitted_at, 9),
                     )
-                if self._spill_path is not None:
-                    self._spill(record)
             if self._streaming:
                 del records[receipt.transaction_hash]
                 self._fold(record)
@@ -384,26 +376,6 @@ class MetricsCollector:
             window[2] += latency
             window[3] = min(window[3], latency)
             window[4] = max(window[4], latency)
-
-    def _spill(self, record: TransactionRecord) -> None:
-        if self._spill_handle is None:
-            self._spill_handle = open(self._spill_path, "a", encoding="utf-8")
-        row = {
-            "transaction": "0x" + record.transaction.hash.hex(),
-            "label": record.label,
-            "submitted_at": record.submitted_at,
-            "committed_at": record.committed_at,
-            "block_number": record.block_number,
-            "success": record.success,
-            "error": record.error,
-        }
-        self._spill_handle.write(json.dumps(row, separators=(",", ":")) + "\n")
-
-    def close(self) -> None:
-        """Flush and close the spill tap, if one was opened."""
-        if self._spill_handle is not None:
-            self._spill_handle.close()
-            self._spill_handle = None
 
     # -- windowed aggregates -----------------------------------------------------------
 

@@ -8,7 +8,7 @@ so replaying a block on any peer executes identical code.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Type
+from typing import Dict, Optional, Type
 
 from ..crypto.addresses import Address
 from .contract import Contract
@@ -47,9 +47,6 @@ class ContractRegistry:
     def instantiate(self, code_name: str, address: Address) -> Contract:
         """Create a contract instance bound to ``address``."""
         return self.get(code_name)(address)
-
-    def names(self) -> Iterator[str]:
-        return iter(self._classes.keys())
 
     def copy(self) -> "ContractRegistry":
         clone = ContractRegistry()

@@ -1,13 +1,7 @@
 """Discrete-event network simulation: simulator, latency, topology, peers,
 gossip, bandwidth, churn, and mining."""
 
-from .latency import (
-    ConstantLatency,
-    ImpairedLatency,
-    LatencyModel,
-    NormalLatency,
-    UniformLatency,
-)
+from .latency import ConstantLatency, LatencyModel, UniformLatency
 from .mining import BlockProductionProcess, MinerHandle
 from .network import Network, NetworkStats
 from .peer import (
@@ -34,9 +28,7 @@ from .topology import (
 
 __all__ = [
     "ConstantLatency",
-    "ImpairedLatency",
     "LatencyModel",
-    "NormalLatency",
     "UniformLatency",
     "BlockProductionProcess",
     "MinerHandle",

@@ -1,9 +1,10 @@
 """Latency models for gossip delivery between peers.
 
 The Sereth view quality "is subject to network synchronization" (Section
-II-C): if TxPool gossip is slow or impaired, a peer's HMS view lags the true
-concurrent history and more transactions fail.  The ablation A2 sweeps these
-models.
+II-C): if TxPool gossip is slow, a peer's HMS view lags the true concurrent
+history and more transactions fail.  The engine wires ``UniformLatency`` from
+the spec's gossip knobs (the ``gossip`` ablation sweeps them);
+``ConstantLatency`` is ``Network``'s default.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "NormalLatency",
-    "ImpairedLatency",
 ]
 
 
@@ -69,46 +68,3 @@ class UniformLatency:
 
     def sample(self, source_id: str, destination_id: str) -> float:
         return self.low + self._span * self._random()
-
-
-class NormalLatency:
-    """Gaussian latency with a floor, modelling a typical WAN distribution."""
-
-    def __init__(
-        self,
-        mean: float = 0.1,
-        stddev: float = 0.03,
-        minimum: float = 0.005,
-        seed: Optional[int] = None,
-    ) -> None:
-        if mean < 0 or stddev < 0 or minimum < 0:
-            raise ValueError("latency parameters cannot be negative")
-        self.mean = mean
-        self.stddev = stddev
-        self.minimum = minimum
-        self._rng = _seeded_rng(seed)
-
-    def sample(self, source_id: str, destination_id: str) -> float:
-        return max(self.minimum, self._rng.gauss(self.mean, self.stddev))
-
-
-class ImpairedLatency:
-    """Wraps another model, adding a fixed impairment on selected links.
-
-    Used by the gossip-impairment ablation: traffic to/from the listed peer
-    ids suffers ``extra_delay`` additional seconds, modelling a Sereth peer
-    whose view of the TxPool is systematically behind.
-    """
-
-    def __init__(self, base: LatencyModel, impaired_peers: set, extra_delay: float) -> None:
-        if extra_delay < 0:
-            raise ValueError("extra delay cannot be negative")
-        self.base = base
-        self.impaired_peers = set(impaired_peers)
-        self.extra_delay = extra_delay
-
-    def sample(self, source_id: str, destination_id: str) -> float:
-        delay = self.base.sample(source_id, destination_id)
-        if source_id in self.impaired_peers or destination_id in self.impaired_peers:
-            delay += self.extra_delay
-        return delay

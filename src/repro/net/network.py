@@ -183,12 +183,6 @@ class Network:
         peer.network = self
         return peer
 
-    def peers(self) -> List[Peer]:
-        return list(self._peers.values())
-
-    def peer(self, peer_id: str) -> Peer:
-        return self._peers[peer_id]
-
     def __len__(self) -> int:
         return len(self._peers)
 

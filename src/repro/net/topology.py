@@ -70,15 +70,8 @@ class Topology:
     adjacency: Mapping[str, Tuple[str, ...]]
     latency_scale: Mapping[Tuple[str, str], float] = field(default_factory=dict)
 
-    def neighbors(self, peer_id: str) -> Tuple[str, ...]:
-        return self.adjacency.get(peer_id, ())
-
     def scale_for(self, a: str, b: str) -> float:
         return self.latency_scale.get(edge_key(a, b), 1.0)
-
-    @property
-    def num_peers(self) -> int:
-        return len(self.adjacency)
 
     @property
     def edge_count(self) -> int:

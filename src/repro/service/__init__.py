@@ -16,12 +16,7 @@ the facade's tail latency, and :mod:`.catalog` the registry listing backing
 """
 
 from .catalog import registry_catalog
-from .client import (
-    ServiceClient,
-    has_success_status,
-    payload,
-    post_request,
-)
+from .client import ServiceClient, payload
 from .errors import (
     ExecutionError,
     InvalidParamsError,
@@ -54,8 +49,6 @@ __all__ = [
     "derive_session_seed",
     "session_id_for",
     "payload",
-    "post_request",
-    "has_success_status",
     "ServiceError",
     "MethodNotFoundError",
     "InvalidParamsError",

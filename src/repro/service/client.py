@@ -1,10 +1,8 @@
 """The service's client, in the shape e2e suites expect.
 
-The module-level helpers mirror the idiom of blockchain-simulator e2e
-harnesses — build a ``payload``, ``post_request`` it, check
-``has_success_status`` — so a test reads like a transcript of what a real
-client does.  :class:`ServiceClient` sends any verb with ``request`` and
-names the ones the load generators drive.
+:func:`payload` builds one JSON-RPC envelope, in the idiom of
+blockchain-simulator e2e harnesses.  :class:`ServiceClient` sends any verb
+with ``request`` and names the ones the load generators drive.
 
 Transport: every exchange goes through :func:`_roundtrip` on a
 :class:`_Connection` — a plain ``TCP_NODELAY`` socket (TLS-wrapped for
@@ -55,12 +53,7 @@ from .errors import ServiceConnectionError, ServiceRPCError
 from .http11 import frame, read_body, read_head
 from .verbs import VERBS
 
-__all__ = [
-    "payload",
-    "post_request",
-    "has_success_status",
-    "ServiceClient",
-]
+__all__ = ["payload", "ServiceClient"]
 
 _request_ids = count(1)
 
@@ -146,21 +139,6 @@ def _peer_closed(sock: Any) -> bool:
         poller.register(sock, select.POLLIN)
         return bool(poller.poll(0))
     return bool(select.select([sock], [], [], 0)[0])  # Windows: no poll, no such ceiling
-
-
-def post_request(url: str, body: Dict[str, Any], timeout: float = 60.0) -> Dict[str, Any]:
-    """POST one JSON-RPC envelope on a one-shot connection and return the
-    parsed response envelope."""
-    connection = _Connection(url, timeout)
-    try:
-        return _roundtrip(connection, "POST", urlsplit(url).path, body)
-    finally:
-        connection.close()
-
-
-def has_success_status(receipt: Dict[str, Any]) -> bool:
-    """True when a ``tx.receipt`` result is committed AND executed cleanly."""
-    return bool(receipt.get("committed")) and bool(receipt.get("success"))
 
 
 class ServiceClient:

@@ -418,7 +418,6 @@ class SimulatorService:
             if session.lock.acquire(timeout=5.0):
                 try:
                     session.state = "closed"
-                    session.handle.metrics.close()
                 finally:
                     session.lock.release()
         with self._sessions_lock:

@@ -26,6 +26,7 @@ from ..api.builder import check_plugins
 from ..api.checkpoint import spec_digest
 from ..api.engine import SimulationHandle, build_simulation
 from ..api.experiment import EXPERIMENT_REGISTRY, ExperimentOptions
+from ..api.registry import WORKLOAD_REGISTRY
 from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec, _flag, _text
 from ..clients.base import ContractClient
@@ -66,6 +67,13 @@ SESSION_REFUSALS = {
 }
 """Every spec field, mapped to why ``session.create`` refuses it (``None``
 for the served ones) — read from the spec's own field declarations."""
+
+SERVED_MAX = {
+    spec_field.name: (spec_field.metadata["render"], spec_field.metadata["served_max"])
+    for spec_field in fields(SimulationSpec)
+    if spec_field.metadata["served_max"] is not None
+}
+"""The spec fields with a served-size ceiling: (renderer, ceiling)."""
 
 
 def jsonable(value: Any) -> Any:
@@ -124,6 +132,40 @@ def _requested_fields(request: Dict[str, Any]) -> Dict[str, Any]:
     return requested
 
 
+def _served_size(value: Any) -> Any:
+    """How large a rendered value asks the server to build: a number's value,
+    a list's length, the largest of a mapping's values (a topology's
+    parameters)."""
+    if isinstance(value, bool) or value is None:
+        return 0
+    if isinstance(value, (int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return len(value)
+    if isinstance(value, dict):
+        return max(map(_served_size, value.values()), default=0)
+    return 0
+
+
+def _check_served_sizes(spec: SimulationSpec) -> None:
+    """Refuse a spec that would make the server allocate past a declared
+    ``served_max``: a spec knob's, or a workload parameter's."""
+    ceilings = []
+    for name, (render, ceiling) in SERVED_MAX.items():
+        value = getattr(spec, name)
+        if value is not None and render is not None:
+            value = render(value)
+        ceilings.append((name, ceiling, value))
+    if spec.workload in WORKLOAD_REGISTRY:
+        params = spec.params
+        for name, _canon, _default, *served_max in WORKLOAD_REGISTRY.get(spec.workload).params:
+            if served_max and name in params:
+                ceilings.append((f"params.{name}", served_max[0], params[name]))
+    for name, ceiling, value in ceilings:
+        if _served_size(value) > ceiling:
+            raise ValueError(f"{name} is capped at {ceiling} for a served session")
+
+
 def build_session_spec(
     params: Optional[Dict[str, Any]],
     retention_default: Optional[int] = None,
@@ -139,7 +181,8 @@ def build_session_spec(
     * ``retention`` defaults to ``retention_default`` when the request does
       not mention it (pass ``"retention": null`` to force unbounded history);
     * a missing ``seed`` is *derived from the spec digest* so identical
-      requests build identical sessions (see :func:`derive_session_seed`).
+      requests build identical sessions (see :func:`derive_session_seed`);
+    * no count may pass its declared ``served_max``.
     """
     request = dict(params or {})
     experiment = request.pop("experiment", None)
@@ -153,6 +196,7 @@ def build_session_spec(
             spec = SimulationSpec(**{**DEFAULT_REQUEST, **requested})
         if spec.retention is None and "retention" not in requested:
             spec = replace(spec, retention=retention_default)
+        _check_served_sizes(spec)
         check_plugins(spec)
     except (KeyError, TypeError, ValueError) as error:
         message = error.args[0] if error.args else error
@@ -468,11 +512,6 @@ class ServiceSession:
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Idempotent teardown: metrics spill closed, the process-wide wire
-        memo dropped (``handle.run`` already did both for finished sessions,
-        and both are safe to repeat)."""
-        if self.state == "closed":
-            return
+        """Idempotent teardown: the session refuses further work."""
         self.state = "closed"
         self.closed.set()
-        self.handle.close()

@@ -62,8 +62,8 @@ class AuctionWorkload(Workload):
     buy_selectors = ()
     primary_label = BID_LABEL
     params = (
-        ("num_bidders", COUNT, 4),
-        ("bids_per_bidder", COUNT, 3),
+        ("num_bidders", COUNT, 4, 256),
+        ("bids_per_bidder", COUNT, 3, 100),
         ("bid_interval", SECONDS, 2.0),
         ("increment", COUNT, 10),
     )

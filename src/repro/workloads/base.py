@@ -28,7 +28,9 @@ once, as class attributes, and the base derives ``hms_targets``,
 * ``primary_label`` — the metrics label whose efficiency is the headline;
 * ``expected_watched`` — how many watched transactions decide the run;
 * ``params`` — one ``(name, canonicaliser, default)`` entry per parameter,
-  so bad parameters are refused when the spec is built, not mid-run.
+  so bad parameters are refused when the spec is built, not mid-run; a
+  count the workload books events or actors by adds a fourth element, its
+  ``served_max`` (the spec knobs' column of that name).
 
 The defaults are the paper's Sereth exchange.  Each plugin also defines
 ``setup`` (create client actors), ``schedule`` (book their events) and
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from ..adversary.base import AdversaryTarget
 from ..api.spec import _POSITIVE_INTEGER as COUNT, Canon, _checked, _number
@@ -72,8 +74,8 @@ __all__ = [
 OWNER_LABEL = "owner"
 SERETH_CONTRACT_LABEL = "sereth-exchange"
 
-Param = Tuple[str, Canon, Any]
-"""One workload parameter: ``(name, canonicaliser, default)``."""
+Param = Union[Tuple[str, Canon, Any], Tuple[str, Canon, Any, int]]
+"""One workload parameter: ``(name, canonicaliser, default[, served_max])``."""
 
 SECONDS = _checked(_number, lambda value: 0 < value < math.inf, "positive and finite")
 TIME = _checked(_number, lambda value: 0 <= value < math.inf, "non-negative and finite")
@@ -135,11 +137,11 @@ class Workload:
 
     def __init__(self, spec: "SimulationSpec", **params: Any) -> None:
         self.spec = spec
-        declared = [name for name, _canon, _default in self.params]
+        declared = [name for name, *_declaration in self.params]
         unknown = sorted(set(params) - set(declared))
         if unknown:
             raise TypeError(f"unexpected parameters {unknown}; {self.name!r} takes {declared}")
-        for name, canon, default in self.params:
+        for name, canon, default, *_served_max in self.params:
             setattr(self, name, canon(name, params[name]) if name in params else default)
         self.contract = address_from_label(self.contract_label)
 

@@ -71,7 +71,7 @@ class MarketSimWorkload(Workload):
     name = "market"
     primary_label = BUY_LABEL
     params = (
-        ("num_buys", COUNT, 100),
+        ("num_buys", COUNT, 100, 10_000),
         # The READ-UNCOMMITTED/WRITE ratio of Figure 2 (1.0 = 1:1 … 20.0 = 20:1).
         ("buys_per_set", _POSITIVE, 1.0),
         # Seconds between successive buy submissions (the paper used one second).
@@ -80,7 +80,7 @@ class MarketSimWorkload(Workload):
         ("start_time", TIME, 30.0),
         ("initial_price", _PRICE, 100),
         ("price_max_step", COUNT, 5),
-        ("num_buyers", COUNT, 4),
+        ("num_buyers", COUNT, 4, 256),
     )
 
     @property

@@ -24,7 +24,7 @@ class OracleLatencyWorkload(Workload):
     name = "oracle"
     owner = "oracle-owner"
     params = (
-        ("num_queries", COUNT, 10),
+        ("num_queries", COUNT, 10, 10_000),
         ("query_interval", SECONDS, 10.0),
         ("price_change_interval", SECONDS, 5.0),
     )

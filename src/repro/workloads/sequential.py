@@ -27,7 +27,7 @@ class SequentialHistoryWorkload(Workload):
     owner = "solo-trader"
     buy_selectors = None
     params = (
-        ("num_pairs", COUNT, 25),
+        ("num_pairs", COUNT, 25, 10_000),
         ("submission_interval", SECONDS, 1.0),
     )
 

@@ -29,7 +29,7 @@ class SteadyStateWorkload(Workload):
     name = "steady_state"
     primary_label = STEADY_LABEL
     params = (
-        ("num_blocks", COUNT, 1000),
+        ("num_blocks", COUNT, 1000, 100_000),
         ("blocks_per_set", COUNT, 8),
         ("start_time", TIME, 1.0),
         ("initial_price", _integer, 100),

@@ -77,9 +77,9 @@ class TicketSaleWorkload(Workload):
     buy_selectors = (_TICKET_BUY_ABI.selector,)
     primary_label = TICKET_LABEL
     params = (
-        ("num_buyers", COUNT, 6),
-        ("price_changes", COUNT, 12),
-        ("buys_per_buyer", COUNT, 4),
+        ("num_buyers", COUNT, 6, 256),
+        ("price_changes", COUNT, 12, 10_000),
+        ("buys_per_buyer", COUNT, 4, 100),
         ("change_interval", SECONDS, 4.0),
         ("base_price", _integer, 40),
         ("surge_step", _integer, 5),

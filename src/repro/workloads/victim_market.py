@@ -53,7 +53,7 @@ class VictimMarketWorkload(Workload):
     owner = "market-owner"
     primary_label = VICTIM_BUY_LABEL
     params = (
-        ("num_victim_buys", COUNT, 40),
+        ("num_victim_buys", COUNT, 40, 10_000),
         ("buy_interval", SECONDS, 2.0),
         ("victim_read_mode", _optional(_READ_MODE), None),
         ("initial_price", COUNT, 100),

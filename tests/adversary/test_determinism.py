@@ -6,6 +6,7 @@ run under the multiprocessing sweep.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -85,14 +86,14 @@ class TestSortedExports:
     """Satellite bugfix: exports emit keys in sorted order for clean diffs."""
 
     def test_csv_tag_columns_are_sorted(self):
-        base = (
+        base = replace(
             Simulation.builder()
             .scenario("geth_unmodified")
             .workload("market", num_buys=4, num_buyers=2)
             .clients(2)
-            .settle_blocks(2)
             .seed(3)
-            .build()
+            .build(),
+            settle_blocks=2,
         )
         result = (
             Sweep(base).over(num_buys=[4], buys_per_set=[1.0]).trials(1).run(workers=1)
@@ -102,14 +103,14 @@ class TestSortedExports:
         assert tag_columns == sorted(tag_columns)
 
     def test_json_keys_are_sorted(self):
-        base = (
+        base = replace(
             Simulation.builder()
             .scenario("geth_unmodified")
             .workload("market", num_buys=4, num_buyers=2)
             .clients(2)
-            .settle_blocks(2)
             .seed(3)
-            .build()
+            .build(),
+            settle_blocks=2,
         )
         result = Sweep(base).over(buys_per_set=[1.0]).trials(1).run(workers=1)
         rows = json.loads(result.to_json())

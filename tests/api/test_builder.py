@@ -102,8 +102,9 @@ class TestBuilderValidation:
             Simulation.builder().scenario("geth_unmodified").block_interval(0.0).build()
 
     def test_bad_loss_rate(self):
-        with pytest.raises(BuildError):
-            Simulation.builder().scenario("geth_unmodified").transaction_loss(1.5).build()
+        spec = Simulation.builder().scenario("geth_unmodified").build()
+        with pytest.raises(ValueError, match=r"in \[0, 1\)"):
+            dataclasses.replace(spec, transaction_loss_rate=1.5)
 
     def test_unknown_miner_policy(self):
         with pytest.raises(BuildError, match="miner policy"):

@@ -1,5 +1,7 @@
 """Engine + workload-plugin tests: reproducibility, parity, and the new workloads."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Simulation, SimulationSpec, freeze_params, run_simulation
@@ -9,15 +11,15 @@ from repro.experiments.scenario import GETH_UNMODIFIED
 def market_spec(scenario: str, seed: int = 7, **params):
     defaults = dict(num_buys=12, num_buyers=2, buys_per_set=2.0)
     defaults.update(params)
-    return (
+    return replace(
         Simulation.builder()
         .scenario(scenario)
         .workload("market", **defaults)
         .miners(1)
         .clients(2)
-        .settle_blocks(3)
         .seed(seed)
-        .build()
+        .build(),
+        settle_blocks=3,
     )
 
 

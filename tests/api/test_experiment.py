@@ -105,11 +105,11 @@ class TestLifecycle:
 
     def test_scalar_override_lands_on_the_base_spec(self, mini):
         sweep = mini.plan(ExperimentOptions(overrides={"block_interval": 5.0}))
-        assert all(spec.block_interval == 5.0 for spec in sweep.specs())
+        assert all(spec.block_interval == 5.0 for spec, _tags in sweep.jobs())
 
     def test_list_override_replaces_a_dimension(self, mini):
         sweep = mini.plan(ExperimentOptions(overrides={"num_pairs": [4]}))
-        specs = sweep.specs()
+        specs = [spec for spec, _tags in sweep.jobs()]
         assert len(specs) == 1
         assert specs[0].params["num_pairs"] == 4
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api.frame import ResultFrame, maximum, mean, minimum, total
+from repro.api.frame import ResultFrame, mean
 from repro.api.sweep import SweepResult, SweepRow
 
 
@@ -78,23 +78,6 @@ class TestRelationalOperations:
         # the receiver is untouched
         assert "pct" not in sample_frame().column_names
 
-    def test_sort_by_is_stable_and_handles_none(self):
-        frame = ResultFrame.from_records(
-            [{"k": 2, "i": 0}, {"k": None, "i": 1}, {"k": 1, "i": 2}]
-        ).sort_by("k")
-        assert frame.column("i") == [1, 2, 0]  # None first, then ascending
-
-    def test_group_by_aggregate_with_column_and_row_functions(self):
-        frame = sample_frame()
-        reduced = frame.group_by("scenario").aggregate(
-            mean_eta=("eta", mean),
-            n=lambda rows: len(rows),
-        )
-        assert len(reduced) == 2
-        geth = reduced.filter(scenario="geth").row(0)
-        assert geth["mean_eta"] == pytest.approx(0.3)
-        assert geth["n"] == 3
-
     def test_pivot_builds_the_wide_table(self):
         wide = sample_frame().pivot(index="ratio", columns="scenario", values="eta")
         assert wide.column_names == ["ratio", "geth", "hms"]
@@ -115,9 +98,6 @@ class TestAggregators:
     def test_helpers_skip_none_and_never_divide_by_zero(self):
         assert mean([]) is None
         assert mean([1.0, None, 3.0]) == pytest.approx(2.0)
-        assert total([1.0, None]) == 1.0
-        assert minimum([]) is None
-        assert maximum([2, None, 5]) == 5
 
 
 class TestExport:

@@ -9,7 +9,6 @@ from repro.api import (
     WORKLOAD_REGISTRY,
     Workload,
     register_workload,
-    scenario_by_name,
 )
 from repro.experiments.scenario import GETH_UNMODIFIED, SEMANTIC_MINING, SERETH_CLIENT_SCENARIO
 
@@ -20,13 +19,13 @@ class TestScenarioRegistry:
             assert name in SCENARIO_REGISTRY
 
     def test_parity_with_legacy_lookup(self):
-        """api.scenario_by_name resolves to the paper's scenario constants."""
+        """The registry resolves names to the paper's scenario constants."""
         for scenario in (GETH_UNMODIFIED, SERETH_CLIENT_SCENARIO, SEMANTIC_MINING):
-            assert scenario_by_name(scenario.name) is scenario
+            assert SCENARIO_REGISTRY.get(scenario.name) is scenario
 
     def test_unknown_scenario_raises_registry_error(self):
         with pytest.raises(RegistryError, match="unknown scenario"):
-            scenario_by_name("warp_drive")
+            SCENARIO_REGISTRY.get("warp_drive")
 
 
 class TestWorkloadRegistry:

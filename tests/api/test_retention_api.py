@@ -1,5 +1,7 @@
 """End-to-end tests for the retention / streaming-metrics spec knobs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Simulation, Sweep, run_simulation
@@ -14,14 +16,13 @@ def steady_spec(retention=None, metrics_window=None, num_blocks=40, seed=7):
         .workload("steady_state", num_blocks=num_blocks, blocks_per_set=4)
         .miners(1)
         .clients(1)
-        .settle_blocks(3)
         .seed(seed)
     )
     if retention is not None:
         builder = builder.retention(retention)
     if metrics_window is not None:
         builder = builder.metrics_window(metrics_window)
-    return builder.build()
+    return replace(builder.build(), settle_blocks=3)
 
 
 class TestSpecValidation:
@@ -97,11 +98,6 @@ class TestStreamingRun:
         assert windows, "streaming summary must carry window rows"
         assert sum(row["committed"] for row in windows) == result.report().committed
         assert all(row["label"] == STEADY_LABEL for row in windows)
-
-    def test_windows_frame_is_queryable(self, result):
-        frame = result.windows_frame()
-        rows = list(frame.rows())
-        assert len(rows) == len(result.metrics.windows())
 
     def test_streaming_report_matches_the_unbounded_run(self, result):
         unbounded = run_simulation(steady_spec())

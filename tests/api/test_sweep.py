@@ -1,6 +1,8 @@
 """Sweep engine tests: grid expansion, deterministic seeding, serial == parallel."""
 
 import json
+import multiprocessing.pool
+from dataclasses import replace
 
 import pytest
 
@@ -9,15 +11,15 @@ from repro.api.sweep import SweepResult, SweepRow
 
 
 def small_base(seed: int = 3):
-    return (
+    return replace(
         Simulation.builder()
         .scenario("geth_unmodified")
         .workload("market", num_buys=8, num_buyers=2, buys_per_set=2.0)
         .miners(1)
         .clients(2)
-        .settle_blocks(3)
         .seed(seed)
-        .build()
+        .build(),
+        settle_blocks=3,
     )
 
 
@@ -46,13 +48,13 @@ class TestGridExpansion:
 
     def test_per_trial_seeds_are_deterministic_and_distinct(self):
         sweep = Sweep(small_base()).over(buys_per_set=[1.0, 2.0]).trials(2)
-        seeds = [spec.seed for spec in sweep.specs()]
+        seeds = [spec.seed for spec, _tags in sweep.jobs()]
         assert len(set(seeds)) == len(seeds)  # every cell/trial differs
-        assert seeds == [spec.seed for spec in sweep.specs()]  # stable re-expansion
+        assert seeds == [spec.seed for spec, _tags in sweep.jobs()]  # stable re-expansion
 
     def test_seed_derivation_is_rooted_at_the_base_seed(self):
-        first = [spec.seed for spec in Sweep(small_base(seed=1)).over(buys_per_set=[1.0]).specs()]
-        second = [spec.seed for spec in Sweep(small_base(seed=2)).over(buys_per_set=[1.0]).specs()]
+        first = [spec.seed for spec, _tags in Sweep(small_base(seed=1)).over(buys_per_set=[1.0]).jobs()]
+        second = [spec.seed for spec, _tags in Sweep(small_base(seed=2)).over(buys_per_set=[1.0]).jobs()]
         assert first != second
 
     def test_empty_dimension_rejected(self):
@@ -114,11 +116,6 @@ class TestExecution:
         assert len(chained) == 1
         assert chained[0].tags["scenario"] == "semantic_mining"
         assert chained.mean_efficiency() == chained[0].efficiency
-
-    def test_to_frame_flattens_into_a_result_frame(self, sweep):
-        frame = sweep.run(workers=1).to_frame()
-        assert len(frame) == 9
-        assert "scenario" in frame.column_names and "efficiency" in frame.column_names
 
     def test_exports_write_files(self, sweep, tmp_path):
         result = sweep.run(workers=1)
@@ -218,3 +215,31 @@ class TestCheckpointedExecution:
         assert path.read_text() == before  # prior rows survived the failed rewrite
         resumed = sweep.run(workers=1, checkpoint=path)
         assert len(resumed.rows) == 2
+
+
+class TestPoolShutdown:
+    """A successful parallel run lets its workers leave through their
+    sentinel; ``Pool.terminate`` (SIGTERM to every worker) is for errors."""
+
+    @pytest.fixture
+    def terminations(self, monkeypatch):
+        calls = []
+        terminate = multiprocessing.pool.Pool.terminate
+
+        def spy(pool):
+            calls.append(pool)
+            terminate(pool)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy)
+        return calls
+
+    def test_parallel_run_never_terminates_its_pool(self, terminations):
+        result = Sweep(small_base()).over(buys_per_set=[1.0, 2.0]).run(workers=2)
+        assert len(result) == 2
+        assert terminations == []
+
+    def test_checkpointed_parallel_run_never_terminates_its_pool(self, terminations, tmp_path):
+        sweep = Sweep(small_base()).over(buys_per_set=[1.0, 2.0])
+        result = sweep.run(workers=2, checkpoint=tmp_path / "ck.jsonl")
+        assert len(result) == 2
+        assert terminations == []

@@ -4,10 +4,11 @@ import pytest
 
 from repro.chain.chain import Blockchain
 from repro.chain.errors import InvalidBlock, ValidationError
-from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import GenesisConfig
 from repro.chain.transaction import Transaction
 from repro.crypto.addresses import address_from_label
+
+from ..oracles import ValueTransferExecutor
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")

@@ -24,23 +24,16 @@ from repro.chain.apply_cache import BlockApplyCache
 from repro.chain.block import Block, BlockHeader
 from repro.chain.chain import Blockchain
 from repro.chain.errors import ValidationError
-from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import GenesisConfig
 from repro.chain.transaction import TIMESTAMP_SCALE, Transaction
 from repro.chain.trie import EMPTY_ROOT, ordered_trie_root
-from repro.chain.wire import (
-    decode_block,
-    decode_header,
-    encode_block,
-    encode_header,
-    encode_receipt,
-    encode_transaction,
-    wire_cache_stats,
-)
+from repro.chain.wire import wire_cache_stats
 from repro.contracts.sereth import SerethContract
 from repro.crypto.addresses import address_from_label
 from repro.crypto.keccak import keccak256
 from repro.encoding.rlp import rlp_encode
+
+from ..oracles import ValueTransferExecutor, decode_block, decode_header, encode_block, encode_header, encode_receipt, encode_transaction
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")

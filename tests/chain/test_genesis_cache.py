@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import reset_process_caches
 from repro.chain.chain import Blockchain
-from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import (
     GenesisConfig,
     build_genesis,
@@ -12,6 +11,8 @@ from repro.chain.genesis import (
     genesis_digest,
 )
 from repro.crypto.addresses import address_from_label
+
+from ..oracles import ValueTransferExecutor
 
 ALICE = address_from_label("alice")
 

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chain.chain import Blockchain, ChainAnchor
 from repro.chain.errors import InvalidBlock, PrunedHistoryError
-from repro.chain.executor import ValueTransferExecutor
 from repro.chain.genesis import GenesisConfig
 from repro.chain.state import StateSnapshot, WorldState
 from repro.chain.transaction import Transaction
 from repro.crypto.addresses import address_from_label
+
+from ..oracles import ValueTransferExecutor
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")

@@ -3,21 +3,12 @@
 import pytest
 
 from repro.chain import Blockchain, GenesisConfig, Transaction
-from repro.chain.wire import (
-    WireDecodingError,
-    decode_block,
-    decode_header,
-    decode_receipt,
-    decode_transaction,
-    encode_block,
-    encode_header,
-    encode_receipt,
-    encode_transaction,
-)
 from repro.contracts.simple_storage import SimpleStorageContract
 from repro.crypto.addresses import address_from_label, contract_address
 from repro.crypto.keccak import keccak256
 from repro.evm import ExecutionEngine, encode_deployment
+
+from ..oracles import WireDecodingError, decode_block, decode_header, decode_receipt, decode_transaction, encode_block, encode_header, encode_receipt, encode_transaction
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.chain import Blockchain, GenesisConfig, Transaction
-from repro.chain.executor import ValueTransferExecutor
 from repro.chain.state import WorldState
 from repro.consensus.interval import FixedInterval, PoissonInterval
 from repro.consensus.miner import Miner, MinerConfig
@@ -16,6 +15,8 @@ from repro.consensus.policies import (
 )
 from repro.crypto.addresses import address_from_label
 from repro.txpool.pool import PoolEntry, TxPool
+
+from ..oracles import ValueTransferExecutor
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")

@@ -1,4 +1,4 @@
-"""Tests for the companion contracts: Token, TicketSale, Oracle, SimpleStorage."""
+"""Tests for the companion contracts: TicketSale and Oracle."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.chain import Blockchain, Transaction
 from repro.chain.executor import BlockContext
 from repro.contracts.oracle import OracleContract
 from repro.contracts.ticket_sale import TicketSaleContract
-from repro.contracts.token import TokenContract
 from repro.crypto.addresses import address_from_label
 from repro.crypto.keccak import keccak256
 from repro.encoding.hexutil import to_bytes32
@@ -32,70 +31,6 @@ def commit(chain, transactions, timestamp=13.0):
 def view(engine, chain, address, name, args, caller=ALICE):
     context = BlockContext(number=chain.height + 1, timestamp=50.0, miner=MINER)
     return engine.call(chain.state, address, name, args, caller=caller, block=context).values
-
-
-class TestToken:
-    @pytest.fixture
-    def token(self, engine, funded_genesis):
-        # Token keeps its owner in slot 1 (slot 0 is the total supply).
-        address = deploy_in_genesis(funded_genesis, "Token", ALICE, owner_slot=1)
-        return Blockchain(engine, funded_genesis), address
-
-    def abi(self, name):
-        return TokenContract.function_by_name(name).abi
-
-    def test_mint_and_balances(self, token, engine):
-        chain, address = token
-        mint = Transaction(sender=ALICE, nonce=0, to=address, data=self.abi("mint").encode_call(BOB, 100))
-        block = commit(chain, [mint])
-        assert block.receipts[0].success
-        assert view(engine, chain, address, "balance_of", [BOB]) == (100,)
-        assert view(engine, chain, address, "total_supply", []) == (100,)
-
-    def test_only_owner_can_mint(self, token, engine):
-        chain, address = token
-        mint = Transaction(sender=BOB, nonce=0, to=address, data=self.abi("mint").encode_call(BOB, 100))
-        block = commit(chain, [mint])
-        assert not block.receipts[0].success
-
-    def test_transfer_moves_balance(self, token, engine):
-        chain, address = token
-        commit(chain, [
-            Transaction(sender=ALICE, nonce=0, to=address, data=self.abi("mint").encode_call(BOB, 100)),
-            Transaction(sender=BOB, nonce=0, to=address, data=self.abi("transfer").encode_call(CAROL, 30)),
-        ])
-        assert view(engine, chain, address, "balance_of", [BOB]) == (70,)
-        assert view(engine, chain, address, "balance_of", [CAROL]) == (30,)
-
-    def test_transfer_beyond_balance_fails(self, token, engine):
-        chain, address = token
-        block = commit(chain, [
-            Transaction(sender=ALICE, nonce=0, to=address, data=self.abi("mint").encode_call(BOB, 10)),
-            Transaction(sender=BOB, nonce=0, to=address, data=self.abi("transfer").encode_call(CAROL, 30)),
-        ])
-        assert [receipt.success for receipt in block.receipts] == [True, False]
-        assert view(engine, chain, address, "balance_of", [BOB]) == (10,)
-
-    def test_approve_and_transfer_from(self, token, engine):
-        chain, address = token
-        commit(chain, [
-            Transaction(sender=ALICE, nonce=0, to=address, data=self.abi("mint").encode_call(BOB, 100)),
-            Transaction(sender=BOB, nonce=0, to=address, data=self.abi("approve").encode_call(CAROL, 40)),
-            Transaction(sender=CAROL, nonce=0, to=address,
-                        data=self.abi("transfer_from").encode_call(BOB, CAROL, 25)),
-        ])
-        assert view(engine, chain, address, "balance_of", [CAROL]) == (25,)
-        assert view(engine, chain, address, "allowance", [BOB, CAROL]) == (15,)
-
-    def test_transfer_from_beyond_allowance_fails(self, token, engine):
-        chain, address = token
-        block = commit(chain, [
-            Transaction(sender=ALICE, nonce=0, to=address, data=self.abi("mint").encode_call(BOB, 100)),
-            Transaction(sender=BOB, nonce=0, to=address, data=self.abi("approve").encode_call(CAROL, 10)),
-            Transaction(sender=CAROL, nonce=0, to=address,
-                        data=self.abi("transfer_from").encode_call(BOB, CAROL, 25)),
-        ])
-        assert [receipt.success for receipt in block.receipts] == [True, True, False]
 
 
 class TestTicketSale:

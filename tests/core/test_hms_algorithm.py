@@ -14,9 +14,11 @@ from repro.core.hms.fpv import (
 )
 from repro.core.hms.hash_mark_set import HashMarkSet
 from repro.core.hms.process import HMSConfig, process_transactions
-from repro.core.hms.series import build_series, deepest_branch_iterative, deepest_branch_recursive
+from repro.core.hms.series import build_series, deepest_branch_iterative
 from repro.crypto.addresses import address_from_label
 from repro.encoding.hexutil import to_bytes32
+
+from ..oracles import deepest_branch_recursive
 
 OWNER = address_from_label("owner")
 OTHER = address_from_label("other")
@@ -140,9 +142,9 @@ class TestSeries:
         sets, marks = chain_of_sets(6)
         rival = set_transaction(marks[1], 777, nonce=20, flag=SUCCESS_FLAG, sender=OTHER)
         nodes = process_transactions(with_arrivals(sets + [rival]), CONFIG)
-        series_iterative = build_series(nodes, recursive=False)
+        series_iterative = build_series(nodes)
         nodes2 = process_transactions(with_arrivals(sets + [rival]), CONFIG)
-        series_recursive = build_series(nodes2, recursive=True)
+        series_recursive = build_series(nodes2, deepest_branch_recursive)
         assert [n.transaction.hash for n in series_iterative] == [
             n.transaction.hash for n in series_recursive
         ]
@@ -150,7 +152,7 @@ class TestSeries:
     def test_deep_chain_does_not_hit_recursion_limit_iteratively(self):
         sets, _ = chain_of_sets(600)
         nodes = process_transactions(with_arrivals(sets), CONFIG)
-        series = build_series(nodes, recursive=False)
+        series = build_series(nodes)
         assert series.depth == 600
 
     def test_single_node_branch_functions(self):

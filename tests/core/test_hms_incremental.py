@@ -21,8 +21,11 @@ from repro.contracts.sereth import SerethContract, genesis_storage
 from repro.core.hms.fpv import BUY_FLAG, HEAD_FLAG, SUCCESS_FLAG, fpv_to_words
 from repro.core.hms.hash_mark_set import HashMarkSet
 from repro.core.hms.process import HMSConfig
+from repro.core.hms.series import deepest_branch_iterative
 from repro.crypto.addresses import address_from_label
 from repro.net.peer import SERETH_CLIENT, Peer
+
+from ..oracles import deepest_branch_recursive
 
 SENDERS = [address_from_label(label) for label in ("alice", "bob", "carol")]
 MINER = address_from_label("miner")
@@ -67,8 +70,8 @@ class Walk:
     def __init__(self, recursive: bool) -> None:
         self.peer = sereth_peer()
         self.provider = self.peer.hms_provider(SERETH_ADDRESS)
-        self.provider.hms.recursive = recursive
-        self.recursive = recursive
+        self.search = deepest_branch_recursive if recursive else deepest_branch_iterative
+        self.provider.hms.search = self.search
         self.now = 0.0
         self.marks = []  # every mark a set ever chained from or produced: fork material
 
@@ -185,7 +188,7 @@ class Walk:
 
     def check(self) -> None:
         view = self.provider.view()
-        fresh = HashMarkSet(CONFIG, recursive=self.recursive).read_uncommitted(
+        fresh = HashMarkSet(CONFIG, self.search).read_uncommitted(
             self.pool.transactions_with_arrival(), self.provider.committed_amv()
         )
         assert view_fields(view) == view_fields(fresh)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.chain import Blockchain, GenesisConfig, Transaction
-from repro.chain.executor import ValueTransferExecutor
 from repro.core.metrics import MetricsCollector, transaction_efficiency
 from repro.crypto.addresses import address_from_label
+
+from ..oracles import ValueTransferExecutor
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")

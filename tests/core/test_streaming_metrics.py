@@ -1,14 +1,13 @@
-"""Tests for the streaming MetricsCollector (windowed aggregates, reservoir,
-spill) introduced for bounded-memory long runs."""
-
-import json
+"""Tests for the streaming MetricsCollector (windowed aggregates, reservoir)
+introduced for bounded-memory long runs."""
 
 import pytest
 
 from repro.chain import Blockchain, GenesisConfig, Transaction
-from repro.chain.executor import ValueTransferExecutor
 from repro.core.metrics import DEFAULT_RESERVOIR_SIZE, MetricsCollector
 from repro.crypto.addresses import address_from_label
+
+from ..oracles import ValueTransferExecutor
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")
@@ -151,21 +150,3 @@ class TestReservoir:
         # Streaming-only keys: an unbounded report must not grow them (the
         # golden summaries were recorded without them).
         assert "latency_p50" not in MetricsCollector().report("buy").as_dict()
-
-
-class TestSpill:
-    def test_resolved_rows_spill_to_jsonl(self, tmp_path):
-        chain = make_chain()
-        path = tmp_path / "records.jsonl"
-        collector = MetricsCollector(metrics_window=100.0, spill_path=str(path))
-        transactions = commit_transactions(chain, collector, 3)
-        collector.close()
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 3
-        assert [row["label"] for row in rows] == ["buy"] * 3
-        assert rows[0]["transaction"] == "0x" + transactions[0].hash.hex()
-        assert all(row["success"] for row in rows)
-        assert [row["block_number"] for row in rows] == [1, 2, 3]
-
-    def test_close_without_spill_is_a_noop(self):
-        MetricsCollector(metrics_window=100.0).close()

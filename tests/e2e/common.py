@@ -9,16 +9,34 @@ read as the transcript of a real client session.
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
+from urllib.parse import urlsplit
 
-from repro.service import ServiceClient, has_success_status
+from repro.service import ServiceClient
+from repro.service.client import _Connection, _roundtrip
 
 __all__ = [
+    "post_request",
     "create_market_session",
     "deploy_contract",
     "call_contract_method",
     "wait_for_receipt",
     "has_success_status",
 ]
+
+def post_request(url: str, body: Dict[str, Any], timeout: float = 60.0) -> Dict[str, Any]:
+    """POST one JSON-RPC envelope on a one-shot connection and return the
+    parsed response envelope (an error envelope is returned, not raised)."""
+    connection = _Connection(url, timeout)
+    try:
+        return _roundtrip(connection, "POST", urlsplit(url).path, body)
+    finally:
+        connection.close()
+
+
+def has_success_status(receipt: Dict[str, Any]) -> bool:
+    """True when a ``tx.receipt`` result is committed AND executed cleanly."""
+    return bool(receipt.get("committed")) and bool(receipt.get("success"))
+
 
 SMOKE_SESSION: Dict[str, Any] = {
     "params": {"num_buys": 4, "buys_per_set": 2.0},

@@ -78,11 +78,7 @@ def test_concurrent_same_spec_sessions_are_byte_identical(client):
     # produces the same summary byte for byte (after its own JSON round
     # trip, which is exactly what the wire applied to the served copies).
     spec = build_session_spec(dict(ISOLATION_SPEC))
-    handle = build_simulation(spec)
-    try:
-        direct = handle.run().summary()
-    finally:
-        handle.close()
+    direct = build_simulation(spec).run().summary()
     assert canonical(json.loads(json.dumps(direct))) == canonical(summaries[sessions[0]])
 
     for session_id in sessions:

@@ -13,13 +13,14 @@ import urllib.request
 import pytest
 
 from repro.contracts.simple_storage import SimpleStorageContract
-from repro.service import ServiceRPCError, payload, post_request
+from repro.service import ServiceRPCError, payload
 
 from .common import (
     call_contract_method,
     create_market_session,
     deploy_contract,
     has_success_status,
+    post_request,
     wait_for_receipt,
 )
 

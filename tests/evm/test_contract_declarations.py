@@ -49,7 +49,7 @@ class TestFunctionTable:
 class TestRegistry:
     def test_default_registry_has_shipped_contracts(self):
         registry = default_registry()
-        for name in ("Sereth", "SimpleStorage", "Token", "TicketSale", "Oracle"):
+        for name in ("Sereth", "SimpleStorage", "TicketSale", "Oracle"):
             assert registry.contains(name)
 
     def test_instantiate_binds_address(self):

@@ -1,5 +1,7 @@
 """Unit tests for smaller harness pieces: plans, reporting, production hooks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chain import GenesisConfig
@@ -52,12 +54,9 @@ class TestMarketSpec:
         assert simulated_seconds(60) > simulated_seconds(10)
 
     def test_explicit_max_duration_wins(self):
-        spec = (
-            Simulation.builder()
-            .scenario("geth_unmodified")
-            .workload("market")
-            .max_duration(123.0)
-            .build()
+        spec = replace(
+            Simulation.builder().scenario("geth_unmodified").workload("market").build(),
+            max_duration=123.0,
         )
         assert WORKLOAD_REGISTRY.get("market")(spec).duration_cap(spec) == 123.0
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import Simulation, run_simulation, scenario_by_name
+from repro.api import SCENARIO_REGISTRY, Simulation, run_simulation
 from repro.experiments.scenario import (
     GETH_UNMODIFIED,
     SEMANTIC_MINING,
@@ -36,9 +36,9 @@ def results():
 
 class TestScenarioDefinitions:
     def test_lookup_by_name(self):
-        assert scenario_by_name("geth_unmodified") is GETH_UNMODIFIED
+        assert SCENARIO_REGISTRY.get("geth_unmodified") is GETH_UNMODIFIED
         with pytest.raises(KeyError):
-            scenario_by_name("warp_drive")
+            SCENARIO_REGISTRY.get("warp_drive")
 
     def test_semantic_fraction_variant(self):
         partial = SEMANTIC_MINING.with_semantic_fraction(0.5)

@@ -12,20 +12,14 @@ from repro.chain.block import Block, BlockHeader
 from repro.chain.genesis import GenesisConfig
 from repro.chain.receipt import Receipt
 from repro.chain.transaction import Transaction
-from repro.chain.wire import (
-    decode_block,
-    decode_transaction,
-    encode_block,
-    encode_header,
-    encode_transaction,
-    wire_cache_stats,
-    wire_encoding,
-)
+from repro.chain.wire import wire_cache_stats, wire_encoding
 from repro.crypto.addresses import address_from_label
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.peer import Peer
 from repro.net.sim import Simulator
+
+from ..oracles import decode_block, decode_transaction, encode_block, encode_header, encode_transaction
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")

@@ -19,6 +19,8 @@ from repro.core.hms.series import build_series
 from repro.crypto.addresses import address_from_label
 from repro.encoding.hexutil import to_bytes32
 
+from ..oracles import deepest_branch_recursive
+
 OWNER = address_from_label("owner")
 RIVAL = address_from_label("rival")
 CONTRACT = address_from_label("sereth-exchange")
@@ -135,6 +137,6 @@ class TestLemma2Termination:
             transactions.append(set_transaction(mark, price, index, flag))
             mark = compute_mark(mark, to_bytes32(price))
         entries = [(transaction, float(index)) for index, transaction in enumerate(transactions)]
-        iterative = build_series(process_transactions(entries, CONFIG), recursive=False)
-        recursive = build_series(process_transactions(entries, CONFIG), recursive=True)
+        iterative = build_series(process_transactions(entries, CONFIG))
+        recursive = build_series(process_transactions(entries, CONFIG), deepest_branch_recursive)
         assert iterative.marks() == recursive.marks()

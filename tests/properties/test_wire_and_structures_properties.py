@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.transaction import Transaction
-from repro.chain.wire import decode_transaction, encode_transaction
 from repro.crypto.addresses import address_from_label
+
+from ..oracles import decode_transaction, encode_transaction
 
 SENDERS = [address_from_label(f"wire-sender-{index}") for index in range(3)]
 RECIPIENTS = [address_from_label(f"wire-recipient-{index}") for index in range(3)]

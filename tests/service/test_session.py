@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
 import repro.contracts  # noqa: F401  (registers the shipped contracts)
 from repro.api.checkpoint import spec_digest
-from repro.api import sereth_exchange_address
+from repro.api import Simulation, sereth_exchange_address
+from repro.api.registry import WORKLOAD_REGISTRY
 from repro.contracts.simple_storage import SimpleStorageContract
 from repro.encoding.hexutil import to_hex
 from repro.service.errors import (
@@ -28,12 +30,62 @@ from repro.service.errors import (
     TooManySessionsError,
 )
 from repro.service.server import ServiceConfig, SimulatorService
-from repro.service.session import build_session_spec, derive_session_seed, session_id_for
+from repro.service.session import (
+    SERVED_MAX,
+    build_session_spec,
+    derive_session_seed,
+    session_id_for,
+)
 from tests.workloads.test_declarations import HOSTILE_WORKLOAD_PARAMS
 
 SET_VALUE_ABI = SimpleStorageContract.function_by_name("set_value").abi
 
 SMALL_SPEC = {"params": {"num_buys": 4}, "accounts": ["alice"]}
+
+
+OVERSIZED_REQUESTS = [
+    pytest.param({"clients": 10**7}, id="clients"),
+    pytest.param({"miners": 10**7}, id="miners"),
+    pytest.param({"params": {"num_buys": 10**9}}, id="num_buys"),
+    pytest.param({"topology": {"name": "region_hub", "params": {"regions": 10**8}}}, id="topology"),
+    pytest.param(
+        {"churn": [["leave" if index % 2 == 0 else "join", 40.0 + index, "client-1"] for index in range(1025)]},
+        id="churn",
+    ),
+]
+"""One request per served-size ceiling, each past it: under a 1 GiB
+address-space cap the first four end in ``MemoryError`` without one."""
+
+SIZED_SPEC_REQUESTS = {
+    "num_miners": lambda size: {"miners": size},
+    "num_client_peers": lambda size: {"clients": size},
+    "topology": lambda size: {"topology": {"name": "region_hub", "params": {"regions": size}}},
+    "churn": lambda size: {
+        "churn": [["leave" if index % 2 == 0 else "join", 40.0 + index, "client-1"] for index in range(size)]
+    },
+}
+"""A ``session.create`` request of a given size, per capped spec field."""
+
+
+def _ceiling_cases():
+    cases = [
+        pytest.param(SIZED_SPEC_REQUESTS[name], ceiling, id=name)
+        for name, (_render, ceiling) in SERVED_MAX.items()
+        if name in SIZED_SPEC_REQUESTS
+    ]
+    for workload in WORKLOAD_REGISTRY.names():
+        for name, _canon, _default, *served_max in WORKLOAD_REGISTRY.get(workload).params:
+            if served_max:
+                request = lambda size, workload=workload, name=name: {
+                    "workload": workload,
+                    "params": {name: size},
+                }
+                cases.append(pytest.param(request, served_max[0], id=f"{workload}.{name}"))
+    return cases
+
+
+CEILING_CASES = _ceiling_cases()
+"""Every declared ``served_max``: a spec knob's or a workload parameter's."""
 
 
 @pytest.fixture
@@ -111,9 +163,33 @@ class TestBuildSessionSpec:
         assert spec["miner_policy"] == "fifo"
 
     def test_observe_and_trace_dir_rejected(self):
-        for forbidden in ("observe", "trace_dir", "metrics_spill"):
+        for forbidden in ("observe", "trace_dir"):
             with pytest.raises(InvalidParamsError):
                 build_session_spec({forbidden: True})
+
+    @pytest.mark.parametrize("request_params", OVERSIZED_REQUESTS)
+    def test_oversized_request_is_invalid_params_at_once(self, service, request_params):
+        """A count past its ``served_max`` is refused before anything is
+        built, so one request cannot exhaust the server's memory."""
+        started = time.perf_counter()
+        with pytest.raises(InvalidParamsError, match="capped at"):
+            service.dispatch("session.create", request_params)
+        assert time.perf_counter() - started < 0.1
+        assert service.dispatch("session.list", {}) == {"sessions": []}
+
+    def test_direct_specs_are_not_capped(self):
+        spec = Simulation.builder().scenario("geth_unmodified").clients(300).build()
+        assert spec.num_client_peers == 300
+
+    def test_every_capped_spec_field_has_a_sized_request(self):
+        assert sorted(SIZED_SPEC_REQUESTS) == sorted(SERVED_MAX)
+
+    @pytest.mark.parametrize("request_of_size, ceiling", CEILING_CASES)
+    def test_ceiling_is_inclusive(self, request_of_size, ceiling):
+        """A count equal to its ``served_max`` is served; one more is not."""
+        build_session_spec(request_of_size(ceiling))
+        with pytest.raises(InvalidParamsError, match="capped at"):
+            build_session_spec(request_of_size(ceiling + 1))
 
     def test_session_ids_are_digest_plus_ordinal(self, service):
         digest = spec_digest(build_session_spec(dict(SMALL_SPEC)))

@@ -93,8 +93,11 @@ WELL_FORMED = {
     "experiment": ["figure2"],
     "smoke": [True, False],
     "seed": [1],
-    "params": [{"num_buys": 2}],
+    "params": [{"num_buys": 2}, {"num_buys": 10**12}, {"num_buyers": 2**64}],
     "accounts": [["bob"]],
+    "clients": [2, 10**7],
+    "miners": [1, 2**64],
+    "topology": [{"name": "random_k", "params": {"k": 3}}, {"name": "region_hub", "params": {"regions": 10**8}}],
     "retention": [None, 8],
 }
 """Values of the right shape per parameter name, so that generated
@@ -127,9 +130,9 @@ SPEC_KEYS = sorted(set(SESSION_REFUSALS) | set(WIRE_ALIASES) | {"experiment", "s
 def requests(draw):
     name = draw(st.sampled_from(sorted(VERBS)))
     verb = VERBS[name]
-    # session.create's sizes (peers, buys, topology) have no per-request
-    # bound yet, so its generated numbers stay small.
-    leaves = SMALL if verb.spec_request else SMALL | HUGE
+    # Huge numbers for every verb, session.create included: its sizes
+    # (peers, buys, topology, churn) stop at their declared served_max.
+    leaves = SMALL | HUGE
     if draw(st.integers(0, 9)) == 0:  # not an object
         return name, draw(st.none() | st.lists(values(leaves), max_size=2) | leaves)
     if verb.spec_request:

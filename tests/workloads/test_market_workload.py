@@ -1,6 +1,7 @@
 """The market plugin's buy/set schedule, driven through Simulation, and its price walk."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -13,15 +14,15 @@ START = 10.0
 
 def market_spec(**params):
     params = {"submission_interval": 1.0, "start_time": START, **params}
-    return (
+    return replace(
         Simulation.builder()
         .scenario("sereth_client")
         .workload("market", **params)
         .miners(1)
         .clients(2)
-        .settle_blocks(2)
         .seed(4)
-        .build()
+        .build(),
+        settle_blocks=2,
     )
 
 

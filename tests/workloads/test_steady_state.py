@@ -1,5 +1,7 @@
 """Tests for the steady_state workload (the memory-model traffic shape)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Simulation, build_simulation, run_simulation
@@ -10,15 +12,15 @@ from repro.workloads.steady_state import STEADY_LABEL, SteadyStateWorkload
 def steady_spec(seed=7, **params):
     defaults = dict(num_blocks=32, blocks_per_set=4)
     defaults.update(params)
-    return (
+    return replace(
         Simulation.builder()
         .scenario("geth_unmodified")
         .workload("steady_state", **defaults)
         .miners(1)
         .clients(1)
-        .settle_blocks(3)
         .seed(seed)
-        .build()
+        .build(),
+        settle_blocks=3,
     )
 
 
