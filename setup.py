@@ -23,7 +23,7 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=[],
     entry_points={
         "console_scripts": [

@@ -8,10 +8,10 @@ simpler executors when contract semantics are not under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol
 
 from ..crypto.addresses import Address, ZERO_ADDRESS
+from ..record import record
 from .receipt import Receipt
 from .state import WorldState
 from .transaction import Transaction
@@ -19,7 +19,7 @@ from .transaction import Transaction
 __all__ = ["BlockContext", "TransactionExecutor"]
 
 
-@dataclass(frozen=True)
+@record
 class BlockContext:
     """Block-level execution environment visible to contracts."""
 

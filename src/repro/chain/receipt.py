@@ -14,22 +14,30 @@ from typing import List, Optional, Tuple
 
 from ..crypto.addresses import Address
 from ..crypto.keccak import keccak256
-from ..encoding.rlp import rlp_encode
+from ..encoding.rlp import rlp_encode, rlp_list, rlp_payload
+from ..record import record
 from .trie import ordered_trie_root
 
 __all__ = ["LogEntry", "Receipt"]
 
 
-@dataclass(frozen=True)
+@record
 class LogEntry:
     """An event emitted by a contract during execution."""
 
     address: Address
     topics: Tuple[bytes, ...]
     data: bytes = b""
+    _encoded: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def encode(self) -> bytes:
-        return rlp_encode([self.address, list(self.topics), self.data])
+        """``[address, topics, data]`` as one RLP list, encoded once: the
+        receipt's consensus form and its wire form both embed it."""
+        encoded = self._encoded
+        if encoded is None:
+            encoded = rlp_encode([self.address, list(self.topics), self.data])
+            _store_encoded(self, encoded)
+        return encoded
 
 
 @dataclass
@@ -62,18 +70,17 @@ class Receipt:
         """The wire form: the consensus fields plus error text, return data
         and block position.  Encoded on every read — a receipt is mutable
         (``execute_transactions`` stamps its position after execution)."""
-        return rlp_encode(
-            [
-                self.transaction_hash,
-                1 if self.success else 0,
-                self.gas_used,
-                [[log.address, list(log.topics), log.data] for log in self.logs],
+        head = rlp_payload((self.transaction_hash, 1 if self.success else 0, self.gas_used))
+        logs = rlp_list(b"".join([log.encode() for log in self.logs]))
+        tail = rlp_payload(
+            (
                 self.error.encode("utf-8") if self.error else b"",
                 self.return_data,
                 self.block_number if self.block_number is not None else b"",
                 self.transaction_index if self.transaction_index is not None else b"",
-            ]
+            )
         )
+        return rlp_list(head + logs + tail)
 
     @property
     def failed(self) -> bool:
@@ -83,3 +90,6 @@ class Receipt:
 def receipts_root(receipts: List[Receipt]) -> bytes:
     """Merkle Patricia trie root over the block's receipts (keyed by index)."""
     return ordered_trie_root([receipt.encode() for receipt in receipts])
+
+
+_store_encoded = LogEntry.__dict__["_encoded"].__set__

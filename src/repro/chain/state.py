@@ -150,9 +150,13 @@ class WorldState:
         self.touch(address).balance = balance
 
     def add_balance(self, address: Address, amount: int) -> None:
+        if amount == 0 and self.account_exists(address):
+            return  # nothing changes: skip the copy-on-write
         self.set_balance(address, self.get_balance(address) + amount)
 
     def subtract_balance(self, address: Address, amount: int) -> None:
+        if amount == 0 and self.account_exists(address):
+            return  # nothing changes: skip the copy-on-write
         balance = self.get_balance(address)
         if amount > balance:
             raise ValueError("balance would become negative")
@@ -222,6 +226,13 @@ class WorldState:
         merged = dict(self._base)
         merged.update(self._overlay)
         return merged
+
+    @property
+    def known_root(self) -> Optional[bytes]:
+        """The state root if it was computed and nothing was written since,
+        else ``None``; never computes one.  Equal roots mean equal contents,
+        so a reader may key a memo of its reads on it."""
+        return self._root_cache
 
     def state_root(self) -> bytes:
         """Deterministic commitment over every account (address-sorted).

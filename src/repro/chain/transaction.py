@@ -8,10 +8,13 @@ after signing is detectable — this is what enforces the paper's RAA
 restriction (RAA cannot modify the arguments of a transaction, only of a
 pure/view call).
 
-A transaction is immutable, so it derives its bytes once: ``__post_init__``
-RLP-encodes the seven canonical fields into one *body*, and the signing
-payload, the hash preimage and the wire form are that body with a suffix
-appended and a list header in front (:func:`repro.encoding.rlp.rlp_list`).
+A transaction is immutable (a :func:`~repro.record.record`), so it derives
+its bytes once: ``__post_init__`` RLP-encodes the seven canonical fields into
+one *body*, and the signing payload, the hash preimage and the wire form are
+that body with a suffix appended and a list header in front
+(:func:`repro.encoding.rlp.rlp_list`).  The hash is derived with the body
+(every transaction built is hashed, and it is read constantly), the wire form
+on first read.
 The byte layouts are exactly ``rlp_encode`` over the written-out field
 lists.  What is cached is bytes, never a verdict: ``signature_is_valid``
 re-hashes the payload and compares on every call.
@@ -19,14 +22,14 @@ re-hashes the payload and compares on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import field
 from typing import Optional
 
 from ..crypto.addresses import Address, is_address
 from ..crypto.keccak import keccak256
 from ..encoding.hexutil import to_hex
 from ..encoding.rlp import rlp_list, rlp_payload
+from ..record import record
 from .errors import InvalidTransaction
 from .gas import DEFAULT_GAS_SCHEDULE, GasSchedule
 
@@ -70,7 +73,7 @@ def sign_transaction(
     return _sign_body(sender, _canonical_body(sender, nonce, to, value, gas_price, gas_limit, data))
 
 
-@dataclass(frozen=True)
+@record
 class Transaction:
     """An immutable blockchain transaction.
 
@@ -89,6 +92,13 @@ class Transaction:
     data: bytes = b""
     signature: bytes = b""
     submitted_at: float = field(default=0.0, compare=False)
+    hash: bytes = field(init=False, repr=False, compare=False)
+    """Keccak-256 hash of the RLP-encoded canonical fields + signature,
+    derived at construction: transactions are immutable and their hashes are
+    looked up constantly (pool membership, receipts, metrics), so every read
+    is a plain slot read."""
+    _body: bytes = field(init=False, repr=False, compare=False)
+    _wire: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_address(self.sender):
@@ -105,26 +115,22 @@ class Transaction:
             self.sender, self.nonce, self.to, self.value,
             self.gas_price, self.gas_limit, self.data,
         )
-        object.__setattr__(self, "_body", body)
+        _store_body(self, body)
         if not self.signature:
-            object.__setattr__(self, "signature", _sign_body(self.sender, body))
+            _store_signature(self, _sign_body(self.sender, body))
+        _store_hash(self, keccak256(rlp_list(body + rlp_payload((self.signature,)))))
 
-    @cached_property
-    def hash(self) -> bytes:
-        """Keccak-256 hash of the RLP-encoded canonical fields + signature.
-
-        Computed once: transactions are immutable and their hashes are
-        looked up constantly (pool membership, receipts, metrics).
-        """
-        return keccak256(rlp_list(self._body + rlp_payload((self.signature,))))
-
-    @cached_property
+    @property
     def wire(self) -> bytes:
         """The wire form: canonical fields, signature and submission time
         (integer microseconds) as one RLP list.  Computed once; gossip
         accounting and every block that carries the transaction reuse it."""
-        suffix = rlp_payload((self.signature, int(self.submitted_at * TIMESTAMP_SCALE)))
-        return rlp_list(self._body + suffix)
+        payload = self._wire
+        if payload is None:
+            suffix = rlp_payload((self.signature, int(self.submitted_at * TIMESTAMP_SCALE)))
+            payload = rlp_list(self._body + suffix)
+            _store_wire(self, payload)
+        return payload
 
     @property
     def is_contract_creation(self) -> bool:
@@ -185,3 +191,9 @@ class Transaction:
             f"Transaction(hash={self.short_hash()}, sender={to_hex(self.sender)[:10]}, "
             f"nonce={self.nonce}, to={to_text}, value={self.value})"
         )
+
+
+_store_body = Transaction.__dict__["_body"].__set__
+_store_signature = Transaction.__dict__["signature"].__set__
+_store_hash = Transaction.__dict__["hash"].__set__
+_store_wire = Transaction.__dict__["_wire"].__set__

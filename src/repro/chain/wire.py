@@ -47,7 +47,10 @@ def wire_encoding(artefact: Union[Transaction, Block, BlockHeader, Receipt]) -> 
     """
     if type(artefact) not in _WIRE_TYPES:
         raise TypeError(f"no wire encoding for {type(artefact).__name__}")
-    payload = artefact.__dict__.get("wire")  # where cached_property keeps it
+    if type(artefact) is Transaction:
+        payload = artefact._wire  # a record keeps its derived bytes in a field
+    else:
+        payload = artefact.__dict__.get("wire")  # where cached_property keeps it
     if payload is not None:
         _WIRE_STATS["hits"] += 1
         return payload

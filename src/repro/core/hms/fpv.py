@@ -13,13 +13,13 @@ its successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ...chain.transaction import Transaction
 from ...crypto.addresses import Address
 from ...crypto.keccak import keccak256
 from ...encoding.hexutil import WORD_SIZE, to_bytes32
+from ...record import record
 
 __all__ = [
     "FPV",
@@ -59,7 +59,7 @@ def compute_mark(previous_mark: bytes, value: bytes) -> bytes:
     return keccak256(to_bytes32(previous_mark), to_bytes32(value))
 
 
-@dataclass(frozen=True)
+@record
 class FPV:
     """The (flag, previous_mark, value) words found in Sereth calldata."""
 
@@ -95,7 +95,7 @@ class FPV:
         return [self.flag, self.previous_mark, self.value]
 
 
-@dataclass(frozen=True)
+@record
 class AMV:
     """The (address, mark, value) view of a transaction or of contract storage."""
 

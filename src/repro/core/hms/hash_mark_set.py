@@ -31,12 +31,12 @@ with it: nothing process-global, nothing for a trial boundary to clear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ...chain.transaction import Transaction
 from ...crypto.addresses import ZERO_ADDRESS
 from ...encoding.hexutil import to_bytes32
+from ...record import record
 from ...txpool.pool import TxPool
 from .fpv import AMV, EMPTY_POOL_SENTINEL, HEAD_FLAG, SUCCESS_FLAG
 from .node import TxNode
@@ -46,7 +46,7 @@ from .series import Series, build_series, deepest_branch_iterative
 __all__ = ["HMSView", "HashMarkSet"]
 
 
-@dataclass(frozen=True)
+@record
 class HMSView:
     """The READ-UNCOMMITTED view HMS returns to a caller.
 

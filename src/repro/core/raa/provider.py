@@ -63,18 +63,31 @@ class HMSRAAProvider:
         self.layout = layout or SerethStorageLayout()
         self.hms = HashMarkSet(config)
         self.requests_served = 0
+        # The last committed AMV read and the state root it was read at:
+        # keyed on the root, so no superseded state is kept alive.
+        self._committed: Optional[Tuple[bytes, AMV]] = None
 
     # -- view computation -----------------------------------------------------------
 
     def committed_amv(self) -> AMV:
-        """Read the committed AMV straight from the contract's storage slots."""
+        """Read the committed AMV from the contract's storage slots, once per
+        committed state: a head state's root is known, and equal roots hold
+        equal storage.  A state written since its root was taken is read
+        afresh every time."""
         state = self.state_supplier()
+        root = state.known_root
+        cached = self._committed
+        if root is not None and cached is not None and cached[0] == root:
+            return cached[1]
         contract = self.config.contract_address
-        return AMV(
+        amv = AMV(
             address=state.get_storage(contract, bytes32_from_int(self.layout.address_slot)),
             mark=state.get_storage(contract, bytes32_from_int(self.layout.mark_slot)),
             value=state.get_storage(contract, bytes32_from_int(self.layout.value_slot)),
         )
+        if root is not None:
+            self._committed = (root, amv)
+        return amv
 
     def view(self) -> HMSView:
         """The current READ-UNCOMMITTED view (pool series, else committed state)."""

@@ -20,6 +20,9 @@ the same transactions on every block replay) in a
 :func:`~repro.memo.bounded_memo` of :data:`KECCAK_MEMO_SIZE` entries, so a
 process of any lifetime (sweep worker, ``repro serve``) holds at most that
 many; nobody has to reset it.  The ``hash_cache`` probe reads its counters.
+From the first digest on, with the native backend loaded, that memo is a C
+``lru_cache`` wrapped straight around its one-shot, so a digest costs one
+Python frame (:func:`keccak256`'s) whether it hits or misses.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import struct
 from typing import List
 
-from ..memo import bounded_memo
+from ..memo import bounded_memo, rebind_memo
 
 __all__ = ["keccak256", "keccak_f1600", "Keccak256"]
 
@@ -242,12 +245,23 @@ unbounded memo gets, at ~1 MB instead of ~12 MB.  ``tests/crypto/
 test_keccak_traffic.py`` re-measures the curve and fails if this stops holding."""
 
 
-@bounded_memo("keccak256", KECCAK_MEMO_SIZE)
-def _keccak256_cached(data: bytes) -> bytes:
+def _install(data: bytes) -> bytes:
+    """The first digest: probe the backend, then register the memo straight
+    over it and rebind :data:`_digest`, so later digests never reach a Python
+    frame below :func:`keccak256`.  With no native backend this stays the
+    function behind the memo and every miss runs the pure sponge."""
+    global _digest
     native = _native_backend()
-    if native is not None:
-        return native(data)
-    return Keccak256(data).digest()
+    if native is None:
+        return Keccak256(data).digest()
+    _digest = rebind_memo("keccak256", native)
+    return _digest(data)
+
+
+_digest = bounded_memo("keccak256", KECCAK_MEMO_SIZE)(_install)
+"""The memoised one-shot :func:`keccak256` hands every input to: the one seam
+a test patches to record keccak traffic (after a first digest, which installs
+the memo it should wrap)."""
 
 
 def keccak256(*chunks: bytes) -> bytes:
@@ -268,8 +282,8 @@ def keccak256(*chunks: bytes) -> bytes:
     else:
         # Every chunk is exactly ``bytes`` (the case on every hot path): the
         # loop above was the type check, and one chunk needs no join.
-        return _keccak256_cached(chunks[0] if len(chunks) == 1 else b"".join(chunks))
+        return _digest(chunks[0] if len(chunks) == 1 else b"".join(chunks))
     for chunk in chunks:
         if not isinstance(chunk, (bytes, bytearray)):
             raise TypeError(f"keccak256 expects bytes, got {type(chunk).__name__}")
-    return _keccak256_cached(b"".join(bytes(chunk) for chunk in chunks))
+    return _digest(b"".join(bytes(chunk) for chunk in chunks))

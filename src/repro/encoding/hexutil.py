@@ -53,6 +53,8 @@ def to_bytes32(value: object) -> bytes:
     Accepts bytes (left-padded), ints (big-endian), and short ASCII strings
     (right-padded, mirroring Solidity ``bytes32`` literals).
     """
+    if type(value) is bytes and len(value) == WORD_SIZE:
+        return value  # already a word: what the padding path returns too
     if isinstance(value, (bytes, bytearray)):
         return pad_left(bytes(value))
     if isinstance(value, bool):

@@ -18,7 +18,7 @@ Two call paths exist, mirroring the paper's Figure 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..chain.executor import BlockContext, TransactionExecutor
@@ -27,7 +27,7 @@ from ..chain.receipt import Receipt
 from ..chain.state import WorldState
 from ..chain.transaction import Transaction
 from ..crypto.addresses import Address, contract_address
-from ..encoding.abi import ABIError
+from ..encoding.abi import ABIError, FunctionABI
 from ..encoding.rlp import RLPDecodingError, rlp_decode, rlp_encode
 from .contract import Contract, ContractFunction
 from .message import CallContext, Message, Revert
@@ -48,10 +48,19 @@ class CallResult:
     """Result of a view/pure call (no transaction was created)."""
 
     values: Tuple[object, ...]
-    return_data: bytes
     gas_used: int
     augmented_arguments: Optional[Tuple[object, ...]] = None
     """The post-RAA argument list, when augmentation occurred."""
+    abi: Optional[FunctionABI] = field(default=None, repr=False, compare=False)
+    """The called function's ABI, which :attr:`return_data` encodes with."""
+
+    @property
+    def return_data(self) -> bytes:
+        """The ABI-encoded return values, encoded when read: in-process
+        callers read :attr:`values`, and only the RPC layer ships bytes."""
+        if self.abi is None or not self.abi.return_types:
+            return b""
+        return self.abi.encode_result(*self.values)
 
 
 class ExecutionEngine(TransactionExecutor):
@@ -274,12 +283,11 @@ class ExecutionEngine(TransactionExecutor):
         storage = ContractStorage(state, contract_at, gas_meter, static=True)
         method = getattr(contract, function.method_name)
         result = method(context, storage, *arguments)
-        values = self._normalize_result(result)
         return CallResult(
-            values=values,
-            return_data=self._encode_result(function, result),
+            values=self._normalize_result(result),
             gas_used=gas_meter.used,
             augmented_arguments=augmented,
+            abi=function.abi,
         )
 
     # ------------------------------------------------------------------ helpers

@@ -16,6 +16,7 @@ from ..chain.executor import BlockContext
 from ..chain.gas import GasMeter
 from ..chain.receipt import LogEntry
 from ..crypto.addresses import Address
+from ..record import record
 
 __all__ = ["Message", "CallContext", "Revert"]
 
@@ -32,7 +33,7 @@ class Revert(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@record
 class Message:
     """The immutable ``msg`` visible to contract code."""
 

@@ -16,16 +16,16 @@ enforced architecturally rather than by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence
 
 from ..chain.executor import BlockContext
 from ..crypto.addresses import Address
+from ..record import record
 
 __all__ = ["RAARequest", "RAAProviderProtocol"]
 
 
-@dataclass(frozen=True)
+@record
 class RAARequest:
     """A request from the interpreter to an RAA provider."""
 

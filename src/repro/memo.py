@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Callable, Dict
 
-__all__ = ["bounded_memo", "clear_memos", "memo_stats"]
+__all__ = ["bounded_memo", "rebind_memo", "clear_memos", "memo_stats"]
 
 _MEMOS: Dict[str, Any] = {}
 
@@ -28,6 +28,14 @@ def bounded_memo(name: str, maxsize: int) -> Callable[[Callable[..., Any]], Any]
         return memo
 
     return register
+
+
+def rebind_memo(name: str, function: Callable[..., Any]) -> Any:
+    """Register a fresh memo of ``function`` under ``name``'s cap in place of
+    the registered one, and return it: for a memo whose function is chosen by
+    a lazy probe, so the cache can wrap that function directly."""
+    memo = _MEMOS[name] = lru_cache(maxsize=_MEMOS[name].cache_info().maxsize)(function)
+    return memo
 
 
 def clear_memos() -> None:

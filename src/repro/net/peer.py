@@ -106,6 +106,9 @@ class Peer:
         # Orphan buffer for flood gossip: blocks whose ancestors have not
         # arrived yet, keyed by the parent hash they are waiting for.
         self._orphans: Dict[bytes, Block] = {}
+        # (head hash, now, context) of the last head_context: calls at one
+        # simulated instant on one head share the context.
+        self._head_context: Optional[Tuple[bytes, Optional[float], BlockContext]] = None
 
     MAX_ORPHANS = 256
 
@@ -328,15 +331,21 @@ class Peer:
     # -- client-facing API ---------------------------------------------------------------------
 
     def head_context(self, now: Optional[float] = None) -> BlockContext:
-        """Block context representing "the next block" for local calls."""
+        """Block context representing "the next block" for local calls
+        (immutable, so one is reused while the head and ``now`` hold)."""
         head = self.chain.head
-        return BlockContext(
+        cached = self._head_context
+        if cached is not None and cached[0] == head.hash and cached[1] == now:
+            return cached[2]
+        context = BlockContext(
             number=head.number + 1,
             timestamp=now if now is not None else head.timestamp,
             miner=head.header.miner,
             gas_limit=head.header.gas_limit,
             difficulty=head.header.difficulty,
         )
+        self._head_context = (head.hash, now, context)
+        return context
 
     def call_contract(
         self,

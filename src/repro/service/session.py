@@ -166,6 +166,20 @@ def _check_served_sizes(spec: SimulationSpec) -> None:
             raise ValueError(f"{name} is capped at {ceiling} for a served session")
 
 
+def _check_served_counts(spec: SimulationSpec) -> None:
+    """Refuse a spec whose workload derives a count past its ceiling from
+    parameters that each pass theirs (``Workload.served_counts``).  Building
+    the workload only canonicalises its parameters: it allocates nothing."""
+    workload_class = WORKLOAD_REGISTRY.get(spec.workload)
+    if workload_class.served_counts:
+        workload = workload_class(spec, **spec.params)
+        for name, ceiling in workload_class.served_counts:
+            if getattr(workload, name) > ceiling:
+                raise ValueError(
+                    f"{name} (derived from params) is capped at {ceiling} for a served session"
+                )
+
+
 def build_session_spec(
     params: Optional[Dict[str, Any]],
     retention_default: Optional[int] = None,
@@ -198,6 +212,7 @@ def build_session_spec(
             spec = replace(spec, retention=retention_default)
         _check_served_sizes(spec)
         check_plugins(spec)
+        _check_served_counts(spec)
     except (KeyError, TypeError, ValueError) as error:
         message = error.args[0] if error.args else error
         raise InvalidParamsError(f"bad session spec: {message}") from error
@@ -425,13 +440,14 @@ class ServiceSession:
                 now=self.handle.simulator.now,
                 allow_raa=allow_raa,
             )
+            return_data = result.return_data
         except (KeyError, TypeError, ValueError) as error:
             message = error.args[0] if error.args else error
             raise InvalidParamsError(f"call failed: {message}") from error
         return {
             "values": jsonable(list(result.values)),
             "gas_used": result.gas_used,
-            "return_data": to_hex(result.return_data),
+            "return_data": to_hex(return_data),
         }
 
     def balance(self, account: Address) -> Dict[str, Any]:

@@ -16,7 +16,6 @@ instead of rebuilt.  A rejected add leaves it untouched.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..chain.block import Block
@@ -24,11 +23,12 @@ from ..chain.state import WorldState
 from ..chain.transaction import Transaction
 from ..crypto.addresses import Address
 from ..obs import runtime as _obs
+from ..record import record
 
 __all__ = ["PoolEntry", "TxPool"]
 
 
-@dataclass(frozen=True)
+@record
 class PoolEntry:
     """A pending transaction plus local bookkeeping."""
 

@@ -30,7 +30,9 @@ once, as class attributes, and the base derives ``hms_targets``,
 * ``params`` — one ``(name, canonicaliser, default)`` entry per parameter,
   so bad parameters are refused when the spec is built, not mid-run; a
   count the workload books events or actors by adds a fourth element, its
-  ``served_max`` (the spec knobs' column of that name).
+  ``served_max`` (the spec knobs' column of that name);
+* ``served_counts`` — ``(attribute, served_max)`` for each count the
+  workload derives from a ratio of parameters and books one event per.
 
 The defaults are the paper's Sereth exchange.  Each plugin also defines
 ``setup`` (create client actors), ``schedule`` (book their events) and
@@ -132,6 +134,10 @@ class Workload:
     buy_selectors: Optional[Tuple[bytes, ...]] = (BUY_SELECTOR,)
     primary_label: Optional[str] = None
     params: Tuple[Param, ...] = ()
+    served_counts: Tuple[Tuple[str, int], ...] = ()
+    """Derived counts and their served ceilings: a ratio of two in-range
+    parameters (a count over a tiny interval) can still book any number of
+    events, so a served session checks the count itself."""
     post_stop_drain: float = 0.0
     """Extra simulated seconds to run after mining stops (deliveries in flight)."""
 

@@ -82,6 +82,7 @@ class MarketSimWorkload(Workload):
         ("price_max_step", COUNT, 5),
         ("num_buyers", COUNT, 4, 256),
     )
+    served_counts = (("num_sets", 10_000),)
 
     @property
     def expected_watched(self) -> int:

@@ -28,6 +28,8 @@ class OracleLatencyWorkload(Workload):
         ("query_interval", SECONDS, 10.0),
         ("price_change_interval", SECONDS, 5.0),
     )
+    # 20,015 price steps at the num_queries ceiling and default intervals.
+    served_counts = (("price_steps", 100_000),)
 
     @property
     def oracle_address(self):
@@ -53,6 +55,11 @@ class OracleLatencyWorkload(Workload):
 
     def natural_duration(self, spec) -> float:
         return self.num_queries * self.query_interval + 6 * spec.block_interval
+
+    @property
+    def price_steps(self) -> int:
+        """Price changes booked over the run."""
+        return int(self.natural_duration(self.spec) / self.price_change_interval)
 
     def setup(self, context: SimulationContext) -> None:
         simulator = context.simulator
@@ -87,8 +94,7 @@ class OracleLatencyWorkload(Workload):
 
             return fire
 
-        price_steps = int(self.natural_duration(self.spec) / self.price_change_interval)
-        for step in range(price_steps):
+        for step in range(self.price_steps):
             simulator.schedule_at(
                 0.5 + step * self.price_change_interval, change_price(step)
             )

@@ -59,6 +59,18 @@ class TestBackendParity:
         for vector in BOUNDARY_VECTORS:
             assert keccak256(vector) == Keccak256(vector).digest()
 
+    def test_the_entry_point_is_one_frame_over_the_registered_memo(self):
+        # After the first digest the seam is the registered lru_cache itself,
+        # wrapped straight around the backend: no Python frame in between.
+        from repro import memo as memo_module
+
+        keccak256(b"one frame")
+        memo = keccak_module._digest
+        assert memo is memo_module._MEMOS["keccak256"]
+        native = keccak_module._NATIVE_KECCAK256
+        assert memo.__wrapped__ is (native if native is not None else keccak_module._install)
+        assert memo.cache_info().maxsize == keccak_module.KECCAK_MEMO_SIZE
+
     def test_env_kill_switch_disables_backend(self, monkeypatch):
         from repro.crypto.keccak_native import load_native_keccak256
 

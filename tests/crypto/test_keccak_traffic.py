@@ -14,7 +14,8 @@ import pytest
 
 from repro.api import ExperimentOptions, Simulation, plan_experiment, run_simulation
 from repro.crypto import keccak as keccak_module
-from repro.crypto.keccak import KECCAK_MEMO_SIZE
+from repro.crypto.keccak import KECCAK_MEMO_SIZE, keccak256
+from repro.memo import memo_stats
 
 CAPACITIES = (16, 256, 1024, KECCAK_MEMO_SIZE, 4 * KECCAK_MEMO_SIZE)
 RETAINED = 0.97
@@ -58,19 +59,24 @@ def steady_state_specs():
 @pytest.mark.parametrize("specs", [figure2_specs, steady_state_specs])
 def test_shipped_cap_keeps_the_hits_of_an_unbounded_memo(specs, monkeypatch):
     stream = []
-    memo = keccak_module._keccak256_cached
+    keccak256(b"")  # installs the memo the seam holds from then on
+    memo = keccak_module._digest
 
     def recording(data):
         stream.append(data)
         return memo(data)
 
-    monkeypatch.setattr(keccak_module, "_keccak256_cached", recording)
+    monkeypatch.setattr(keccak_module, "_digest", recording)
+    before = memo_stats()["keccak256"]
     for spec in specs():
         run_simulation(spec)
+    after = memo_stats()["keccak256"]
     monkeypatch.undo()
 
     unbounded = lru_hits(stream)
     assert unbounded > 1_000, "the recording saw no real traffic"
+    counted = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+    assert counted == len(stream), "every digest the memo counted passed the seam"
     curve = {capacity: lru_hits(stream, capacity) for capacity in CAPACITIES}
     assert curve[KECCAK_MEMO_SIZE] >= RETAINED * unbounded, (
         f"KECCAK_MEMO_SIZE={KECCAK_MEMO_SIZE} keeps {curve[KECCAK_MEMO_SIZE]} of the "

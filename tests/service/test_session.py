@@ -56,6 +56,15 @@ OVERSIZED_REQUESTS = [
 """One request per served-size ceiling, each past it: under a 1 GiB
 address-space cap the first four end in ``MemoryError`` without one."""
 
+RATIO_AMPLIFIERS = [
+    pytest.param({"params": {"num_buys": 6, "buys_per_set": 1e-9}}, id="market.num_sets"),
+    pytest.param({"workload": "oracle", "params": {"price_change_interval": 1e-9}}, id="oracle.price_steps"),
+]
+"""Requests whose every parameter is within its own ceiling but whose ratio
+books one event per nanosecond of a run: without a ceiling on the derived
+count, the first two ended in ``MemoryError`` under a 1 GiB address-space
+cap after 9.8 s and 8.0 s."""
+
 SIZED_SPEC_REQUESTS = {
     "num_miners": lambda size: {"miners": size},
     "num_client_peers": lambda size: {"clients": size},
@@ -176,6 +185,27 @@ class TestBuildSessionSpec:
             service.dispatch("session.create", request_params)
         assert time.perf_counter() - started < 0.1
         assert service.dispatch("session.list", {}) == {"sessions": []}
+
+    @pytest.mark.parametrize("request_params", RATIO_AMPLIFIERS)
+    def test_ratio_amplifier_is_invalid_params_at_once(self, request_params):
+        """The count a workload derives from a ratio of its parameters is
+        capped like a declared count: refused before anything is built."""
+        started = time.perf_counter()
+        with pytest.raises(InvalidParamsError, match="derived from params"):
+            build_session_spec(request_params)
+        assert time.perf_counter() - started < 0.1
+
+    def test_derived_ceiling_is_inclusive(self):
+        at_ceiling = {"params": {"num_buys": 10_000, "buys_per_set": 1.0}}
+        assert build_session_spec(at_ceiling).params["buys_per_set"] == 1.0
+        with pytest.raises(InvalidParamsError, match="num_sets"):
+            build_session_spec({"params": {"num_buys": 10_000, "buys_per_set": 0.9999}})
+
+    def test_every_derived_count_is_a_workload_attribute(self):
+        for name in WORKLOAD_REGISTRY.names():
+            workload_class = WORKLOAD_REGISTRY.get(name)
+            for attribute, _ceiling in workload_class.served_counts:
+                assert isinstance(getattr(workload_class, attribute), property), (name, attribute)
 
     def test_direct_specs_are_not_capped(self):
         spec = Simulation.builder().scenario("geth_unmodified").clients(300).build()

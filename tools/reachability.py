@@ -95,6 +95,7 @@ KEPT_BECAUSE = {
     "net/sim.py": "`cancel`, `run`, `run_while` and `pending_events` are the event loop's API for interactive drivers",
     "net/topology.py": "`FullMeshTopology.build` is the graph the engine's direct broadcast implies (a `full_mesh` spec keeps that legacy path, so the engine never builds it); topology introspection (`is_connected`, `checksum`, `scale_for`, bandwidth delays) the tests check; the builder's abstract `build`; `ChurnPlan.__len__`",
     "obs/runtime.py": "`active_tracer` is the tracer's getter",
+    "record.py": "`_refuse` runs only when code assigns to or deletes from a record, which the program never does",
     "registry.py": "`Registry.__iter__` / `__len__` are the container protocol",
     "service/client.py": "`_backoff_delay` runs only on a retry",
     "service/errors.py": "raised only when the server is overloaded or an unknown error kind arrives",
