@@ -306,13 +306,7 @@ class SimulationSpec:
     """Additional account labels funded at genesis (beyond the peers' own
     workload clients).  The service facade uses this to give RPC callers
     spendable accounts; labels map to addresses via ``address_from_label``."""
-    observe: bool = knob(
-        _flag,
-        False,
-        elide=True,
-        refused="the tracer is process-wide and belongs to the server; "
-        "use the server's --trace-out for request-lifecycle traces",
-    )
+    observe: bool = knob(_flag, False, elide=True)
     """Run with the ``repro.obs`` tracer active: typed lifecycle events,
     phase timers, and a probe snapshot land in the result's ``observability``
     summary key.  ``False`` keeps the traced call sites to a single dead

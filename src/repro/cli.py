@@ -63,7 +63,7 @@ def _add_run_options(
 ) -> None:
     """The run-option vocabulary every executing subcommand shares.
 
-    ``run``/``claims``/``trace``/``serve``/``loadgen`` all take some subset
+    ``run``/``claims``/``trace``/``loadgen`` all take some subset
     of these flags; declaring them here keeps names, defaults, and help
     text identical everywhere instead of drifting per-subcommand copies.
     """
@@ -173,7 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the persistent simulator-as-a-service JSON-RPC facade "
         "(POST JSON-RPC to /rpc, GET /healthz)",
     )
-    _add_run_options(serve, smoke=False, seed=False, overrides=False)
+    serve.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="admission: at most 3 x N session requests hold or wait for the one "
+        "engine turn; more are refused with server_overloaded and a retry_after hint",
+    )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8547, help="bind port (0: ephemeral)")
     serve.add_argument(
@@ -181,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="idle_timeout",
         type=float,
         default=300.0,
-        help="evict sessions idle this many seconds (<= 0 disables eviction)",
+        help="evict sessions idle this many seconds, checked between requests "
+        "(<= 0 disables eviction)",
     )
     serve.add_argument(
         "--retention",

@@ -105,10 +105,12 @@ class Tracer:
         max_events: int = 1_000_000,
         keep_latest: bool = False,
     ) -> None:
-        """At ``max_events`` a trial tracer stops recording (the kept prefix
-        stays a pure function of the spec); ``keep_latest`` makes it a ring
-        that drops the *oldest* event instead, for a long-lived recorder.
-        Either way every event not kept is counted in ``dropped_events``."""
+        """At ``max_events`` events a trial tracer stops recording them, and
+        at ``max_events`` phase spans it stops keeping spans (the kept
+        prefix stays a pure function of the spec; phase totals still count
+        every span); ``keep_latest`` makes the events a ring that drops the
+        *oldest* event instead, for a long-lived recorder.  Every event or
+        span not kept is counted in ``dropped_events``."""
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._wall_origin = time.perf_counter()
         self._seq = 0
@@ -156,10 +158,13 @@ class Tracer:
         so the untraced path never touches the clock.
         """
         end = time.perf_counter()
-        self._seq += 1
-        self._spans.append(
-            (self._seq, name, self._clock(), wall_start - self._wall_origin, end - wall_start)
-        )
+        if len(self._spans) < self.max_events:
+            self._seq += 1
+            self._spans.append(
+                (self._seq, name, self._clock(), wall_start - self._wall_origin, end - wall_start)
+            )
+        else:
+            self.dropped_events += 1
         total = self._phase_totals.get(name)
         if total is None:
             self._phase_totals[name] = [1, end - wall_start]

@@ -3,8 +3,8 @@
 Everything else in this repo runs a simulation as a batch: build, run,
 summarize, exit.  This package keeps simulations *resident* — a
 :class:`ServiceServer` multiplexes many concurrent sessions behind a
-JSON-RPC-over-HTTP facade (stdlib only), each session a locked
-:class:`ServiceSession` with a deterministic spec-derived seed, so a
+JSON-RPC-over-HTTP facade (stdlib only) at one engine turn, each session a
+single-writer :class:`ServiceSession` with a deterministic seed, so a
 replayed request log rebuilds byte-identical state.  :mod:`.verbs` declares
 each RPC verb once (handler, typed params, control / idempotent / journaled
 flags), and dispatch, admission, client retry and the request journal all

@@ -101,9 +101,9 @@ class TooManySessionsError(ServiceError):
 
 
 class ServerOverloadedError(ServiceError):
-    """The engine slots and their bounded waiting room are full: the request
-    is refused immediately (with a ``retry_after`` hint in ``data``) instead
-    of queueing without bound behind them."""
+    """The engine turn's bounded queue is full: the request is refused
+    immediately (with a ``retry_after`` hint in ``data``) instead of
+    queueing without bound behind it."""
 
     kind = "server_overloaded"
     rpc_code = _RPC_SERVER_OVERLOADED

@@ -36,10 +36,10 @@ _HEADER = {"journal": "repro-service-requests", "version": 1}
 class RequestJournal:
     """An append-only JSONL log of successful state-changing requests.
 
-    Concurrency: the dispatcher records from worker threads, so appends are
-    serialized under a lock and each one is flushed + fsynced before the
-    caller's response can be written — the log never claims less than what
-    clients were told succeeded.
+    Concurrency: the engine turn's holder appends, in execution order, and
+    teardown may close from another thread, so both take a lock; each append
+    is fsynced before the caller's response can be written — the log never
+    claims less than what clients were told succeeded.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:

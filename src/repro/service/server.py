@@ -3,28 +3,28 @@
 Two layers, deliberately separable:
 
 * :class:`SimulatorService` — the transport-independent dispatcher.  It owns
-  the session table, the idle-eviction loop, the request counters behind the
-  ``service`` probe, and a wall-clock :class:`~repro.obs.tracer.Tracer` of
-  request-lifecycle events (``rpc.request``/``rpc.error``/``session.*``).
-  Unit tests drive :meth:`SimulatorService.dispatch` directly.
+  the session table, the one :class:`EngineTurn`, the request counters
+  behind the ``service`` probe, and a wall-clock
+  :class:`~repro.obs.tracer.Tracer` of request-lifecycle events
+  (``rpc.request``/``rpc.error``/``session.*``).  Unit tests drive
+  :meth:`SimulatorService.dispatch` directly.
 * :class:`ServiceServer` — a ``socketserver.ThreadingTCPServer`` with
-  keep-alive connections, one thread per *connection*.  The connection's
-  thread reads each request with the :mod:`~repro.service.http11` codec,
-  runs it inline and answers in one write; what the codec refuses (chunked
-  bodies, a hostile or over-limit ``Content-Length``) gets a typed error
-  and ``Connection: close`` before any body byte is read, and ``curl`` /
-  ``urllib`` remain supported clients.  *Session* methods first take one
-  of ``workers`` engine slots (a semaphore, so at most ``workers`` engines
-  run at once); the verbs :mod:`~repro.service.verbs` declares ``control``
-  (``service.*``, ``registry.list``, ``obs.probes``) skip the slots so a
-  saturated server can still answer pings and an operator can always shut
-  it down.
+  keep-alive connections, one thread per *connection*, which reads each
+  request with the :mod:`~repro.service.http11` codec, runs it inline and
+  answers in one write; what the codec refuses gets a typed error and
+  ``Connection: close`` before any body byte is read.
 
-The fail-closed contract on shutdown: new requests are refused with
-``server_shutdown``, requests waiting for an engine slot fail with the same
-typed error, in-flight ``session.advance`` loops abort at the next
-block-interval step, and idle keep-alive connections are closed — a killed
-server answers with a typed error envelope or EOF, never a hang.
+Every verb but the ``control`` ones (``service.*``, ``registry.list``,
+``obs.probes``) runs holding the engine turn, so exactly one request
+touches engine state or the session table at a time: the engine is pure
+Python, and under the interpreter lock a second one running at once would
+buy no parallelism.  ``control`` verbs read a snapshot of the table, so a
+busy server still answers pings and can always be shut down.
+
+The fail-closed contract on shutdown: new requests and requests waiting
+for the turn fail with ``server_shutdown``, in-flight ``session.advance``
+loops abort at the next block-interval step, and idle keep-alive
+connections are closed — a typed error envelope or EOF, never a hang.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ import socket
 import socketserver
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from ..api.checkpoint import spec_digest
+from ..api.spec import SimulationSpec
+from ..obs import runtime as obs_runtime
 from ..obs.probes import register_probe, snapshot as probe_snapshot, unregister_probe
 from ..obs.tracer import Tracer
 from .catalog import registry_catalog
@@ -59,7 +62,7 @@ from .persist import RequestJournal
 from .session import ServiceSession, build_session_spec, session_id_for
 from .verbs import VERBS
 
-__all__ = ["ServiceConfig", "ServiceStats", "SimulatorService", "ServiceServer"]
+__all__ = ["EngineTurn", "ServiceConfig", "ServiceStats", "SimulatorService", "ServiceServer"]
 
 TRACE_RING = 4096
 """The request-lifecycle trace keeps this many most-recent events; older
@@ -75,9 +78,11 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8547
     workers: int = 4
-    """Engine concurrency: at most this many session methods run at once."""
+    """Admission: at most ``3 * workers`` requests hold or wait for the engine
+    turn; one more gets ``server_overloaded`` with a ``retry_after`` hint."""
     idle_timeout: Optional[float] = 300.0
-    """Close sessions idle longer than this many wall seconds (None: never)."""
+    """Close sessions idle longer than this many wall seconds (None: never),
+    checked after each request that holds the engine turn."""
     retention_default: Optional[int] = 64
     """Retention applied to sessions whose spec asks for none, so a
     long-lived server inherits the bounded-memory contract by default.
@@ -85,11 +90,6 @@ class ServiceConfig:
     max_sessions: int = 64
     trace_dir: Optional[str] = None
     """Where shutdown writes the request-lifecycle trace + probe snapshot."""
-    max_queue: Optional[int] = None
-    """Bounded admission: refuse session methods (typed ``server_overloaded``
-    with a ``retry_after`` hint) once more than ``workers + max_queue`` are
-    pending, instead of queueing without bound.  ``None`` derives
-    ``2 * workers``."""
     persist_dir: Optional[str] = None
     """Journal successful state-changing requests to ``<dir>/requests.jsonl``
     (fsynced per append) so a killed server can be rebuilt with ``resume``."""
@@ -135,33 +135,103 @@ class ServiceStats:
         }
 
 
+class EngineTurn:
+    """The one turn at the engine, handed out first come, first served.
+
+    ``with turn:`` waits for the turn (a condition wait, never a poll) and
+    gives it back.  The queue is the admission bound: a request that finds
+    ``limit`` requests holding or waiting is refused at once with
+    ``server_overloaded``.  :meth:`close` fails every waiter, and every
+    later taker, with ``server_shutdown``.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.closed = False
+        self._owner: Optional[int] = None  # the holding thread's ident
+        self._waiting: Deque[int] = deque()  # waiting threads' idents, first come first
+        self._changed = threading.Condition()
+
+    def __enter__(self) -> "EngineTurn":
+        with self._changed:
+            queued = len(self._waiting) + (self._owner is not None)
+            if queued >= self.limit:
+                retry_after = round(min(1.0, 0.05 * (len(self._waiting) + 1)), 3)
+                raise ServerOverloadedError(
+                    f"server overloaded: {queued} session requests hold or wait for the "
+                    f"engine turn (limit {self.limit}); retry after {retry_after}s",
+                    retry_after=retry_after,
+                )
+            self._queue()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._changed:
+            # A holder whose pass_on failed at shutdown no longer holds it.
+            if self._owner == threading.get_ident():
+                self._owner = None
+                self._changed.notify_all()
+
+    def _queue(self) -> None:
+        """Wait in line, then take the turn (the condition is held)."""
+        me = threading.get_ident()
+        self._waiting.append(me)
+        try:
+            while self.closed or self._owner is not None or self._waiting[0] != me:
+                if self.closed:
+                    raise ServerShutdownError("service is shutting down")
+                self._changed.wait()
+        finally:
+            self._waiting.remove(me)
+        self._owner = me
+
+    def pass_on(self) -> None:
+        """Let every request already waiting go first, then take the turn
+        back, so a long ``session.advance`` cannot starve other sessions;
+        the holder's ``repro.obs`` tracer is swapped out meanwhile.  Once
+        closed, the holder gives the turn up and fails."""
+        if not self._waiting and not self.closed:  # unlocked: a late waiter goes next step
+            return
+        tracer = obs_runtime.TRACER
+        obs_runtime.deactivate()
+        with self._changed:
+            self._owner = None
+            self._changed.notify_all()
+            self._queue()
+        if tracer is not None:
+            obs_runtime.activate(tracer)
+
+    def close(self, wait: float = 0.0) -> None:
+        """Fail every waiter and later taker; then wait up to ``wait``
+        seconds for the holder to give the turn back."""
+        with self._changed:
+            self.closed = True
+            self._changed.notify_all()
+            self._changed.wait_for(lambda: self._owner is None, wait)
+
+
 class SimulatorService:
-    """The dispatcher: session table + verb routing + observability."""
+    """The dispatcher: session table + engine turn + verb routing + observability."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.stats = ServiceStats()
         self.closed = threading.Event()
+        self.turn = EngineTurn(3 * max(self.config.workers, 1))
         self._sessions: Dict[str, ServiceSession] = {}
-        self._sessions_lock = threading.Lock()
+        """Mutated only by the turn's holder; control verbs read snapshots."""
         self._digest_ordinals: Dict[str, int] = {}
-        self._trace_lock = threading.Lock()
-        self._teardown_lock = threading.Lock()
-        self._teardown_done = False
+        self._books = threading.Lock()
+        """Guards what control verbs and turn holders both write: the
+        per-method counters, the trace ring, and the teardown flag."""
+        self._torn_down = False
         origin = time.perf_counter()
         # The server has no simulation clock; the tracer's "sim time" axis
         # carries wall seconds since service start instead.
         self.tracer = Tracer(
             clock=lambda: time.perf_counter() - origin, max_events=TRACE_RING, keep_latest=True
         )
-        self._stop_eviction = threading.Event()
-        self._eviction_thread: Optional[threading.Thread] = None
         register_probe("service", self._probe)
-        if self.config.idle_timeout is not None:
-            self._eviction_thread = threading.Thread(
-                target=self._eviction_loop, name="repro-service-evict", daemon=True
-            )
-            self._eviction_thread.start()
         # Durability: replay first (through the ordinary dispatcher, with
         # journaling suppressed), then open the journal for appending — a
         # resumed server continues the very log it was rebuilt from.
@@ -182,22 +252,20 @@ class SimulatorService:
     def _probe(self) -> Dict[str, Any]:
         """Service request/session counters (requests, errors, open sessions,
         per-method totals, trace events dropped by the ring)."""
-        with self._sessions_lock:
-            open_sessions = len(self._sessions)
-        with self._trace_lock:
-            return self.stats.as_dict(open_sessions, self.tracer.dropped_events)
+        with self._books:
+            return self.stats.as_dict(len(self._sessions), self.tracer.dropped_events)
 
     def _trace(self, kind: str, **fields: Any) -> None:
-        # Tracer.event is a plain append; the server records from many
-        # threads, so serialize (trials never needed this — one thread).
-        with self._trace_lock:
+        # Tracer.event is a plain append; control verbs record from their
+        # own threads, so serialize (trials never needed this — one thread).
+        with self._books:
             self.tracer.event(kind, **fields)
 
     def _record_request(self, method: str, started: float, error: Optional[ServiceError] = None) -> None:
         """Close one request's books: the per-method counters (exact — under
-        the trace lock) and its ``rpc.request`` / ``rpc.error`` event."""
+        the books lock) and its ``rpc.request`` / ``rpc.error`` event."""
         duration_ms = (time.perf_counter() - started) * 1000.0
-        with self._trace_lock:
+        with self._books:
             # Unknown names share one row: hostile input must not grow the table.
             totals = self.stats.methods.setdefault(
                 method if method in VERBS else "(unknown)", [0, 0, 0.0]
@@ -208,6 +276,8 @@ class SimulatorService:
                 self.tracer.event("rpc.request", method=method, duration_ms=duration_ms)
             else:
                 totals[1] += 1
+                self.stats.errors += 1
+                self.stats.rejected_overload += isinstance(error, ServerOverloadedError)
                 self.tracer.event(
                     "rpc.error",
                     method=method,
@@ -217,8 +287,7 @@ class SimulatorService:
                 )
 
     def _session(self, session_id: str) -> ServiceSession:
-        with self._sessions_lock:
-            session = self._sessions.get(session_id)
+        session = self._sessions.get(session_id)
         if session is None:
             raise SessionNotFoundError(f"no session {session_id!r} (closed or evicted?)")
         return session
@@ -228,9 +297,10 @@ class SimulatorService:
     def dispatch(self, method: str, params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Execute one request; raises :class:`ServiceError` subclasses.
 
-        The verb's declaration refuses bad ``params`` before any session
-        lock is taken, so a refused request never waits behind a busy
-        session; the handler gets typed keyword arguments."""
+        The verb's declaration refuses bad ``params`` before the engine turn
+        is taken, so a refused request never waits behind a busy engine;
+        the handler gets typed keyword arguments.  Every verb but the
+        ``control`` ones then runs, and is journaled, holding the turn."""
         started = time.perf_counter()
         self.stats.requests += 1
         self.stats.in_flight += 1
@@ -241,23 +311,26 @@ class SimulatorService:
             if verb is None:
                 raise MethodNotFoundError(f"unknown method {method!r}; known: {sorted(VERBS)}")
             kwargs = verb.arguments(params)
-            if verb.session:
-                session = self._session(kwargs.pop("session"))
+            if verb.spec_request:
+                kwargs = {"spec": build_session_spec(kwargs["request"], self.config.retention_default)}
+            if verb.control:
+                result = getattr(self, verb.handler)(**kwargs)
+            else:
+                session = self._session(kwargs.pop("session")) if verb.session else None
                 if verb.check is not None:
                     verb.check(session, kwargs)
-                with session.lock:
-                    session.touch()
-                    result = getattr(session, verb.handler)(**kwargs)
-            else:
-                result = getattr(self, verb.handler)(**kwargs)
-            if self.journal is not None and not self._replaying:
-                self.journal.record(method, params)
+                with self.turn:
+                    if session is None:
+                        result = getattr(self, verb.handler)(**kwargs)
+                    else:  # waits out the session's own advance, if any
+                        result = session.serve(verb.handler, kwargs)
+                    if self.journal is not None and not self._replaying:
+                        self.journal.record(method, params)
+                    self.evict_idle_sessions()
         except ServiceError as error:
-            self.stats.errors += 1
             self._record_request(method, started, error)
             raise
         except Exception as error:
-            self.stats.errors += 1
             wrapped = ExecutionError(f"internal error in {method}: {error}")
             self._record_request(method, started, wrapped)
             raise wrapped from error
@@ -286,6 +359,7 @@ class SimulatorService:
             "closing": self.closed.is_set(),
             "config": {
                 "workers": self.config.workers,
+                "admission_limit": self.turn.limit,
                 "idle_timeout": self.config.idle_timeout,
                 "retention_default": self.config.retention_default,
                 "max_sessions": self.config.max_sessions,
@@ -299,20 +373,18 @@ class SimulatorService:
 
     # -- session lifecycle ---------------------------------------------------------
 
-    def _rpc_session_create(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        spec = build_session_spec(request, retention_default=self.config.retention_default)
-        with self._sessions_lock:
-            if len(self._sessions) >= self.config.max_sessions:
-                raise TooManySessionsError(
-                    f"server is at its {self.config.max_sessions}-session capacity; "
-                    "close or wait for idle eviction"
-                )
-            digest = spec_digest(spec)
-            ordinal = self._digest_ordinals.get(digest, 0)
-            self._digest_ordinals[digest] = ordinal + 1
-            session = ServiceSession(session_id_for(digest, ordinal), spec, digest)
-            self._sessions[session.session_id] = session
-            self.stats.sessions_created += 1
+    def _rpc_session_create(self, spec: SimulationSpec) -> Dict[str, Any]:
+        if len(self._sessions) >= self.config.max_sessions:
+            raise TooManySessionsError(
+                f"server is at its {self.config.max_sessions}-session capacity; "
+                "close or wait for idle eviction"
+            )
+        digest = spec_digest(spec)
+        ordinal = self._digest_ordinals.get(digest, 0)
+        self._digest_ordinals[digest] = ordinal + 1
+        session = ServiceSession(session_id_for(digest, ordinal), spec, digest, self.turn.pass_on)
+        self._sessions[session.session_id] = session
+        self.stats.sessions_created += 1
         self._trace(
             "session.create",
             session=session.session_id,
@@ -329,8 +401,6 @@ class SimulatorService:
         }
 
     def _rpc_session_list(self) -> Dict[str, Any]:
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
         return {
             "sessions": [
                 {
@@ -339,91 +409,58 @@ class SimulatorService:
                     "idle_seconds": session.idle_seconds,
                     "requests_served": session.requests_served,
                 }
-                for session in sessions
+                for session in list(self._sessions.values())
             ]
         }
 
     def _rpc_session_close(self, session: str) -> Dict[str, Any]:
-        closing = self._session(session)
-        with closing.lock:
-            closing.close()
-        with self._sessions_lock:
-            self._sessions.pop(session, None)
+        self._session(session).settle()
+        closing = self._session(session)  # another close may have run meanwhile
+        closing.close()
+        del self._sessions[session]
         self.stats.sessions_closed += 1
         self._trace("session.close", session=session)
         return {"session": session, "state": closing.state}
 
     # -- eviction ------------------------------------------------------------------
 
-    def _eviction_loop(self) -> None:
-        timeout = self.config.idle_timeout
-        interval = max(min(timeout / 4.0, 5.0), 0.02)
-        while not self._stop_eviction.wait(interval):
-            self.evict_idle_sessions()
-
     def evict_idle_sessions(self) -> List[str]:
-        """Close and drop sessions idle past the configured timeout.  A
-        session whose lock is held (a request is mid-flight) is by
-        definition not idle and is skipped without blocking."""
+        """Close and drop sessions idle past the configured timeout.  The
+        dispatcher sweeps after each turn-holding request, so a session is
+        never evicted mid-request."""
         timeout = self.config.idle_timeout
         if timeout is None:
             return []
-        with self._sessions_lock:
-            candidates = [
-                session
-                for session in self._sessions.values()
-                if session.idle_seconds > timeout
-            ]
-        evicted: List[str] = []
-        for session in candidates:
-            if not session.lock.acquire(blocking=False):
-                continue
-            try:
-                if session.idle_seconds > timeout:
-                    session.close()
-                    evicted.append(session.session_id)
-            finally:
-                session.lock.release()
-        if evicted:
-            with self._sessions_lock:
-                for session_id in evicted:
-                    self._sessions.pop(session_id, None)
-            self.stats.sessions_evicted += len(evicted)
-            for session_id in evicted:
-                self._trace("session.evict", session=session_id)
+        evicted = [key for key, session in self._sessions.items() if session.idle_seconds > timeout]
+        for session_id in evicted:
+            self._sessions.pop(session_id).close()
+            self.stats.sessions_evicted += 1
+            self._trace("session.evict", session=session_id)
         return evicted
 
     # -- teardown ------------------------------------------------------------------
 
+    def begin_shutdown(self) -> None:
+        """Refuse new work and fail waiting work closed: requests waiting for
+        the turn get ``server_shutdown`` now, and an in-flight advance stops
+        at its next block-interval step.  Idempotent."""
+        self.closed.set()
+        self.turn.close()
+
     def close(self) -> None:
         """Refuse new work, interrupt in-flight sessions, release resources.
 
-        Idempotence is tracked by its own flag, not ``self.closed``: the
-        transport layer sets ``closed`` early (to fail requests fast) and
-        still relies on this method to do the actual teardown afterwards.
-        """
-        self.closed.set()
-        self._stop_eviction.set()
-        with self._teardown_lock:
-            if self._teardown_done:
+        Idempotent.  The transport calls :meth:`begin_shutdown` early (to
+        fail requests fast) and this method for the teardown afterwards."""
+        self.begin_shutdown()
+        with self._books:
+            if self._torn_down:
                 return
-            self._teardown_done = True
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
-        # Signal first (in-flight advance loops abort at their next step),
-        # then close each session under a bounded lock wait.
-        for session in sessions:
-            session.closed.set()
-        for session in sessions:
-            if session.lock.acquire(timeout=5.0):
-                try:
-                    session.state = "closed"
-                finally:
-                    session.lock.release()
-        with self._sessions_lock:
-            self._sessions.clear()
-        if self._eviction_thread is not None:
-            self._eviction_thread.join(timeout=2.0)
+            self._torn_down = True
+        self.turn.close(wait=5.0)
+        for session in list(self._sessions.values()):
+            session.close()
+        self._sessions.clear()
         self.write_artifacts()
         if self.journal is not None:
             self.journal.close()
@@ -436,7 +473,7 @@ class SimulatorService:
             return {}
         target = Path(self.config.trace_dir)
         target.mkdir(parents=True, exist_ok=True)
-        with self._trace_lock:
+        with self._books:
             paths = self.tracer.write(target, "service")
         probes_path = target / "service_probes.json"
         probes_path.write_text(
@@ -581,7 +618,7 @@ class _HTTPServer(socketserver.ThreadingTCPServer):
 
 
 class ServiceServer:
-    """The long-running server: HTTP front, engine slots, one SimulatorService."""
+    """The long-running server: the HTTP front of one SimulatorService."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
@@ -591,14 +628,6 @@ class ServiceServer:
         self._serve_thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
         self._shutdown_lock = threading.Lock()
-        workers = max(self.config.workers, 1)
-        queue_slots = (
-            2 * workers if self.config.max_queue is None else max(self.config.max_queue, 0)
-        )
-        self._engine_slots = threading.BoundedSemaphore(workers)
-        self._admission_limit = workers + queue_slots
-        self._pending = 0
-        self._pending_lock = threading.Lock()
 
     @property
     def url(self) -> str:
@@ -607,56 +636,11 @@ class ServiceServer:
     # -- request execution ---------------------------------------------------------
 
     def execute(self, method: str, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Run one request inline on the calling (connection) thread.
-
-        Control-plane methods run at once.  Session methods pass bounded
-        admission first: once ``workers + max_queue`` are already pending,
-        the request is refused immediately with a typed ``server_overloaded``
-        (and a ``retry_after`` hint sized to the backlog) instead of parking
-        behind an unbounded queue.  An admitted request then takes one of the
-        ``workers`` engine slots; one still waiting when the server closes
-        fails with the same typed ``server_shutdown`` as a refused one (and
-        one that gets its slot after the close is refused by ``dispatch``).
-        """
-        verb = VERBS.get(method)
-        if verb is not None and verb.control:
-            return self.service.dispatch(method, params)
-        closed = self.service.closed
-        if closed.is_set():
-            raise ServerShutdownError("service is shutting down")
-        with self._pending_lock:
-            if self._pending >= self._admission_limit:
-                backlog = self._pending - max(self.config.workers, 1) + 1
-                retry_after = round(min(1.0, 0.05 * max(backlog, 1)), 3)
-                self.service.stats.rejected_overload += 1
-                self.service._trace(
-                    "rpc.error",
-                    method=method,
-                    error_kind="server_overloaded",
-                    message=f"{self._pending} requests pending",
-                    duration_ms=0.0,
-                )
-                raise ServerOverloadedError(
-                    f"server overloaded: {self._pending} session requests pending "
-                    f"(limit {self._admission_limit}); retry after {retry_after}s",
-                    retry_after=retry_after,
-                )
-            self._pending += 1
-        try:
-            # Timed acquire: a waiter must notice shutdown even when the slot
-            # holder (a long session.run) never lets go.
-            while not self._engine_slots.acquire(timeout=0.05):
-                if closed.is_set():
-                    raise ServerShutdownError(
-                        "request cancelled: the server shut down before it ran"
-                    )
-            try:
-                return self.service.dispatch(method, params)
-            finally:
-                self._engine_slots.release()
-        finally:
-            with self._pending_lock:
-                self._pending -= 1
+        """Run one request inline on the calling (connection) thread; the
+        dispatcher admits it to, and runs it holding, the engine turn.  (The
+        transport's one entry point into the service: the bench's traced
+        pass times it as the server span.)"""
+        return self.service.dispatch(method, params)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -684,16 +668,13 @@ class ServiceServer:
             if self._stopped.is_set():
                 return
             # Order matters.  Mark closed first: new requests are refused,
-            # slot waiters and in-flight advance loops abort, and every
+            # turn waiters and in-flight advance loops abort, and every
             # answer from here on carries ``Connection: close`` — all with
             # the same typed server_shutdown error.  Then stop accepting, so
             # the connection table is complete before it is swept; only then
             # end the connections' read sides (never their write sides: the
             # typed answers above must still get out).
-            self.service.closed.set()
-            with self.service._sessions_lock:
-                for session in self.service._sessions.values():
-                    session.closed.set()
+            self.service.begin_shutdown()
             self.httpd.shutdown()
             if self._serve_thread is not None:
                 self._serve_thread.join(timeout=5.0)

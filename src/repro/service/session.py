@@ -1,11 +1,11 @@
-"""One served simulation: a locked, evictable wrapper around SimulationHandle.
+"""One served simulation: an evictable wrapper around SimulationHandle.
 
 A :class:`ServiceSession` is the unit the RPC facade multiplexes: it owns a
-fully wired :class:`~repro.api.engine.SimulationHandle`, a re-entrant lock
-(the dispatcher enters the engine only while holding it, so one session's
-event loop is never driven concurrently), a lazily built
-:class:`~repro.clients.base.ContractClient` per account label, and the
-idle-eviction bookkeeping.
+fully wired :class:`~repro.api.engine.SimulationHandle`, a lazily built
+:class:`~repro.clients.base.ContractClient` per account label, its own
+tracer when the spec asks to ``observe``, and the idle-eviction
+bookkeeping.  It takes no lock: the dispatcher calls it only while holding
+the server's one engine turn, which a long advance passes on between steps.
 
 Determinism is the point of the seeding scheme: a ``session.create`` request
 that names no seed gets one *derived from the spec's content digest*
@@ -17,7 +17,7 @@ makes a recorded load-generator run reproducible.
 
 from __future__ import annotations
 
-import threading
+import math
 import time
 from dataclasses import fields, replace
 from typing import Any, Callable, Dict, Optional, Sequence
@@ -32,12 +32,8 @@ from ..api.spec import SimulationSpec, _flag, _text
 from ..clients.base import ContractClient
 from ..crypto.addresses import Address, address_from_label, contract_address
 from ..encoding.hexutil import bytes32_from_int, to_hex
-from .errors import (
-    ExecutionError,
-    InvalidParamsError,
-    ServerShutdownError,
-    SessionClosedError,
-)
+from ..obs import runtime as obs_runtime
+from .errors import ExecutionError, InvalidParamsError, SessionClosedError
 
 __all__ = [
     "ServiceSession",
@@ -58,6 +54,8 @@ WIRE_ALIASES = {
 }
 """Short ``session.create`` keys for spec fields, kept because existing
 clients and recorded ``--persist`` journals send them."""
+
+SERVED_TRACE_EVENTS = 100_000  # an observed session keeps this many events and spans (~40 MB)
 
 DEFAULT_REQUEST = {"scenario": "semantic_mining", "workload": "market"}
 """What a ``session.create`` that names no experiment starts from."""
@@ -174,7 +172,11 @@ def _check_served_counts(spec: SimulationSpec) -> None:
     if workload_class.served_counts:
         workload = workload_class(spec, **spec.params)
         for name, ceiling in workload_class.served_counts:
-            if getattr(workload, name) > ceiling:
+            try:
+                count = getattr(workload, name)
+            except OverflowError:  # a ratio so large it has no integer form
+                count = math.inf
+            if count > ceiling:
                 raise ValueError(
                     f"{name} (derived from params) is capped at {ceiling} for a served session"
                 )
@@ -238,22 +240,25 @@ def session_id_for(digest: str, ordinal: int) -> str:
 
 
 class ServiceSession:
-    """One multiplexed simulation with its lock, clients, and lifecycle."""
+    """One multiplexed simulation with its clients, tracer and lifecycle."""
 
     def __init__(
         self,
         session_id: str,
         spec: SimulationSpec,
         digest: str,
+        pass_turn: Callable[[], None],
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.session_id = session_id
         self.spec = spec
         self.spec_digest = digest  # the caller's one spec_digest(spec): never re-derived
-        self.lock = threading.RLock()
-        self.closed = threading.Event()
+        self._pass_turn = pass_turn  # fails once the server shuts down: an advance stops there
+        self.advancing = False
         self.state = "open"  # open -> finished -> closed
         self.handle: SimulationHandle = build_simulation(spec)
+        if self.handle.tracer is not None:
+            self.handle.tracer.max_events = SERVED_TRACE_EVENTS
         self._clock = clock
         self.created_at = clock()
         self.last_used = clock()
@@ -264,9 +269,25 @@ class ServiceSession:
 
     # -- bookkeeping ---------------------------------------------------------------
 
-    def touch(self) -> None:
+    def serve(self, handler: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one request's handler (the caller holds the engine turn) once
+        the session's own advance, if any, is done.  An observed session's
+        tracer is the process tracer for exactly its own requests, so two
+        observed sessions each record only their own events."""
+        self.settle()
         self.last_used = self._clock()
         self.requests_served += 1
+        obs_runtime.activate(self.handle.tracer)  # None: the process stays untraced
+        try:
+            return getattr(self, handler)(**kwargs)
+        finally:
+            obs_runtime.deactivate()
+
+    def settle(self) -> None:
+        """Pass the engine turn on while this session is mid-advance, so a
+        session's requests never interleave with its advance."""
+        while self.advancing:
+            self._pass_turn()
 
     @property
     def idle_seconds(self) -> float:
@@ -275,10 +296,6 @@ class ServiceSession:
     def _require_open(self) -> None:
         if self.state == "closed":
             raise SessionClosedError(f"session {self.session_id} is closed")
-        if self.closed.is_set():
-            raise ServerShutdownError(
-                f"session {self.session_id} is shutting down with the server"
-            )
 
     def _peer(self, peer_id: Optional[str]):
         if peer_id is None:
@@ -311,8 +328,9 @@ class ServiceSession:
     ) -> Dict[str, Any]:
         """Advance simulated time to ``to``, by ``seconds`` or by ``blocks``
         intervals (default one; the verb's declaration bounds the target),
-        stepping in block-interval chunks so a server shutdown interrupts
-        between steps and bounded-memory metrics resolve in-window."""
+        stepping in block-interval chunks so bounded-memory metrics resolve
+        in-window, and passing the engine turn on between steps, so other
+        sessions' requests run and a server shutdown interrupts."""
         self._require_open()
         simulator = self.handle.simulator
         spec = self.spec
@@ -323,14 +341,14 @@ class ServiceSession:
         else:
             target = simulator.now + blocks * spec.block_interval
         self._ensure_started()
-        while simulator.now < target:
-            if self.closed.is_set():
-                raise ServerShutdownError(
-                    f"session {self.session_id} interrupted by server shutdown "
-                    f"at t={simulator.now:.3f}"
-                )
-            simulator.run_until(min(simulator.now + spec.block_interval, target))
-            self.handle.metrics.resolve_from_chain(self.handle.reference_chain)
+        self.advancing = True
+        try:
+            while simulator.now < target:
+                simulator.run_until(min(simulator.now + spec.block_interval, target))
+                self.handle.metrics.resolve_from_chain(self.handle.reference_chain)
+                self._pass_turn()
+        finally:
+            self.advancing = False
         return self.status()
 
     def run(self) -> Dict[str, Any]:
@@ -530,4 +548,3 @@ class ServiceSession:
     def close(self) -> None:
         """Idempotent teardown: the session refuses further work."""
         self.state = "closed"
-        self.closed.set()

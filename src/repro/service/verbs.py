@@ -1,13 +1,12 @@
 """Every RPC verb, declared once.
 
 One :class:`Verb` row per JSON-RPC method in :data:`VERBS` says which
-handler runs it (a ``ServiceSession`` method, called under the session's
-lock, for ``session`` verbs; else a ``SimulatorService`` method), each
-parameter's canonicaliser and whether it is required, and the flags the
-rest of the service reads: dispatch checks and canonicalises params before
-it takes any session lock, ``ServiceServer.execute`` lets ``control`` verbs
-skip the engine slots, ``ServiceClient`` retries only ``idempotent`` verbs,
-and the request journal records only ``journaled`` ones.
+handler runs it (a ``ServiceSession`` method for ``session`` verbs; else a
+``SimulatorService`` method), each parameter's canonicaliser and whether it
+is required, and the flags the rest of the service reads: dispatch checks
+and canonicalises params before it takes the engine turn, ``control`` verbs
+never take it, ``ServiceClient`` retries only ``idempotent`` verbs, and the
+request journal records only ``journaled`` ones.
 
 The canonicalisers are :mod:`repro.api.spec`'s (JSON numbers only, strict
 booleans, non-empty text) plus the wire forms below: ``0x`` hex bytes, an
@@ -93,14 +92,15 @@ def _advance_within(session: Any, kwargs: Dict[str, Any], max_blocks: int) -> No
 @dataclass(frozen=True)
 class Verb:
     """One RPC method's declaration.  A ``session`` verb also requires the
-    ``session`` id; ``spec_request`` hands the whole params object to the
-    handler as ``request`` (``session.create``, whose keys the spec's own
-    field declarations check)."""
+    ``session`` id; for a ``spec_request`` verb (``session.create``, whose
+    keys the spec's own field declarations check) the dispatcher builds the
+    whole params object into a spec and hands the handler ``spec``."""
 
     handler: str
     session: bool = False
     control: bool = False
-    """Skips the engine slots and admission: never enters an engine."""
+    """Never takes the engine turn (nor counts against admission): never
+    enters an engine, and reads the session table as a snapshot."""
     idempotent: bool = False
     """Safe for a client to resend after a lost answer."""
     journaled: bool = False
@@ -108,7 +108,7 @@ class Verb:
     required: Mapping[str, Canon] = field(default_factory=dict)
     optional: Mapping[str, Canon] = field(default_factory=dict)
     check: Optional[Callable[[Any, Dict[str, Any]], None]] = None
-    """A refusal that needs the session (still made before its lock)."""
+    """A refusal that needs the session (still made before the turn)."""
     spec_request: bool = False
 
     @cached_property

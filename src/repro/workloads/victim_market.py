@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List
 
 from ..adversary.strategies import VICTIM_BUY_LABEL, FrontrunningAttacker
@@ -62,6 +63,17 @@ class VictimMarketWorkload(Workload):
         ("reprice_interval", _optional(SECONDS), None),
         ("reprice_step", _integer, 5),
     )
+    served_counts = (("reprice_steps", 100_000),)
+
+    @property
+    def reprice_steps(self) -> int:
+        """An upper bound on the reprices ``schedule`` books.  The exact count
+        is ``ceil(x) - 1`` for ``x = (end_of_submissions - 0.5) / interval``;
+        the loop accumulates its times in floating point and can book one
+        more, which ``floor(x) + 1`` still covers."""
+        if self.reprice_interval is None:
+            return 0
+        return math.floor((self.end_of_submissions - 0.5) / self.reprice_interval) + 1
 
     @property
     def expected_watched(self) -> int:

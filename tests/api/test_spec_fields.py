@@ -253,6 +253,7 @@ SERVED = {
     "retention": (32, lambda b: b.retention(32)),
     "metrics_window": (60, lambda b: b.metrics_window(60.0)),
     "extra_accounts": (["alice"], None),
+    "observe": (True, lambda b: b.observe()),
 }
 """Per served field: a JSON wire value and the builder call that sets it
 (``None``: the field has no builder setter, only ``--set``/``--over`` and
@@ -296,7 +297,7 @@ class TestPathEquivalence:
             if refused is not None:
                 assert repr(name) not in known
 
-    @pytest.mark.parametrize("name", ["observe", "trace_dir"])
+    @pytest.mark.parametrize("name", ["trace_dir"])
     def test_refused_fields_say_why(self, name):
         assert SESSION_REFUSALS[name]
         with pytest.raises(InvalidParamsError, match=f"'{name}' is not a session field"):

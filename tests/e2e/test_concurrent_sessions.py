@@ -3,7 +3,7 @@
 Two sessions built from the *same* spec (same explicit seed, retention
 pinned so the server default cannot diverge from a local build) are driven
 from many threads at once — concurrent ``session.run`` on both, with status
-and describe queries interleaving against the same worker pool.  Their
+and describe queries interleaving at the same engine turn.  Their
 summaries must come back byte-identical to each other AND to a direct
 in-process :func:`build_simulation(spec).run()` of the identical spec:
 multiplexing sessions behind the RPC facade must not perturb results.
@@ -56,8 +56,8 @@ def test_concurrent_same_spec_sessions_are_byte_identical(client):
         try:
             started.wait(timeout=30)
             for _ in range(5):
-                # Same-session queries serialize on the session lock; the
-                # control-plane status interleaves freely on the HTTP thread.
+                # Session queries take the one engine turn, in line with
+                # the runs; the control-plane status never takes it.
                 client.session_status(session_id)
                 client.status()
         except Exception as error:

@@ -152,7 +152,7 @@ def test_error_envelopes_are_typed(client):
         client.request("no.such.method")
     assert excinfo.value.kind == "method_not_found"
     with pytest.raises(ServiceRPCError) as excinfo:
-        client.create_session(observe=True)
+        client.create_session(trace_dir="traces")
     assert excinfo.value.kind == "invalid_params"
 
 

@@ -1,14 +1,15 @@
 """Kill the server mid-request: every caller gets a typed error, nobody hangs.
 
-This suite always spawns its *own* single-worker server (never the shared
-fixture, which CI may point at a long-lived deployment): with ``workers=1``
-one long ``session.advance`` saturates the pool, a second session request
-is provably waiting for the engine slot behind it, and ``service.shutdown``
-— a control-plane method that bypasses the slots — must then fail both
-closed: the in-flight advance aborts at its next block-interval step and
-the waiting request is refused, each as a typed ``server_shutdown``-family
-error envelope, all within a bounded wait.  The scenario is a race between
-``shutdown()`` and three connections, so it also runs ten times over.
+This suite always spawns its *own* server (never the shared fixture, which
+CI may point at a long-lived deployment).  Two sessions each run a
+``session.advance`` far past any horizon the test tolerates; they take
+turns at the one engine turn, so at any moment one holds it and the other
+waits in line.  ``service.shutdown`` — a control-plane method that never
+takes the turn — must then fail both closed: the in-flight advance aborts
+at its next block-interval step and the waiting one is woken and refused,
+each as a typed ``server_shutdown``-family error envelope, all within a
+bounded wait.  The scenario is a race between ``shutdown()`` and three
+connections, so it also runs ten times over.
 """
 
 from __future__ import annotations
@@ -73,30 +74,27 @@ def shutdown_mid_request_scenario():
     server.start()
     client = ServiceClient(server.url, timeout=120.0)
     try:
-        session = client.create_session(params={"num_buys": 4}, seed=5)
-        # Saturate the single worker with an advance far past any horizon
-        # this test would tolerate; it can only end via the shutdown signal.
-        long_advance = outcome_of(lambda: client.advance(session, seconds=1_000_000.0))
+        sessions = [client.create_session(params={"num_buys": 4}, seed=seed) for seed in (5, 6)]
+        advances = [
+            outcome_of(lambda session=session: client.advance(session, seconds=1_000_000.0))
+            for session in sessions
+        ]
 
-        # service.status bypasses the engine slots, so it stays answerable
-        # while the only slot is taken — wait until the advance is genuinely
-        # in flight before queueing more work behind it.  (The status
-        # request counts itself, so "the advance too" reads 2.)
+        # service.status never takes the turn, so it stays answerable while
+        # the advances trade it — wait until both are genuinely in flight.
+        # (The status request counts itself, so "both advances too" reads 3.)
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            if client.status()["stats"]["in_flight"] >= 2:
+            if client.status()["stats"]["in_flight"] >= 3:
                 break
             time.sleep(0.02)
         else:
-            pytest.fail("the long advance never became in-flight")
-
-        queued = outcome_of(lambda: client.create_session(params={"num_buys": 4}))
-        time.sleep(0.1)  # let the queued request reach the slot wait
+            pytest.fail("the long advances never became in-flight")
 
         assert client.shutdown_server() == {"stopping": True}
 
-        assert_failed_closed(long_advance, "in-flight advance")
-        assert_failed_closed(queued, "queued session.create")
+        for index, advance in enumerate(advances):
+            assert_failed_closed(advance, f"advance {index}")
         assert server.wait(timeout=30), "ServiceServer.shutdown never completed"
 
         # The dead server refuses follow-ups as typed exceptions too.

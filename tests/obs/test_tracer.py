@@ -61,6 +61,14 @@ class TestEventRecording:
         assert tracer.dropped_events == 3
         assert tracer.summary()["dropped_events"] == 3
 
+    def test_max_events_caps_spans_but_not_phase_totals(self):
+        tracer = Tracer(max_events=2)
+        for _ in range(5):
+            tracer.phase("mine", time.perf_counter())
+        assert len(tracer.records()) == 2
+        assert tracer.dropped_events == 3
+        assert tracer.phase_totals()["mine"]["calls"] == 5
+
 
 class TestPhaseTotals:
     def test_phase_totals_aggregate_calls_and_seconds(self):

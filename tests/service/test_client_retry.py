@@ -2,14 +2,16 @@
 
 The retry schedule is deterministic by contract (seeded jitter), so the
 tests recompute it independently and assert exact delays.  The overload
-tests pin the dispatcher's refusal semantics without racing real threads:
-admission is a counter under a lock, so setting the counter to the limit
-*is* the saturated state.
+tests saturate the engine turn for real: the test thread holds the turn
+while enough requests wait in line for it to fill the admission bound.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -124,41 +126,57 @@ class TestRetrySchedule:
             ServiceClient("http://x", backoff=0.5, backoff_cap=0.1)
 
 
+@contextmanager
+def saturated(server):
+    """Hold the engine turn while ``limit - 1`` requests wait in line for it;
+    yields the waiters' outcomes, complete once the block exits."""
+    turn = server.service.turn
+    outcomes = []
+    waiters = [
+        threading.Thread(target=lambda: outcomes.append(server.execute("session.list", {})))
+        for _ in range(turn.limit - 1)
+    ]
+    with turn:
+        for waiter in waiters:
+            waiter.start()
+        deadline = time.monotonic() + 5.0
+        while len(turn._waiting) < len(waiters) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(turn._waiting) == len(waiters)
+        yield outcomes
+    for waiter in waiters:
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+
+
 class TestOverloadAdmission:
     @pytest.fixture
     def server(self):
-        instance = ServiceServer(
-            ServiceConfig(port=0, workers=1, max_queue=1, idle_timeout=None)
-        )
+        instance = ServiceServer(ServiceConfig(port=0, workers=1, idle_timeout=None))
         instance.start()
         yield instance
         instance.shutdown()
 
     def test_saturated_server_refuses_with_retry_after(self, server):
-        # workers=1, max_queue=1 → admission limit 2.  Saturate the counter
-        # directly: that is exactly the state two parked requests produce.
-        with server._pending_lock:
-            server._pending = server._admission_limit
-        try:
+        # workers=1 → admission limit 3: the holder and two waiters.
+        assert server.service.turn.limit == 3
+        with saturated(server):
+            started = time.perf_counter()
             with pytest.raises(ServerOverloadedError) as excinfo:
                 server.execute("session.list", {})
+            assert time.perf_counter() - started < 0.1
             assert excinfo.value.retry_after > 0
             assert server.service.stats.rejected_overload == 1
-        finally:
-            with server._pending_lock:
-                server._pending = 0
 
     def test_control_plane_bypasses_admission(self, server):
-        with server._pending_lock:
-            server._pending = server._admission_limit
-        try:
+        with saturated(server):
             result = server.execute("service.ping", {})
             assert result["ok"] is True
-        finally:
-            with server._pending_lock:
-                server._pending = 0
 
     def test_admission_recovers_after_release(self, server):
+        with saturated(server) as outcomes:
+            pass
+        assert outcomes == [{"sessions": []}] * 2
         result = server.execute("session.list", {})
         assert result["sessions"] == []
 

@@ -10,9 +10,13 @@ within a second on a watchdog thread), idle eviction, and idempotent close.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import threading
 import time
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,11 +63,16 @@ address-space cap the first four end in ``MemoryError`` without one."""
 RATIO_AMPLIFIERS = [
     pytest.param({"params": {"num_buys": 6, "buys_per_set": 1e-9}}, id="market.num_sets"),
     pytest.param({"workload": "oracle", "params": {"price_change_interval": 1e-9}}, id="oracle.price_steps"),
+    pytest.param({"workload": "victim_market", "params": {"reprice_interval": 1e-9}}, id="victim_market.reprice_steps"),
+    pytest.param(
+        {"workload": "oracle", "params": {"price_change_interval": 5e-324}}, id="oracle.price_steps-overflow"
+    ),
 ]
 """Requests whose every parameter is within its own ceiling but whose ratio
 books one event per nanosecond of a run: without a ceiling on the derived
 count, the first two ended in ``MemoryError`` under a 1 GiB address-space
-cap after 9.8 s and 8.0 s."""
+cap after 9.8 s and 8.0 s.  A ratio past the largest float (the last case)
+has no integer count at all, and is refused the same way."""
 
 SIZED_SPEC_REQUESTS = {
     "num_miners": lambda size: {"miners": size},
@@ -171,10 +180,10 @@ class TestBuildSessionSpec:
         assert spec["churn"] == [["leave", 40.0, "client-1"]]
         assert spec["miner_policy"] == "fifo"
 
-    def test_observe_and_trace_dir_rejected(self):
-        for forbidden in ("observe", "trace_dir"):
-            with pytest.raises(InvalidParamsError):
-                build_session_spec({forbidden: True})
+    def test_observe_accepted_and_trace_dir_rejected(self):
+        assert build_session_spec({"observe": True}).observe is True
+        with pytest.raises(InvalidParamsError, match="server-side directory"):
+            build_session_spec({"trace_dir": "traces"})
 
     @pytest.mark.parametrize("request_params", OVERSIZED_REQUESTS)
     def test_oversized_request_is_invalid_params_at_once(self, service, request_params):
@@ -200,6 +209,33 @@ class TestBuildSessionSpec:
         assert build_session_spec(at_ceiling).params["buys_per_set"] == 1.0
         with pytest.raises(InvalidParamsError, match="num_sets"):
             build_session_spec({"params": {"num_buys": 10_000, "buys_per_set": 0.9999}})
+
+    def test_reprice_steps_bounds_what_the_schedule_books(self):
+        """``reprice_steps`` is never below the reprices ``schedule`` books,
+        including where the loop's float-accumulated times book one more
+        than the exact count."""
+        drifted = 0
+        for buys, buy_interval, reprice_interval in itertools.product(
+            (1, 3, 7, 40), (0.3, 1.0, 2.0, 2.7), (0.1, 0.2, 0.3, 0.7, 1.1, 2.0, 13.0)
+        ):
+            spec = Simulation.builder().scenario("semantic_mining").workload(
+                "victim_market",
+                num_victim_buys=buys,
+                buy_interval=buy_interval,
+                reprice_interval=reprice_interval,
+            ).build()
+            workload = WORKLOAD_REGISTRY.get("victim_market")(spec, **spec.params)
+            booked = []
+            workload.owner_client, workload.victim = None, SimpleNamespace(buy=None)
+            workload.schedule(
+                SimpleNamespace(simulator=SimpleNamespace(schedule_at=lambda at, *_: booked.append(at)), metrics=None)
+            )
+            reprices = len(booked) - 1 - buys  # less the opening price and the buys
+            end, interval = Fraction(workload.end_of_submissions), Fraction(reprice_interval)
+            exact = math.ceil((end - Fraction(1, 2)) / interval) - 1
+            drifted += reprices > exact
+            assert reprices <= workload.reprice_steps <= reprices + 3, (buys, buy_interval, reprice_interval)
+        assert drifted, "the grid no longer reaches a drifted schedule"
 
     def test_every_derived_count_is_a_workload_attribute(self):
         for name in WORKLOAD_REGISTRY.names():

@@ -342,29 +342,35 @@ def test_shutdown_leaves_no_handler_thread_and_idle_clients_fail_typed():
             client.close()
 
 
-def test_request_waiting_for_an_engine_slot_fails_typed_when_the_server_closes():
+def test_request_waiting_for_the_engine_turn_fails_typed_when_the_server_closes():
     server = start_server(workers=1)
+    turn = server.service.turn
     outcome = []
 
     def waiter():
         try:
             outcome.append(server.execute("session.list", {}))
         except ServerShutdownError as error:
-            outcome.append(error)
+            outcome.append((error, time.perf_counter()))
 
-    assert server._engine_slots.acquire(timeout=1)  # the one slot is taken and never freed
     try:
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.15)
-        assert outcome == [] and server._pending == 1
-        server.service.closed.set()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert isinstance(outcome[0], ServerShutdownError)
-        assert server._pending == 0
+        with turn:  # the one turn is held until after the close
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            deadline = time.monotonic() + 5.0
+            while not turn._waiting and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert outcome == [] and len(turn._waiting) == 1
+            closed_at = time.perf_counter()
+            server.service.begin_shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            error, failed_at = outcome[0]
+            assert isinstance(error, ServerShutdownError)
+            # The close wakes the waiter: it does not notice on a later poll.
+            assert failed_at - closed_at < 0.2
+            assert not turn._waiting
     finally:
-        server._engine_slots.release()
         server.shutdown()
 
 

@@ -62,7 +62,7 @@ def test_every_handler_takes_exactly_its_declared_params():
         owner = ServiceSession if verb.session else SimulatorService
         taken = set(inspect.signature(getattr(owner, verb.handler)).parameters) - {"self"}
         if verb.spec_request:
-            declared = {"request"}
+            declared = {"spec"}
         else:
             declared = set(verb.params) - ({"session"} if verb.session else set())
         assert taken == declared, verb.name
@@ -155,9 +155,9 @@ def requests(draw):
     return name, params
 
 
-def test_every_verb_refuses_before_the_lock_or_answers_typed():
+def test_every_verb_refuses_before_the_turn_or_answers_typed():
     """A request the declaration refuses is ``invalid_params`` within a
-    second even while another thread holds the session's lock; any other
+    second even while another thread holds the engine turn; any other
     gets a result or a typed error, never an internal one."""
     service = SimulatorService(ServiceConfig(idle_timeout=None, retention_default=None))
     live = {}
@@ -189,7 +189,7 @@ def test_every_verb_refuses_before_the_lock_or_answers_typed():
         if isinstance(params, dict):
             params = {key: session.session_id if value == SESSION else value for key, value in params.items()}
         if refused(method, params, session):
-            with session.lock:
+            with service.turn:
                 outcome = dispatch_within(service, method, params, seconds=1.0)
             assert isinstance(outcome.get("error"), InvalidParamsError), (method, params, outcome)
             return

@@ -315,12 +315,13 @@ send("hms.status", session=session)
 send("session.run", session=session)
 send("session.summary", session=session)
 send("session.metrics", session=session)
-try:
-    send("session.create", clients=10**7)
-except ServiceRPCError as error:
-    assert error.kind == "invalid_params", error
-else:
-    raise AssertionError("an oversized session was served")
+for oversized in ({"clients": 10**7}, {"workload": "victim_market", "params": {"reprice_interval": 1e-9}}):
+    try:
+        send("session.create", **oversized)
+    except ServiceRPCError as error:
+        assert error.kind == "invalid_params", error
+    else:
+        raise AssertionError(f"an oversized session was served: {oversized}")
 send("session.close", session=session)
 send("session.create", experiment="sequential")  # left open: the --resume restart rebuilds it
 send("service.shutdown")
