@@ -348,8 +348,11 @@ class SimulationHandle:
             self.tracer = Tracer(clock=lambda: simulator_ref.now)
             self.tracer.register_probe("network", self.network.stats.as_dict)
             self.tracer.register_probe("propagation", self.network.propagation_summary)
+            # The probe holds the context, not this handle (which holds the
+            # tracer), so a finished trial holds no reference cycle.
+            context = self.context
             self.tracer.register_probe(
-                "head_state_rss", lambda: self.reference_chain.state.rss_stats()
+                "head_state_rss", lambda: context.reference_chain.state.rss_stats()
             )
             if self.fault_injector is not None:
                 self.tracer.register_probe("faults", self.fault_injector.stats_dict)

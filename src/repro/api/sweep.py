@@ -102,8 +102,12 @@ def _run_job(job: Tuple[SimulationSpec, Dict[str, Any]]) -> Dict[str, Any]:
     from .engine import run_simulation
 
     spec, tags = job
-    result = run_simulation(spec, simulator=_process_simulator())
-    return {"tags": tags, "summary": result.summary()}
+    simulator = _process_simulator()
+    row = {"tags": tags, "summary": run_simulation(spec, simulator=simulator).summary()}
+    # Events still queued at the end of a run point back into its peers:
+    # drain them now, so a warm worker holds no finished trial between jobs.
+    simulator.reset()
+    return row
 
 
 @dataclass

@@ -5,24 +5,26 @@ super-transaction (the paper's "block publishing").  Headers carry the
 parent link, state/transaction/receipt roots, difficulty and timestamp so
 that validating peers can replay the block and check the roots.
 
-Headers and blocks are immutable once sealed, so each owns its bytes and
-pays for them once, when first asked: a header encodes the eleven fields
-around its timestamp a single time for both its hash preimage
-(milliseconds) and its wire form (microseconds); a block's ``hash`` and
-``wire`` live exactly as long as the block, so retention that drops the
-block drops its bytes.  The layouts are ``rlp_encode`` over the written-out
-field lists (``tests/chain/test_derive_once.py`` pins them).
+Headers and blocks are records (:mod:`repro.record`), sealed at
+construction, and each owns its bytes: a header encodes the eleven fields
+around its timestamp a single time, as it is built, for both its hash
+preimage (milliseconds) and its wire form (microseconds), and hashes the
+preimage there and then; a block copies its header's hash and derives its
+wire form once, when first gossiped.  Both live exactly as long as the
+block, so retention that drops the block drops its bytes.  The layouts are
+``rlp_encode`` over the written-out field lists
+(``tests/chain/test_derive_once.py`` pins them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import List, Optional, Tuple
+from dataclasses import field
+from typing import List, Optional
 
 from ..crypto.addresses import Address, ZERO_ADDRESS
 from ..crypto.keccak import keccak256
 from ..encoding.rlp import rlp_encode, rlp_list, rlp_payload
+from ..record import WeakReferable, record
 from .receipt import Receipt, receipts_root
 from .transaction import TIMESTAMP_SCALE, Transaction
 from .trie import ordered_trie_root
@@ -37,9 +39,15 @@ def transactions_root(transactions: List[Transaction]) -> bytes:
     return ordered_trie_root([transaction.hash for transaction in transactions])
 
 
-@dataclass(frozen=True)
+@record
 class BlockHeader:
-    """Consensus-relevant block metadata."""
+    """Consensus-relevant block metadata.
+
+    Sealed at construction: the one pass that builds a header encodes the
+    eleven fields around its timestamp once and derives from them its hash
+    preimage (timestamp in milliseconds), its wire form (microseconds) and
+    its ``hash``.
+    """
 
     parent_hash: bytes
     number: int
@@ -53,11 +61,11 @@ class BlockHeader:
     gas_used: int = 0
     nonce: int = 0
     extra_data: bytes = b""
+    hash: bytes = field(init=False, repr=False, compare=False)
+    """Keccak-256 of the RLP-encoded header fields."""
+    _wire: bytes = field(init=False, repr=False, compare=False)
 
-    def _encode(self) -> Tuple[bytes, bytes]:
-        """``(hash preimage, wire form)``: the twelve-field RLP list with the
-        timestamp in integer milliseconds and in integer microseconds.  The
-        other eleven fields are encoded once and shared by both."""
+    def __post_init__(self) -> None:
         before = rlp_payload((self.parent_hash, self.number))
         after = rlp_payload(
             (
@@ -72,51 +80,50 @@ class BlockHeader:
                 self.extra_data,
             )
         )
-        milliseconds = rlp_payload((int(self.timestamp * 1000),))
-        microseconds = rlp_payload((int(self.timestamp * TIMESTAMP_SCALE),))
-        return rlp_list(before + milliseconds + after), rlp_list(before + microseconds + after)
+        timestamp = self.timestamp
+        milliseconds = rlp_payload((int(timestamp * 1000),))
+        microseconds = rlp_payload((int(timestamp * TIMESTAMP_SCALE),))
+        _store_header_hash(self, keccak256(rlp_list(before + milliseconds + after)))
+        _store_header_wire(self, rlp_list(before + microseconds + after))
 
-    @cached_property
-    def hash(self) -> bytes:
-        """Keccak-256 of the RLP-encoded header fields (computed once; headers
-        are immutable).  A header that is hashed is about to be gossiped, so
-        the wire form the same pass produced is kept alongside."""
-        preimage, wire = self._encode()
-        self.__dict__.setdefault("wire", wire)
-        return keccak256(preimage)
-
-    @cached_property
+    @property
     def wire(self) -> bytes:
         """The wire form: the hashed fields with the timestamp in microseconds."""
-        return self._encode()[1]
+        return self._wire
 
 
-@dataclass(frozen=True)
-class Block:
-    """A published block: header plus the ordered transactions and receipts."""
+@record
+class Block(WeakReferable):
+    """A published block: header plus the ordered transactions and receipts.
+    Weakly referable, so memory tests can watch a block being released."""
 
     header: BlockHeader
     transactions: List[Transaction] = field(default_factory=list)
     receipts: List[Receipt] = field(default_factory=list)
+    hash: bytes = field(init=False, repr=False, compare=False)
+    """The header's hash, copied at construction."""
+    _wire: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def hash(self) -> bytes:
-        return self.header.hash
+    def __post_init__(self) -> None:
+        _store_block_hash(self, self.header.hash)
 
-    @cached_property
+    @property
     def wire(self) -> bytes:
-        """``[header, [transaction wire bytes...], [receipts...]]``, computed
-        once.  Each transaction contributes the bytes it already carries —
-        the ones ``broadcast_transaction`` put on the wire.  Receipts are
-        encoded when the block is: they are mutable until
-        ``execute_transactions`` has stamped them, so they cache nothing."""
-        return rlp_encode(
-            [
-                self.header.wire,
-                [transaction.wire for transaction in self.transactions],
-                [receipt.wire for receipt in self.receipts],
-            ]
-        )
+        """``[header, [transaction wire bytes...], [receipts...]]``, derived
+        once, when first gossiped, from the bytes each part already carries:
+        a transaction's are the ones ``broadcast_transaction`` put on the
+        wire, a receipt's are framed from its consensus encoding."""
+        wire = self._wire
+        if wire is None:
+            wire = rlp_encode(
+                [
+                    self.header._wire,
+                    [transaction.wire for transaction in self.transactions],
+                    [receipt.wire for receipt in self.receipts],
+                ]
+            )
+            _store_block_wire(self, wire)
+        return wire
 
     @property
     def number(self) -> int:
@@ -160,3 +167,9 @@ class Block:
             f"Block(number={self.number}, hash={self.short_hash()}, "
             f"txs={self.transaction_count()}, ok={self.successful_transaction_count()})"
         )
+
+
+_store_header_hash = BlockHeader.__dict__["hash"].__set__
+_store_header_wire = BlockHeader.__dict__["_wire"].__set__
+_store_block_hash = Block.__dict__["hash"].__set__
+_store_block_wire = Block.__dict__["_wire"].__set__

@@ -72,7 +72,8 @@ def execute_transactions(
 
     Failed transactions are rolled back (their state changes discarded) but a
     receipt is still produced, matching the blockchain behaviour of including
-    failed transactions in the published block.
+    failed transactions in the published block.  The executor builds each
+    receipt once, sealed and already stamped with its block position.
     """
     tracer = _obs.TRACER
     start = perf_counter() if tracer is not None else 0.0
@@ -84,20 +85,15 @@ def execute_transactions(
         # returning a failed receipt.
         snapshot = state.snapshot()
         try:
-            receipt = executor.execute(state, transaction, block)
+            receipt = executor.execute(state, transaction, block, index)
         except Exception as error:  # defensive: executors should not raise
             state.revert(snapshot)
             receipt = Receipt(
-                transaction_hash=transaction.hash,
-                success=False,
-                gas_used=0,
-                error=f"executor error: {error}",
+                transaction.hash, False, 0, [], f"executor error: {error}", b"",
+                block.number, index, block.timestamp,
             )
         else:
             state.commit(snapshot)
-        receipt.block_number = block.number
-        receipt.transaction_index = index
-        receipt.block_timestamp = block.timestamp
         receipts.append(receipt)
     if tracer is not None:
         tracer.phase("state_apply", start)

@@ -1,9 +1,11 @@
 """Execution interface between the chain layer and the contract engine.
 
-The blockchain applies transactions through a :class:`TransactionExecutor`;
-the concrete implementation lives in :mod:`repro.evm.engine`.  Keeping the
-interface here avoids a circular dependency and lets tests substitute
-simpler executors when contract semantics are not under test.
+The blockchain applies transactions through a :class:`TransactionExecutor`,
+which returns each transaction's sealed :class:`~repro.chain.receipt.Receipt`,
+built once and already stamped with its block position.  The concrete
+executor lives in :mod:`repro.evm.engine`.  Keeping the interface here avoids
+a circular dependency and lets tests substitute simpler executors when
+contract semantics are not under test.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ class TransactionExecutor(Protocol):
     """Anything that can apply a transaction to a world state."""
 
     def execute(
-        self, state: WorldState, transaction: Transaction, block: BlockContext
+        self, state: WorldState, transaction: Transaction, block: BlockContext, index: int
     ) -> Receipt:
-        """Apply ``transaction`` to ``state`` and return its receipt.
+        """Apply ``transaction`` (``index`` in ``block``); return its stamped receipt.
 
         Implementations must leave ``state`` unchanged (other than nonce and
         gas payment) when the transaction fails, and must never raise for a

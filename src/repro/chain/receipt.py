@@ -9,12 +9,11 @@ counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import List, Optional, Tuple
 
 from ..crypto.addresses import Address
-from ..crypto.keccak import keccak256
-from ..encoding.rlp import rlp_encode, rlp_list, rlp_payload
+from ..encoding.rlp import rlp_list, rlp_payload
 from ..record import record
 from .trie import ordered_trie_root
 
@@ -28,21 +27,22 @@ class LogEntry:
     address: Address
     topics: Tuple[bytes, ...]
     data: bytes = b""
-    _encoded: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def encode(self) -> bytes:
-        """``[address, topics, data]`` as one RLP list, encoded once: the
-        receipt's consensus form and its wire form both embed it."""
-        encoded = self._encoded
-        if encoded is None:
-            encoded = rlp_encode([self.address, list(self.topics), self.data])
-            _store_encoded(self, encoded)
-        return encoded
+        """``[address, topics, data]`` as one RLP list.  Its receipt encodes
+        it once, into the consensus bytes both of the receipt's forms share."""
+        return rlp_list(rlp_payload((self.address, self.topics, self.data)))
 
 
-@dataclass
+@record
 class Receipt:
-    """Execution outcome of one transaction within a block."""
+    """Execution outcome of one transaction within a block.
+
+    Sealed at construction, already stamped with its block position.  The
+    consensus fields (transaction hash, status, gas, log encodings) are
+    RLP-encoded once, when the receipts root first asks for them, and the
+    wire form is framed from those same bytes.
+    """
 
     transaction_hash: bytes
     success: bool
@@ -53,34 +53,41 @@ class Receipt:
     block_number: Optional[int] = None
     transaction_index: Optional[int] = None
     block_timestamp: Optional[float] = None
+    _consensus: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _wire: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+
+    def _consensus_payload(self) -> bytes:
+        payload = self._consensus
+        if payload is None:
+            payload = rlp_payload(
+                (self.transaction_hash, 1 if self.success else 0, self.gas_used)
+            ) + rlp_list(b"".join([log.encode() for log in self.logs]))
+            _store_consensus(self, payload)
+        return payload
 
     def encode(self) -> bytes:
-        """RLP-encode the consensus-relevant receipt fields."""
-        return rlp_encode(
-            [
-                self.transaction_hash,
-                1 if self.success else 0,
-                self.gas_used,
-                [entry.encode() for entry in self.logs],
-            ]
-        )
+        """``[transaction_hash, status, gas_used, logs]``: the receipts-root leaf."""
+        return rlp_list(self._consensus_payload())
 
     @property
     def wire(self) -> bytes:
         """The wire form: the consensus fields plus error text, return data
-        and block position.  Encoded on every read — a receipt is mutable
-        (``execute_transactions`` stamps its position after execution)."""
-        head = rlp_payload((self.transaction_hash, 1 if self.success else 0, self.gas_used))
-        logs = rlp_list(b"".join([log.encode() for log in self.logs]))
-        tail = rlp_payload(
-            (
-                self.error.encode("utf-8") if self.error else b"",
-                self.return_data,
-                self.block_number if self.block_number is not None else b"",
-                self.transaction_index if self.transaction_index is not None else b"",
+        and block position, derived once and framed from the consensus bytes."""
+        wire = self._wire
+        if wire is None:
+            wire = rlp_list(
+                self._consensus_payload()
+                + rlp_payload(
+                    (
+                        self.error.encode("utf-8") if self.error else b"",
+                        self.return_data,
+                        self.block_number if self.block_number is not None else b"",
+                        self.transaction_index if self.transaction_index is not None else b"",
+                    )
+                )
             )
-        )
-        return rlp_list(head + logs + tail)
+            _store_wire(self, wire)
+        return wire
 
     @property
     def failed(self) -> bool:
@@ -92,4 +99,5 @@ def receipts_root(receipts: List[Receipt]) -> bytes:
     return ordered_trie_root([receipt.encode() for receipt in receipts])
 
 
-_store_encoded = LogEntry.__dict__["_encoded"].__set__
+_store_consensus = Receipt.__dict__["_consensus"].__set__
+_store_wire = Receipt.__dict__["_wire"].__set__

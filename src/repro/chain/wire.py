@@ -6,9 +6,10 @@ accounts those bytes for traffic statistics.  (Nothing in the program
 decodes them; the tests hold the decoder that round-trips every gossiped
 artefact.)
 
-Encoding is owned by the objects: an immutable artefact (``Transaction``,
-``BlockHeader``, ``Block``) derives its ``wire`` bytes once and keeps them
-for as long as it lives; a mutable ``Receipt`` encodes on every read.
+Encoding is owned by the objects: every artefact (``Transaction``,
+``BlockHeader``, ``Block``, ``Receipt``) is a sealed record that derives its
+``wire`` bytes at most once and keeps them, in its ``_wire`` slot, for as
+long as it lives (a header derives them as it is built).
 :func:`wire_encoding` is the one counted, traced seam the gossip layer calls: a *miss* is the call
 that derived an object's bytes (timed as the ``gossip_encode`` phase), a
 *hit* one that found them on the object.  Nothing is held here, so there is
@@ -47,10 +48,7 @@ def wire_encoding(artefact: Union[Transaction, Block, BlockHeader, Receipt]) -> 
     """
     if type(artefact) not in _WIRE_TYPES:
         raise TypeError(f"no wire encoding for {type(artefact).__name__}")
-    if type(artefact) is Transaction:
-        payload = artefact._wire  # a record keeps its derived bytes in a field
-    else:
-        payload = artefact.__dict__.get("wire")  # where cached_property keeps it
+    payload = artefact._wire  # each record keeps its derived bytes in this slot
     if payload is not None:
         _WIRE_STATS["hits"] += 1
         return payload
@@ -67,9 +65,10 @@ def wire_cache_stats() -> dict:
     """Hit/miss counters of :func:`wire_encoding`.
 
     A miss is a call that derived the artefact's bytes (its first
-    ``wire_encoding``, or any call on a ``Receipt``, which caches nothing);
-    a hit is one that found them on the object — a block range sync offers
-    again, a transaction re-announced, a header hashed before.  The counters
+    ``wire_encoding``); a hit is one that found them on the object — a block
+    range sync offers again, a transaction re-announced, any header (a
+    header derives its bytes as it is built).  Receipts cache their bytes
+    too: a block's wire form frames each receipt's once.  The counters
     are plain ints: exact on one thread, advisory under several.
     """
     return dict(_WIRE_STATS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -18,15 +19,29 @@ class TxNode:
     ``previous`` / ``successors`` are filled in by the SERIES step
     (Algorithm 3): a transaction has at most one predecessor (the one whose
     mark equals this transaction's ``previous_mark``) but — because clients
-    race — possibly several successors.
+    race — possibly several successors.  The ``previous`` link is weak, so
+    the DAG holds no reference cycle and a discarded graph is freed by
+    reference counting as soon as its last node is dropped.
     """
 
     transaction: Transaction
     fpv: FPV
     mark: bytes
     arrival_time: float = 0.0
-    previous: Optional["TxNode"] = None
     successors: List["TxNode"] = field(default_factory=list)
+    _previous: Optional["weakref.ReferenceType[TxNode]"] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def previous(self) -> Optional["TxNode"]:
+        """The predecessor in the series, if any."""
+        link = self._previous
+        return None if link is None else link()
+
+    @previous.setter
+    def previous(self, node: Optional["TxNode"]) -> None:
+        self._previous = None if node is None else weakref.ref(node)
 
     @property
     def sender(self) -> bytes:
@@ -38,7 +53,7 @@ class TxNode:
 
     def detach(self) -> None:
         """Clear graph links (used when rebuilding the series from scratch)."""
-        self.previous = None
+        self._previous = None
         self.successors.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

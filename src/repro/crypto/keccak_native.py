@@ -67,41 +67,78 @@ static const uint64_t RC[24] = {
     0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
 };
 
-static const int RHO[25] = {
-     0,  1, 62, 28, 27,
-    36, 44,  6, 55, 20,
-     3, 10, 43, 25, 39,
-    41, 45, 15, 21,  8,
-    18,  2, 61, 56, 14,
-};
-
 #define ROTL64(x, s) (((x) << (s)) | ((x) >> (64 - (s))))
 
-static void keccak_f1600(uint64_t *a) {
-    uint64_t b[25], c[5], d[5];
-    for (int round = 0; round < 24; round++) {
-        /* theta */
-        for (int x = 0; x < 5; x++)
-            c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
-        for (int x = 0; x < 5; x++)
-            d[x] = c[(x + 4) % 5] ^ ROTL64(c[(x + 1) % 5], 1);
-        for (int i = 0; i < 25; i++)
-            a[i] ^= d[i % 5];
-        /* rho + pi */
-        for (int x = 0; x < 5; x++)
-            for (int y = 0; y < 5; y++) {
-                int s = RHO[x + 5 * y];
-                uint64_t lane = s ? ROTL64(a[x + 5 * y], s) : a[x + 5 * y];
-                b[y + 5 * ((2 * x + 3 * y) % 5)] = lane;
-            }
-        /* chi */
-        for (int x = 0; x < 5; x++)
-            for (int y = 0; y < 5; y++)
-                a[x + 5 * y] =
-                    b[x + 5 * y] ^ (~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y]);
-        /* iota */
-        a[0] ^= RC[round];
+/* The 25 lanes live in locals named <prefix><row><column>: rows b g k m s
+   (y = 0..4), columns a e i o u (x = 0..4), so lane x + 5y of the state
+   array is, e.g., Abe (x=1, y=0) or Ami (x=2, y=3).  One ROUND reads the
+   lanes of prefix A and writes those of prefix E: theta's column parities,
+   then for each output row the five input lanes pi sends there, each XORed
+   with its theta term and rotated by its rho offset on the way in, then chi
+   across the row; iota is folded into the first lane. */
+#define ROUND(A, E, rc)                                                       \
+    do {                                                                      \
+        uint64_t Ca = A##ba ^ A##ga ^ A##ka ^ A##ma ^ A##sa;                  \
+        uint64_t Ce = A##be ^ A##ge ^ A##ke ^ A##me ^ A##se;                  \
+        uint64_t Ci = A##bi ^ A##gi ^ A##ki ^ A##mi ^ A##si;                  \
+        uint64_t Co = A##bo ^ A##go ^ A##ko ^ A##mo ^ A##so;                  \
+        uint64_t Cu = A##bu ^ A##gu ^ A##ku ^ A##mu ^ A##su;                  \
+        uint64_t Da = Cu ^ ROTL64(Ce, 1), De = Ca ^ ROTL64(Ci, 1);            \
+        uint64_t Di = Ce ^ ROTL64(Co, 1), Do = Ci ^ ROTL64(Cu, 1);            \
+        uint64_t Du = Co ^ ROTL64(Ca, 1);                                     \
+        uint64_t B0, B1, B2, B3, B4;                                          \
+        B0 = A##ba ^ Da;                B1 = ROTL64(A##ge ^ De, 44);          \
+        B2 = ROTL64(A##ki ^ Di, 43);    B3 = ROTL64(A##mo ^ Do, 21);          \
+        B4 = ROTL64(A##su ^ Du, 14);                                          \
+        CHI(E, b) E##ba ^= (rc);                                              \
+        B0 = ROTL64(A##bo ^ Do, 28);    B1 = ROTL64(A##gu ^ Du, 20);          \
+        B2 = ROTL64(A##ka ^ Da, 3);     B3 = ROTL64(A##me ^ De, 45);          \
+        B4 = ROTL64(A##si ^ Di, 61);                                          \
+        CHI(E, g)                                                             \
+        B0 = ROTL64(A##be ^ De, 1);     B1 = ROTL64(A##gi ^ Di, 6);           \
+        B2 = ROTL64(A##ko ^ Do, 25);    B3 = ROTL64(A##mu ^ Du, 8);           \
+        B4 = ROTL64(A##sa ^ Da, 18);                                          \
+        CHI(E, k)                                                             \
+        B0 = ROTL64(A##bu ^ Du, 27);    B1 = ROTL64(A##ga ^ Da, 36);          \
+        B2 = ROTL64(A##ke ^ De, 10);    B3 = ROTL64(A##mi ^ Di, 15);          \
+        B4 = ROTL64(A##so ^ Do, 56);                                          \
+        CHI(E, m)                                                             \
+        B0 = ROTL64(A##bi ^ Di, 62);    B1 = ROTL64(A##go ^ Do, 55);          \
+        B2 = ROTL64(A##ku ^ Du, 39);    B3 = ROTL64(A##ma ^ Da, 41);          \
+        B4 = ROTL64(A##se ^ De, 2);                                           \
+        CHI(E, s)                                                             \
+    } while (0)
+
+#define CHI(E, row)                                                           \
+    E##row##a = B0 ^ (~B1 & B2);                                              \
+    E##row##e = B1 ^ (~B2 & B3);                                              \
+    E##row##i = B2 ^ (~B3 & B4);                                              \
+    E##row##o = B3 ^ (~B4 & B0);                                              \
+    E##row##u = B4 ^ (~B0 & B1);
+
+#define LANES(P)                                                              \
+    P##ba, P##be, P##bi, P##bo, P##bu, P##ga, P##ge, P##gi, P##go, P##gu,     \
+    P##ka, P##ke, P##ki, P##ko, P##ku, P##ma, P##me, P##mi, P##mo, P##mu,     \
+    P##sa, P##se, P##si, P##so, P##su
+
+/* Keccak-f[1600] on a 25-lane state: rounds in pairs, A -> E -> A, so no
+   lane is ever copied back. */
+static void keccak_f1600(uint64_t *s) {
+    uint64_t LANES(A), LANES(E);
+    Aba = s[0];  Abe = s[1];  Abi = s[2];  Abo = s[3];  Abu = s[4];
+    Aga = s[5];  Age = s[6];  Agi = s[7];  Ago = s[8];  Agu = s[9];
+    Aka = s[10]; Ake = s[11]; Aki = s[12]; Ako = s[13]; Aku = s[14];
+    Ama = s[15]; Ame = s[16]; Ami = s[17]; Amo = s[18]; Amu = s[19];
+    Asa = s[20]; Ase = s[21]; Asi = s[22]; Aso = s[23]; Asu = s[24];
+    for (int round = 0; round < 24; round += 2) {
+        ROUND(A, E, RC[round]);
+        ROUND(E, A, RC[round + 1]);
     }
+    s[0] = Aba;  s[1] = Abe;  s[2] = Abi;  s[3] = Abo;  s[4] = Abu;
+    s[5] = Aga;  s[6] = Age;  s[7] = Agi;  s[8] = Ago;  s[9] = Agu;
+    s[10] = Aka; s[11] = Ake; s[12] = Aki; s[13] = Ako; s[14] = Aku;
+    s[15] = Ama; s[16] = Ame; s[17] = Ami; s[18] = Amo; s[19] = Amu;
+    s[20] = Asa; s[21] = Ase; s[22] = Asi; s[23] = Aso; s[24] = Asu;
 }
 
 static uint64_t load64(const uint8_t *p) {
@@ -132,10 +169,18 @@ static void keccak256(const uint8_t *data, size_t length, uint8_t *out) {
 }
 
 static PyObject *py_keccak256(PyObject *module, PyObject *data) {
+    PyObject *digest;
+    if (PyBytes_CheckExact(data)) { /* every hot-path input: no buffer export */
+        digest = PyBytes_FromStringAndSize(NULL, 32);
+        if (digest != NULL)
+            keccak256((const uint8_t *)PyBytes_AS_STRING(data), (size_t)PyBytes_GET_SIZE(data),
+                      (uint8_t *)PyBytes_AS_STRING(digest));
+        return digest;
+    }
     Py_buffer view;
     if (PyObject_GetBuffer(data, &view, PyBUF_SIMPLE) < 0)
         return NULL;
-    PyObject *digest = PyBytes_FromStringAndSize(NULL, 32);
+    digest = PyBytes_FromStringAndSize(NULL, 32);
     if (digest != NULL)
         keccak256(view.buf, (size_t)view.len, (uint8_t *)PyBytes_AS_STRING(digest));
     PyBuffer_Release(&view);

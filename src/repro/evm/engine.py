@@ -79,35 +79,30 @@ class ExecutionEngine(TransactionExecutor):
     # ------------------------------------------------------------------ execute
 
     def execute(
-        self, state: WorldState, transaction: Transaction, block: BlockContext
+        self, state: WorldState, transaction: Transaction, block: BlockContext, index: int
     ) -> Receipt:
-        """Apply a transaction, enforcing nonce, balance, gas, and rollback."""
+        """Apply a transaction, enforcing nonce, balance, gas, and rollback;
+        return its receipt, stamped with ``block`` and ``index``."""
         sender = transaction.sender
         expected_nonce = state.get_nonce(sender)
         if transaction.nonce != expected_nonce:
+            error = f"nonce mismatch: expected {expected_nonce}, got {transaction.nonce}"
             return Receipt(
-                transaction_hash=transaction.hash,
-                success=False,
-                gas_used=0,
-                error=f"nonce mismatch: expected {expected_nonce}, got {transaction.nonce}",
+                transaction.hash, False, 0, [], error, b"", block.number, index, block.timestamp
             )
         intrinsic = transaction.intrinsic_gas(self.gas_schedule)
         if intrinsic > transaction.gas_limit:
             state.increment_nonce(sender)
+            error = "intrinsic gas exceeds gas limit"
             return Receipt(
-                transaction_hash=transaction.hash,
-                success=False,
-                gas_used=0,
-                error="intrinsic gas exceeds gas limit",
+                transaction.hash, False, 0, [], error, b"", block.number, index, block.timestamp
             )
         max_fee = transaction.gas_limit * transaction.gas_price
         if state.get_balance(sender) < transaction.value + max_fee:
             state.increment_nonce(sender)
+            error = "insufficient balance for value + gas"
             return Receipt(
-                transaction_hash=transaction.hash,
-                success=False,
-                gas_used=0,
-                error="insufficient balance for value + gas",
+                transaction.hash, False, 0, [], error, b"", block.number, index, block.timestamp
             )
 
         state.increment_nonce(sender)
@@ -150,12 +145,8 @@ class ExecutionEngine(TransactionExecutor):
         state.add_balance(block.miner, fee)
 
         return Receipt(
-            transaction_hash=transaction.hash,
-            success=success,
-            gas_used=gas_used,
-            logs=logs,
-            error=error,
-            return_data=return_data,
+            transaction.hash, success, gas_used, logs, error, return_data,
+            block.number, index, block.timestamp,
         )
 
     def _apply_creation(

@@ -35,6 +35,7 @@ own counters.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
@@ -180,7 +181,9 @@ class Network:
         if peer.peer_id in self._peers:
             raise ValueError(f"duplicate peer id {peer.peer_id!r}")
         self._peers[peer.peer_id] = peer
-        peer.network = self
+        # Weak, because the network owns its peers: a finished trial is then
+        # freed by reference counting, not by the cyclic collector.
+        peer.network = weakref.proxy(self)
         return peer
 
     def __len__(self) -> int:

@@ -16,6 +16,7 @@ view calls and replays never leak into a neighbour.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -98,7 +99,7 @@ class Peer:
         self.pool = TxPool(max_size=pool_max_size, owner=peer_id)
         self.stats = PeerStats()
         self.restarts = 0
-        self.network = None  # set by Network.add_peer
+        self.network = None  # a weak proxy, set by Network.add_peer
         self._raa_registry: Optional[RAAProviderRegistry] = None
         self._hms_providers: Dict[Address, HMSRAAProvider] = {}
         self._hms_configs: List[Tuple[Address, bytes, Optional[SerethStorageLayout]]] = []
@@ -140,10 +141,14 @@ class Peer:
             self._raa_registry = RAAProviderRegistry()
             self.engine.raa_provider = self._raa_registry
         config = HMSConfig(contract_address=contract_address, set_selector=set_selector)
+        # The engine holds the provider, so the suppliers hold this peer only
+        # weakly: a finished trial is freed by reference counting, not by
+        # the cyclic collector.
+        peer = weakref.ref(self)
         provider = HMSRAAProvider(
             config=config,
-            pool_supplier=lambda: self.pool,
-            state_supplier=lambda: self.chain.state,
+            pool_supplier=lambda: peer().pool,
+            state_supplier=lambda: peer().chain.state,
             layout=layout,
         )
         self._raa_registry.register(contract_address, provider)

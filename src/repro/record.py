@@ -15,7 +15,8 @@ raises ``TypeError`` for a name that is not a field of a slotted class, so a
 record installs the plain refusal); eq, hash, repr, ``fields()``, ``replace()``,
 ``default_factory``, ``compare=False``, ``__post_init__`` and pickling
 behave as they do on a frozen dataclass.  Records have no ``__dict__``, so a
-value a record derives lazily lives in a field declared ``init=False``.
+value a record derives lazily lives in a field declared ``init=False``, and
+no ``__weakref__`` unless the class derives from :class:`WeakReferable`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import inspect
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Any, Callable, Dict, List, TypeVar
 
-__all__ = ["record"]
+__all__ = ["record", "WeakReferable"]
 
 T = TypeVar("T", bound=type)
 
@@ -36,6 +37,13 @@ def record(cls: T) -> T:
     cls.__init__ = _descriptor_init(cls)
     cls.__setattr__ = cls.__delattr__ = _refuse
     return cls
+
+
+class WeakReferable:
+    """Base class for a record that may be weakly referenced: a slotted
+    class has no ``__weakref__`` slot unless a base provides one."""
+
+    __slots__ = ("__weakref__",)
 
 
 def _refuse(self: Any, name: str, *value: Any) -> None:

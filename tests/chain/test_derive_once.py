@@ -14,7 +14,7 @@ from __future__ import annotations
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,7 @@ from repro.chain.block import Block, BlockHeader
 from repro.chain.chain import Blockchain
 from repro.chain.errors import ValidationError
 from repro.chain.genesis import GenesisConfig
+from repro.chain.receipt import LogEntry, Receipt, receipts_root
 from repro.chain.transaction import TIMESTAMP_SCALE, Transaction
 from repro.chain.trie import EMPTY_ROOT, ordered_trie_root
 from repro.chain.wire import wire_cache_stats
@@ -32,8 +33,13 @@ from repro.contracts.sereth import SerethContract
 from repro.crypto.addresses import address_from_label
 from repro.crypto.keccak import keccak256
 from repro.encoding.rlp import rlp_encode
+from repro.net.latency import ConstantLatency
+from repro.net.network import Network
+from repro.net.peer import Peer
+from repro.net.sim import Simulator
 
 from ..oracles import ValueTransferExecutor, decode_block, decode_header, encode_block, encode_header, encode_receipt, encode_transaction
+from .test_trie import indexed, trie_root
 
 ALICE = address_from_label("alice")
 BOB = address_from_label("bob")
@@ -282,3 +288,111 @@ class TestEmptyRootIsAConstant:
             "assert 'repro.crypto.keccak_native' not in sys.modules\n"
         )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
+
+
+# -- sealed artefacts -------------------------------------------------------------------
+
+log_entries = st.builds(
+    LogEntry,
+    address=st.binary(min_size=20, max_size=20),
+    topics=st.lists(st.binary(min_size=32, max_size=32), max_size=3).map(tuple),
+    data=byte_strings,
+)
+receipts = st.builds(
+    Receipt,
+    transaction_hash=st.binary(min_size=32, max_size=32),
+    success=st.booleans(),
+    gas_used=small_ints,
+    logs=st.lists(log_entries, max_size=3),
+    error=st.one_of(st.none(), st.text(max_size=20)),
+    return_data=byte_strings,
+    block_number=st.one_of(st.none(), small_ints),
+    transaction_index=st.one_of(st.none(), st.integers(min_value=0, max_value=300)),
+)
+
+
+def receipt_consensus_fields(receipt: Receipt) -> list:
+    return [
+        receipt.transaction_hash,
+        1 if receipt.success else 0,
+        receipt.gas_used,
+        [[log.address, list(log.topics), log.data] for log in receipt.logs],
+    ]
+
+
+def receipt_wire_fields(receipt: Receipt) -> list:
+    return receipt_consensus_fields(receipt) + [
+        receipt.error.encode("utf-8") if receipt.error else b"",
+        receipt.return_data,
+        receipt.block_number if receipt.block_number is not None else b"",
+        receipt.transaction_index if receipt.transaction_index is not None else b"",
+    ]
+
+
+class TestSealedArtefacts:
+    """Receipts, headers and blocks are sealed at construction: nothing can
+    change a field after the bytes derived from it exist."""
+
+    @pytest.fixture
+    def block(self):
+        config = GenesisConfig.for_labels(["alice", "bob", "miner"], balance=10**18)
+        chain = Blockchain(ValueTransferExecutor(), config)
+        transaction = Transaction(sender=ALICE, nonce=0, to=BOB, value=1)
+        built, _ = chain.build_block([transaction], miner=MINER, timestamp=13.0)
+        return built
+
+    @pytest.mark.parametrize(
+        "part, name, value",
+        [
+            ("receipt", "transaction_index", 7),
+            ("receipt", "success", False),
+            ("receipt", "_wire", b""),
+            ("header", "number", 99),
+            ("header", "hash", b"\x00" * 32),
+            ("block", "transactions", []),
+            ("block", "_wire", b""),
+        ],
+    )
+    def test_every_part_refuses_mutation(self, block, part, name, value):
+        target = {"receipt": block.receipts[0], "header": block.header, "block": block}[part]
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(target, name)
+
+    def test_built_receipts_are_stamped_at_construction(self, block):
+        assert [(receipt.block_number, receipt.transaction_index, receipt.block_timestamp)
+                for receipt in block.receipts] == [(1, 0, 13.0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(receipt=receipts)
+    def test_receipt_encode_and_wire_are_the_written_out_formulas(self, receipt):
+        assert receipt.encode() == rlp_encode(receipt_consensus_fields(receipt))
+        assert receipt.wire == rlp_encode(receipt_wire_fields(receipt))
+        assert receipt.wire is receipt.wire, "derived once"
+        assert encode_receipt(receipt) is receipt.wire
+
+    @settings(max_examples=50, deadline=None)
+    @given(sealed=st.lists(receipts, max_size=20))
+    def test_receipts_root_is_the_trie_oracle_over_the_written_out_leaves(self, sealed):
+        leaves = [rlp_encode(receipt_consensus_fields(receipt)) for receipt in sealed]
+        assert receipts_root(sealed) == trie_root(indexed(leaves))
+
+    def test_a_gossiped_receipt_is_the_same_unchanged_object_on_every_peer(self):
+        simulator = Simulator()
+        network = Network(simulator, latency=ConstantLatency(0.05), seed=7)
+        genesis = GenesisConfig.for_labels(["alice", "bob"], balance=10**18)
+        peers = [network.add_peer(Peer(f"peer-{index}", genesis)) for index in range(3)]
+        transaction = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
+        peers[0].submit_transaction(transaction, now=0.0)
+        simulator.run()
+        block, _ = peers[0].chain.build_block([transaction], miner=ALICE, timestamp=1.0)
+        receipt = block.receipts[0]
+        before = (receipt.wire, receipt.encode(), repr(receipt))
+        network.broadcast_block(peers[0], block)
+        simulator.run()
+        for peer in peers[1:]:
+            assert peer.chain.head is block
+            assert peer.chain.receipt_for(transaction.hash) is receipt
+        assert (receipt.wire, receipt.encode(), repr(receipt)) == before
+        assert receipt.wire is before[0], "no import re-derived its bytes"

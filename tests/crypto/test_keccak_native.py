@@ -183,3 +183,33 @@ def test_property_extension_matches_the_sponge(data, kind):
     if native is None:
         pytest.skip("no native keccak backend in this environment")
     assert native(kind(data)) == Keccak256(data).digest()
+
+
+RATE = 136
+RATE_EDGES = [RATE * blocks + offset for blocks in range(1, 6) for offset in (-1, 0, 1)]
+"""135/136/137, 271/272/273, ... 679/680/681: one byte short of, exactly on
+and one past each multiple of the rate that fits in 700 bytes."""
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.one_of(st.integers(min_value=0, max_value=700), st.sampled_from(RATE_EDGES)).flatmap(
+        lambda size: st.binary(min_size=size, max_size=size)
+    )
+)
+def test_property_unrolled_kernel_matches_the_sponge_at_every_length(data):
+    """The lane-local unrolled permutation, over any content, at any length
+    from 0 to 700 bytes and at every rate edge in that range."""
+    native = keccak_module._native_backend()
+    if native is None:
+        pytest.skip("no native keccak backend in this environment")
+    assert native(data) == Keccak256(data).digest(), len(data)
+
+
+def test_unrolled_kernel_matches_the_sponge_at_each_length_up_to_700():
+    native = keccak_module._native_backend()
+    if native is None:
+        pytest.skip("no native keccak backend in this environment")
+    pattern = bytes((index * 131 + 7) & 0xFF for index in range(700))
+    for length in range(701):
+        assert native(pattern[:length]) == Keccak256(pattern[:length]).digest(), length

@@ -157,7 +157,7 @@ class TestWireBytesLifetime:
             network.broadcast_block(miner, block)
             simulator.run()
             if offset == 10:
-                assert "wire" in block.__dict__, "broadcast derived the bytes"
+                assert block._wire is not None, "broadcast derived the bytes"
                 early = weakref.ref(block)
             del block
         assert miner.chain.height == follower.chain.height == 50

@@ -102,7 +102,7 @@ def _decode_log(fields: list) -> LogEntry:
 
 def encode_receipt(receipt: Receipt) -> bytes:
     """``[transaction_hash, success, gas_used, logs, error, return_data,
-    block_number, transaction_index]``, encoded per read (receipts mutate)."""
+    block_number, transaction_index]``, derived once per (sealed) receipt."""
     return receipt.wire
 
 
@@ -142,28 +142,24 @@ class ValueTransferExecutor:
     :class:`repro.evm.engine.ExecutionEngine`."""
 
     def execute(
-        self, state: WorldState, transaction: Transaction, block: BlockContext
+        self, state: WorldState, transaction: Transaction, block: BlockContext, index: int
     ) -> Receipt:
+        def receipt(success: bool, gas_used: int, error: Optional[str] = None) -> Receipt:
+            return Receipt(transaction.hash, success, gas_used, [], error, b"", block.number, index, block.timestamp)
+
         intrinsic = transaction.intrinsic_gas()
         fee = intrinsic * transaction.gas_price
         sender_balance = state.get_balance(transaction.sender)
         if transaction.nonce != state.get_nonce(transaction.sender):
-            return Receipt(
-                transaction_hash=transaction.hash, success=False, gas_used=0, error="nonce mismatch"
-            )
+            return receipt(False, 0, "nonce mismatch")
         state.increment_nonce(transaction.sender)
         if sender_balance < transaction.value + fee or intrinsic > transaction.gas_limit:
-            return Receipt(
-                transaction_hash=transaction.hash,
-                success=False,
-                gas_used=min(intrinsic, transaction.gas_limit),
-                error="insufficient balance or gas",
-            )
+            return receipt(False, min(intrinsic, transaction.gas_limit), "insufficient balance or gas")
         state.subtract_balance(transaction.sender, transaction.value + fee)
         if transaction.to is not None:
             state.add_balance(transaction.to, transaction.value)
         state.add_balance(block.miner, fee)
-        return Receipt(transaction_hash=transaction.hash, success=True, gas_used=intrinsic)
+        return receipt(True, intrinsic)
 
 
 # -- DEEPESTBRANCH as the paper writes it ----------------------------------------------------
