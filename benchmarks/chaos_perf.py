@@ -132,7 +132,7 @@ def _timed_faulted_cell() -> Dict[str, Any]:
     from repro.api.engine import run_simulation
     from repro.experiments.chaos import _cell_spec
 
-    spec = _cell_spec("semantic_mining", "combined", "heavy", FAULTED_BUYS, FAULTED_SEED)
+    spec = _cell_spec("semantic_mining", "combined", "heavy", FAULTED_BUYS).with_seed(FAULTED_SEED)
     start = perf_counter()
     summary = run_simulation(spec).summary()
     elapsed = perf_counter() - start

@@ -46,7 +46,7 @@ def test_bench_parallel_sweep_matches_serial(benchmark):
 
     rows = [
         f"{row.tags['scenario']:>16}  ratio {row.tags['buys_per_set']:>4}:1  "
-        f"eta = {row.efficiency:.1%}"
+        f"eta = {row.summary['efficiency']:.1%}"
         for row in parallel
     ]
     emit_block(

@@ -63,7 +63,7 @@ def bench_leg(topology: str, peers: int) -> Dict[str, Any]:
     from repro.api.engine import run_simulation
     from repro.experiments.propagation import _cell_spec
 
-    spec = _cell_spec(topology, peers, "displacement", BENCH_BUYS, BENCH_SEED)
+    spec = _cell_spec(topology, peers, "displacement", BENCH_BUYS).with_seed(BENCH_SEED)
     started = time.perf_counter()
     summary = run_simulation(spec).summary()
     elapsed = time.perf_counter() - started

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.api import Simulation, Sweep
+from repro.api import ResultFrame, Simulation, Sweep
 from repro.experiments.reporting import emit_block, format_percentage, format_table
 
 
@@ -41,17 +41,17 @@ def main() -> None:
         )
         .trials(2)
     )
-    result = sweep.run(workers=arguments.workers)
+    frame = ResultFrame.from_sweep(sweep.run(workers=arguments.workers))
     if arguments.csv:
-        result.to_csv(arguments.csv)
+        frame.to_csv(arguments.csv)
 
     rows = []
     for scenario in ("geth_unmodified", "sereth_client", "semantic_mining"):
         for interval in (1.0, 4.0):
-            mean = result.mean_efficiency(scenario=scenario, bid_interval=interval)
+            mean = frame.mean("efficiency", scenario=scenario, bid_interval=interval)
             rows.append([scenario, f"{interval:g}", format_percentage(mean)])
     emit_block(
-        f"Auction bid success rate ({len(result)} runs, {arguments.workers} workers)",
+        f"Auction bid success rate ({len(frame)} runs, {arguments.workers} workers)",
         format_table(["scenario", "bid interval (s)", "accepted bids"], rows)
         + "\nREAD-UNCOMMITTED bidders outbid the pending high bid; committed-state "
         "bidders keep referencing stale marks and lose.",

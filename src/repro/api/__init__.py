@@ -25,7 +25,7 @@ The facade has four pieces:
 
 Quickstart::
 
-    from repro.api import Simulation, Sweep
+    from repro.api import ResultFrame, Simulation, Sweep
 
     spec = (
         Simulation.builder()
@@ -36,11 +36,12 @@ Quickstart::
     )
     print(Simulation(spec).run().efficiency)
 
-    figure2 = Sweep(spec).over(
+    figure2 = ResultFrame.from_sweep(Sweep(spec).over(
         scenario=["geth_unmodified", "sereth_client", "semantic_mining"],
         buys_per_set=[1.0, 2.0, 10.0],
-    ).trials(3).run(workers=4)
+    ).trials(3).run(workers=4))
     figure2.to_csv("figure2.csv")
+    figure2.mean("efficiency", scenario="semantic_mining")
 
     from repro.api import run_experiment, ExperimentOptions
     run = run_experiment("figure2", ExperimentOptions(workers=4))
@@ -109,7 +110,7 @@ from .registry import (
 )
 from .seeding import SeedPlan, derive_seed
 from .spec import SimulationSpec, freeze_adversaries, freeze_params
-from .sweep import EmptySelectionError, Sweep, SweepResult, SweepRow
+from .sweep import Sweep, SweepResult, SweepRow
 from ..workloads.base import SimulationContext, Workload, sereth_exchange_address
 
 __all__ = [
@@ -124,7 +125,6 @@ __all__ = [
     "Claim",
     "ClaimCheck",
     "EXPERIMENT_REGISTRY",
-    "EmptySelectionError",
     "Experiment",
     "ExperimentOptions",
     "ExperimentRun",

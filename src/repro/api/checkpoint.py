@@ -5,9 +5,9 @@ order), so its SHA-256 digest identifies the grid exactly.  The checkpoint
 file records that digest in a header line and then one JSON line per
 *completed* row::
 
-    {"kind": "sweep-checkpoint", "digest": "ab12...", "total": 45, "version": 1}
-    {"index": 0, "summary": {...}, "tags": {...}}
-    {"index": 3, "summary": {...}, "tags": {...}}
+    {"kind": "sweep-checkpoint", "digest": "ab12...", "total": 45, "version": 2}
+    {"check": "9f3e...", "index": 0, "summary": {...}, "tags": {...}}
+    {"check": "04c1...", "index": 3, "summary": {...}, "tags": {...}}
 
 Rows are appended (and flushed) as each cell finishes, so an interrupted run
 loses at most the in-flight cells.  On resume, :meth:`SweepCheckpoint.load`
@@ -18,6 +18,10 @@ and the runner executes only the missing indices.  Because every cell's spec
 fully seeds its run, a resumed sweep's rows are identical to an uninterrupted
 run's, and the exported artifacts are byte-identical (the invariant CI
 enforces).
+
+Each row carries a ``check`` (:func:`record_check`), so a byte that a
+crash or a disk flipped drops its row — which then simply re-runs — instead
+of resuming it with an altered value.
 
 Checkpointed rows round-trip through JSON, so live rows are canonicalized
 the same way before they enter a checkpointed :class:`SweepResult` — a
@@ -33,9 +37,17 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["CheckpointMismatchError", "SweepCheckpoint", "spec_digest", "sweep_digest"]
+__all__ = [
+    "CheckpointMismatchError",
+    "SweepCheckpoint",
+    "read_jsonl",
+    "record_check",
+    "spec_digest",
+    "sweep_digest",
+]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+"""Version 2 rows carry a ``check``; version 1 files are refused as foreign."""
 
 
 class CheckpointMismatchError(ValueError):
@@ -69,6 +81,29 @@ def sweep_digest(jobs: Sequence[Tuple[Any, Dict[str, Any]]]) -> str:
     return digest.hexdigest()
 
 
+def read_jsonl(path: Path) -> List[Any]:
+    """Every non-blank line of a durable JSONL log, decoded; ``None`` stands
+    for a line that is not UTF-8 JSON.  The file is read as bytes and decoded
+    line by line, so a torn or flipped byte spoils only the line it sits on."""
+    records = []
+    for line in path.read_bytes().splitlines():
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line.decode("utf-8")))
+        except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError
+            records.append(None)
+    return records
+
+
+def record_check(record: Dict[str, Any]) -> str:
+    """A short digest of a log record's canonical JSON.  Stored beside the
+    record, it catches a line that a flipped byte altered but left parseable
+    (a digit inside a value, a row index), so the reader drops the line
+    instead of trusting it."""
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+
+
 def _canonical(row: Dict[str, Any]) -> Dict[str, Any]:
     """JSON round-trip a row payload so loaded and live rows compare equal."""
     return json.loads(json.dumps(row, sort_keys=True))
@@ -100,13 +135,10 @@ class SweepCheckpoint:
         target = Path(path)
         if not target.exists():
             return checkpoint
-        lines = target.read_text(encoding="utf-8").splitlines()
-        if not lines:
+        records = read_jsonl(target)
+        if not records:
             return checkpoint
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
+        header = records[0]
         if not isinstance(header, dict) or header.get("kind") != "sweep-checkpoint":
             raise CheckpointMismatchError(
                 f"{target} exists but is not a sweep checkpoint; delete it or "
@@ -114,23 +146,23 @@ class SweepCheckpoint:
             )
         if header.get("digest") != digest or header.get("version") != _FORMAT_VERSION:
             raise CheckpointMismatchError(
-                f"{target} belongs to a different sweep (its grid digest does "
-                "not match this one's) — its completed rows would be lost. "
+                f"{target} belongs to a different sweep (its grid digest or "
+                "format version does not match this one's) — its completed "
+                "rows would be lost. "
                 "Re-run with the options the checkpoint was written with, or "
                 "delete the file / choose another path to start fresh."
             )
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # partially written final line of an interrupted run
-            if not isinstance(record, dict):
+        for record in records[1:]:
+            # A line that does not decode or check is the partially written
+            # final line of an interrupted run, or a corrupt one: only its
+            # row is lost.
+            if not isinstance(record, dict) or record.pop("check", None) != record_check(record):
                 continue
             index = record.get("index")
             tags = record.get("tags")
             summary = record.get("summary")
             if (
-                isinstance(index, int)
+                type(index) is int  # not a bool: ``true`` is no row index
                 and 0 <= index < total
                 and isinstance(tags, dict)
                 and isinstance(summary, dict)
@@ -199,4 +231,5 @@ class SweepCheckpoint:
     @staticmethod
     def _row_line(index: int, payload: Dict[str, Any]) -> str:
         record = {"index": index, "tags": payload["tags"], "summary": payload["summary"]}
+        record["check"] = record_check(record)
         return json.dumps(record, sort_keys=True) + "\n"

@@ -200,8 +200,11 @@ class Experiment:
     """Base class of the experiment protocol.
 
     Subclasses declare ``name``, ``description``, and ``claims``, implement
-    :meth:`plan`, and optionally refine :meth:`analyze` (derive metric
-    columns) and ``export_columns`` (the flat export schema).  Register with
+    :meth:`plan` (a grid, as :class:`GridExperiment` declares one, or an
+    ordered cell list through :meth:`Sweep.from_cells
+    <repro.api.sweep.Sweep.from_cells>`), and optionally refine
+    :meth:`analyze` (derive metric columns) and ``export_columns`` (the
+    flat export schema).  Register with
     :func:`register_experiment` and the generic engine, CLI, benchmarks,
     and CI all pick the experiment up by name.
     """

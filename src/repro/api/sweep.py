@@ -1,11 +1,21 @@
-"""The sweep engine: expand a parameter grid into specs and run them in parallel.
+"""The sweep engine: expand seeded grid cells into specs and run them in parallel.
 
-A :class:`Sweep` starts from a base :class:`SimulationSpec` and varies any
-combination of dimensions — ``scenario``, spec-level fields (``block_interval``,
-``num_miners``…), or workload parameters (``buys_per_set``…) — with ``trials``
-seeded repetitions per grid cell.  Expansion is fully deterministic: every
-cell receives a per-trial seed derived from the base seed and its coordinates,
-so the same sweep produces the same specs (and therefore the same metrics)
+A :class:`Sweep` is a list of grid cells, each a ``(coordinates, cell spec)``
+pair, repeated over ``trials`` seeded trials.  The cells come from one of
+two declarations:
+
+* ``Sweep(base).over(...)`` — a cartesian grid over a base
+  :class:`SimulationSpec`, varying any combination of ``scenario``,
+  spec-level fields (``block_interval``, ``num_miners``…), or workload
+  parameters (``buys_per_set``…);
+* :meth:`Sweep.from_cells` — an explicit, ordered cell list under a seed
+  namespace, for grids that are not a product (the attack matrix's control
+  row, one ablation's scenario subset).
+
+Either way one expander turns every cell into jobs: trial ``t`` of a cell
+runs ``cell_spec.with_seed(s)`` with ``s`` derived from the root seed and
+the cell's coordinates, tagged ``{**coordinates, "trial": t, "seed": s}``.
+So the same sweep produces the same specs (and therefore the same metrics)
 whether it runs serially or on a ``multiprocessing`` pool.
 
     sweep = (
@@ -15,27 +25,31 @@ whether it runs serially or on a ``multiprocessing`` pool.
         .trials(3)
     )
     result = sweep.run(workers=4)
-    result.to_csv("figure2.csv")
+    ResultFrame.from_sweep(result).to_csv("figure2.csv")
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..experiments.scenario import Scenario
 from .checkpoint import SweepCheckpoint, sweep_digest
+from .frame import _deliver
 from .seeding import derive_seed
 from .spec import SimulationSpec
 
-__all__ = ["EmptySelectionError", "Sweep", "SweepResult", "SweepRow", "apply_dimension"]
+__all__ = ["Sweep", "SweepResult", "SweepRow", "apply_dimension"]
+
+Cell = Tuple[Dict[str, Any], SimulationSpec]
+"""One grid cell: its coordinates (the tags every trial carries) and its spec."""
+Job = Tuple[SimulationSpec, Dict[str, Any]]
+"""One seeded trial of a cell: the spec to run and its tags."""
 
 
 def apply_dimension(spec: SimulationSpec, name: str, value: Any) -> SimulationSpec:
@@ -47,13 +61,6 @@ def apply_dimension(spec: SimulationSpec, name: str, value: Any) -> SimulationSp
         return replace(spec, **{name: value})
     return spec.with_params(**{name: value})
 
-
-class EmptySelectionError(KeyError):
-    """A selection over sweep rows matched nothing usable.
-
-    Subclasses :class:`KeyError` so callers that guarded against the old
-    behaviour keep working; the message says whether no row matched at all
-    or the matching rows simply carry no efficiency metric."""
 
 _SPEC_FIELD_NAMES = {spec_field.name for spec_field in dataclass_fields(SimulationSpec)}
 
@@ -73,15 +80,22 @@ def _process_simulator():
 
 
 @contextmanager
-def _worker_pool(workers: int) -> Iterator[multiprocessing.pool.Pool]:
-    """A process pool whose workers, on success, exit through their sentinel
-    (``close`` then ``join``).  ``Pool.__exit__`` would ``terminate`` them
-    instead: a SIGTERM can land while a worker runs a Python-level signal
-    handler or holds a queue lock, and leave a sibling blocked on it.  On an
-    error the pool is still terminated."""
+def _job_map(workers: int) -> Iterator[Callable[..., Iterable[Any]]]:
+    """The ordered ``map`` a run's jobs go through: the builtin when serial,
+    a process pool's ``imap`` when parallel (it streams rows back in job
+    order, so a checkpointed run records each row as it lands).
+
+    On success the pool's workers exit through their sentinel (``close``
+    then ``join``).  ``Pool.__exit__`` would ``terminate`` them instead: a
+    SIGTERM can land while a worker runs a Python-level signal handler or
+    holds a queue lock, and leave a sibling blocked on it.  On an error the
+    pool is still terminated."""
+    if workers <= 1:
+        yield map
+        return
     pool = multiprocessing.Pool(processes=workers)
     try:
-        yield pool
+        yield pool.imap
     except BaseException:
         pool.terminate()
         raise
@@ -89,7 +103,7 @@ def _worker_pool(workers: int) -> Iterator[multiprocessing.pool.Pool]:
     pool.join()
 
 
-def _run_job(job: Tuple[SimulationSpec, Dict[str, Any]]) -> Dict[str, Any]:
+def _run_job(job: Job) -> Dict[str, Any]:
     """Worker entry point: run one spec and return its picklable row.
 
     Workers are deliberately kept *warm* between jobs: the process memos
@@ -110,122 +124,67 @@ def _run_job(job: Tuple[SimulationSpec, Dict[str, Any]]) -> Dict[str, Any]:
     return row
 
 
+def _seeded(
+    cells: Iterable[Cell],
+    trials: int,
+    seed_of: Callable[[Dict[str, Any], SimulationSpec, int], int],
+) -> List[Job]:
+    """The one expander: every cell repeated ``trials`` times, trial ``t``
+    running under ``seed_of(coordinates, cell_spec, t)`` and tagged
+    ``{**coordinates, "trial": t, "seed": seed}``."""
+    jobs: List[Job] = []
+    for coordinates, cell_spec in cells:
+        for trial in range(trials):
+            seed = seed_of(coordinates, cell_spec, trial)
+            jobs.append(
+                (cell_spec.with_seed(seed), {**coordinates, "trial": trial, "seed": seed})
+            )
+    return jobs
+
+
 @dataclass
 class SweepRow:
-    """One grid cell's outcome: its coordinates plus the run's summary."""
+    """One job's outcome: its tags plus the run's summary."""
 
     tags: Dict[str, Any]
     summary: Dict[str, Any]
-    result: Optional[Any] = None
-    """The live SimulationResult — populated only on serial runs that asked
-    to keep results (live results cannot cross process boundaries)."""
-
-    @property
-    def efficiency(self) -> Optional[float]:
-        return self.summary.get("efficiency")
-
-    def report(self, label: str) -> Dict[str, Any]:
-        return self.summary["reports"][label]
-
-    def matches(self, **tags: Any) -> bool:
-        return all(self.tags.get(key) == value for key, value in tags.items())
 
 
 @dataclass
 class SweepResult:
-    """All rows of a sweep, with filtering and JSON/CSV export."""
+    """Every row of a sweep, in job order — the raw record a checkpoint
+    stores and the golden checksum pins.  Analyse it through
+    :meth:`ResultFrame.from_sweep <repro.api.frame.ResultFrame.from_sweep>`."""
 
     rows: List[SweepRow] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[SweepRow]:
         return iter(self.rows)
 
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    # -- selection ------------------------------------------------------------------
-
-    def filter(self, **tags: Any) -> "SweepResult":
-        """The matching rows as a new SweepResult — chainable, like
-        :meth:`ResultFrame.filter` (it still iterates/indexes like a list)."""
-        return SweepResult(rows=[row for row in self.rows if row.matches(**tags)])
-
-    def mean_efficiency(self, **tags: Any) -> float:
-        matching = self.filter(**tags)
-        if not matching:
-            raise EmptySelectionError(f"no sweep rows match {tags!r}")
-        values = [row.efficiency for row in matching if row.efficiency is not None]
-        if not values:
-            raise EmptySelectionError(
-                f"{len(matching)} sweep rows match {tags!r} but none carries an "
-                "efficiency metric (the workload has no primary label)"
-            )
-        return sum(values) / len(values)
-
-    # -- export ---------------------------------------------------------------------
-
-    def to_dict(self) -> List[Dict[str, Any]]:
-        # Tag dicts are rebuilt key-sorted so exported artifacts diff cleanly
-        # across runs regardless of dimension declaration order.
-        return [
-            {"tags": dict(sorted(row.tags.items())), "summary": row.summary}
-            for row in self.rows
-        ]
-
     def to_json(self, path: Optional[Union[str, Path]] = None) -> str:
-        """Serialize every row; written to ``path`` if given."""
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        if path is not None:
-            target = Path(path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text, encoding="utf-8")
-        return text
-
-    def to_csv(self, path: Optional[Union[str, Path]] = None) -> str:
-        """A flat table: tag columns plus the headline metrics per row.
-
-        Tag columns are emitted in sorted order (not first-seen insertion
-        order) so CSV artifacts from the same grid diff cleanly no matter
-        how the sweep's dimensions were declared.
-        """
-        tag_keys = sorted({key for row in self.rows for key in row.tags})
-        metric_keys = ["efficiency", "blocks_produced", "simulated_seconds"]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(tag_keys + metric_keys)
-        for row in self.rows:
-            record = [row.tags.get(key, "") for key in tag_keys]
-            record.append(row.summary.get("efficiency"))
-            record.append(row.summary.get("blocks_produced"))
-            record.append(row.summary.get("simulated_seconds"))
-            writer.writerow(record)
-        text = buffer.getvalue()
-        if path is not None:
-            target = Path(path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text, encoding="utf-8")
-        return text
+        """Serialize every row with sorted keys (so exported artifacts diff
+        cleanly whatever the dimension declaration order); written to
+        ``path`` if given."""
+        records = [{"tags": row.tags, "summary": row.summary} for row in self.rows]
+        return _deliver(json.dumps(records, indent=2, sort_keys=True) + "\n", path)
 
 
 class Sweep:
-    """Expands a parameter grid over a base spec and executes it."""
+    """Expands seeded grid cells into jobs and executes them."""
 
     def __init__(self, base: SimulationSpec) -> None:
         self.base = base
         self._dimensions: Dict[str, List[Any]] = {}
         self._trials = 1
-        self._explicit_jobs: Optional[List[Tuple[SimulationSpec, Dict[str, Any]]]] = None
+        self._explicit_jobs: Optional[List[Job]] = None
 
     # -- construction -----------------------------------------------------------------
 
     @classmethod
-    def from_specs(
-        cls,
-        jobs: Sequence[Tuple[SimulationSpec, Dict[str, Any]]],
-    ) -> "Sweep":
+    def from_specs(cls, jobs: Sequence[Job]) -> "Sweep":
         """A sweep over pre-expanded (spec, tags) jobs — for callers that need
         exact control over every spec (e.g. regenerating the paper's seeds)."""
         if not jobs:
@@ -233,6 +192,28 @@ class Sweep:
         sweep = cls(jobs[0][0])
         sweep._explicit_jobs = [(spec, dict(tags)) for spec, tags in jobs]
         return sweep
+
+    @classmethod
+    def from_cells(
+        cls, namespace: str, root_seed: int, trials: int, cells: Sequence[Cell]
+    ) -> "Sweep":
+        """A sweep over an ordered list of ``(coordinates, cell spec)`` cells.
+
+        Trial ``t`` of a cell runs under ``derive_seed(root_seed, namespace,
+        *coordinates.values(), t)``: a list rather than a product, because
+        not every grid is one (a control row, a per-ablation scenario set).
+        """
+        if trials <= 0:
+            raise ValueError("trials must be positive")
+        return cls.from_specs(
+            _seeded(
+                cells,
+                trials,
+                lambda coordinates, _spec, trial: derive_seed(
+                    root_seed, namespace, *coordinates.values(), trial
+                ),
+            )
+        )
 
     def over(self, **dimensions: Iterable[Any]) -> "Sweep":
         """Add grid dimensions: ``scenario``, spec fields, or workload params."""
@@ -264,53 +245,42 @@ class Sweep:
 
     # -- expansion --------------------------------------------------------------------
 
-    @staticmethod
-    def _tag_value(name: str, value: Any) -> Any:
-        if isinstance(value, Scenario):
-            return value.name
-        return value
-
-    def jobs(self) -> List[Tuple[SimulationSpec, Dict[str, Any]]]:
+    def jobs(self) -> List[Job]:
         """The fully expanded, deterministically seeded (spec, tags) list."""
         if self._explicit_jobs is not None:
             return [(spec, dict(tags)) for spec, tags in self._explicit_jobs]
         names = list(self._dimensions)
-        grids = [self._dimensions[name] for name in names]
-        jobs: List[Tuple[SimulationSpec, Dict[str, Any]]] = []
-        for combo in itertools.product(*grids) if names else [()]:
+        cells: List[Cell] = []
+        for combo in itertools.product(*(self._dimensions[name] for name in names)):
             cell_spec = self.base
-            tags: Dict[str, Any] = {}
+            coordinates: Dict[str, Any] = {}
             for name, value in zip(names, combo):
                 cell_spec = apply_dimension(cell_spec, name, value)
-                tags[name] = self._tag_value(name, value)
-            for trial in range(self._trials):
-                seed = derive_seed(
-                    self.base.seed,
-                    cell_spec.scenario.name,
-                    cell_spec.workload,
-                    tuple(sorted((k, repr(v)) for k, v in tags.items())),
-                    trial,
-                )
-                trial_tags = dict(tags)
-                trial_tags["trial"] = trial
-                trial_tags["seed"] = seed
-                jobs.append((cell_spec.with_seed(seed), trial_tags))
-        return jobs
+                coordinates[name] = value.name if isinstance(value, Scenario) else value
+            cells.append((coordinates, cell_spec))
+        return _seeded(
+            cells,
+            self._trials,
+            lambda coordinates, cell_spec, trial: derive_seed(
+                self.base.seed,
+                cell_spec.scenario.name,
+                cell_spec.workload,
+                tuple(sorted((key, repr(value)) for key, value in coordinates.items())),
+                trial,
+            ),
+        )
 
     # -- execution --------------------------------------------------------------------
 
     def run(
         self,
         workers: int = 1,
-        keep_results: bool = False,
         checkpoint: Optional[Union[str, Path]] = None,
     ) -> SweepResult:
         """Execute every job; ``workers > 1`` uses a multiprocessing pool.
 
         Results are deterministic and identical across worker counts: each
         job's spec fully seeds its run, and rows keep the expansion order.
-        ``keep_results`` attaches live SimulationResult objects to the rows
-        (serial runs only — live results cannot cross process boundaries).
 
         ``checkpoint`` names a JSONL file keyed by the job list's content
         digest: every completed row is appended as it finishes, and a re-run
@@ -319,60 +289,16 @@ class Sweep:
         their exports are byte-identical.
         """
         jobs = self.jobs()
-        if workers > 1 and keep_results:
-            raise ValueError("keep_results requires a serial run (workers=1)")
+        store = None
+        pending = list(range(len(jobs)))
         if checkpoint is not None:
-            if keep_results:
-                raise ValueError(
-                    "keep_results cannot be combined with a checkpoint "
-                    "(live results cannot be persisted)"
-                )
-            return self._run_checkpointed(jobs, workers, checkpoint)
-        if workers > 1:
-            with _worker_pool(workers) as pool:
-                raw_rows = pool.map(_run_job, jobs)
-            rows = [SweepRow(tags=raw["tags"], summary=raw["summary"]) for raw in raw_rows]
-        elif keep_results:
-            # Live results keep their peers (and, transitively, the event
-            # loop), so each trial gets a private Simulator.
-            from .engine import run_simulation
-
-            rows = []
-            for spec, tags in jobs:
-                result = run_simulation(spec)
-                rows.append(SweepRow(tags=tags, summary=result.summary(), result=result))
-        else:
-            # Serial runs take the same warm path as a pool worker.
-            rows = [
-                SweepRow(tags=raw["tags"], summary=raw["summary"])
-                for raw in map(_run_job, jobs)
-            ]
-        return SweepResult(rows=rows)
-
-    def _run_checkpointed(
-        self,
-        jobs: List[Tuple[SimulationSpec, Dict[str, Any]]],
-        workers: int,
-        checkpoint: Union[str, Path],
-    ) -> SweepResult:
-        """Run only the rows the checkpoint file is missing, recording each
-        completion incrementally (``imap`` streams parallel rows back in
-        order, so an interrupted pool loses only in-flight cells)."""
-        store = SweepCheckpoint.load(checkpoint, sweep_digest(jobs), len(jobs))
-        store.begin()
-        pending = [(index, jobs[index]) for index in store.missing()]
-        if pending and workers > 1:
-            with _worker_pool(workers) as pool:
-                for (index, (_spec, tags)), raw in zip(
-                    pending, pool.imap(_run_job, [job for _index, job in pending])
-                ):
-                    store.record(index, raw["tags"], raw["summary"])
-        elif pending:
-            for index, (spec, tags) in pending:
-                raw = _run_job((spec, tags))
+            store = SweepCheckpoint.load(checkpoint, sweep_digest(jobs), len(jobs))
+            store.begin()
+            pending = store.missing()
+        with _job_map(workers if pending else 1) as job_map:
+            raw_rows = job_map(_run_job, [jobs[index] for index in pending])
+            if store is None:
+                return SweepResult(rows=[SweepRow(**raw) for raw in raw_rows])
+            for index, raw in zip(pending, raw_rows):
                 store.record(index, raw["tags"], raw["summary"])
-        rows = []
-        for index in range(len(jobs)):
-            payload = store.row(index)
-            rows.append(SweepRow(tags=payload["tags"], summary=payload["summary"]))
-        return SweepResult(rows=rows)
+        return SweepResult(rows=[SweepRow(**store.row(index)) for index in range(len(jobs))])

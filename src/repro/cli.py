@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from .api import (
     CheckpointMismatchError,
     ExperimentOptions,
+    ResultFrame,
     Simulation,
     Sweep,
     execute_plan,
@@ -433,19 +434,18 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
     result = sweep.run(workers=arguments.workers)
     if arguments.json_path:
         result.to_json(arguments.json_path)
+    frame = ResultFrame.from_sweep(result)
     if arguments.csv_path:
-        result.to_csv(arguments.csv_path)
+        frame.to_csv(arguments.csv_path)
+    # from_sweep puts the (sorted) tag columns ahead of the metric columns.
+    tags = frame.column_names[: frame.column_names.index("efficiency")]
     table_rows = [
         [
-            str(row.tags.get("scenario", "")),
-            ", ".join(
-                f"{key}={value}"
-                for key, value in row.tags.items()
-                if key not in ("scenario", "seed")
-            ),
-            "-" if row.efficiency is None else format_percentage(row.efficiency),
+            str(row["scenario"]),
+            ", ".join(f"{key}={row[key]}" for key in tags if key not in ("scenario", "seed")),
+            "-" if row["efficiency"] is None else format_percentage(row["efficiency"]),
         ]
-        for row in result.rows
+        for row in frame.rows()
     ]
     emit_block(
         f"Sweep — {arguments.workload} ({len(result)} runs, {arguments.workers} workers)",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from ..api.experiment import Experiment, ExperimentOptions, register_experiment
 from ..api.frame import ResultFrame
-from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
 from .claims import ablation_claims
@@ -130,32 +129,17 @@ class AblationExperiment(Experiment):
 
     def plan(self, options: ExperimentOptions) -> Sweep:
         which = options.override("name", "miner_fraction")
-        root = self.seed(options)
-        num_buys = 30 if options.smoke else 100
-        jobs = []
+        params = dict(MARKET_PARAMS, num_buys=30 if options.smoke else 100)
+        cells = []
         for label, value, scenario, overrides in self._cells(which, options.smoke):
-            for trial in range(self.trials(options)):
-                seed = derive_seed(root, "ablation", which, label, value, trial)
-                params = dict(MARKET_PARAMS, num_buys=num_buys)
-                fields = {}
-                for key, override in overrides.items():
-                    (params if key in params else fields)[key] = override
-                spec = SimulationSpec(
-                    scenario=scenario,
-                    workload="market",
-                    workload_params=params,
-                    seed=seed,
-                    **fields,
-                )
-                tags = {
-                    "ablation": which,
-                    "scenario": label,
-                    "parameter": value,
-                    "trial": trial,
-                    "seed": seed,
-                }
-                jobs.append((spec, tags))
-        return Sweep.from_specs(jobs)
+            cell_params, fields = dict(params), {}
+            for key, override in overrides.items():
+                (cell_params if key in cell_params else fields)[key] = override
+            spec = SimulationSpec(
+                scenario=scenario, workload="market", workload_params=cell_params, **fields
+            )
+            cells.append(({"ablation": which, "scenario": label, "parameter": value}, spec))
+        return Sweep.from_cells("ablation", self.seed(options), self.trials(options), cells)
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:
         return frame.derive(

@@ -27,7 +27,7 @@ the paper's Section II-F frontrunner — causes zero victim harm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 # api submodule imports (not the package root): this module is pulled in by
 # repro.experiments, which repro.api's own init loads for the scenario axis.
@@ -36,7 +36,6 @@ from ..api.builder import Simulation
 from ..api.experiment import Experiment, ExperimentOptions, register_experiment
 from ..api.frame import ResultFrame
 from ..api.registry import SCENARIO_REGISTRY
-from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
 from ..adversary.strategies import VICTIM_BUY_LABEL
@@ -50,7 +49,6 @@ __all__ = [
     "CONTROL_ROW",
     "AttackMatrixConfig",
     "AttackMatrixExperiment",
-    "attack_matrix_jobs",
 ]
 
 DEFAULT_ADVERSARIES: Tuple[str, ...] = (
@@ -163,7 +161,21 @@ class AttackMatrixExperiment(Experiment):
         )
 
     def plan(self, options: ExperimentOptions) -> Sweep:
-        return Sweep.from_specs(attack_matrix_jobs(self.matrix_config(options)))
+        config = self.matrix_config(options)
+        rows = ([None] if config.include_control else []) + list(config.adversaries)
+        return Sweep.from_cells(
+            "attack-matrix",
+            config.seed,
+            config.trials,
+            [
+                (
+                    {"adversary": adversary or CONTROL_ROW, "defense": defense},
+                    _cell_spec(config, adversary, defense),
+                )
+                for adversary in rows
+                for defense in config.defenses
+            ],
+        )
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:
         def attack_total(row, key):
@@ -184,7 +196,8 @@ class AttackMatrixExperiment(Experiment):
 
 
 def _cell_spec(config: AttackMatrixConfig, adversary: Optional[str], defense: str) -> SimulationSpec:
-    """The facade spec for one matrix cell (``adversary=None`` is the control)."""
+    """The facade spec for one matrix cell (``adversary=None`` is the control);
+    the sweep seeds each trial."""
     builder = (
         Simulation.builder()
         .scenario(defense)
@@ -199,37 +212,7 @@ def _cell_spec(config: AttackMatrixConfig, adversary: Optional[str], defense: st
         .block_interval(config.block_interval)
         .gossip(0.07, 0.05)
         .gas(max_transactions_per_block=config.max_transactions_per_block)
-        .seed(config.seed)
     )
     if adversary is not None:
         builder = builder.adversary(adversary)
     return builder.build()
-
-
-def attack_matrix_jobs(
-    config: AttackMatrixConfig,
-) -> List[Tuple[SimulationSpec, Dict[str, Any]]]:
-    """The deterministically seeded (spec, tags) grid the sweep engine runs.
-
-    Per-trial seeds derive from the config seed and the cell coordinates, so
-    the same matrix produces the same numbers serially or on a worker pool.
-    """
-    rows: List[Optional[str]] = list(config.adversaries)
-    if config.include_control:
-        rows.insert(0, None)
-    jobs: List[Tuple[SimulationSpec, Dict[str, Any]]] = []
-    for adversary in rows:
-        row_label = adversary if adversary is not None else CONTROL_ROW
-        for defense in config.defenses:
-            base = _cell_spec(config, adversary, defense)
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, "attack-matrix", row_label, defense, trial)
-                tags = {
-                    "adversary": row_label,
-                    "defense": defense,
-                    "trial": trial,
-                    "seed": seed,
-                }
-                jobs.append((base.with_seed(seed), tags))
-    return jobs
-

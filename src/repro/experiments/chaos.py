@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Tuple
 from ..api.builder import Simulation, SimulationBuilder
 from ..api.experiment import Claim, Experiment, ExperimentOptions, register_experiment
 from ..api.frame import ResultFrame
-from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
 from ..workloads.victim_market import victim_columns
@@ -50,7 +49,6 @@ __all__ = [
     "DEFAULT_INTENSITIES",
     "GOLDEN_SWEEP_SHA256",
     "ChaosExperiment",
-    "chaos_jobs",
     "chaos_claims",
     "golden_sweep",
 ]
@@ -125,7 +123,7 @@ def _fault_calls(
     raise ValueError(f"unknown fault mix {mix!r}; expected one of {DEFAULT_MIXES}")
 
 
-def _cell_spec(scenario: str, mix: str, intensity: str, buys: int, seed: int) -> SimulationSpec:
+def _cell_spec(scenario: str, mix: str, intensity: str, buys: int) -> SimulationSpec:
     # The fault window closes one block interval after the last victim buy;
     # the workload's own duration cap leaves six more intervals after that,
     # so post-window blocks flow cleanly and drive every peer's range sync.
@@ -140,7 +138,6 @@ def _cell_spec(scenario: str, mix: str, intensity: str, buys: int, seed: int) ->
         .block_interval(BLOCK_INTERVAL)
         .gossip(0.07, 0.05)
         .gas(max_transactions_per_block=12)
-        .seed(seed)
     )
     if scenario == HMS_DEFENSE:
         # The frontrunner attacks *through* the degraded network; the
@@ -149,35 +146,6 @@ def _cell_spec(scenario: str, mix: str, intensity: str, buys: int, seed: int) ->
     for name, params in _fault_calls(mix, intensity, fault_until):
         builder = builder.fault(name, **params)
     return builder.build()
-
-
-def chaos_jobs(
-    mixes: Tuple[str, ...],
-    intensities: Tuple[str, ...],
-    scenarios: Tuple[str, ...],
-    buys: int,
-    trials: int,
-    seed: int,
-) -> List[Tuple[SimulationSpec, Dict[str, Any]]]:
-    """The deterministically seeded (spec, tags) grid: per-cell seeds derive
-    from the root seed and the cell coordinates, so serial and parallel
-    executions produce identical rows."""
-    jobs: List[Tuple[SimulationSpec, Dict[str, Any]]] = []
-    for mix in mixes:
-        for intensity in intensities:
-            for scenario in scenarios:
-                for trial in range(trials):
-                    cell_seed = derive_seed(seed, "chaos", mix, intensity, scenario, trial)
-                    spec = _cell_spec(scenario, mix, intensity, buys, cell_seed)
-                    tags = {
-                        "mix": mix,
-                        "intensity": intensity,
-                        "scenario": scenario,
-                        "trial": trial,
-                        "seed": cell_seed,
-                    }
-                    jobs.append((spec, tags))
-    return jobs
 
 
 def chaos_claims() -> Tuple[Claim, ...]:
@@ -295,15 +263,19 @@ class ChaosExperiment(Experiment):
         )
         scenarios = options.names("scenarios", SCENARIOS)
         buys = int(options.override("buys", 4 if smoke else 8))
-        return Sweep.from_specs(
-            chaos_jobs(
-                mixes=mixes,
-                intensities=intensities,
-                scenarios=scenarios,
-                buys=buys,
-                trials=self.trials(options),
-                seed=self.seed(options),
-            )
+        return Sweep.from_cells(
+            "chaos",
+            self.seed(options),
+            self.trials(options),
+            [
+                (
+                    {"mix": mix, "intensity": intensity, "scenario": scenario},
+                    _cell_spec(scenario, mix, intensity, buys),
+                )
+                for mix in mixes
+                for intensity in intensities
+                for scenario in scenarios
+            ],
         )
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:

@@ -19,12 +19,11 @@ that propagation was actually measured everywhere.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..api.builder import Simulation
 from ..api.experiment import Claim, Experiment, ExperimentOptions, register_experiment
 from ..api.frame import ResultFrame
-from ..api.seeding import derive_seed
 from ..api.spec import SimulationSpec
 from ..api.sweep import Sweep
 from ..workloads.victim_market import victim_columns
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_PEERS",
     "CONTROL_ROW",
     "PropagationExperiment",
-    "propagation_jobs",
     "propagation_claims",
 ]
 
@@ -47,7 +45,7 @@ DEFAULT_BANDWIDTH = 1_250_000.0  # 10 Mbit/s per directed link
 
 
 def _cell_spec(
-    topology: str, peers: int, adversary: Optional[str], buys: int, seed: int
+    topology: str, peers: int, adversary: Optional[str], buys: int
 ) -> SimulationSpec:
     builder = (
         Simulation.builder()
@@ -60,45 +58,10 @@ def _cell_spec(
         .gas(max_transactions_per_block=12)
         .topology(topology)
         .bandwidth(DEFAULT_BANDWIDTH)
-        .seed(seed)
     )
     if adversary is not None:
         builder = builder.adversary(adversary)
     return builder.build()
-
-
-def propagation_jobs(
-    topologies: Tuple[str, ...],
-    peers: Tuple[int, ...],
-    buys: int,
-    trials: int,
-    seed: int,
-    include_control: bool = True,
-) -> List[Tuple[SimulationSpec, Dict[str, Any]]]:
-    """The deterministically seeded (spec, tags) grid, attack-matrix style:
-    per-cell seeds derive from the root seed and the cell coordinates, so
-    serial and parallel executions produce identical rows."""
-    rows: List[Optional[str]] = [None] if include_control else []
-    rows.append("displacement")
-    jobs: List[Tuple[SimulationSpec, Dict[str, Any]]] = []
-    for topology in topologies:
-        for peer_count in peers:
-            for adversary in rows:
-                row_label = adversary if adversary is not None else CONTROL_ROW
-                for trial in range(trials):
-                    cell_seed = derive_seed(
-                        seed, "propagation", topology, peer_count, row_label, trial
-                    )
-                    spec = _cell_spec(topology, peer_count, adversary, buys, cell_seed)
-                    tags = {
-                        "topology": topology,
-                        "peers": peer_count,
-                        "adversary": row_label,
-                        "trial": trial,
-                        "seed": cell_seed,
-                    }
-                    jobs.append((spec, tags))
-    return jobs
 
 
 def propagation_claims() -> Tuple[Claim, ...]:
@@ -196,16 +159,21 @@ class PropagationExperiment(Experiment):
             options.override("peers", SMOKE_PEERS if smoke else DEFAULT_PEERS)
         )
         buys = options.override("buys", 6 if smoke else 12)
-        include_control = bool(options.override("control", True))
-        return Sweep.from_specs(
-            propagation_jobs(
-                topologies=topologies,
-                peers=peers,
-                buys=buys,
-                trials=self.trials(options),
-                seed=self.seed(options),
-                include_control=include_control,
-            )
+        rows = [None] if options.override("control", True) else []
+        rows.append("displacement")
+        return Sweep.from_cells(
+            "propagation",
+            self.seed(options),
+            self.trials(options),
+            [
+                (
+                    {"topology": topology, "peers": count, "adversary": adversary or CONTROL_ROW},
+                    _cell_spec(topology, count, adversary, buys),
+                )
+                for topology in topologies
+                for count in peers
+                for adversary in rows
+            ],
         )
 
     def analyze(self, frame: ResultFrame, options: ExperimentOptions) -> ResultFrame:

@@ -118,20 +118,18 @@ class Network:
         latency: Optional[LatencyModel] = None,
         block_latency: Optional[LatencyModel] = None,
         transaction_loss_rate: float = 0.0,
-        block_loss_rate: float = 0.0,
         seed: Optional[int] = None,
         bandwidth: Optional[BandwidthModel] = None,
         history_limit: Optional[int] = None,
     ) -> None:
-        if not 0.0 <= transaction_loss_rate < 1.0 or not 0.0 <= block_loss_rate < 1.0:
-            raise ValueError("loss rates must be in [0, 1)")
+        if not 0.0 <= transaction_loss_rate < 1.0:
+            raise ValueError("transaction_loss_rate must be in [0, 1)")
         if history_limit is not None and history_limit < 1:
             raise ValueError("history_limit must be at least 1 block")
         self.simulator = simulator
         self.latency = latency or ConstantLatency(0.05)
         self.block_latency = block_latency or self.latency
         self.transaction_loss_rate = transaction_loss_rate
-        self.block_loss_rate = block_loss_rate
         self.bandwidth = bandwidth
         self.history_limit = history_limit
         """Bound per-block bookkeeping (flood dedup sets, block birth times,
@@ -548,9 +546,6 @@ class Network:
             if self._churn_active and not self._link_up(origin_id, peer.peer_id):
                 self.stats.blocks_dropped_link += 1
                 continue
-            if self.block_loss_rate and self._rng.random() < self.block_loss_rate:
-                self.stats.blocks_dropped += 1
-                continue
             self._send_block(
                 origin_id,
                 origin_id if origin_id is not None else "network",
@@ -570,9 +565,6 @@ class Network:
                 continue
             if self._churn_active and not self._link_up(from_id, neighbor_id):
                 self.stats.blocks_dropped_link += 1
-                continue
-            if self.block_loss_rate and self._rng.random() < self.block_loss_rate:
-                self.stats.blocks_dropped += 1
                 continue
             self._send_block(from_id, from_id, peer, block, wire_size)
 

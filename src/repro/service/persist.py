@@ -25,12 +25,15 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from ..api.checkpoint import read_jsonl, record_check
 from .errors import ServiceError
 from .verbs import VERBS
 
 __all__ = ["RequestJournal"]
 
-_HEADER = {"journal": "repro-service-requests", "version": 1}
+_HEADER = {"journal": "repro-service-requests", "version": 2}
+"""Version 2 entries carry a ``check`` (:func:`~repro.api.checkpoint.record_check`);
+a version 1 journal, written before entries had one, replays unchecked."""
 
 
 class RequestJournal:
@@ -56,25 +59,28 @@ class RequestJournal:
     def entries(self) -> List[Dict[str, Any]]:
         """The recorded requests, in arrival order (header line skipped).
 
-        A line that does not decode — a partially written tail after a kill,
-        or hand-mangled bytes — drops only itself (counted as a replay
-        error): every intact request before and after it still replays.
+        A line that is not an intact request — a partially written tail
+        after a kill, or hand-mangled or flipped bytes, UTF-8 or not — drops
+        only itself (counted as a replay error): every intact request before
+        and after it still replays.
         """
-        rows: List[Dict[str, Any]] = []
         if not self.path.exists():
-            return rows
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    self.replay_errors += 1
-                    continue
-                if isinstance(row, dict) and "method" in row:
-                    rows.append(row)
+            return []
+        records = read_jsonl(self.path)
+        header = records[0] if records else None
+        checked = header == _HEADER
+        if isinstance(header, dict) and header.get("journal") == _HEADER["journal"]:
+            records = records[1:]  # this version's header, or an older one's
+        rows: List[Dict[str, Any]] = []
+        for row in records:
+            if (
+                isinstance(row, dict)
+                and (not checked or row.pop("check", None) == record_check(row))
+                and isinstance(row.get("method"), str)
+            ):
+                rows.append(row)
+            else:
+                self.replay_errors += 1
         return rows
 
     def replay(self, dispatch: Callable[[str, Any], Dict[str, Any]]) -> int:
@@ -88,7 +94,7 @@ class RequestJournal:
         for entry in self.entries():
             self.replayed += 1
             try:
-                dispatch(str(entry["method"]), entry.get("params"))
+                dispatch(entry["method"], entry.get("params"))
             except ServiceError:
                 self.replay_errors += 1
         return self.replayed
@@ -112,11 +118,9 @@ class RequestJournal:
         """Durably append one successful request (no-op unless journaled)."""
         if not VERBS[method].journaled:
             return
-        line = json.dumps(
-            {"method": method, "params": dict(params or {})},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        entry = {"method": method, "params": dict(params or {})}
+        entry["check"] = record_check(entry)
+        line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         with self._lock:
             if self._file is None:
                 return

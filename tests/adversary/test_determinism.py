@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import ExperimentOptions, Simulation, Sweep, plan_experiment
+from repro.api import ExperimentOptions, ResultFrame, Simulation, Sweep, plan_experiment
 
 
 def matrix_jobs():
@@ -98,7 +98,7 @@ class TestSortedExports:
         result = (
             Sweep(base).over(num_buys=[4], buys_per_set=[1.0]).trials(1).run(workers=1)
         )
-        header = result.to_csv().splitlines()[0].split(",")
+        header = ResultFrame.from_sweep(result).to_csv().splitlines()[0].split(",")
         tag_columns = header[: len(header) - 3]
         assert tag_columns == sorted(tag_columns)
 

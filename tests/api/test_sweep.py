@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import EmptySelectionError, Simulation, Sweep, derive_seed
-from repro.api.sweep import SweepResult, SweepRow
+from repro.api import ResultFrame, Simulation, Sweep, derive_seed
+from repro.api.checkpoint import record_check
 
 
 def small_base(seed: int = 3):
@@ -70,6 +70,44 @@ class TestGridExpansion:
         assert derive_seed(3, "a", 1) != derive_seed(3, "a", 2)
 
 
+class TestCellExpansion:
+    """``Sweep.from_cells``: an ordered cell list, seeded under a namespace."""
+
+    CELLS = [
+        ({"row": "(control)", "ratio": 1.0}, small_base()),
+        ({"row": "attack", "ratio": 2.0}, small_base().with_params(buys_per_set=2.0)),
+    ]
+
+    def test_trials_expand_in_cell_order_with_namespaced_seeds(self):
+        jobs = Sweep.from_cells("demo", 7, 2, self.CELLS).jobs()
+        assert [(tags["row"], tags["trial"]) for _spec, tags in jobs] == [
+            ("(control)", 0),
+            ("(control)", 1),
+            ("attack", 0),
+            ("attack", 1),
+        ]
+        for spec, tags in jobs:
+            expected = derive_seed(7, "demo", tags["row"], tags["ratio"], tags["trial"])
+            assert spec.seed == tags["seed"] == expected
+            assert list(tags) == ["row", "ratio", "trial", "seed"]
+
+    def test_each_job_is_its_cell_spec_reseeded(self):
+        (spec, tags), *_ = Sweep.from_cells("demo", 7, 1, self.CELLS).jobs()
+        assert spec == self.CELLS[0][1].with_seed(tags["seed"])
+
+    def test_builder_seed_equals_with_seed(self):
+        def builder():
+            return Simulation.builder().scenario("geth_unmodified").workload("market")
+
+        assert builder().seed(5).build() == builder().build().with_seed(5)
+
+    def test_bad_trials_and_empty_cells_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            Sweep.from_cells("demo", 7, 0, self.CELLS)
+        with pytest.raises(ValueError, match="at least one job"):
+            Sweep.from_cells("demo", 7, 1, [])
+
+
 class TestExecution:
     @pytest.fixture(scope="class")
     def sweep(self):
@@ -88,72 +126,32 @@ class TestExecution:
         serial = sweep.run(workers=1)
         parallel = sweep.run(workers=4)
         assert serial.to_json() == parallel.to_json()
-        assert serial.to_csv() == parallel.to_csv()
+        assert ResultFrame.from_sweep(serial).to_csv() == ResultFrame.from_sweep(parallel).to_csv()
 
     def test_rows_carry_efficiency_and_reports(self, sweep):
         result = sweep.run(workers=1)
         assert len(result) == 9
         for row in result:
-            assert 0.0 <= row.efficiency <= 1.0
-            assert row.report("buy")["submitted"] == 8
+            assert 0.0 <= row.summary["efficiency"] <= 1.0
+            assert row.summary["reports"]["buy"]["submitted"] == 8
 
-    def test_filter_and_mean_efficiency(self, sweep):
-        result = sweep.run(workers=1)
-        semantic = result.filter(scenario="semantic_mining")
-        assert len(semantic) == 3
-        assert result.mean_efficiency(scenario="semantic_mining") >= result.mean_efficiency(
-            scenario="geth_unmodified"
+    def test_rows_are_analysed_through_the_frame(self, sweep):
+        frame = ResultFrame.from_sweep(sweep.run(workers=1))
+        assert len(frame.filter(scenario="semantic_mining")) == 3
+        assert frame.mean("efficiency", scenario="semantic_mining") >= frame.mean(
+            "efficiency", scenario="geth_unmodified"
         )
-        with pytest.raises(KeyError):
-            result.mean_efficiency(scenario="nonexistent")
-
-    def test_filter_returns_a_chainable_sweep_result(self, sweep):
-        result = sweep.run(workers=1)
-        filtered = result.filter(scenario="semantic_mining")
-        assert isinstance(filtered, SweepResult)
-        # chains like a ResultFrame, and still indexes/iterates like a list
-        chained = filtered.filter(buys_per_set=1.0)
-        assert len(chained) == 1
-        assert chained[0].tags["scenario"] == "semantic_mining"
-        assert chained.mean_efficiency() == chained[0].efficiency
 
     def test_exports_write_files(self, sweep, tmp_path):
         result = sweep.run(workers=1)
         json_path = tmp_path / "rows.json"
         csv_path = tmp_path / "rows.csv"
         result.to_json(json_path)
-        result.to_csv(csv_path)
+        ResultFrame.from_sweep(result).to_csv(csv_path)
         rows = json.loads(json_path.read_text())
         assert len(rows) == 9
         header = csv_path.read_text().splitlines()[0]
         assert "scenario" in header and "efficiency" in header
-
-    def test_keep_results_requires_serial(self, sweep):
-        with pytest.raises(ValueError, match="serial"):
-            sweep.run(workers=2, keep_results=True)
-
-    def test_keep_results_attaches_live_results(self):
-        sweep = Sweep(small_base()).over(buys_per_set=[1.0]).trials(1)
-        result = sweep.run(workers=1, keep_results=True)
-        assert result.rows[0].result is not None
-        assert result.rows[0].result.reports["buy"].submitted == 8
-
-
-class TestEmptySelections:
-    def test_no_matching_rows_raises_a_clear_error(self):
-        result = SweepResult(rows=[SweepRow(tags={"scenario": "geth"}, summary={})])
-        with pytest.raises(EmptySelectionError, match="no sweep rows match"):
-            result.mean_efficiency(scenario="other")
-
-    def test_rows_without_an_efficiency_metric_raise_not_zero_divide(self):
-        """Rows exist but the workload has no primary label: the old code
-        surfaced a misleading 'no rows match'; now the error says exactly
-        what is missing (and EmptySelectionError is still a KeyError)."""
-        rows = [SweepRow(tags={"scenario": "geth"}, summary={"efficiency": None})]
-        result = SweepResult(rows=rows)
-        with pytest.raises(EmptySelectionError, match="none carries an efficiency"):
-            result.mean_efficiency(scenario="geth")
-        assert issubclass(EmptySelectionError, KeyError)
 
 
 class TestCheckpointedExecution:
@@ -165,7 +163,7 @@ class TestCheckpointedExecution:
         plain = sweep.run(workers=1)
         checkpointed = sweep.run(workers=1, checkpoint=tmp_path / "ck.jsonl")
         assert plain.to_json() == checkpointed.to_json()
-        assert plain.to_csv() == checkpointed.to_csv()
+        assert ResultFrame.from_sweep(plain).to_csv() == ResultFrame.from_sweep(checkpointed).to_csv()
 
     def test_interrupted_checkpoint_resumes_only_missing_rows(self, sweep, tmp_path):
         path = tmp_path / "ck.jsonl"
@@ -180,10 +178,6 @@ class TestCheckpointedExecution:
         parallel = sweep.run(workers=2, checkpoint=tmp_path / "parallel.jsonl")
         assert serial.to_json() == parallel.to_json()
 
-    def test_keep_results_is_incompatible_with_checkpoints(self, sweep, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
-            sweep.run(workers=1, keep_results=True, checkpoint=tmp_path / "ck.jsonl")
-
     def test_row_line_missing_fields_is_dropped_not_fatal(self, sweep, tmp_path):
         """A parseable row line that lacks tags/summary (hand-edited or oddly
         truncated) drops that row only — the resume still proceeds from the
@@ -191,7 +185,9 @@ class TestCheckpointedExecution:
         path = tmp_path / "ck.jsonl"
         complete = sweep.run(workers=1, checkpoint=path)
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text(lines[0] + lines[1] + json.dumps({"index": 1, "tags": {}}) + "\n")
+        record = {"index": 1, "tags": {}}
+        record["check"] = record_check(record)  # an intact line, just missing fields
+        path.write_text(lines[0] + lines[1] + json.dumps(record) + "\n")
         resumed = sweep.run(workers=1, checkpoint=path)
         assert resumed.to_json() == complete.to_json()
 

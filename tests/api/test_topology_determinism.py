@@ -131,7 +131,7 @@ def stripped_checksum(result) -> str:
     spec's ``topology`` entry and the ``network`` propagation digest in
     extras.  Everything else must be the golden bytes.
     """
-    records = result.to_dict()
+    records = json.loads(result.to_json())
     for record in records:
         removed = record["summary"]["spec"].pop("topology")
         assert removed == {"name": "full_mesh", "params": {}}

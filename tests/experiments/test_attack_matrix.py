@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.api import ExperimentOptions, run_experiment
-from repro.experiments.attack_matrix import (
-    CONTROL_ROW,
-    AttackMatrixConfig,
-    attack_matrix_jobs,
-)
+from repro.api import ExperimentOptions, plan_experiment, run_experiment
+from repro.experiments.attack_matrix import CONTROL_ROW, AttackMatrixConfig
 
 
 @pytest.fixture(scope="module")
@@ -70,27 +66,22 @@ class TestAcceptance:
                 assert cell(smoke_result, adversary, defense)["attempts"] > 0
 
 
+def matrix_jobs(trials=1, **overrides):
+    """The planned (spec, tags) jobs of a small attack matrix."""
+    options = ExperimentOptions(trials=trials, overrides=dict(buys=4, **overrides))
+    return plan_experiment("attack_matrix", options)[2].jobs()
+
+
 class TestJobExpansion:
     def test_trials_multiply_jobs(self):
-        config = AttackMatrixConfig(
-            adversaries=("displacement",),
-            defenses=("semantic_mining",),
-            num_victim_buys=4,
-            trials=3,
-            include_control=False,
+        jobs = matrix_jobs(
+            trials=3, adversaries="displacement", defenses="semantic_mining", control=False
         )
-        jobs = attack_matrix_jobs(config)
         assert len(jobs) == 3
         assert len({spec.seed for spec, _tags in jobs}) == 3
 
     def test_every_adversary_cell_carries_its_adversary(self):
-        config = AttackMatrixConfig(
-            adversaries=("suppression",),
-            defenses=("semantic_mining",),
-            num_victim_buys=4,
-            include_control=True,
-        )
-        jobs = attack_matrix_jobs(config)
+        jobs = matrix_jobs(adversaries="suppression", defenses="semantic_mining")
         by_row = {tags["adversary"]: spec for spec, tags in jobs}
         assert by_row[CONTROL_ROW].adversaries == ()
         assert by_row["suppression"].adversaries[0][0] == "suppression"

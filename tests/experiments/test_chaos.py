@@ -12,14 +12,23 @@ from __future__ import annotations
 import pytest
 
 from repro.api.checkpoint import spec_digest
-from repro.api.experiment import EXPERIMENT_REGISTRY, ExperimentOptions
-from repro.api.sweep import Sweep
+from repro.api.experiment import EXPERIMENT_REGISTRY, ExperimentOptions, plan_experiment
 from repro.experiments import chaos
 from tests.api.test_golden_determinism import (
     GOLDEN_SWEEP_SHA256 as DETERMINISM_SUITE_SHA256,
 )
 
 pytestmark = pytest.mark.filterwarnings("error")
+
+
+def chaos_sweep(mixes, intensities, scenarios, buys):
+    """The planned chaos sweep over one fault grid (trials 1, seed 23)."""
+    options = ExperimentOptions(
+        seed=23,
+        trials=1,
+        overrides=dict(mixes=mixes, intensities=intensities, scenarios=scenarios, buys=buys),
+    )
+    return plan_experiment("chaos", options)[2]
 
 
 class TestGrid:
@@ -33,29 +42,20 @@ class TestGrid:
         assert chaos.GOLDEN_SWEEP_SHA256 == DETERMINISM_SUITE_SHA256
 
     def test_jobs_are_deterministic(self):
-        kwargs = dict(
-            mixes=("messages", "crash"),
-            intensities=("light",),
-            scenarios=("semantic_mining",),
-            buys=4,
-            trials=1,
-            seed=23,
-        )
-        first = chaos.chaos_jobs(**kwargs)
-        second = chaos.chaos_jobs(**kwargs)
+        grid = (["messages", "crash"], ["light"], ["semantic_mining"], 4)
+        first = chaos_sweep(*grid).jobs()
+        second = chaos_sweep(*grid).jobs()
         assert [(spec_digest(spec), tags) for spec, tags in first] == [
             (spec_digest(spec), tags) for spec, tags in second
         ]
 
     def test_cells_are_uniquely_seeded(self):
-        jobs = chaos.chaos_jobs(
-            mixes=("messages", "crash", "combined"),
-            intensities=("light", "heavy"),
-            scenarios=("geth_unmodified", "semantic_mining"),
-            buys=4,
-            trials=1,
-            seed=23,
-        )
+        jobs = chaos_sweep(
+            ["messages", "crash", "combined"],
+            ["light", "heavy"],
+            ["geth_unmodified", "semantic_mining"],
+            4,
+        ).jobs()
         seeds = [tags["seed"] for _, tags in jobs]
         assert len(set(seeds)) == len(seeds) == 12
 
@@ -68,27 +68,12 @@ class TestGrid:
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError, match="unknown fault mix"):
-            chaos.chaos_jobs(
-                mixes=("entropy",),
-                intensities=("light",),
-                scenarios=("semantic_mining",),
-                buys=2,
-                trials=1,
-                seed=23,
-            )
+            chaos_sweep(["entropy"], ["light"], ["semantic_mining"], 2)
 
 
 class TestFaultedDeterminism:
     def test_serial_equals_parallel_with_faults_on(self):
-        jobs = chaos.chaos_jobs(
-            mixes=("combined",),
-            intensities=("light",),
-            scenarios=("semantic_mining",),
-            buys=2,
-            trials=1,
-            seed=23,
-        )
-        sweep = Sweep.from_specs(jobs)
+        sweep = chaos_sweep(["combined"], ["light"], ["semantic_mining"], 2)
         serial = sweep.run(workers=1).to_json()
         parallel = sweep.run(workers=2).to_json()
         assert serial == parallel

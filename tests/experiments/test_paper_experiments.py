@@ -102,7 +102,7 @@ def market_spec(scenario, buys_per_set=2.0, submission_interval=1.0, **fields):
 
 def success_rates(specs):
     rows = Sweep.from_specs([(spec, {}) for spec in specs]).run().rows
-    return [row.report("buy")["success_rate"] for row in rows]
+    return [row.summary["reports"]["buy"]["success_rate"] for row in rows]
 
 
 class TestAblations:

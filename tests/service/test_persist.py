@@ -49,7 +49,7 @@ class TestRecording:
             service.close()
         header = journal_lines(tmp_path)[0]
         assert header["journal"] == "repro-service-requests"
-        assert header["version"] == 1
+        assert header["version"] == 2
 
     def test_only_state_changing_methods_recorded(self, tmp_path):
         service = persistent_service(tmp_path)
@@ -159,6 +159,24 @@ class TestResume:
         finally:
             service.close()
 
+    def test_non_utf8_garbage_is_one_replay_error(self, tmp_path):
+        first = persistent_service(tmp_path)
+        try:
+            session = first.dispatch("session.create", dict(SMALL_SPEC))["session"]
+        finally:
+            first.close()
+        with (tmp_path / "journal" / "requests.jsonl").open("ab") as handle:
+            handle.write(b"\xff\xfe garbage\n")
+
+        second = persistent_service(tmp_path, resume=True)
+        try:
+            journal = second.dispatch("service.status", {})["journal"]
+            assert (journal["replayed"], journal["replay_errors"]) == (1, 1)
+            listed = second.dispatch("session.list", {})
+            assert [row["session"] for row in listed["sessions"]] == [session]
+        finally:
+            second.close()
+
     def test_status_reports_journal_counters(self, tmp_path):
         service = persistent_service(tmp_path)
         try:
@@ -179,3 +197,38 @@ class TestRequestJournalUnit:
         journal.close()
         entries = list(RequestJournal(tmp_path).entries())
         assert [entry["method"] for entry in entries] == ["session.create"]
+
+    def test_a_line_that_is_no_request_is_a_replay_error(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        path.write_bytes(
+            b'{"journal": "repro-service-requests", "version": 1}\n'
+            b'{"params": {}}\n'
+            b'{"method": 7, "params": {}}\n'
+            b'\xc3'
+        )
+        journal = RequestJournal(tmp_path)
+        assert journal.entries() == []
+        assert journal.replay_errors == 3
+
+    def test_an_entry_that_fails_its_check_is_a_replay_error(self, tmp_path):
+        """A flipped digit still parses: the check is what catches it."""
+        journal = RequestJournal(tmp_path)
+        journal.open()
+        journal.record("session.create", {"params": {"num_buys": 4}})
+        journal.record("session.create", {"params": {"num_buys": 5}})
+        journal.close()
+        journal.path.write_bytes(journal.path.read_bytes().replace(b'"num_buys":4', b'"num_buys":6'))
+        replayed = RequestJournal(tmp_path)
+        assert [entry["params"] for entry in replayed.entries()] == [{"params": {"num_buys": 5}}]
+        assert replayed.replay_errors == 1
+
+    def test_a_version_1_journal_replays_unchecked(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        path.write_bytes(
+            b'{"journal": "repro-service-requests", "version": 1}\n'
+            b'{"method":"session.create","params":{"params":{"num_buys":4}}}\n'
+        )
+        journal = RequestJournal(tmp_path)
+        assert [entry["method"] for entry in journal.entries()] == ["session.create"]
+        assert journal.replay_errors == 0
+

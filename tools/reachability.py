@@ -59,7 +59,6 @@ KEPT_BECAUSE = {
     "api/builder.py": "`miner_policy` sets a served, `--over`-able field; `benchmarks/substrate_perf.py` calls it",
     "api/experiment.py": "`Experiment.plan` is the protocol method `GridExperiment` implements",
     "api/frame.py": "`drop` is on the export path of an experiment that declares no export columns; `__repr__` is for interactive use",
-    "api/sweep.py": "indexing a `SweepResult` and `SweepRow.report` are the result's accessors for library callers",
     "chain/apply_cache.py": "`clear` / `stats` introspect the cache; `__repr__` is for debugging",
     "chain/block.py": "the block's reading API (counts, `contains`, `receipt_for`, `short_hash`, a lone header's `wire`); `__repr__` is for debugging",
     "chain/chain.py": "`anchor`, `last_snapshot` and `committed_transaction_hashes` expose the retention state the tests check",
