@@ -6,8 +6,9 @@ deliver *intra-block* data because a request/response oracle needs at least
 one full block round-trip per query.  These two contracts implement that
 baseline: consumers post a request, an off-chain oracle operator observes
 the request event and answers with a second transaction, and only then can
-the consumer read the value.  The RAA-vs-oracle benchmark (A5 in DESIGN.md)
-measures that round-trip against the zero-round-trip RAA path.
+the consumer read the value.  The ``oracle`` experiment
+(:mod:`repro.experiments.oracle`) measures that round-trip against the
+zero-round-trip RAA path.
 """
 
 from __future__ import annotations

@@ -13,6 +13,15 @@ Two wire modes share this class:
   receipt only — deliveries are deduplicated by object hash — so a flood
   terminates after each node has relayed once.
 
+Every hop crosses one directed **link record** (:class:`Link`): the receiving
+peer, the edge's latency scale (read from the topology once, when the link is
+made) and the time the link's FIFO pipe frees up.  :meth:`install_topology`
+builds each peer's out-link tuple once, in adjacency order, and a flood walks
+that tuple, so a hop does no id lookup, builds no key and touches no shared
+dict.  Links off the adjacency — every full-mesh hop, and a range sync
+between peers that are not neighbours — are made on first use and kept by
+``(source, destination)``, one record per pair actually used.
+
 Message loss can be injected per message type to model the paper's
 observation that "transactions sent may be lost due to network failures,
 memory limitations or peers not replaying them".  On top of latency, an
@@ -34,6 +43,7 @@ own counters.
 
 from __future__ import annotations
 
+import math
 import random
 import weakref
 from collections import deque
@@ -48,7 +58,7 @@ from ..obs import runtime as _obs
 from .latency import ConstantLatency, LatencyModel
 from .peer import IMPORT_DUPLICATE, IMPORT_IMPORTED, IMPORT_ORPHANED, Peer
 from .sim import Simulator
-from .topology import BandwidthModel, ChurnPlan, Topology, edge_key
+from .topology import BandwidthModel, ChurnPlan, Topology
 
 __all__ = ["NetworkStats", "Network"]
 
@@ -108,6 +118,23 @@ class NetworkStats:
         }
 
 
+class Link:
+    """One directed gossip link: where a hop lands and what it waits for.
+
+    ``scale`` multiplies the sampled latency (the topology's edge scale, 1.0
+    off it); ``free_at`` is the simulation time the link's FIFO pipe next
+    frees up, advanced only under a :class:`BandwidthModel`.
+    """
+
+    __slots__ = ("peer", "peer_id", "scale", "free_at")
+
+    def __init__(self, peer: Peer, scale: float = 1.0) -> None:
+        self.peer = peer
+        self.peer_id = peer.peer_id
+        self.scale = scale
+        self.free_at = -math.inf
+
+
 class Network:
     """A gossip network over a shared simulator (full mesh unless a
     topology is installed)."""
@@ -146,8 +173,10 @@ class Network:
 
         # Topology flood state (inert until install_topology is called).
         self.topology: Optional[Topology] = None
-        self._adjacency: Optional[Dict[str, Tuple[str, ...]]] = None
-        self._latency_scale: Dict[Tuple[str, str], float] = {}
+        self._out_links: Optional[Dict[str, Tuple[Link, ...]]] = None
+        """Each peer's out-links in adjacency order: what a flood walks."""
+        self._links_made: Dict[Tuple[str, str], Link] = {}
+        """Links off the adjacency, made on first use (see :meth:`_link`)."""
         self._seen_blocks: Dict[str, Set[bytes]] = {}
         self._seen_order: Dict[str, Deque[bytes]] = {}
         """Per-peer insertion order of ``_seen_blocks`` entries, maintained
@@ -157,8 +186,6 @@ class Network:
         self._offline: Set[str] = set()
         self._partition_of: Optional[Dict[str, int]] = None
         self.churn_log: List[Tuple[float, str, Any]] = []
-        # FIFO bandwidth queues: directed link -> time the pipe frees up.
-        self._link_free_at: Dict[Tuple[str, str], float] = {}
         # Propagation measurement + ancestor-sync bookkeeping.
         self._block_born: Dict[bytes, float] = {}
         # Under a history limit the samples become a trailing window (a
@@ -178,6 +205,8 @@ class Network:
     def add_peer(self, peer: Peer) -> Peer:
         if peer.peer_id in self._peers:
             raise ValueError(f"duplicate peer id {peer.peer_id!r}")
+        if self._out_links is not None:
+            raise ValueError("add every peer before install_topology wires the links")
         self._peers[peer.peer_id] = peer
         # Weak, because the network owns its peers: a finished trial is then
         # freed by reference counting, not by the cyclic collector.
@@ -193,16 +222,24 @@ class Network:
         """Switch gossip from direct broadcast to flooding along ``topology``.
 
         The adjacency must cover every current peer — a peer outside the
-        graph would silently never hear anything.
+        graph would silently never hear anything.  Each peer's out-links are
+        built here, once, in adjacency order; neighbour ids that name no peer
+        get no link.
         """
-        missing = [peer_id for peer_id in self._peers if peer_id not in topology.adjacency]
+        peers = self._peers
+        missing = [peer_id for peer_id in peers if peer_id not in topology.adjacency]
         if missing:
             raise ValueError(f"topology is missing peers: {missing}")
         self.topology = topology
-        self._adjacency = {
-            peer_id: topology.adjacency[peer_id] for peer_id in topology.adjacency
+        scale_for = topology.scale_for
+        self._out_links = {
+            source_id: tuple(
+                Link(peers[neighbor_id], scale_for(source_id, neighbor_id))
+                for neighbor_id in neighbors
+                if neighbor_id in peers
+            )
+            for source_id, neighbors in topology.adjacency.items()
         }
-        self._latency_scale = dict(topology.latency_scale)
 
     # -- churn ----------------------------------------------------------------------
 
@@ -343,36 +380,49 @@ class Network:
                 return False
         return True
 
-    # -- link timing ----------------------------------------------------------------
+    # -- links ------------------------------------------------------------------------
+
+    def _link(self, source_id: str, destination: Peer) -> Link:
+        """The directed link ``source_id`` -> ``destination``: the adjacency's
+        own link when the topology has that edge, else one made on first use
+        and kept for every later hop between the pair."""
+        destination_id = destination.peer_id
+        out_links = self._out_links
+        if out_links is not None:
+            for link in out_links.get(source_id, ()):
+                if link.peer_id == destination_id:
+                    return link
+        key = (source_id, destination_id)
+        link = self._links_made.get(key)
+        if link is None:
+            topology = self.topology
+            scale = topology.scale_for(source_id, destination_id) if topology is not None else 1.0
+            link = self._links_made[key] = Link(destination, scale)
+        return link
 
     def _link_delay(
         self,
+        link: Link,
         source_id: str,
-        destination_id: str,
         wire_size: int,
         latency_model: LatencyModel,
         now: float,
     ) -> float:
-        """Sampled latency, scaled per edge, plus FIFO serialisation delay
-        for a message entering the link at ``now``."""
-        delay = latency_model.sample(source_id, destination_id)
-        latency_scale = self._latency_scale
-        if latency_scale:
-            scale = latency_scale.get(edge_key(source_id, destination_id))
-            if scale is not None:
-                delay *= scale
+        """Sampled latency, scaled by the link, plus FIFO serialisation delay
+        for a message entering ``link`` at ``now``."""
+        delay = latency_model.sample(source_id, link.peer_id) * link.scale
         bandwidth = self.bandwidth
         if bandwidth is not None:
-            link = (source_id, destination_id)
             # One global rate unless the model overrides specific links.
             rate = (
-                bandwidth.rate(source_id, destination_id)
+                bandwidth.rate(source_id, link.peer_id)
                 if bandwidth.per_link
                 else bandwidth.bytes_per_second
             )
             serialisation = wire_size / rate
-            departure = max(now, self._link_free_at.get(link, now))
-            self._link_free_at[link] = departure + serialisation
+            free_at = link.free_at
+            departure = free_at if free_at > now else now
+            link.free_at = departure + serialisation
             delay = (departure - now) + serialisation + delay
         return delay
 
@@ -389,7 +439,7 @@ class Network:
         if self._churn_active and origin.peer_id in self._offline:
             return
         wire_size = len(wire_encoding(transaction))
-        if self._adjacency is not None:
+        if self._out_links is not None:
             self._flood_transaction(origin.peer_id, None, transaction, wire_size)
             return
         for peer in self._peers.values():
@@ -401,57 +451,79 @@ class Network:
             if self.transaction_loss_rate and self._rng.random() < self.transaction_loss_rate:
                 self.stats.transactions_dropped += 1
                 continue
-            self._send_transaction(origin.peer_id, peer, transaction, wire_size)
+            self._send_transaction(
+                origin.peer_id, self._link(origin.peer_id, peer), transaction, wire_size
+            )
 
     def _flood_transaction(
         self, from_id: str, exclude_id: Optional[str], transaction: Transaction, wire_size: int
     ) -> None:
-        for neighbor_id in self._adjacency.get(from_id, ()):
-            if neighbor_id == exclude_id:
+        churn_active = self._churn_active
+        loss_rate = self.transaction_loss_rate
+        for link in self._out_links[from_id]:
+            if link.peer_id == exclude_id:
                 continue
-            peer = self._peers.get(neighbor_id)
-            if peer is None:
-                continue
-            if self._churn_active and not self._link_up(from_id, neighbor_id):
+            if churn_active and not self._link_up(from_id, link.peer_id):
                 self.stats.transactions_dropped_link += 1
                 continue
-            if self.transaction_loss_rate and self._rng.random() < self.transaction_loss_rate:
+            if loss_rate and self._rng.random() < loss_rate:
                 self.stats.transactions_dropped += 1
                 continue
-            self._send_transaction(from_id, peer, transaction, wire_size)
+            self._send_transaction(from_id, link, transaction, wire_size)
 
     def _send_transaction(
-        self, sender_id: str, peer: Peer, transaction: Transaction, wire_size: int
+        self, sender_id: str, link: Link, transaction: Transaction, wire_size: int
     ) -> None:
-        """One transaction hop: fault gate, link delay, byte accounting,
-        scheduled delivery.  Fault decisions come from the injector's own
-        seeded streams — never from ``self._rng`` — so the legacy loss and
-        latency draw order is identical with faults on or off."""
+        """One transaction hop down ``link``: fault gate, link delay, byte
+        accounting, scheduled delivery.  Fault decisions come from the
+        injector's own seeded streams — never from ``self._rng`` — so the
+        legacy loss and latency draw order is identical with faults on or
+        off."""
         effect = None
         faults = self._faults
-        now = self.simulator.now
+        simulator = self.simulator
+        now = simulator.now
+        peer = link.peer
         # Inline window gate: outside every fault window the seam call is
         # provably a no-op (inactive faults never draw), so skip it.
         if faults is not None and faults.window_start <= now < faults.window_until:
-            effect = faults.on_message("tx", sender_id, peer.peer_id, now)
+            effect = faults.on_message("tx", sender_id, link.peer_id, now)
         if effect is not None and effect.drop:
             self.stats.transactions_dropped += 1
             return
-        delay = self._link_delay(sender_id, peer.peer_id, wire_size, self.latency, now)
+        # :meth:`_link_delay`, inlined: transaction hops are most of a
+        # flood's events.  Same draws, same arithmetic in the same order.
+        delay = self.latency.sample(sender_id, link.peer_id) * link.scale
+        bandwidth = self.bandwidth
+        if bandwidth is not None:
+            rate = (
+                bandwidth.rate(sender_id, link.peer_id)
+                if bandwidth.per_link
+                else bandwidth.bytes_per_second
+            )
+            serialisation = wire_size / rate
+            free_at = link.free_at
+            departure = free_at if free_at > now else now
+            link.free_at = departure + serialisation
+            delay = (departure - now) + serialisation + delay
         corrupt = False
         if effect is not None:
             delay += effect.extra_delay
             corrupt = effect.corrupt
         self.stats.transaction_bytes += wire_size
-        schedule_at = self.simulator.schedule_at
-        deliver = self._deliver_transaction
-        schedule_at(now + delay, deliver, sender_id, peer, transaction, wire_size, corrupt)
+        schedule_at = simulator.schedule_at
+        # The function with ``self`` as its first argument, not a bound
+        # method: a bound method is one more GC-tracked object held by every
+        # in-flight hop, and those are what runs the cyclic collector during
+        # a flood.
+        deliver = Network._deliver_transaction
+        schedule_at(now + delay, deliver, self, sender_id, peer, transaction, wire_size, corrupt)
         if effect is not None and effect.duplicate_gap is not None:
             # The duplicated copy ships real bytes too, trailing the first.
             self.stats.transaction_bytes += wire_size
             schedule_at(
                 now + (delay + effect.duplicate_gap),
-                deliver, sender_id, peer, transaction, wire_size, corrupt,
+                deliver, self, sender_id, peer, transaction, wire_size, corrupt,
             )
 
     def _deliver_transaction(
@@ -483,7 +555,7 @@ class Network:
             )
         # Store-and-forward: relay on first admission only, never back
         # along the edge the transaction arrived on.
-        if accepted and self._adjacency is not None:
+        if accepted and self._out_links is not None:
             self._flood_transaction(peer.peer_id, sender_id, transaction, wire_size)
 
     # -- block gossip -----------------------------------------------------------------
@@ -530,7 +602,7 @@ class Network:
         self.stats.blocks_broadcast += 1
         self._record_block_born(block.hash)
         wire_size = len(wire_encoding(block))
-        if self._adjacency is not None and origin is not None:
+        if self._out_links is not None and origin is not None:
             # The miner imports its own block with no network delay.
             self._mark_seen(origin.peer_id, block.hash)
             origin.import_block(block)
@@ -546,50 +618,47 @@ class Network:
             if self._churn_active and not self._link_up(origin_id, peer.peer_id):
                 self.stats.blocks_dropped_link += 1
                 continue
+            delay_source = origin_id if origin_id is not None else "network"
             self._send_block(
-                origin_id,
-                origin_id if origin_id is not None else "network",
-                peer,
-                block,
-                wire_size,
+                origin_id, delay_source, self._link(delay_source, peer), block, wire_size
             )
 
     def _flood_block(
         self, from_id: str, exclude_id: Optional[str], block: Block, wire_size: int
     ) -> None:
-        for neighbor_id in self._adjacency.get(from_id, ()):
-            if neighbor_id == exclude_id:
+        churn_active = self._churn_active
+        for link in self._out_links[from_id]:
+            if link.peer_id == exclude_id:
                 continue
-            peer = self._peers.get(neighbor_id)
-            if peer is None:
-                continue
-            if self._churn_active and not self._link_up(from_id, neighbor_id):
+            if churn_active and not self._link_up(from_id, link.peer_id):
                 self.stats.blocks_dropped_link += 1
                 continue
-            self._send_block(from_id, from_id, peer, block, wire_size)
+            self._send_block(from_id, from_id, link, block, wire_size)
 
     def _send_block(
         self,
         sender_id: Optional[str],
         delay_source: str,
-        peer: Peer,
+        link: Link,
         block: Block,
         wire_size: int,
     ) -> None:
-        """One block hop: fault gate, link delay, byte accounting, scheduled
-        delivery.  ``delay_source`` differs from ``sender_id`` only on the
-        legacy origin-less broadcast ("network").  Fault decisions never
-        touch ``self._rng`` (see :meth:`_send_transaction`)."""
+        """One block hop down ``link``: fault gate, link delay, byte
+        accounting, scheduled delivery.  ``delay_source`` differs from
+        ``sender_id`` only on the legacy origin-less broadcast ("network").
+        Fault decisions never touch ``self._rng`` (see
+        :meth:`_send_transaction`)."""
         effect = None
         faults = self._faults
         now = self.simulator.now
+        peer = link.peer
         # Same inline window gate as the transaction seam.
         if faults is not None and faults.window_start <= now < faults.window_until:
-            effect = faults.on_message("block", delay_source, peer.peer_id, now)
+            effect = faults.on_message("block", delay_source, link.peer_id, now)
         if effect is not None and effect.drop:
             self.stats.blocks_dropped += 1
             return
-        delay = self._link_delay(delay_source, peer.peer_id, wire_size, self.block_latency, now)
+        delay = self._link_delay(link, delay_source, wire_size, self.block_latency, now)
         corrupt = False
         if effect is not None:
             delay += effect.extra_delay
@@ -612,10 +681,13 @@ class Network:
         sync: bool = False,
         corrupt: bool = False,
     ) -> None:
-        """The one seam every block hop (flood, range sync, heal) goes through."""
+        """The one seam every block hop (flood, range sync, heal) goes
+        through.  Like a transaction hop, it schedules the function with
+        ``self`` rather than a bound method."""
         simulator = self.simulator
         simulator.schedule_at(
-            simulator.now + delay, self._deliver_block, sender_id, peer, block, wire_size, sync, corrupt
+            simulator.now + delay,
+            Network._deliver_block, self, sender_id, peer, block, wire_size, sync, corrupt,
         )
 
     def _deliver_block(
@@ -653,7 +725,7 @@ class Network:
             # here, before any validation replay.
             self.stats.block_duplicates += 1
             if (
-                self._adjacency is not None
+                self._out_links is not None
                 and sender_id is not None
                 and block.number > peer.chain.height
                 and peer.chain.block_by_hash(block.hash) is None
@@ -676,7 +748,7 @@ class Network:
                 born = self._block_born.get(imported_block.hash)
                 if born is not None:
                     self._propagation_samples.append(now - born)
-        if self._adjacency is not None and not sync and status != IMPORT_DUPLICATE:
+        if self._out_links is not None and not sync and status != IMPORT_DUPLICATE:
             # Store-and-forward on first receipt, whatever the local import
             # verdict: a block this peer cannot use yet may still be exactly
             # what its neighbours are waiting for.
@@ -719,13 +791,16 @@ class Network:
             )
         # The request itself crosses the link once; responses stream back
         # through the same FIFO pipe as any other block.
-        request_delay = self._link_delay(requester.peer_id, provider_id, 64, self.latency, now)
+        request_delay = self._link_delay(
+            self._link(requester.peer_id, provider), requester.peer_id, 64, self.latency, now
+        )
+        response_link = self._link(provider_id, requester)
         latest = now
         for number in range(start, end + 1):
             ancestor = provider.chain.block_by_number(number)
             ancestor_size = len(wire_encoding(ancestor))
             delay = request_delay + self._link_delay(
-                provider_id, requester.peer_id, ancestor_size, self.block_latency, now
+                response_link, provider_id, ancestor_size, self.block_latency, now
             )
             self.stats.block_bytes += ancestor_size
             self.stats.sync_blocks += 1

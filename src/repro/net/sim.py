@@ -2,8 +2,10 @@
 
 The paper's phenomena are entirely timing-structural — submission intervals,
 gossip delays, block intervals, and the order things land in the pool — so a
-single-threaded event loop reproduces them faithfully and deterministically
-(see DESIGN.md §2 on why this substitution is sound for this paper).
+single-threaded event loop reproduces them faithfully and deterministically:
+what a transaction's outcome depends on is which state it executes against,
+and that is fixed by the order in which events land, not by wall-clock
+concurrency.
 
 A scheduled event is a plain ``list`` ``[time, sequence, callback, args]``:
 ``heapq`` orders exact lists in C, and sequence numbers are unique, so a

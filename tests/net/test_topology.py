@@ -266,16 +266,45 @@ class TestFreezeHelpers:
 
 def wired_network(adjacency, latency=0.05, **network_kwargs):
     """A Network of fresh peers flooding along an explicit adjacency."""
+    return network_on(Topology(name="wired", adjacency=adjacency), latency, **network_kwargs)
+
+
+def network_on(topology, latency=0.05, **network_kwargs):
+    """A Network of fresh peers, one per topology node, flooding along it."""
     simulator = Simulator()
     network = Network(
         simulator, latency=ConstantLatency(latency), seed=7, **network_kwargs
     )
     genesis = GenesisConfig.for_labels(["alice", "bob"], balance=10**18)
     peers = {
-        peer_id: network.add_peer(Peer(peer_id, genesis)) for peer_id in adjacency
+        peer_id: network.add_peer(Peer(peer_id, genesis)) for peer_id in topology.adjacency
     }
-    network.install_topology(Topology(name="wired", adjacency=adjacency))
+    network.install_topology(topology)
     return simulator, network, peers
+
+
+def record_arrivals(simulator, peer, method):
+    """Wrap ``peer.<method>`` to note the simulation time of every call."""
+    arrivals = []
+    original = getattr(peer, method)
+
+    def recording(*args):
+        arrivals.append(simulator.now)
+        return original(*args)
+
+    setattr(peer, method, recording)
+    return arrivals
+
+
+def mined_blocks(peer, count):
+    """``count`` empty blocks built and imported on ``peer``'s own chain."""
+    blocks = []
+    for number in range(count):
+        block, _ = peer.chain.build_block([], miner=ALICE, timestamp=float(number + 1))
+        status, _imported = peer.import_block(block)
+        assert status == "imported"
+        blocks.append(block)
+    return blocks
 
 
 LINE = {"a": ("b",), "b": ("a", "c"), "c": ("b",)}
@@ -353,12 +382,7 @@ class TestBandwidthFifo:
         simulator, network, peers = wired_network(
             pair, latency=0.0, bandwidth=BandwidthModel(bytes_per_second=100.0)
         )
-        arrivals = []
-        original = peers["b"].receive_transaction
-        peers["b"].receive_transaction = lambda tx, now: (
-            arrivals.append(now),
-            original(tx, now),
-        )[1]
+        arrivals = record_arrivals(simulator, peers["b"], "receive_transaction")
         first = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
         second = Transaction(sender=ALICE, nonce=1, to=BOB, value=5)
         peers["a"].submit_transaction(first, now=0.0)
@@ -370,6 +394,91 @@ class TestBandwidthFifo:
         # only once the pipe frees, so it arrives one serialisation later.
         assert arrivals[0] == pytest.approx(size / 100.0)
         assert arrivals[1] == pytest.approx(arrivals[0] + len(wire_encoding(second)) / 100.0)
+
+    def test_a_block_and_a_transaction_share_one_link_queue(self):
+        pair = {"a": ("b",), "b": ("a",)}
+        simulator, network, peers = wired_network(
+            pair, latency=0.0, bandwidth=BandwidthModel(bytes_per_second=100.0)
+        )
+        block_arrivals = record_arrivals(simulator, peers["b"], "import_block")
+        transaction_arrivals = record_arrivals(simulator, peers["b"], "receive_transaction")
+        (block,) = mined_blocks(peers["a"], 1)
+        network._mark_seen("a", block.hash)
+        network._flood_block("a", None, block, len(wire_encoding(block)))
+        transaction = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
+        peers["a"].submit_transaction(transaction, now=0.0)
+        simulator.run()
+        block_time = len(wire_encoding(block)) / 100.0
+        assert block_arrivals == [pytest.approx(block_time)]
+        assert transaction_arrivals == [
+            pytest.approx(block_time + len(wire_encoding(transaction)) / 100.0)
+        ]
+
+    def test_the_reverse_direction_does_not_queue(self):
+        pair = {"a": ("b",), "b": ("a",)}
+        simulator, network, peers = wired_network(
+            pair, latency=0.0, bandwidth=BandwidthModel(bytes_per_second=100.0)
+        )
+        arrivals = record_arrivals(simulator, peers["a"], "receive_transaction")
+        (block,) = mined_blocks(peers["a"], 1)
+        network._mark_seen("a", block.hash)
+        network._flood_block("a", None, block, len(wire_encoding(block)))
+        transaction = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
+        peers["b"].submit_transaction(transaction, now=0.0)
+        simulator.run()
+        # a -> b is busy with the block; b -> a is a separate pipe.
+        assert arrivals == [pytest.approx(len(wire_encoding(transaction)) / 100.0)]
+
+    def test_a_region_hub_edge_scale_applies_both_ways_and_only_there(self):
+        topology = RegionHubTopology(regions=2, slow_factor=4.0).build(
+            [f"p{index}" for index in range(6)], random.Random(1)
+        )
+        # Regions round-robin: p0, p2, p4 and p1, p3, p5; hubs p0 and p1.
+        assert dict(topology.latency_scale) == {("p0", "p1"): 4.0}
+        for origin, hub, neighbour in (("p0", "p1", "p2"), ("p1", "p0", "p3")):
+            simulator, network, peers = network_on(topology, latency=0.1)
+            first_heard = {
+                peer_id: record_arrivals(simulator, peer, "receive_transaction")
+                for peer_id, peer in peers.items()
+            }
+            transaction = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
+            peers[origin].submit_transaction(transaction, now=0.0)
+            simulator.run()
+            assert first_heard[hub][0] == pytest.approx(0.4)
+            assert first_heard[neighbour][0] == pytest.approx(0.1)
+            assert all(
+                link.scale == (4.0 if {source, link.peer_id} == {"p0", "p1"} else 1.0)
+                for source, links in network._out_links.items()
+                for link in links
+            )
+
+    def test_a_range_sync_request_and_its_response_occupy_their_links(self):
+        pair = {"a": ("b",), "b": ("a",)}
+        simulator, network, peers = wired_network(
+            pair, latency=0.0, bandwidth=BandwidthModel(bytes_per_second=100.0)
+        )
+        arrivals = record_arrivals(simulator, peers["b"], "import_block")
+        blocks = mined_blocks(peers["a"], 3)
+        network._mark_seen("a", blocks[-1].hash)
+        sizes = [len(wire_encoding(block)) for block in blocks]
+        network._flood_block("a", None, blocks[-1], sizes[-1])
+        simulator.run()
+        assert network.stats.sync_requests == 1
+        assert peers["b"].chain.head is blocks[-1]
+        # The tip lands at t, orphans, and b asks a for blocks 1-2: the
+        # request holds b -> a for 64 bytes, then both responses queue on
+        # a -> b behind each other.
+        t = sizes[-1] / 100.0
+        request = 64 / 100.0
+        assert arrivals == [
+            pytest.approx(t),
+            pytest.approx(t + request + sizes[0] / 100.0),
+            pytest.approx(t + request + (sizes[0] + sizes[1]) / 100.0),
+        ]
+        assert network._link("b", peers["a"]).free_at == pytest.approx(t + request)
+        assert network._link("a", peers["b"]).free_at == pytest.approx(
+            t + (sizes[0] + sizes[1]) / 100.0
+        )
 
 
 class TestChurn:
@@ -412,15 +521,9 @@ class TestChurn:
     def test_orphaned_block_triggers_ancestor_sync(self):
         pair = {"a": ("b",), "b": ("a",)}
         simulator, network, peers = wired_network(pair)
-        blocks = []
-        for number in range(3):
-            block, _ = peers["a"].chain.build_block(
-                [], miner=ALICE, timestamp=float(number + 1)
-            )
-            blocks.append(block)
-            status, _imported = peers["a"].import_block(block)
-            assert status == "imported"
-            network._seen_blocks.setdefault("a", set()).add(block.hash)
+        blocks = mined_blocks(peers["a"], 3)
+        for block in blocks:
+            network._mark_seen("a", block.hash)
         # b hears only the tip: it must orphan it and range-sync the rest from a.
         network._flood_block("a", None, blocks[-1], 100)
         simulator.run()

@@ -24,10 +24,11 @@ also covers the processes an entry point starts itself (``repro serve`` under
     python tools/reachability.py --check    # fail if the committed table drifted
 
 Either way it exits nonzero if a function under ``experiments/``, ``oracle/``,
-``workloads/`` or ``cli.py`` is in class (c), or if a module keeps class (b)
-or (c) functions without a reason in ``KEPT_BECAUSE``.  ``--check`` also
-fails if the class (b)+(c) line total grew past the committed table's: the
-ratchet only turns one way.
+``workloads/`` or ``cli.py`` is in class (c), if a module keeps class (b)
+or (c) functions without a reason in ``KEPT_BECAUSE``, or if a
+``KEPT_BECAUSE`` row is stale (its module keeps no class (b) or (c)
+function any more).  ``--check`` also fails if the class (b)+(c) line
+total grew past the committed table's: the ratchet only turns one way.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ KEPT_BECAUSE = {
     "net/network.py": "`propagation_samples` exposes the raw delays its summary is derived from; `__len__` is the container protocol",
     "net/peer.py": "`Peer.__repr__` is for debugging",
     "net/sim.py": "`cancel`, `run`, `run_while` and `pending_events` are the event loop's API for interactive drivers",
-    "net/topology.py": "`FullMeshTopology.build` is the graph the engine's direct broadcast implies (a `full_mesh` spec keeps that legacy path, so the engine never builds it); topology introspection (`is_connected`, `checksum`, `scale_for`, bandwidth delays) the tests check; the builder's abstract `build`; `ChurnPlan.__len__`",
+    "net/topology.py": "`FullMeshTopology.build` is the graph the engine's direct broadcast implies (a `full_mesh` spec keeps that legacy path, so the engine never builds it); topology introspection (`is_connected`, `checksum`, bandwidth delays) the tests check; the builder's abstract `build`; `ChurnPlan.__len__`",
     "obs/runtime.py": "`active_tracer` is the tracer's getter",
     "record.py": "`_refuse` runs only when code assigns to or deletes from a record, which the program never does",
     "registry.py": "`Registry.__iter__` / `__len__` are the container protocol",
@@ -533,11 +534,19 @@ def gate_failures(classes: Dict[str, List[Function]]) -> List[str]:
     ]
 
 
+def _keeping_modules(classes: Dict[str, List[Function]]) -> Set[str]:
+    """Modules with at least one class (b) or (c) function."""
+    return {function.module for name in ("b", "c") for function in classes[name]}
+
+
 def unexplained_modules(classes: Dict[str, List[Function]]) -> List[str]:
     """Modules with class (b) or (c) functions and no ``KEPT_BECAUSE`` entry."""
-    return sorted(
-        {function.module for name in ("b", "c") for function in classes[name]} - set(KEPT_BECAUSE)
-    )
+    return sorted(_keeping_modules(classes) - set(KEPT_BECAUSE))
+
+
+def stale_reasons(classes: Dict[str, List[Function]]) -> List[str]:
+    """``KEPT_BECAUSE`` rows whose module keeps no class (b) or (c) function."""
+    return sorted(set(KEPT_BECAUSE) - _keeping_modules(classes))
 
 
 def main(argv: Sequence[str] = None) -> int:
@@ -580,6 +589,11 @@ def main(argv: Sequence[str] = None) -> int:
     if unexplained:
         print("modules keeping class (b) or (c) functions with no reason in KEPT_BECAUSE:")
         print("\n".join(f"  {module}" for module in unexplained))
+        status = 1
+    stale = stale_reasons(classes)
+    if stale:
+        print("KEPT_BECAUSE rows for modules that keep no class (b) or (c) function:")
+        print("\n".join(f"  {module}" for module in stale))
         status = 1
     return status
 
