@@ -9,17 +9,11 @@ fee/arrival order.  Per-sender nonce order is preserved by construction
 because the final order is produced by the same head-of-queue merge the
 baseline policies use.
 
-Limitation (found by checking the policy against every nonce-respecting
-order of small pools): the merge ranks a sender's queue by its head alone,
-so a head that sorts late holds back that sender's later nonces.  A buyer
-whose nonce-0 buy names an unknown mark keeps its nonce-1 buy of the
-committed mark behind the first pending ``set``, where it fails; a ``set``
-the owner forked off its own series holds back the owner's later series
-sets.  Ranking each queue by the best key left in it reached the best
-count on all 300 generated pools of up to seven transactions
-(``tests/properties/test_semantic_brute_force.py``), but it reorders some
-blocks of the reference sweeps and so moves their pinned checksums; it is
-not adopted here.
+Limitation: the merge ranks a sender's queue by its head alone, so a head
+that sorts late holds back that sender's later nonces (a doomed buy of an
+unknown mark keeps the buyer's committed-mark buy behind the first pending
+``set``; a forked ``set`` holds back the owner's later series sets).
+``tests/properties/test_semantic_brute_force.py`` pins minimal cases.
 """
 
 from __future__ import annotations

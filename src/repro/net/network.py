@@ -13,14 +13,17 @@ Two wire modes share this class:
   receipt only — deliveries are deduplicated by object hash — so a flood
   terminates after each node has relayed once.
 
-Every hop crosses one directed **link record** (:class:`Link`): the receiving
-peer, the edge's latency scale (read from the topology once, when the link is
-made) and the time the link's FIFO pipe frees up.  :meth:`install_topology`
-builds each peer's out-link tuple once, in adjacency order, and a flood walks
-that tuple, so a hop does no id lookup, builds no key and touches no shared
-dict.  Links off the adjacency — every full-mesh hop, and a range sync
-between peers that are not neighbours — are made on first use and kept by
-``(source, destination)``, one record per pair actually used.
+Every hop crosses one **link record** (:class:`Link`): the receiving peer,
+the edge's latency scale (read from the topology once, when the link is made)
+and the time the link's FIFO pipe frees up.  A broadcast or relay walks its
+source's tuple of links, so a hop does no id lookup, builds no key and
+touches no shared dict.  :meth:`install_topology` builds each peer's
+out-link tuple once, in adjacency order; a range sync between peers that are
+not neighbours makes its link on first use.  The full mesh walks one link per
+peer in membership order: without a :class:`BandwidthModel` a link holds no
+per-sender state, so every sender shares one tuple (N records); with one,
+each sender gets its own tuple on first broadcast (one FIFO pipe per
+directed pair, as the model needs).
 
 Message loss can be injected per message type to model the paper's
 observation that "transactions sent may be lost due to network failures,
@@ -119,7 +122,7 @@ class NetworkStats:
 
 
 class Link:
-    """One directed gossip link: where a hop lands and what it waits for.
+    """One gossip link: where a hop lands and what it waits for.
 
     ``scale`` multiplies the sampled latency (the topology's edge scale, 1.0
     off it); ``free_at`` is the simulation time the link's FIFO pipe next
@@ -177,6 +180,10 @@ class Network:
         """Each peer's out-links in adjacency order: what a flood walks."""
         self._links_made: Dict[Tuple[str, str], Link] = {}
         """Links off the adjacency, made on first use (see :meth:`_link`)."""
+        self._mesh_links: Dict[Optional[str], Tuple[Link, ...]] = {}
+        """Full-mesh link tuples, one per peer in membership order, made on
+        first use: keyed by sender under a bandwidth model, else one shared
+        tuple under ``None`` (see :meth:`_mesh_out`)."""
         self._seen_blocks: Dict[str, Set[bytes]] = {}
         self._seen_order: Dict[str, Deque[bytes]] = {}
         """Per-peer insertion order of ``_seen_blocks`` entries, maintained
@@ -208,6 +215,11 @@ class Network:
         if self._out_links is not None:
             raise ValueError("add every peer before install_topology wires the links")
         self._peers[peer.peer_id] = peer
+        # Full-mesh tuples follow membership order, so the newcomer's link
+        # goes last; the links already made keep their FIFO state.
+        mesh_links = self._mesh_links
+        for key, links in mesh_links.items():
+            mesh_links[key] = links + (Link(peer),)
         # Weak, because the network owns its peers: a finished trial is then
         # freed by reference counting, not by the cyclic collector.
         peer.network = weakref.proxy(self)
@@ -224,7 +236,8 @@ class Network:
         The adjacency must cover every current peer — a peer outside the
         graph would silently never hear anything.  Each peer's out-links are
         built here, once, in adjacency order; neighbour ids that name no peer
-        get no link.
+        get no link.  Add every peer first: :meth:`add_peer` refuses one once
+        the links are wired, since no flood could reach it.
         """
         peers = self._peers
         missing = [peer_id for peer_id in peers if peer_id not in topology.adjacency]
@@ -383,22 +396,34 @@ class Network:
     # -- links ------------------------------------------------------------------------
 
     def _link(self, source_id: str, destination: Peer) -> Link:
-        """The directed link ``source_id`` -> ``destination``: the adjacency's
-        own link when the topology has that edge, else one made on first use
-        and kept for every later hop between the pair."""
+        """The link ``source_id`` -> ``destination`` a range sync crosses:
+        the one its broadcasts and relays use when there is one, else one
+        made on first use and kept for every later hop between the pair."""
         destination_id = destination.peer_id
         out_links = self._out_links
-        if out_links is not None:
-            for link in out_links.get(source_id, ()):
-                if link.peer_id == destination_id:
-                    return link
+        links = out_links.get(source_id, ()) if out_links is not None else self._mesh_out(source_id)
+        for link in links:
+            if link.peer_id == destination_id:
+                return link
         key = (source_id, destination_id)
         link = self._links_made.get(key)
         if link is None:
-            topology = self.topology
-            scale = topology.scale_for(source_id, destination_id) if topology is not None else 1.0
-            link = self._links_made[key] = Link(destination, scale)
+            link = self._links_made[key] = Link(
+                destination, self.topology.scale_for(source_id, destination_id)
+            )
         return link
+
+    def _mesh_out(self, source_id: str) -> Tuple[Link, ...]:
+        """The full mesh's links from ``source_id``: one per peer in
+        membership order, ``source_id``'s own included (a walk skips it).
+        Without a bandwidth model a link carries no per-sender state (its
+        scale is 1.0 and its FIFO pipe is never read), so every sender
+        shares one tuple; with one, each sender gets its own."""
+        key = source_id if self.bandwidth is not None else None
+        links = self._mesh_links.get(key)
+        if links is None:
+            links = self._mesh_links[key] = tuple(Link(peer) for peer in self._peers.values())
+        return links
 
     def _link_delay(
         self,
@@ -439,28 +464,28 @@ class Network:
         if self._churn_active and origin.peer_id in self._offline:
             return
         wire_size = len(wire_encoding(transaction))
-        if self._out_links is not None:
-            self._flood_transaction(origin.peer_id, None, transaction, wire_size)
-            return
-        for peer in self._peers.values():
-            if peer is origin:
-                continue
-            if self._churn_active and not self._link_up(origin.peer_id, peer.peer_id):
-                self.stats.transactions_dropped_link += 1
-                continue
-            if self.transaction_loss_rate and self._rng.random() < self.transaction_loss_rate:
-                self.stats.transactions_dropped += 1
-                continue
-            self._send_transaction(
-                origin.peer_id, self._link(origin.peer_id, peer), transaction, wire_size
+        origin_id = origin.peer_id
+        out_links = self._out_links
+        if out_links is not None:
+            self._flood_transaction(origin_id, None, out_links[origin_id], transaction, wire_size)
+        else:
+            self._flood_transaction(
+                origin_id, origin_id, self._mesh_out(origin_id), transaction, wire_size
             )
 
     def _flood_transaction(
-        self, from_id: str, exclude_id: Optional[str], transaction: Transaction, wire_size: int
+        self,
+        from_id: str,
+        exclude_id: Optional[str],
+        links: Tuple[Link, ...],
+        transaction: Transaction,
+        wire_size: int,
     ) -> None:
+        """The one transaction hop loop: every link in ``links`` but the one
+        to ``exclude_id``, churn before loss before the hop's own draws."""
         churn_active = self._churn_active
         loss_rate = self.transaction_loss_rate
-        for link in self._out_links[from_id]:
+        for link in links:
             if link.peer_id == exclude_id:
                 continue
             if churn_active and not self._link_up(from_id, link.peer_id):
@@ -491,21 +516,7 @@ class Network:
         if effect is not None and effect.drop:
             self.stats.transactions_dropped += 1
             return
-        # :meth:`_link_delay`, inlined: transaction hops are most of a
-        # flood's events.  Same draws, same arithmetic in the same order.
-        delay = self.latency.sample(sender_id, link.peer_id) * link.scale
-        bandwidth = self.bandwidth
-        if bandwidth is not None:
-            rate = (
-                bandwidth.rate(sender_id, link.peer_id)
-                if bandwidth.per_link
-                else bandwidth.bytes_per_second
-            )
-            serialisation = wire_size / rate
-            free_at = link.free_at
-            departure = free_at if free_at > now else now
-            link.free_at = departure + serialisation
-            delay = (departure - now) + serialisation + delay
+        delay = self._link_delay(link, sender_id, wire_size, self.latency, now)
         corrupt = False
         if effect is not None:
             delay += effect.extra_delay
@@ -555,8 +566,11 @@ class Network:
             )
         # Store-and-forward: relay on first admission only, never back
         # along the edge the transaction arrived on.
-        if accepted and self._out_links is not None:
-            self._flood_transaction(peer.peer_id, sender_id, transaction, wire_size)
+        out_links = self._out_links
+        if accepted and out_links is not None:
+            self._flood_transaction(
+                peer.peer_id, sender_id, out_links[peer.peer_id], transaction, wire_size
+            )
 
     # -- block gossip -----------------------------------------------------------------
 
@@ -593,8 +607,9 @@ class Network:
         while len(order) > self.history_limit:
             seen.discard(order.popleft())
 
-    def broadcast_block(self, origin: Optional[Peer], block: Block) -> None:
-        """Gossip ``block`` from ``origin`` (which imports it immediately).
+    def broadcast_block(self, origin: Peer, block: Block) -> None:
+        """Gossip ``block`` from ``origin`` (which imports it immediately,
+        with no network delay).
 
         Zero-copy, like :meth:`broadcast_transaction`: one frozen block
         object for every receiver, one memoised wire encoding per block.
@@ -602,63 +617,53 @@ class Network:
         self.stats.blocks_broadcast += 1
         self._record_block_born(block.hash)
         wire_size = len(wire_encoding(block))
-        if self._out_links is not None and origin is not None:
-            # The miner imports its own block with no network delay.
-            self._mark_seen(origin.peer_id, block.hash)
+        origin_id = origin.peer_id
+        out_links = self._out_links
+        if out_links is not None:
+            self._mark_seen(origin_id, block.hash)
             origin.import_block(block)
-            if not (self._churn_active and origin.peer_id in self._offline):
-                self._flood_block(origin.peer_id, None, block, wire_size)
-            return
-        origin_id = origin.peer_id if origin is not None else None
-        for peer in self._peers.values():
-            if origin is not None and peer is origin:
-                # The miner imports its own block with no network delay.
-                peer.receive_block(block)
-                continue
-            if self._churn_active and not self._link_up(origin_id, peer.peer_id):
-                self.stats.blocks_dropped_link += 1
-                continue
-            delay_source = origin_id if origin_id is not None else "network"
-            self._send_block(
-                origin_id, delay_source, self._link(delay_source, peer), block, wire_size
-            )
+            if not (self._churn_active and origin_id in self._offline):
+                self._flood_block(origin_id, None, out_links[origin_id], block, wire_size)
+        else:
+            # An offline origin still imports, and each hop counts as a link
+            # drop.
+            origin.receive_block(block)
+            self._flood_block(origin_id, origin_id, self._mesh_out(origin_id), block, wire_size)
 
     def _flood_block(
-        self, from_id: str, exclude_id: Optional[str], block: Block, wire_size: int
+        self,
+        from_id: str,
+        exclude_id: Optional[str],
+        links: Tuple[Link, ...],
+        block: Block,
+        wire_size: int,
     ) -> None:
+        """The one block hop loop: every link in ``links`` but the one to
+        ``exclude_id``."""
         churn_active = self._churn_active
-        for link in self._out_links[from_id]:
+        for link in links:
             if link.peer_id == exclude_id:
                 continue
             if churn_active and not self._link_up(from_id, link.peer_id):
                 self.stats.blocks_dropped_link += 1
                 continue
-            self._send_block(from_id, from_id, link, block, wire_size)
+            self._send_block(from_id, link, block, wire_size)
 
-    def _send_block(
-        self,
-        sender_id: Optional[str],
-        delay_source: str,
-        link: Link,
-        block: Block,
-        wire_size: int,
-    ) -> None:
+    def _send_block(self, sender_id: str, link: Link, block: Block, wire_size: int) -> None:
         """One block hop down ``link``: fault gate, link delay, byte
-        accounting, scheduled delivery.  ``delay_source`` differs from
-        ``sender_id`` only on the legacy origin-less broadcast ("network").
-        Fault decisions never touch ``self._rng`` (see
-        :meth:`_send_transaction`)."""
+        accounting, scheduled delivery.  Fault decisions never touch
+        ``self._rng`` (see :meth:`_send_transaction`)."""
         effect = None
         faults = self._faults
         now = self.simulator.now
         peer = link.peer
         # Same inline window gate as the transaction seam.
         if faults is not None and faults.window_start <= now < faults.window_until:
-            effect = faults.on_message("block", delay_source, link.peer_id, now)
+            effect = faults.on_message("block", sender_id, link.peer_id, now)
         if effect is not None and effect.drop:
             self.stats.blocks_dropped += 1
             return
-        delay = self._link_delay(link, delay_source, wire_size, self.block_latency, now)
+        delay = self._link_delay(link, sender_id, wire_size, self.block_latency, now)
         corrupt = False
         if effect is not None:
             delay += effect.extra_delay
@@ -673,7 +678,7 @@ class Network:
 
     def _schedule_block_delivery(
         self,
-        sender_id: Optional[str],
+        sender_id: str,
         peer: Peer,
         block: Block,
         wire_size: int,
@@ -692,7 +697,7 @@ class Network:
 
     def _deliver_block(
         self,
-        sender_id: Optional[str],
+        sender_id: str,
         peer: Peer,
         block: Block,
         wire_size: int,
@@ -726,7 +731,6 @@ class Network:
             self.stats.block_duplicates += 1
             if (
                 self._out_links is not None
-                and sender_id is not None
                 and block.number > peer.chain.height
                 and peer.chain.block_by_hash(block.hash) is None
             ):
@@ -740,19 +744,19 @@ class Network:
         status, imported = peer.import_block(block)
         if status == IMPORT_ORPHANED:
             self.stats.blocks_orphaned += 1
-            if sender_id is not None:
-                self._request_ancestors(peer, sender_id, block)
+            self._request_ancestors(peer, sender_id, block)
         elif status == IMPORT_IMPORTED and not sync:
             now = self.simulator.now
             for imported_block in imported:
                 born = self._block_born.get(imported_block.hash)
                 if born is not None:
                     self._propagation_samples.append(now - born)
-        if self._out_links is not None and not sync and status != IMPORT_DUPLICATE:
+        out_links = self._out_links
+        if out_links is not None and not sync and status != IMPORT_DUPLICATE:
             # Store-and-forward on first receipt, whatever the local import
             # verdict: a block this peer cannot use yet may still be exactly
             # what its neighbours are waiting for.
-            self._flood_block(peer.peer_id, sender_id, block, wire_size)
+            self._flood_block(peer.peer_id, sender_id, out_links[peer.peer_id], block, wire_size)
 
     # -- ancestor sync ------------------------------------------------------------------
 

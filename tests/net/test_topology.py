@@ -283,6 +283,17 @@ def network_on(topology, latency=0.05, **network_kwargs):
     return simulator, network, peers
 
 
+def mesh_network(peer_ids, latency=0.05, **network_kwargs):
+    """A full-mesh Network (no topology installed) of fresh peers."""
+    simulator = Simulator()
+    network = Network(
+        simulator, latency=ConstantLatency(latency), seed=7, **network_kwargs
+    )
+    genesis = GenesisConfig.for_labels(["alice", "bob"], balance=10**18)
+    peers = {peer_id: network.add_peer(Peer(peer_id, genesis)) for peer_id in peer_ids}
+    return simulator, network, peers
+
+
 def record_arrivals(simulator, peer, method):
     """Wrap ``peer.<method>`` to note the simulation time of every call."""
     arrivals = []
@@ -361,6 +372,75 @@ class TestFloodGossip:
         assert summary["block_propagation_p95"] >= summary["block_propagation_p50"]
 
 
+class TestMembership:
+    def test_add_peer_after_install_topology_is_refused(self):
+        simulator, network, peers = wired_network(LINE)
+        genesis = GenesisConfig.for_labels(["alice", "bob"], balance=10**18)
+        with pytest.raises(ValueError, match="install_topology"):
+            network.add_peer(Peer("d", genesis))
+        assert len(network) == 3
+
+
+class TestFullMeshLinks:
+    def test_without_bandwidth_every_sender_shares_one_link_per_peer(self):
+        simulator, network, peers = mesh_network(["a", "b", "c"])
+        peers["a"].submit_transaction(Transaction(sender=ALICE, nonce=0, to=BOB, value=5), now=0.0)
+        peers["b"].submit_transaction(Transaction(sender=BOB, nonce=0, to=ALICE, value=5), now=0.0)
+        simulator.run()
+        assert network.stats.transaction_deliveries == 4
+        assert list(network._mesh_links) == [None]
+        assert [link.peer_id for link in network._mesh_links[None]] == ["a", "b", "c"]
+        assert network._links_made == {}
+
+    def test_with_bandwidth_each_sender_has_its_own_pipe(self):
+        simulator, network, peers = mesh_network(
+            ["a", "b", "c"], latency=0.0, bandwidth=BandwidthModel(bytes_per_second=100.0)
+        )
+        arrivals = record_arrivals(simulator, peers["c"], "receive_transaction")
+        first = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
+        second = Transaction(sender=ALICE, nonce=1, to=BOB, value=5)
+        other = Transaction(sender=BOB, nonce=0, to=ALICE, value=5)
+        peers["a"].submit_transaction(first, now=0.0)
+        peers["a"].submit_transaction(second, now=0.0)
+        peers["b"].submit_transaction(other, now=0.0)
+        simulator.run()
+        size = len(wire_encoding(first))
+        # b -> c does not queue behind a -> c; a's second send does.
+        assert sorted(arrivals) == [
+            pytest.approx(size / 100.0),
+            pytest.approx(size / 100.0),
+            pytest.approx(2 * size / 100.0),
+        ]
+        assert sorted(network._mesh_links) == ["a", "b"]
+
+    def test_a_peer_added_later_gets_a_link_and_the_old_pipes_keep_their_queue(self):
+        simulator, network, peers = mesh_network(
+            ["a", "b"], latency=0.0, bandwidth=BandwidthModel(bytes_per_second=100.0)
+        )
+        first = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
+        second = Transaction(sender=ALICE, nonce=1, to=BOB, value=5)
+        peers["a"].submit_transaction(first, now=0.0)
+        genesis = GenesisConfig.for_labels(["alice", "bob"], balance=10**18)
+        peers["c"] = network.add_peer(Peer("c", genesis))
+        heard_by_b = record_arrivals(simulator, peers["b"], "receive_transaction")
+        heard_by_c = record_arrivals(simulator, peers["c"], "receive_transaction")
+        peers["a"].submit_transaction(second, now=0.0)
+        simulator.run()
+        size = len(wire_encoding(first))
+        assert heard_by_b == [pytest.approx(size / 100.0), pytest.approx(2 * size / 100.0)]
+        assert heard_by_c == [pytest.approx(size / 100.0)]
+
+    def test_an_offline_origin_imports_its_block_and_every_hop_is_a_link_drop(self):
+        simulator, network, peers = mesh_network(["a", "b", "c"])
+        block, _ = peers["a"].chain.build_block([], miner=ALICE, timestamp=1.0)
+        network.set_offline("a")
+        network.broadcast_block(peers["a"], block)
+        simulator.run()
+        assert peers["a"].chain.head is block
+        assert network.stats.blocks_dropped_link == 2
+        assert peers["b"].chain.height == 0
+
+
 class TestBandwidthFifo:
     def test_serialisation_delay_is_size_over_rate(self):
         model = BandwidthModel(bytes_per_second=1000.0)
@@ -403,8 +483,7 @@ class TestBandwidthFifo:
         block_arrivals = record_arrivals(simulator, peers["b"], "import_block")
         transaction_arrivals = record_arrivals(simulator, peers["b"], "receive_transaction")
         (block,) = mined_blocks(peers["a"], 1)
-        network._mark_seen("a", block.hash)
-        network._flood_block("a", None, block, len(wire_encoding(block)))
+        network.broadcast_block(peers["a"], block)
         transaction = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
         peers["a"].submit_transaction(transaction, now=0.0)
         simulator.run()
@@ -421,8 +500,7 @@ class TestBandwidthFifo:
         )
         arrivals = record_arrivals(simulator, peers["a"], "receive_transaction")
         (block,) = mined_blocks(peers["a"], 1)
-        network._mark_seen("a", block.hash)
-        network._flood_block("a", None, block, len(wire_encoding(block)))
+        network.broadcast_block(peers["a"], block)
         transaction = Transaction(sender=ALICE, nonce=0, to=BOB, value=5)
         peers["b"].submit_transaction(transaction, now=0.0)
         simulator.run()
@@ -459,9 +537,8 @@ class TestBandwidthFifo:
         )
         arrivals = record_arrivals(simulator, peers["b"], "import_block")
         blocks = mined_blocks(peers["a"], 3)
-        network._mark_seen("a", blocks[-1].hash)
         sizes = [len(wire_encoding(block)) for block in blocks]
-        network._flood_block("a", None, blocks[-1], sizes[-1])
+        network.broadcast_block(peers["a"], blocks[-1])
         simulator.run()
         assert network.stats.sync_requests == 1
         assert peers["b"].chain.head is blocks[-1]
@@ -525,7 +602,7 @@ class TestChurn:
         for block in blocks:
             network._mark_seen("a", block.hash)
         # b hears only the tip: it must orphan it and range-sync the rest from a.
-        network._flood_block("a", None, blocks[-1], 100)
+        network.broadcast_block(peers["a"], blocks[-1])
         simulator.run()
         assert network.stats.blocks_orphaned == 1
         assert network.stats.sync_requests == 1
