@@ -10,7 +10,9 @@ is seeded from one :class:`~repro.api.seeding.SeedPlan` rooted at
 
 from __future__ import annotations
 
+import gc
 import random
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -44,6 +46,36 @@ from .spec import SimulationSpec
 from ..workloads.base import SimulationContext, Workload
 
 __all__ = ["SimulationHandle", "SimulationResult", "run_simulation", "build_simulation"]
+
+
+class _CollectorPause:
+    """Keeps the cyclic garbage collector off while any run is in progress.
+
+    The first entrant records whether the collector was enabled and turns it
+    off; the last one out turns it back on only if it was.  Nested runs and
+    runs on several threads therefore leave the collector as they found it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
 
 
 def _jsonable(value: Any) -> Any:
@@ -414,24 +446,44 @@ class SimulationHandle:
     # -- the measured loop ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Run the workload to completion (or the duration cap) and measure."""
-        spec, workload, simulator = self.spec, self.workload, self.simulator
-        tracer = self.tracer
-        if tracer is not None:
-            _obs_runtime.activate(tracer)
-        try:
-            return self._run_measured(spec, workload, simulator)
-        finally:
+        """Run the workload to completion (or the duration cap) and measure.
+
+        The cyclic garbage collector is paused for the whole call, because
+        a run makes no reference cycles: every back link in a trial (network
+        to peer, HMS supplier to peer, HMS graph node to parent, tracer
+        probe to context) is weak or skips its owner, and the events still
+        queued at the end are drained.  Everything a run allocates is thus
+        freed by reference counting, and a collection inside the event loop
+        would only cost time.  ``tests/api/test_trial_lifetime.py`` proves
+        it with the collector off for every registered experiment's smoke
+        jobs, the gossip, faulty-gossip and retained-horizon shapes and a
+        served ``session.run``, and shows the check names a seeded
+        self-reference.  The pause nests: the first entrant's collector
+        state is restored by the last one out, also when a run raises or
+        runs on another thread.  Set-up and the served ``session.advance``
+        keep the collector.
+        """
+        with _COLLECTOR_PAUSE:
+            spec, workload, simulator = self.spec, self.workload, self.simulator
+            tracer = self.tracer
             if tracer is not None:
-                # Freeze the probe snapshot while the process-wide counters
-                # still read this run's values, then leave the process untraced.
-                tracer.finalize()
-                _obs_runtime.deactivate()
-            if tracer is not None and spec.trace_dir is not None:
-                # Trace files are keyed by the spec's content digest, so a
-                # sweep's workers land per-job files under one directory with
-                # names stable across serial/parallel/resumed execution.
-                tracer.write(spec.trace_dir, f"trace_{spec_digest(spec)}")
+                _obs_runtime.activate(tracer)
+            try:
+                return self._run_measured(spec, workload, simulator)
+            finally:
+                if tracer is not None:
+                    # Freeze the probe snapshot while the process-wide counters
+                    # still read this run's values, then leave the process untraced.
+                    tracer.finalize()
+                    _obs_runtime.deactivate()
+                if tracer is not None and spec.trace_dir is not None:
+                    # Trace files are keyed by the spec's content digest, so a
+                    # sweep's workers land per-job files under one directory with
+                    # names stable across serial/parallel/resumed execution.
+                    tracer.write(spec.trace_dir, f"trace_{spec_digest(spec)}")
+                # Events still queued point back into the trial's peers,
+                # production and adversaries, which hold the simulator.
+                simulator.drain()
 
     def _run_measured(self, spec, workload, simulator) -> SimulationResult:
         self.production.start()

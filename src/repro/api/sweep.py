@@ -116,12 +116,9 @@ def _run_job(job: Job) -> Dict[str, Any]:
     from .engine import run_simulation
 
     spec, tags = job
-    simulator = _process_simulator()
-    row = {"tags": tags, "summary": run_simulation(spec, simulator=simulator).summary()}
-    # Events still queued at the end of a run point back into its peers:
-    # drain them now, so a warm worker holds no finished trial between jobs.
-    simulator.reset()
-    return row
+    # The run drains the simulator's queue, so a warm worker holds no
+    # finished trial between jobs.
+    return {"tags": tags, "summary": run_simulation(spec, simulator=_process_simulator()).summary()}
 
 
 def _seeded(

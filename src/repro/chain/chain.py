@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..crypto.addresses import Address
 from ..obs import runtime as _obs
@@ -40,6 +40,9 @@ from .genesis import GenesisConfig, build_genesis_cached
 from .receipt import Receipt, receipts_root
 from .state import StateSnapshot, WorldState
 from .transaction import Transaction
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..core.audit import AuditCursor
 
 __all__ = ["Blockchain", "ChainAnchor", "execute_transactions"]
 
@@ -131,6 +134,9 @@ class Blockchain:
             else None
         )
         self._receipts_by_tx: Dict[bytes, Receipt] = {}
+        self.audit_cursor: Optional["AuditCursor"] = None
+        """Fed every block this chain appends, in order; set on the chain a
+        workload audits, before its first import."""
 
     # -- inspection -----------------------------------------------------------
 
@@ -355,6 +361,8 @@ class Blockchain:
         self._state_token = post_token
         for receipt in block.receipts:
             self._receipts_by_tx[receipt.transaction_hash] = receipt
+        if self.audit_cursor is not None:
+            self.audit_cursor.feed(block)
         if self.retain_blocks is not None and len(self._blocks) > self.retain_blocks:
             self._prune_window()
         return block

@@ -8,7 +8,7 @@ market workload: the ``set`` operations form a strictly serialized chain of
 marks, while ``buy`` operations are only *bound* to a position in that chain
 by the mark they carry.
 
-The :class:`ChainAuditor` replays a committed chain and checks exactly that:
+The :class:`ChainAuditor` holds the rules that check exactly that:
 
 * per-sender nonce order is respected in every block (sequential consistency
   of each client's program order);
@@ -18,9 +18,13 @@ The :class:`ChainAuditor` replays a committed chain and checks exactly that:
   position — i.e. it is correctly marked to the serialized history;
 * the mark chain recorded on-chain is collision-free (no mark repeats).
 
-The auditor is used by tests and examples as an independent oracle for the
-experiment results: whatever the miner policy did, the committed history must
-satisfy these invariants.
+An :class:`AuditCursor` applies them one block at a time as the chain
+imports it (:attr:`Blockchain.audit_cursor
+<repro.chain.chain.Blockchain.audit_cursor>`), carrying only the mark and
+value in force and each sender's next nonce from block to block.  A workload
+reads its report at the end of a run and replays nothing, so the audit also
+holds on a retained chain whose early blocks are pruned.  The tests hold it
+to a from-scratch replay of the finished chain (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..chain.block import Block
-from ..chain.chain import Blockchain
 from ..chain.transaction import Transaction
 from ..crypto.addresses import Address
 from ..encoding.hexutil import WORD_SIZE
 from .hms.fpv import FPV, compute_mark, fpv_from_calldata
 
-__all__ = ["AuditViolation", "AuditReport", "ChainAuditor"]
+__all__ = ["AuditCursor", "AuditViolation", "AuditReport", "ChainAuditor"]
 
 
 @dataclass(frozen=True)
@@ -85,23 +88,6 @@ class ChainAuditor:
         self.buy_selector = buy_selector
         self.initial_mark = initial_mark
         self.initial_value = initial_value
-
-    # -- entry points ----------------------------------------------------------------
-
-    def audit_chain(self, chain: Blockchain) -> AuditReport:
-        """Audit every block of ``chain`` from genesis to head."""
-        report = AuditReport()
-        current_mark = self.initial_mark
-        current_value = self.initial_value
-        if current_mark is not None:
-            report.mark_chain.append(current_mark)
-        expected_nonces: Dict[Address, int] = {}
-        for number in range(1, chain.height + 1):
-            block = chain.block_by_number(number)
-            current_mark, current_value = self._audit_block(
-                block, report, current_mark, current_value, expected_nonces
-            )
-        return report
 
     # -- internals --------------------------------------------------------------------
 
@@ -240,3 +226,31 @@ class ChainAuditor:
                     description="a correctly marked buy was recorded as failed",
                 )
             )
+
+
+class AuditCursor:
+    """The audit of one chain so far, from genesis, advanced one imported
+    block at a time.
+
+    It holds the auditor's configuration, the report, and the state
+    :meth:`ChainAuditor._audit_block` threads between blocks: the mark and
+    value in force and each sender's next nonce.  Nothing in it points back
+    at the chain that feeds it.
+    """
+
+    __slots__ = ("auditor", "report", "current_mark", "current_value", "expected_nonces")
+
+    def __init__(self, auditor: ChainAuditor) -> None:
+        self.auditor = auditor
+        self.report = AuditReport()
+        self.current_mark = auditor.initial_mark
+        self.current_value = auditor.initial_value
+        if self.current_mark is not None:
+            self.report.mark_chain.append(self.current_mark)
+        self.expected_nonces: Dict[Address, int] = {}
+
+    def feed(self, block: Block) -> None:
+        """Audit ``block``, the next one the chain appended."""
+        self.current_mark, self.current_value = self.auditor._audit_block(
+            block, self.report, self.current_mark, self.current_value, self.expected_nonces
+        )

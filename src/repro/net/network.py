@@ -221,7 +221,7 @@ class Network:
         for key, links in mesh_links.items():
             mesh_links[key] = links + (Link(peer),)
         # Weak, because the network owns its peers: a finished trial is then
-        # freed by reference counting, not by the cyclic collector.
+        # freed by reference counting alone.
         peer.network = weakref.proxy(self)
         return peer
 
@@ -524,9 +524,7 @@ class Network:
         self.stats.transaction_bytes += wire_size
         schedule_at = simulator.schedule_at
         # The function with ``self`` as its first argument, not a bound
-        # method: a bound method is one more GC-tracked object held by every
-        # in-flight hop, and those are what runs the cyclic collector during
-        # a flood.
+        # method: one allocation fewer per hop.
         deliver = Network._deliver_transaction
         schedule_at(now + delay, deliver, self, sender_id, peer, transaction, wire_size, corrupt)
         if effect is not None and effect.duplicate_gap is not None:

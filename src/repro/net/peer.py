@@ -142,8 +142,7 @@ class Peer:
             self.engine.raa_provider = self._raa_registry
         config = HMSConfig(contract_address=contract_address, set_selector=set_selector)
         # The engine holds the provider, so the suppliers hold this peer only
-        # weakly: a finished trial is freed by reference counting, not by
-        # the cyclic collector.
+        # weakly: a finished trial is freed by reference counting alone.
         peer = weakref.ref(self)
         provider = HMSRAAProvider(
             config=config,

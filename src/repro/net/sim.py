@@ -51,6 +51,15 @@ class Simulator:
         self._sequence = itertools.count()
         self.events_processed = 0
 
+    def drain(self) -> None:
+        """Drop every queued event, keeping the clock and the counters.
+
+        A queued callback is bound to whatever scheduled it, and that object
+        holds this simulator; draining at the end of a run leaves a finished
+        trial free of reference cycles.
+        """
+        self._queue.clear()
+
     # -- scheduling -----------------------------------------------------------
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> list:

@@ -72,8 +72,13 @@ class OracleLatencyWorkload(Workload):
         # so a module-level import here would be circular.
         from ..oracle.service import OracleOperator
 
+        # The operator holds this source, and this workload holds the
+        # operator: the source closes over the address, not ``self``, so the
+        # workload is freed by reference counting alone.
+        contract = self.contract
+
         def price_source(query: bytes) -> bytes:
-            return miner_peer.chain.state.get_storage(self.contract, bytes32_from_int(2))
+            return miner_peer.chain.state.get_storage(contract, bytes32_from_int(2))
 
         self.operator = OracleOperator(
             "oracle-operator",

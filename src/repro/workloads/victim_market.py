@@ -11,7 +11,7 @@ from ..api.registry import register_workload
 from ..api.spec import _checked, _integer, _optional, _text
 from ..clients.market import READ_COMMITTED, READ_UNCOMMITTED, Buyer
 from ..contracts.sereth import BUY_SELECTOR, SET_SELECTOR, initial_mark
-from ..core.audit import ChainAuditor
+from ..core.audit import AuditCursor, ChainAuditor
 from .base import COUNT, SECONDS, SimulationContext, Workload, submit_watched
 
 __all__ = ["VictimMarketWorkload", "FrontrunningWorkload", "victim_columns"]
@@ -83,6 +83,17 @@ class VictimMarketWorkload(Workload):
         return [self.owner, "victim"]
 
     def setup(self, context: SimulationContext) -> None:
+        # The reference chain audits each block as it imports it, so the
+        # audit needs no history and holds under retention.
+        self.audit = AuditCursor(
+            ChainAuditor(
+                contract_address=self.contract,
+                set_selector=SET_SELECTOR,
+                buy_selector=BUY_SELECTOR,
+                initial_mark=initial_mark(self.contract),
+            )
+        )
+        context.reference_chain.audit_cursor = self.audit
         self.owner_client = self.owner_setter(context)
         self.victim = Buyer(
             "victim",
@@ -117,13 +128,7 @@ class VictimMarketWorkload(Workload):
         return self.end_of_submissions + 6 * spec.block_interval
 
     def finalize(self, context: SimulationContext) -> Dict[str, Any]:
-        auditor = ChainAuditor(
-            contract_address=self.contract,
-            set_selector=SET_SELECTOR,
-            buy_selector=BUY_SELECTOR,
-            initial_mark=initial_mark(self.contract),
-        )
-        audit = auditor.audit_chain(context.reference_chain)
+        audit = self.audit.report
         return {
             "overpaid": len(audit.violations_of_kind("buy_wrongly_succeeded")),
             "audit_clean": audit.is_clean,

@@ -1,10 +1,12 @@
 """Engine + workload-plugin tests: reproducibility, parity, and the new workloads."""
 
+import gc
+import threading
 from dataclasses import replace
 
 import pytest
 
-from repro.api import Simulation, SimulationSpec, freeze_params, run_simulation
+from repro.api import Simulation, SimulationSpec, build_simulation, freeze_params, run_simulation
 from repro.experiments.scenario import GETH_UNMODIFIED
 
 
@@ -150,3 +152,83 @@ class TestNewWorkloads:
         baseline = run_simulation(market_spec("geth_unmodified"))
         semantic = run_simulation(market_spec("semantic_mining"))
         assert semantic.efficiency >= baseline.efficiency
+
+
+class TestCollectorPause:
+    """``SimulationHandle.run`` pauses the cyclic collector and leaves it as
+    the first entrant found it."""
+
+    @staticmethod
+    def handle_seeing_the_collector(seen, before=None):
+        """A handle whose measured loop records ``gc.isenabled()`` (after
+        calling ``before``) and then runs as usual."""
+        handle = build_simulation(market_spec("geth_unmodified", num_buys=2))
+        measured = handle._run_measured
+
+        def run_measured(*args):
+            if before is not None:
+                before()
+            seen.append(gc.isenabled())
+            return measured(*args)
+
+        handle._run_measured = run_measured
+        return handle
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self):
+        seen = []
+        gc.disable()
+        try:
+            self.handle_seeing_the_collector(seen).run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    def test_a_run_that_raises_re_enables_the_collector(self):
+        seen = []
+
+        def boom():
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="boom"):
+            self.handle_seeing_the_collector([], before=boom).run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_two_threads_running_at_once_leave_the_collector_enabled(self):
+        seen, errors = [], []
+        both_inside = threading.Barrier(2, timeout=30.0)
+        first_done = threading.Event()
+
+        def after_the_first_finished():
+            both_inside.wait()
+            assert first_done.wait(timeout=30.0)
+
+        first = self.handle_seeing_the_collector(seen, before=both_inside.wait)
+        # The second run looks only once the first has left ``run``: the
+        # collector must still be off for it.
+        second = self.handle_seeing_the_collector(seen, before=after_the_first_finished)
+
+        def run(handle, done=None):
+            try:
+                handle.run()
+            except Exception as error:  # surfaced below, not lost in the thread
+                errors.append(error)
+            finally:
+                if done is not None:
+                    done.set()
+
+        assert gc.isenabled()
+        threads = [
+            threading.Thread(target=run, args=(first, first_done)),
+            threading.Thread(target=run, args=(second,)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert seen == [False, False]
+        assert gc.isenabled()

@@ -9,6 +9,7 @@ from repro.core.hms.fpv import BUY_FLAG, HEAD_FLAG, SUCCESS_FLAG, compute_mark, 
 from repro.encoding.hexutil import to_bytes32
 
 from ..conftest import ALICE, BOB, CAROL, MINER, SERETH_ADDRESS
+from ..oracles import audit_chain
 
 SET_ABI = SerethContract.function_by_name("set").abi
 BUY_ABI = SerethContract.function_by_name("buy").abi
@@ -53,7 +54,7 @@ class TestCleanHistories:
             timestamp=13.0,
         )
         sereth_chain.add_block(block)
-        report = auditor().audit_chain(sereth_chain)
+        report = audit_chain(auditor(), sereth_chain)
         assert report.is_clean
         assert report.successful_sets == 2
         assert report.successful_buys == 2
@@ -73,7 +74,7 @@ class TestCleanHistories:
             timestamp=13.0,
         )
         sereth_chain.add_block(block)
-        report = auditor().audit_chain(sereth_chain)
+        report = audit_chain(auditor(), sereth_chain)
         assert report.is_clean
         assert report.successful_sets == 1
         assert report.successful_buys == 0
@@ -89,7 +90,7 @@ class TestCleanHistories:
             [buy_tx(BOB, 0, mark_5, 5)], miner=MINER, timestamp=26.0
         )
         sereth_chain.add_block(block2)
-        report = auditor().audit_chain(sereth_chain)
+        report = audit_chain(auditor(), sereth_chain)
         assert report.is_clean
         assert report.blocks_audited == 2
 
@@ -115,7 +116,7 @@ class TestViolationDetection:
         # Bypass validation (which would reject the block) to audit the forged
         # history directly: the auditor works from blocks alone.
         sereth_chain._blocks.append(forged)
-        report = auditor().audit_chain(sereth_chain)
+        report = audit_chain(auditor(), sereth_chain)
         assert not report.is_clean
         assert report.violations_of_kind("buy_wrongly_succeeded")
 
@@ -137,7 +138,7 @@ class TestViolationDetection:
             receipts_root=receipts_root(receipts),
         )
         sereth_chain._blocks.append(Block(header=header, transactions=[first, second], receipts=receipts))
-        report = auditor().audit_chain(sereth_chain)
+        report = audit_chain(auditor(), sereth_chain)
         assert report.violations_of_kind("nonce_order")
 
     def test_experiment_chains_always_audit_clean(self):
@@ -162,6 +163,6 @@ class TestViolationDetection:
                 buy_selector=BUY_SELECTOR,
                 initial_mark=initial_mark(contract),
             )
-            report = chain_auditor.audit_chain(result.peers[0].chain)
+            report = audit_chain(chain_auditor, result.peers[0].chain)
             assert report.is_clean, f"audit violations under {scenario}: {report.violations}"
             assert report.successful_buys == result.reports["buy"].successful

@@ -2,9 +2,11 @@
 
 Each is an oracle the program itself never calls: the wire *decoder* (the
 simulator gossips live objects and only ever encodes), a value-transfer-only
-executor for chain-layer tests that do not exercise contracts, and the
+executor for chain-layer tests that do not exercise contracts, the
 recursive DEEPESTBRANCH transcribed line for line from the paper, against
-which the iterative search the HMS uses is checked.
+which the iterative search the HMS uses is checked, and the from-scratch
+audit of a finished chain, against which the audit a chain keeps as it
+imports is checked.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.chain.block import Block, BlockHeader
+from repro.chain.chain import Blockchain
 from repro.chain.executor import BlockContext
 from repro.chain.receipt import LogEntry, Receipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import TIMESTAMP_SCALE, Transaction
+from repro.core.audit import AuditCursor, AuditReport, ChainAuditor
 from repro.core.hms.node import TxNode
 from repro.crypto.addresses import Address
 from repro.encoding.rlp import RLPDecodingError, rlp_decode
@@ -184,3 +188,15 @@ def deepest_branch_recursive(head: TxNode) -> List[TxNode]:
     if not best["path"]:
         return [head]
     return list(best["path"])  # type: ignore[arg-type]
+
+
+# -- the chain audit, replayed from scratch --------------------------------------------------
+
+
+def audit_chain(auditor: ChainAuditor, chain: Blockchain) -> AuditReport:
+    """Audit every block of ``chain`` from genesis to head, all of which must
+    still be retained, through a fresh cursor."""
+    cursor = AuditCursor(auditor)
+    for number in range(1, chain.height + 1):
+        cursor.feed(chain.block_by_number(number))
+    return cursor.report
