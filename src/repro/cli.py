@@ -12,6 +12,8 @@ The generic experiment commands drive any experiment registered in
     repro serve --port 8547 --workers 4       # simulator-as-a-service JSON-RPC facade
     repro loadgen --smoke --url http://127.0.0.1:8547   # measured tail latency + gates
     repro list [--adversaries|--topologies]   # every registry, one line per entry
+    repro golden check [NAME...]              # pinned outputs still reproduce (goldens/)
+    repro golden record NAME --reason TEXT    # re-pin one, with a logged reason
 
 ``--checkpoint FILE`` makes the sweep resumable: completed cells append to a
 JSONL file keyed by the grid's digest, and a re-run executes only the
@@ -247,6 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000.0,
         help="--smoke gate: fail if any mode's p95 exceeds this many ms",
     )
+
+    golden = subparsers.add_parser(
+        "golden", help="check or re-pin the outputs pinned in goldens/ (see repro.golden)"
+    )
+    golden_verbs = golden.add_subparsers(dest="verb", required=True)
+    golden_check = golden_verbs.add_parser(
+        "check", help="re-run each producer; on a mismatch print the JSON paths that moved"
+    )
+    golden_check.add_argument("names", nargs="*", help="entries to check (default: all)")
+    golden_record = golden_verbs.add_parser(
+        "record", help="re-pin one entry to its producer's output and log why"
+    )
+    golden_record.add_argument("name", help="entry name (see goldens/)")
+    golden_record.add_argument("--reason", required=True, help="why the pinned output moves")
 
     listing = subparsers.add_parser(
         "list",
@@ -548,6 +564,29 @@ def _command_loadgen(arguments: argparse.Namespace) -> int:
             server.shutdown()
 
 
+def _command_golden(arguments: argparse.Namespace) -> int:
+    from . import golden
+
+    names = [arguments.name] if arguments.verb == "record" else arguments.names or sorted(golden.GOLDENS)
+    unknown = sorted(set(names) - set(golden.GOLDENS))
+    if unknown:
+        raise SystemExit(f"repro golden: unknown name(s) {unknown}; known: {sorted(golden.GOLDENS)}")
+    if arguments.verb == "record":
+        try:
+            sha = golden.record(arguments.name, arguments.reason)
+        except ValueError as error:
+            raise SystemExit(f"repro golden record: {error}")
+        print(f"{arguments.name}: recorded {sha}")
+        return 0
+    failed = 0
+    for name in names:
+        found = golden.check(name)
+        failed += bool(found)
+        print(golden.report(name, found))
+    print(f"{len(names) - failed}/{len(names)} goldens hold")
+    return 1 if failed else 0
+
+
 def _command_list(arguments: argparse.Namespace) -> int:
     from .service.catalog import registry_catalog
 
@@ -583,6 +622,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": _command_sweep,
         "serve": _command_serve,
         "loadgen": _command_loadgen,
+        "golden": _command_golden,
         "list": _command_list,
     }
     return handlers[arguments.command](arguments)

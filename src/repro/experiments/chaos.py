@@ -22,19 +22,30 @@ must heal them (miner-bound block deliveries excepted: the append-only chain
 model cannot reorg, so a miner that misses a block would fork forever; see
 :meth:`repro.faults.FaultInjector.protect_block_peers`).
 
-Three claim gates:
+Five claim gates:
 
 * post-heal convergence — every cell injected faults and still converged;
 * ``harm == 0`` on the defended (``semantic_mining``) rows — the
   ``geth_unmodified`` rows are the vulnerable control the paper fixes — and
   zero overpayments across the whole grid;
-* the faults-off golden sweep still produces its committed checksum —
-  injection is provably zero-cost when not configured.
+* the faults-off golden sweep still produces the ``golden_sweep`` entry of
+  the golden store (:mod:`repro.golden`) — injection is provably zero-cost
+  when not configured;
+* an installed but dormant fault costs at most :data:`MAX_DORMANT_RATIO`
+  the CPU time of the same cell without it;
+* tracing the ``figure2`` smoke grid costs at most :data:`MAX_TRACED_RATIO`
+  its untraced wall time — the other optional seam on every hop.
+
+The last two are the repo's timing gates.  Machine speed varies across
+runners, the ratios must not; they run only where ``repro run chaos`` runs,
+never in the unit tier.
 """
 
 from __future__ import annotations
 
-import hashlib
+import gc
+import json
+from time import perf_counter, process_time
 from typing import Any, Dict, List, Tuple
 
 from ..api.builder import Simulation, SimulationBuilder
@@ -47,7 +58,8 @@ from ..workloads.victim_market import victim_columns
 __all__ = [
     "DEFAULT_MIXES",
     "DEFAULT_INTENSITIES",
-    "GOLDEN_SWEEP_SHA256",
+    "MAX_DORMANT_RATIO",
+    "MAX_TRACED_RATIO",
     "ChaosExperiment",
     "chaos_claims",
     "golden_sweep",
@@ -68,17 +80,22 @@ BUY_INTERVAL = 2.0
 
 _RATES = {"light": 0.08, "heavy": 0.2}
 
-# The committed golden checksum (tests/api/test_golden_determinism.py pins the
-# same value; tests/experiments/test_chaos.py asserts the two stay equal).
-GOLDEN_SWEEP_SHA256 = "803d61eec09f5cc5835b9b739f30a917c8c2a8720ffe0cac5c9b4f0fb6feab0b"
+MAX_DORMANT_RATIO = 1.05
+"""Ceiling on dormant-fault / faults-off CPU time, best matched pair."""
+MAX_TRACED_RATIO = 1.25
+"""Ceiling on traced / untraced wall time of the figure2 smoke grid."""
+RATIO_SAMPLES = 5
+TRACED_REPEATS = 2
 
 
 def golden_sweep() -> Sweep:
-    """The frozen faults-off smoke sweep whose export checksum is committed.
+    """The frozen faults-off smoke sweep whose export is the golden store's
+    ``golden_sweep`` entry.
 
-    This mirrors the golden grid the determinism tests pin: two scenarios x
-    two buy ratios at seed 20260730, no faults configured.  The chaos claim
-    re-runs it to prove the fault subsystem is byte-invisible when off.
+    Two scenarios x two buy ratios at seed 20260730, no faults configured.
+    The determinism tests run it serially, in parallel and resumed; the
+    chaos claim re-runs it to prove the fault subsystem is byte-invisible
+    when off.
     """
     base = (
         SimulationBuilder()
@@ -148,6 +165,69 @@ def _cell_spec(scenario: str, mix: str, intensity: str, buys: int) -> Simulation
     return builder.build()
 
 
+def _ratio_spec(dormant: bool) -> SimulationSpec:
+    """The gossip-heavy cell the dormant-fault ratio is timed on: 400 buys
+    across three clients under the defense, tens of thousands of hops.  The
+    dormant twin differs only in a fault whose window never opens, so every
+    hop crosses the injector's window gate and nothing else changes."""
+    builder = (
+        SimulationBuilder()
+        .workload("market", num_buys=400)
+        .scenario(HMS_DEFENSE)
+        .miners(1)
+        .clients(3)
+        .seed(77)
+    )
+    if dormant:
+        builder = builder.fault("drop", rate=0.5, target="both", start=1e9)
+    return builder.build()
+
+
+def dormant_fault_ratio() -> float:
+    """Dormant-fault / faults-off process CPU time, the best of
+    :data:`RATIO_SAMPLES` interleaved matched pairs, each run with the collector parked.
+
+    Timing noise only inflates a leg, so the best pair is the closest
+    estimate of the true ratio, and a real seam regression inflates every
+    pair alike.
+    """
+    from ..api.engine import run_simulation
+
+    run_simulation(_ratio_spec(False))  # untimed warm-up: imports, bytecode
+    ratios = []
+    for _ in range(RATIO_SAMPLES):
+        pair = []
+        for dormant in (False, True):
+            spec = _ratio_spec(dormant)
+            gc.collect()
+            gc.disable()
+            started = process_time()
+            run_simulation(spec).summary()
+            pair.append(process_time() - started)
+            gc.enable()
+        ratios.append(pair[1] / pair[0])
+    return round(min(ratios), 3)
+
+
+def traced_ratio() -> float:
+    """Traced / untraced wall time of the figure2 smoke grid on one worker,
+    each mode's fastest of :data:`TRACED_REPEATS` passes."""
+    from ..api.experiment import plan_experiment
+
+    def fastest(observe: bool) -> float:
+        best = float("inf")
+        for _ in range(TRACED_REPEATS):
+            sweep = plan_experiment("figure2", ExperimentOptions(smoke=True))[2]
+            sweep = sweep.observed() if observe else sweep
+            started = perf_counter()
+            sweep.run(workers=1)
+            best = min(best, perf_counter() - started)
+        return best
+
+    untraced = fastest(False)
+    return round(fastest(True) / untraced, 3)
+
+
 def chaos_claims() -> Tuple[Claim, ...]:
     def heals_everywhere(frame: ResultFrame):
         quiet = [row for row in frame.rows() if not row["fault_injections"]]
@@ -182,12 +262,31 @@ def chaos_claims() -> Tuple[Claim, ...]:
         )
 
     def golden_unchanged(frame: ResultFrame):
-        export = golden_sweep().run(workers=1).to_json()
-        digest = hashlib.sha256(export.encode("utf-8")).hexdigest()
+        from .. import golden
+
+        # A drift raises, and the claim's detail names the JSON paths that moved.
+        export = json.loads(golden_sweep().run(workers=1).to_json())
+        golden.assert_holds("golden_sweep", export)
         return (
-            digest == GOLDEN_SWEEP_SHA256,
-            f"faults-off golden sweep sha256 {digest[:16]}...",
+            True,
+            f"faults-off golden sweep sha256 {golden.digest(export, 'export')[:16]}...",
             "the fault subsystem must be byte-invisible when not configured",
+        )
+
+    def dormant_faults_nearly_free(frame: ResultFrame):
+        ratio = dormant_fault_ratio()
+        return (
+            ratio <= MAX_DORMANT_RATIO,
+            f"{ratio}x CPU (ceiling {MAX_DORMANT_RATIO}x)",
+            "best matched pair of a 400-buy market cell with and without a never-open fault",
+        )
+
+    def tracing_affordable(frame: ResultFrame):
+        ratio = traced_ratio()
+        return (
+            ratio <= MAX_TRACED_RATIO,
+            f"{ratio}x wall (ceiling {MAX_TRACED_RATIO}x)",
+            "fastest pass per mode of the figure2 smoke grid, traced and untraced",
         )
 
     return (
@@ -210,6 +309,17 @@ def chaos_claims() -> Tuple[Claim, ...]:
             paper_value="fault injection is a strict no-op when unconfigured",
             check=golden_unchanged,
         ),
+        Claim(
+            name="An installed but dormant fault costs at most "
+            f"{MAX_DORMANT_RATIO}x CPU time",
+            paper_value="fault injection is nearly free until a window opens",
+            check=dormant_faults_nearly_free,
+        ),
+        Claim(
+            name=f"Tracing costs at most {MAX_TRACED_RATIO}x wall time",
+            paper_value="observation is affordable on every hop",
+            check=tracing_affordable,
+        ),
     )
 
 
@@ -225,8 +335,9 @@ class ChaosExperiment(Experiment):
     name = "chaos"
     description = (
         "Claim-gated chaos sweep: message faults and peer crash/restart "
-        "across both scenarios, with post-heal convergence, harm==0, and a "
-        "faults-off golden-checksum gate"
+        "across both scenarios, with post-heal convergence, harm==0, a "
+        "faults-off golden-checksum gate and the dormant-fault and tracing "
+        "cost ceilings"
     )
     default_trials = 1
     default_seed = 23

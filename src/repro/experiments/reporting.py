@@ -8,12 +8,8 @@ __all__ = ["emit_block", "format_percentage", "format_table"]
 
 
 def emit_block(title: str, body: str) -> None:
-    """Print a clearly delimited result block.
-
-    Used by the benchmark harness so that
-    ``pytest benchmarks/ --benchmark-only -s`` prints the same rows/series the
-    paper reports, and by the examples for their own output.
-    """
+    """Print a clearly delimited result block: the CLI's tables and the
+    examples' own output."""
     bar = "=" * 78
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
 

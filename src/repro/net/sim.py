@@ -7,22 +7,49 @@ what a transaction's outcome depends on is which state it executes against,
 and that is fixed by the order in which events land, not by wall-clock
 concurrency.
 
-A scheduled event is a plain ``list`` ``[time, sequence, callback, args]``:
-``heapq`` orders exact lists in C, and sequence numbers are unique, so a
-comparison stops at ``sequence`` and never reaches the callback.
+A scheduled event is a plain ``list`` ``[time, rank, sequence, callback,
+args]``: ``heapq`` orders exact lists in C, and sequence numbers are unique,
+so a comparison stops at ``sequence`` and never reaches the callback.
 :meth:`Simulator.cancel` clears the callback slot; a cleared entry is skipped
 when popped.
+
+Events due at the same instant run in a declared order, not in the order
+they were scheduled: :data:`RANKS` gives each kind of event its rank, block
+deliveries first, then transaction deliveries, then everything else (client
+and workload actions, block production, churn, faults).  So an action at
+``t`` sees every block and transaction delivered at ``t``: the
+read-uncommitted view the paper's clients take.  Within one rank, events run
+first in, first out.
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["Simulator"]
+__all__ = ["BLOCK_DELIVERY", "OTHER", "RANKS", "Simulator", "TRANSACTION_DELIVERY"]
 
 Callback = Callable[..., None]
+
+BLOCK_DELIVERY, TRANSACTION_DELIVERY, OTHER = 0, 1, 2
+"""The same-instant ranks: a lower rank runs first."""
+
+RANKS: Dict[Callback, int] = {}
+"""Scheduled callback -> its rank; a callback absent from the table ranks
+:data:`OTHER`.  Filled by :func:`_declare_ranks`."""
+
+
+def _declare_ranks() -> None:
+    """The one declaration of which events outrank the rest at one instant.
+
+    ``Network`` schedules its deliveries as plain functions, so they are the
+    keys.  Imported here, not at the top: ``network`` imports this module.
+    """
+    from .network import Network
+
+    RANKS[Network._deliver_block] = BLOCK_DELIVERY
+    RANKS[Network._deliver_transaction] = TRANSACTION_DELIVERY
 
 
 class Simulator:
@@ -37,6 +64,7 @@ class Simulator:
         self._queue: List[list] = []
         self._sequence = itertools.count()
         self.events_processed = 0
+        _declare_ranks()
 
     def reset(self, start_time: float = 0.0) -> None:
         """Drain the event heap and rewind to a just-constructed state.
@@ -67,7 +95,7 @@ class Simulator:
         and return its entry.  A time before ``now``, or NaN, is refused."""
         if not time >= self.now:
             raise ValueError(f"cannot schedule an event at {time}: the clock is at {self.now}")
-        entry = [time, next(self._sequence), callback, args]
+        entry = [time, RANKS.get(callback, OTHER), next(self._sequence), callback, args]
         heappush(self._queue, entry)
         return entry
 
@@ -79,7 +107,7 @@ class Simulator:
 
     def cancel(self, entry: list) -> None:
         """Prevent a scheduled entry's callback from firing when it is popped."""
-        entry[2] = None
+        entry[3] = None
 
     # -- running ---------------------------------------------------------------
 
@@ -87,7 +115,7 @@ class Simulator:
         """Process the next event; returns False when the queue is empty."""
         queue = self._queue
         while queue:
-            time, _sequence, callback, args = heappop(queue)
+            time, _rank, _sequence, callback, args = heappop(queue)
             if callback is None:  # cancelled
                 continue
             self.now = time
@@ -103,7 +131,7 @@ class Simulator:
         while max_events is None or processed < max_events:
             # Drop cancelled heads first: step() would skip past them to an
             # event that may lie beyond end_time.
-            while queue and queue[0][2] is None:
+            while queue and queue[0][3] is None:
                 heappop(queue)
             if not queue or queue[0][0] > end_time:
                 # No more events at or before end_time: advance the clock to it.
@@ -132,4 +160,4 @@ class Simulator:
     # -- introspection ------------------------------------------------------------
 
     def pending_events(self) -> int:
-        return sum(1 for entry in self._queue if entry[2] is not None)
+        return sum(1 for entry in self._queue if entry[3] is not None)

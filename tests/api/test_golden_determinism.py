@@ -1,55 +1,32 @@
 """Golden-checksum determinism under the copy-on-write engine.
 
-The checksum below was computed on the pre-copy-on-write engine (before the
-apply cache, warm workers, zero-copy gossip, and the native keccak backend
-existed) and is frozen here: every execution mode of the same sweep —
-serial, parallel, and killed-and-resumed — must keep reproducing it byte for
-byte.  If an engine change breaks this test, it changed observable output,
-which the performance work is contractually forbidden from doing.
+The golden store's ``golden_sweep`` entry was recorded on the
+pre-copy-on-write engine (before the apply cache, warm workers, zero-copy
+gossip, and the native keccak backend existed): every execution mode of the
+same sweep — serial, parallel, and killed-and-resumed — must keep
+reproducing it byte for byte.  If an engine change breaks this test, it
+changed observable output, which the performance work is contractually
+forbidden from doing.
 """
 
-import hashlib
+import json
 from pathlib import Path
 
-from repro.api import SimulationBuilder
-from repro.api.sweep import Sweep
-
-GOLDEN_SWEEP_SHA256 = "803d61eec09f5cc5835b9b739f30a917c8c2a8720ffe0cac5c9b4f0fb6feab0b"
-"""sha256 of the golden sweep's sorted-key JSON export, recorded pre-PR-5."""
+from repro.experiments.chaos import golden_sweep
+from repro.golden import assert_holds
 
 
-def golden_sweep() -> Sweep:
-    """The frozen smoke sweep: two scenarios x two ratios, one trial each.
-
-    Everything here is pinned — workload size, topology, seed — because the
-    committed checksum covers the exact rows this grid produces.
-    """
-    base = (
-        SimulationBuilder()
-        .workload("market", num_buys=12)
-        .scenario("geth_unmodified")
-        .miners(1)
-        .clients(1)
-        .seed(20260730)
-        .build()
-    )
-    return (
-        Sweep(base)
-        .over(scenario=["geth_unmodified", "semantic_mining"], buys_per_set=[2.0, 10.0])
-        .trials(1)
-    )
-
-
-def checksum(export: str) -> str:
-    return hashlib.sha256(export.encode("utf-8")).hexdigest()
+def export(result):
+    """A sweep result's export, as the value the store pins."""
+    return json.loads(result.to_json())
 
 
 class TestGoldenChecksums:
     def test_serial_matches_committed_checksum(self):
-        assert checksum(golden_sweep().run(workers=1).to_json()) == GOLDEN_SWEEP_SHA256
+        assert_holds("golden_sweep", export(golden_sweep().run(workers=1)))
 
     def test_parallel_matches_committed_checksum(self):
-        assert checksum(golden_sweep().run(workers=2).to_json()) == GOLDEN_SWEEP_SHA256
+        assert_holds("golden_sweep", export(golden_sweep().run(workers=2)))
 
     def test_resumed_matches_committed_checksum(self, tmp_path: Path):
         checkpoint = tmp_path / "golden.jsonl"
@@ -62,4 +39,4 @@ class TestGoldenChecksums:
         assert len(lines) > 2, "checkpoint must hold a header plus rows"
         checkpoint.write_text("".join(lines[:2]), encoding="utf-8")
         resumed = sweep.run(workers=1, checkpoint=checkpoint)
-        assert checksum(resumed.to_json()) == GOLDEN_SWEEP_SHA256
+        assert_holds("golden_sweep", export(resumed))

@@ -4,31 +4,26 @@
 the tracer branches in ``Network._deliver_transaction`` / ``_deliver_block``.
 This runs the same spec shape at N=100 — ``random_k``, bandwidth on, a
 displacement adversary — and its faulty twin (drop / corrupt / delay /
-duplicate / crash), once plain and once observed, against summary sha256s
-recorded on the commit *before* the event core was slimmed (heap entries as
-lists, closure-free deliveries, inlined ``random_k`` draws).  Observation
-must not move the simulation: minus what it adds (the ``observability`` block
-and the spec's ``observe`` flag) the observed summary is the plain one.
+duplicate / crash), once plain and once observed, against the golden
+store's ``random_k_100`` and ``random_k_100_faulty`` summaries, recorded
+before the event core was slimmed (heap entries as lists, closure-free
+deliveries, inlined ``random_k`` draws).  Observation must not move the
+simulation: minus what it adds (the ``observability`` block and the spec's
+``observe`` flag) the observed summary is the plain one.
 """
-
-import hashlib
-import json
 
 import pytest
 
 from repro.api.builder import Simulation
 from repro.api.engine import build_simulation
+from repro.golden import assert_holds
 
 SEED = 20260807
 VICTIM_BUYS = 8
 BLOCK_INTERVAL = 13.0
 
-# faulty -> (summary sha256, simulator events), recorded on the parent commit.
-# The clean digest is also BENCH_topology.json's ``random_k_100`` checksum.
-PINNED = {
-    False: ("9c5d4848a1b6a44784dbf7203a21cdabccc752a9d5b5c90ce140a1aa9dada43e", 14520),
-    True: ("586fb3f7bce748917e250a2d249172d2cfacd7bc3b73fa0edd7b7360a48bdaaf", 15248),
-}
+# faulty -> (golden store entry, simulator events).
+PINNED = {False: ("random_k_100", 14520), True: ("random_k_100_faulty", 15248)}
 
 
 def gossip_spec(faulty: bool, observe: bool):
@@ -60,10 +55,6 @@ def gossip_spec(faulty: bool, observe: bool):
     return builder.build()
 
 
-def sha256_json(value) -> str:
-    return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
 @pytest.mark.parametrize("observe", [False, True], ids=["plain", "observed"])
 def test_summary_matches_the_parent_commit(faulty, observe):
@@ -76,9 +67,9 @@ def test_summary_matches_the_parent_commit(faulty, observe):
         assert observability["event_counts"]["gossip.tx"] > 0
         assert observability["event_counts"]["gossip.block"] > 0
         assert observability["dropped_events"] == 0
-    expected_sha, expected_events = PINNED[faulty]
+    golden, expected_events = PINNED[faulty]
     assert handle.simulator.events_processed == expected_events
-    assert sha256_json(summary) == expected_sha
+    assert_holds(golden, summary)
     if faulty:
         faults = summary["extras"]["faults"]
         assert faults["converged"] and faults["injections"] > 0

@@ -128,6 +128,22 @@ class TestExecution:
         assert serial.to_json() == parallel.to_json()
         assert ResultFrame.from_sweep(serial).to_csv() == ResultFrame.from_sweep(parallel).to_csv()
 
+    def test_a_30_buy_market_grid_on_four_workers_matches_serial(self):
+        base = (
+            Simulation.builder()
+            .scenario("geth_unmodified")
+            .workload("market", num_buys=30, num_buyers=2)
+            .miners(1)
+            .clients(2)
+            .seed(11)
+            .build()
+        )
+        grid = Sweep(base).over(
+            scenario=["geth_unmodified", "sereth_client", "semantic_mining"],
+            buys_per_set=[1.0, 2.0, 10.0],
+        )
+        assert grid.run(workers=1).to_json() == grid.run(workers=4).to_json()
+
     def test_rows_carry_efficiency_and_reports(self, sweep):
         result = sweep.run(workers=1)
         assert len(result) == 9

@@ -6,11 +6,10 @@ propagation digests across fresh handles, and serial-vs-parallel sweep
 parity.  Second, the explicit ``full_mesh`` topology is the *same machine*
 as the default: running the committed golden grid with
 ``.topology("full_mesh")`` must — once the extra descriptive fields are
-stripped — reproduce :data:`GOLDEN_SWEEP_SHA256` exactly, because full mesh
-routes through the legacy direct-broadcast path.
+stripped — reproduce the golden store's ``golden_sweep`` entry exactly,
+because full mesh routes through the legacy direct-broadcast path.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -19,8 +18,10 @@ from repro.api import SimulationBuilder
 from repro.api.builder import BuildError, Simulation
 from repro.api.engine import build_simulation, run_simulation
 from repro.api.sweep import Sweep
+from repro.experiments.chaos import golden_sweep
+from repro.golden import assert_holds
 
-from .test_golden_determinism import GOLDEN_SWEEP_SHA256, golden_sweep
+from .test_golden_determinism import export
 
 
 def spec_at_100(topology: str = "random_k", seed: int = 404, **params):
@@ -124,8 +125,8 @@ class TestHundredPeerDeterminism:
         assert serial == parallel
 
 
-def stripped_checksum(result) -> str:
-    """The sweep export's checksum with the topology-only fields removed.
+def stripped_export(result):
+    """The sweep export with the topology-only fields removed.
 
     An explicit full-mesh run adds exactly two describe-level artefacts — the
     spec's ``topology`` entry and the ``network`` propagation digest in
@@ -137,8 +138,7 @@ def stripped_checksum(result) -> str:
         assert removed == {"name": "full_mesh", "params": {}}
         digest = record["summary"]["extras"].pop("network")
         assert digest["topology"] == "full_mesh"
-    text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return records
 
 
 class TestFullMeshGoldenParity:
@@ -161,10 +161,9 @@ class TestFullMeshGoldenParity:
             )
             .trials(1)
         )
-        assert stripped_checksum(sweep.run(workers=1)) == GOLDEN_SWEEP_SHA256
+        assert_holds("golden_sweep", stripped_export(sweep.run(workers=1)))
 
     def test_default_sweep_still_matches_for_reference(self):
         # The untouched golden grid keeps passing alongside the parity test,
         # so a failure above isolates the topology plumbing, not the engine.
-        export = golden_sweep().run(workers=1).to_json()
-        assert hashlib.sha256(export.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_SHA256
+        assert_holds("golden_sweep", export(golden_sweep().run(workers=1)))

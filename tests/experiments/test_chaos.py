@@ -3,20 +3,18 @@
 The full claim-gated smoke run lives in the CI ``chaos-smoke`` job (it
 re-runs the golden sweep, which is too slow for the unit tier); these tests
 pin everything around it — the grid is deterministic, a faulted cell's rows
-are byte-identical serial vs parallel, and the experiment's committed golden
-checksum can never drift away from the determinism suite's.
+are byte-identical serial vs parallel, and the experiment's golden claim
+reads the one pin the determinism suite reads.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import golden
 from repro.api.checkpoint import spec_digest
 from repro.api.experiment import EXPERIMENT_REGISTRY, ExperimentOptions, plan_experiment
 from repro.experiments import chaos
-from tests.api.test_golden_determinism import (
-    GOLDEN_SWEEP_SHA256 as DETERMINISM_SUITE_SHA256,
-)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -35,11 +33,17 @@ class TestGrid:
     def test_registered(self):
         assert "chaos" in EXPERIMENT_REGISTRY
 
-    def test_golden_checksum_matches_determinism_suite(self):
+    def test_golden_checksum_matches_determinism_suite(self, monkeypatch):
         # The chaos experiment's third claim re-runs the determinism suite's
-        # golden sweep: if either copy of the checksum is bumped without the
-        # other, the claim gate and the test suite would silently disagree.
-        assert chaos.GOLDEN_SWEEP_SHA256 == DETERMINISM_SUITE_SHA256
+        # golden sweep and checks it against the store's one golden_sweep
+        # entry: a moved export fails the claim, not only the test suite.
+        claim = chaos.chaos_claims()[2]
+        assert claim.evaluate(None).holds
+        moved = [("$[0].summary.efficiency", 0.25, 0.5)]
+        monkeypatch.setattr(golden, "check", lambda name, value=None: moved if name == "golden_sweep" else [])
+        outcome = claim.evaluate(None)
+        assert not outcome.holds
+        assert "$[0].summary.efficiency: stored 0.25 -> new 0.5" in outcome.detail
 
     def test_jobs_are_deterministic(self):
         grid = (["messages", "crash"], ["light"], ["semantic_mining"], 4)

@@ -97,12 +97,12 @@ class TestRemovedVerbs:
         assert raised.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_help_lists_exactly_the_seven_verbs(self, capsys):
+    def test_help_lists_exactly_the_eight_verbs(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["--help"])
         assert raised.value.code == 0
         verbs = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
-        assert verbs.split(",") == ["run", "claims", "trace", "sweep", "serve", "loadgen", "list"]
+        assert verbs.split(",") == ["run", "claims", "trace", "sweep", "serve", "loadgen", "golden", "list"]
 
 
 class TestGenericExperimentCommands:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.latency import ConstantLatency, UniformLatency
-from repro.net.sim import Simulator
+from repro.net.sim import OTHER, Simulator
 
 
 class TestScheduling:
@@ -100,8 +100,8 @@ class TestRunModes:
 
 
 class TestEntryShape:
-    """Heap entries are ``[time, sequence, callback, args]`` lists compared
-    in C; these pin the semantics that shape must keep."""
+    """Heap entries are ``[time, rank, sequence, callback, args]`` lists
+    compared in C; these pin the semantics that shape must keep."""
 
     def test_schedule_passes_positional_args(self):
         simulator = Simulator()
@@ -112,14 +112,14 @@ class TestEntryShape:
         simulator.run()
         assert calls == [("a", 2), ("b",), ()]
 
-    def test_event_exposes_time_sequence_and_cancelled(self):
+    def test_event_exposes_time_rank_sequence_and_cancelled(self):
         simulator = Simulator()
         first = simulator.schedule_at(2.0, lambda: None)
         second = simulator.schedule_at(1.0, lambda: None)
-        assert (first[0], first[1], first[2] is None) == (2.0, 0, False)
-        assert (second[0], second[1]) == (1.0, 1)
+        assert (first[0], first[1], first[2], first[3] is None) == (2.0, OTHER, 0, False)
+        assert (second[0], second[1], second[2]) == (1.0, OTHER, 1)
         simulator.cancel(first)
-        assert first[2] is None
+        assert first[3] is None
 
     def test_entry_is_an_exact_list(self):
         """Exact lists keep CPython's list fast paths (unpack, subscript,
@@ -191,7 +191,7 @@ class TestEntryShape:
             fired = []
             events = [instance.schedule_at(1.0, fired.append, label) for label in "xyz"]
             instance.run()
-            return [event[1] for event in events], fired
+            return [event[2] for event in events], fired
 
         assert drive(simulator) == drive(Simulator()) == ([0, 1, 2], ["x", "y", "z"])
 

@@ -1,8 +1,6 @@
 """The topology subsystem: builders, registry, bandwidth FIFO, churn, and
 flood-gossip mechanics on hand-wired networks."""
 
-import hashlib
-import json
 import random
 
 import pytest
@@ -11,6 +9,7 @@ from repro.chain.genesis import GenesisConfig
 from repro.chain.transaction import Transaction
 from repro.chain.wire import wire_encoding
 from repro.crypto.addresses import address_from_label
+from repro.golden import assert_holds
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.peer import Peer
@@ -38,14 +37,11 @@ PEER_IDS_100 = [f"peer-{index}" for index in range(100)]
 
 
 RANDOM_K_SEED = 20260807
-# clients -> (sha256 of the sorted adjacency, edge count) over the bench roster
-# (2 miners + N clients, default k), recorded on the commit *before* the fill
-# loop's draws were inlined.
-RANDOM_K_ADJACENCY_SHA256 = {
-    10: ("06d721f1a83fbab1b533c7d0808a91345fa79e9066a2092b04b3bfbc30eef59e", 47),
-    100: ("058a77de562fbc12001166dedca1633bf0220f8ac445c2669c91ecaf278507a1", 407),
-    1000: ("d8a149790a124c3c3fae1aa53645d411229acca158438d12f1b3df2aeef71795", 4006),
-}
+# clients -> edge count of the graph over the bench roster (2 miners + N
+# clients, default k).  The graphs themselves are the golden store's
+# ``random_k_adjacency_<clients>`` entries, recorded *before* the fill loop's
+# draws were inlined.
+RANDOM_K_EDGES = {10: 47, 100: 407, 1000: 4006}
 
 
 def bench_roster(clients: int):
@@ -54,9 +50,8 @@ def bench_roster(clients: int):
     ]
 
 
-def adjacency_sha256(topology: Topology) -> str:
-    payload = sorted((peer, list(neighbors)) for peer, neighbors in topology.adjacency.items())
-    return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
+def adjacency_pairs(topology: Topology):
+    return sorted([peer, list(neighbors)] for peer, neighbors in topology.adjacency.items())
 
 
 def reference_random_k(peer_ids, rng: random.Random, k: int = 8) -> Topology:
@@ -181,7 +176,7 @@ class TestBuilders:
         assert topology.is_connected()
         assert all(len(neighbors) <= 2 for neighbors in topology.adjacency.values())
 
-    @pytest.mark.parametrize("clients", sorted(RANDOM_K_ADJACENCY_SHA256))
+    @pytest.mark.parametrize("clients", sorted(RANDOM_K_EDGES))
     def test_random_k_adjacency_is_pinned(self, clients):
         """The inlined ``getrandbits`` fill is proven, not assumed, identical
         to the ``rng.randrange`` loop it replaced: same graph as recorded at
@@ -190,9 +185,8 @@ class TestBuilders:
         roster = bench_roster(clients)
         rng = random.Random(RANDOM_K_SEED)
         topology = RandomKTopology().build(roster, rng)
-        expected_sha, expected_edges = RANDOM_K_ADJACENCY_SHA256[clients]
-        assert adjacency_sha256(topology) == expected_sha
-        assert topology.edge_count == expected_edges
+        assert_holds(f"random_k_adjacency_{clients}", adjacency_pairs(topology))
+        assert topology.edge_count == RANDOM_K_EDGES[clients]
         reference_rng = random.Random(RANDOM_K_SEED)
         assert topology.adjacency == reference_random_k(roster, reference_rng).adjacency
         assert rng.getstate() == reference_rng.getstate()

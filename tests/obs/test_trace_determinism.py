@@ -13,11 +13,9 @@ from pathlib import Path
 
 from repro.api import SimulationBuilder, Simulation, Sweep, spec_digest
 
-from tests.api.test_golden_determinism import (
-    GOLDEN_SWEEP_SHA256,
-    checksum,
-    golden_sweep,
-)
+from repro.experiments.chaos import golden_sweep
+from repro.golden import assert_holds
+from tests.api.test_golden_determinism import export
 
 
 def _observed_sweep(trace_dir: Path) -> Sweep:
@@ -87,7 +85,7 @@ class TestTracingOffStaysGolden:
         # The regression the whole design hangs on: with observe unset, every
         # instrumented call site is one dead branch and the exported bytes
         # are exactly the pre-obs golden bytes.
-        assert checksum(golden_sweep().run(workers=1).to_json()) == GOLDEN_SWEEP_SHA256
+        assert_holds("golden_sweep", export(golden_sweep().run(workers=1)))
 
     def test_default_summary_has_no_observability_key(self):
         spec = (

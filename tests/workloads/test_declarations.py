@@ -3,10 +3,11 @@
 The parity table was recorded from the hand-written hooks the declarations
 replaced: for every registered workload under each paper scenario, the HMS
 targets, the semantic-mining config, the adversary target, the funded
-accounts, the genesis state root, the primary label and each miner's
-ordering policy.  The hostile-parameter table lists inputs the hand-written
-checks let through to fail mid-run (or to run as something else); each is
-now refused when the spec is built.
+accounts, the genesis state root (the golden store's ``genesis_roots``
+entry), the primary label and each miner's ordering policy.  The
+hostile-parameter table lists inputs the hand-written checks let through to
+fail mid-run (or to run as something else); each is now refused when the
+spec is built.
 """
 
 import json
@@ -15,6 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 import pytest
 
 from repro.api import BuildError, Simulation, WORKLOAD_REGISTRY, build_simulation
+from repro.golden import assert_holds, stored
 
 SCENARIOS = ("geth_unmodified", "sereth_client", "semantic_mining")
 
@@ -25,7 +27,6 @@ class Wiring(NamedTuple):
     buy_selectors: Optional[Tuple[str, ...]]
     primary_label: Optional[str]
     accounts: Tuple[str, ...]
-    genesis_root: str
     semantic_miner: str
     """The policy every miner runs under ``semantic_mining`` (the other two
     scenarios always run ``ArrivalJitterPolicy``)."""
@@ -41,7 +42,6 @@ PARITY = {
         buy_selectors=(),
         primary_label="bid",
         accounts=("seller", "bidder-0", "bidder-1", "bidder-2", "bidder-3"),
-        genesis_root="cde09b250d35c9c8b2a3f70d74964562cfcb1763514375ac6abccb5c4b553e95",
         semantic_miner="SemanticMiningPolicy",
     ),
     "frontrunning": Wiring(
@@ -50,7 +50,6 @@ PARITY = {
         buy_selectors=SERETH_BUY,
         primary_label="victim-buy",
         accounts=("market-owner", "victim", "frontrunner"),
-        genesis_root="a0d4225c4ce78751e12a01d2d0a32f49149aae60d24a97742dc81857e0043ab5",
         semantic_miner="SemanticMiningPolicy",
     ),
     "market": Wiring(
@@ -59,7 +58,6 @@ PARITY = {
         buy_selectors=SERETH_BUY,
         primary_label="buy",
         accounts=("owner", "buyer-0", "buyer-1", "buyer-2", "buyer-3"),
-        genesis_root="f5de8f945bcf07ce2339675605eebd4ae443cc4144e748343b5cb6796f65c8c1",
         semantic_miner="SemanticMiningPolicy",
     ),
     "oracle": Wiring(
@@ -68,7 +66,6 @@ PARITY = {
         buy_selectors=SERETH_BUY,
         primary_label=None,
         accounts=("oracle-owner", "oracle-consumer", "oracle-operator"),
-        genesis_root="80d0c964beee4e8a3375e3f8bb9cec1d7b33277b43a309d7c943b72a2f9213ca",
         semantic_miner="SemanticMiningPolicy",
     ),
     # HMS installed, but no semantic-mining config: its semantic miners keep
@@ -79,7 +76,6 @@ PARITY = {
         buy_selectors=None,
         primary_label=None,
         accounts=("solo-trader",),
-        genesis_root="48e760395617a3979f1b4a9e43c6fefe03c0a767beaff57231b1296e002899d7",
         semantic_miner="ArrivalJitterPolicy",
     ),
     "steady_state": Wiring(
@@ -88,7 +84,6 @@ PARITY = {
         buy_selectors=SERETH_BUY,
         primary_label="steady",
         accounts=("owner",),
-        genesis_root="ce6d117a742d7efa9bc721cd0a8f0c63b87fbb5190732e6fd7c396ed777a151e",
         semantic_miner="SemanticMiningPolicy",
     ),
     "ticket_sale": Wiring(
@@ -97,7 +92,6 @@ PARITY = {
         buy_selectors=("0767f871",),
         primary_label="ticket",
         accounts=("organiser", "fan-0", "fan-1", "fan-2", "fan-3", "fan-4", "fan-5"),
-        genesis_root="ea88c91060df75994edac01f8c6bda4305ca9f2afbc244262593871b988780e5",
         semantic_miner="SemanticMiningPolicy",
     ),
     "victim_market": Wiring(
@@ -106,7 +100,6 @@ PARITY = {
         buy_selectors=SERETH_BUY,
         primary_label="victim-buy",
         accounts=("market-owner", "victim"),
-        genesis_root="4ff04176455f0c334f629cf2925ee3dc56b45f1e5f53ac0602af3836cd526582",
         semantic_miner="SemanticMiningPolicy",
     ),
 }
@@ -127,6 +120,11 @@ HOSTILE_WORKLOAD_PARAMS = [
 
 def test_the_table_covers_every_registered_workload():
     assert sorted(PARITY) == WORKLOAD_REGISTRY.names()
+
+
+def test_genesis_roots_are_pinned():
+    assert sorted(stored("genesis_roots")) == sorted(PARITY)
+    assert_holds("genesis_roots")
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -154,7 +152,7 @@ def test_derived_wiring_matches_the_recorded_hooks(name, scenario):
         expected.buy_selectors or ()
     )
     assert tuple(workload.account_labels()) == expected.accounts
-    assert handle.reference_chain.block_by_number(0).header.state_root.hex() == expected.genesis_root
+    assert handle.reference_chain.block_by_number(0).header.state_root.hex() == stored("genesis_roots")[name]
     assert workload.primary_label == expected.primary_label
     policy = expected.semantic_miner if scenario == "semantic_mining" else "ArrivalJitterPolicy"
     assert [type(miner.miner.policy).__name__ for miner in handle.production.miners()] == [

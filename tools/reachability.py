@@ -9,6 +9,7 @@ and sorts every function defined in ``src/repro`` into one of three classes:
     ablation, ``attack_matrix`` once more with the adversaries its smoke grid
     leaves out), the ``trace``/``sweep``/``list``/``claims`` verbs (``sweep``
     once with ``--json``, once with ``--csv`` over every miner policy),
+    ``repro golden check``,
     ``repro loadgen --smoke`` with each ``--arrival`` against ``repro
     serve``, one request for every RPC verb against ``repro serve
     --persist DIR`` and a ``--resume`` restart of it, ``bench/run.py
@@ -57,7 +58,6 @@ workload plugins and the CLI are what the one-way-to-run-an-experiment and
 declare-each-workload-once designs keep small."""
 
 KEPT_BECAUSE = {
-    "api/builder.py": "`miner_policy` sets a served, `--over`-able field; `benchmarks/substrate_perf.py` calls it",
     "api/experiment.py": "`Experiment.plan` is the protocol method `GridExperiment` implements",
     "api/frame.py": "`drop` is on the export path of an experiment that declares no export columns; `__repr__` is for interactive use",
     "chain/apply_cache.py": "`clear` / `stats` introspect the cache; `__repr__` is for debugging",
@@ -89,6 +89,7 @@ KEPT_BECAUSE = {
     "evm/registry.py": "`ContractRegistry.copy` lets a caller extend a private registry",
     "evm/storage.py": "`ContractStorage.address` is contract-facing API",
     "faults/message.py": "`MessageFault.effect` is the base class's abstract hook",
+    "golden.py": "`record` is the one writer, run only to re-pin; `stored` reads a pin for the tests; a mismatch's report runs only on a drift",
     "net/latency.py": "`ConstantLatency` is `Network`'s default model; `LatencyModel.sample` is a protocol stub",
     "net/network.py": "`propagation_samples` exposes the raw delays its summary is derived from; `__len__` is the container protocol",
     "net/peer.py": "`Peer.__repr__` is for debugging",
@@ -235,6 +236,7 @@ def entry_point_commands(workdir: Path) -> List[Tuple[str, List[str]]]:
     ]
     commands += [
         ("repro claims", cli + ["claims", "sequential"]),
+        ("repro golden check", cli + ["golden", "check"]),
         ("repro trace", cli + ["trace", "sequential", "--smoke", "--trace-out", str(workdir / "traces")]),
         ("repro sweep", cli + [
             "sweep", "--workload", "market", "--scenarios", "geth_unmodified", "semantic_mining",
@@ -464,8 +466,9 @@ def render(classes: Dict[str, List[Function]]) -> str:
         "- **(a)** reached by an entry point: `repro run <exp> --smoke --workers 1",
         "  --export DIR` for every registered experiment (`attack_matrix` once more",
         "  with the adversaries its smoke grid leaves out), the `trace`/`sweep`/`list`/",
-        "  `claims` verbs, `repro loadgen --smoke` with each `--arrival` and every RPC",
-        "  verb against `repro serve` (once with `--persist`, then `--resume`),",
+        "  `claims` verbs, `repro golden check`, `repro loadgen --smoke` with each",
+        "  `--arrival` and every RPC verb against `repro serve` (once with",
+        "  `--persist`, then `--resume`),",
         "  `bench/run.py --smoke` and `examples/`;",
         "- **(b)** reached only by the tier-1 suite;",
         "- **(c)** reached by nothing.",
